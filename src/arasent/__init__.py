@@ -25,6 +25,7 @@ from .preprocess import (  # noqa: F401
     tokenize,
 )
 from .features import (  # noqa: F401
+    Analyzer,
     CueLists,
     FeatureVector,
     extract_features,

@@ -245,6 +245,8 @@ def read_svmlight(path) -> list[LabeledVector]:
                     value = float(value_s)
                 except ValueError:
                     raise ParseError(path, line_no, f"non-numeric pair {tok!r}") from None
+                if not math.isfinite(value):
+                    raise ParseError(path, line_no, f"non-finite value {tok!r}")
                 if index <= last_index:
                     raise ParseError(path, line_no,
                                      f"indices must be strictly increasing at {tok!r}")

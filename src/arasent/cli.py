@@ -142,13 +142,14 @@ class _Pipeline:
             questions=config.questions, wishful=config.wishful)
         self.stopwords = load_stopwords(config.stopwords)
         self.tagger = default_tagger(load_tag_table(config.tagtable), self.lexicon)
+        self.analyzer = features.Analyzer(
+            self.lexicon, self.idioms, self.cues,
+            stopwords=self.stopwords, tagger=self.tagger,
+            negation_window=config.negation_window,
+            intensifier_window=config.intensifier_window)
 
     def vector(self, topic) -> features.FeatureVector:
-        return features.extract_features(
-            topic, self.lexicon, self.idioms, self.cues,
-            stopwords=self.stopwords, tagger=self.tagger,
-            negation_window=self.config.negation_window,
-            intensifier_window=self.config.intensifier_window)
+        return self.analyzer.vector(topic.text)
 
     def labeled_vectors(self, topics) -> tuple[list[classifier.LabeledVector], int]:
         out = []
@@ -302,11 +303,7 @@ def _cmd_score(args) -> int:
     corpus = load_corpus(args.corpus)
     agree = labeled = 0
     for topic in corpus:
-        net, label = features.lexicon_rule_score(
-            topic, pipe.lexicon, pipe.idioms, pipe.cues,
-            stopwords=pipe.stopwords, tagger=pipe.tagger,
-            negation_window=config.negation_window,
-            intensifier_window=config.intensifier_window)
+        net, label = pipe.analyzer.rule_score(topic.text)
         print(f"{topic.id}\t{net:+g}\t{label.value}")
         if topic.label is not None:
             labeled += 1

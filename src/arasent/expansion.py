@@ -20,6 +20,7 @@ from .lexicon import (
     LexiconEntry,
     Polarity,
     SentimentLexicon,
+    clean_field,
     count_corpus_tokens,
 )
 from .preprocess import (
@@ -28,10 +29,8 @@ from .preprocess import (
     Sentence,
     TableTagger,
     normalize_text,
-    pos_tag,
-    remove_stopwords,
-    split_sentences,
-    tokenize,
+    preprocess,
+    tag_words,
 )
 
 CANDIDATE_TAGS = frozenset({PosTag.JJ, PosTag.NN, PosTag.VB})
@@ -87,15 +86,18 @@ class FixtureProvider:
                     raise ParseError(path, line_no, "empty word")
                 if word in table:
                     raise ParseError(path, line_no, f"duplicate word {word!r}")
-                table[word] = SynsetResult(
-                    translation=parts[1].strip() or None,
-                    synonyms=_parse_word_list(parts[2]),
-                    antonyms=_parse_word_list(parts[3]),
-                )
+                table[word] = _parse_row(parts)
         return cls(table)
 
     def fetch(self, word: str) -> SynsetResult:
         return self._table.get(normalize_text(word), SynsetResult())
+
+
+def _parse_row(parts: list[str]) -> SynsetResult:
+    """The answer held by a four-column fixture row."""
+    return SynsetResult(translation=parts[1].strip() or None,
+                        synonyms=_parse_word_list(parts[2]),
+                        antonyms=_parse_word_list(parts[3]))
 
 
 def _parse_word_list(text: str) -> tuple[tuple[str, str | None], ...]:
@@ -112,8 +114,9 @@ class CachingProvider:
 
     Answers already in the cache file never hit the inner provider, so an
     online thesaurus client can be plugged in without refetching across
-    runs. Cache rows use the fixture TSV format (synonym glosses are not
-    persisted).
+    runs. Cache rows use the fixture TSV format, with tabs and line breaks
+    in the fields replaced by spaces; synonym glosses are not persisted. A
+    fetch answers what a later load of the cache reads back.
     """
 
     def __init__(self, inner: SynsetProvider, cache_path):
@@ -124,15 +127,17 @@ class CachingProvider:
             self._cache = dict(FixtureProvider.from_file(self._path)._table)
 
     def fetch(self, word: str) -> SynsetResult:
-        key = normalize_text(word)
+        key = clean_field(normalize_text(word))
         if key in self._cache:
             return self._cache[key]
         result = self._inner.fetch(key)
-        self._cache[key] = result
-        syns = ",".join(w for w, _ in result.synonyms)
-        ants = ",".join(w for w, _ in result.antonyms)
-        with open(self._path, "a", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"{key}\t{result.translation or ''}\t{syns}\t{ants}\n")
+        row = [key, clean_field(result.translation or ""),
+               ",".join(clean_field(w) for w, _ in result.synonyms),
+               ",".join(clean_field(w) for w, _ in result.antonyms)]
+        self._cache[key] = result = _parse_row(row)
+        if key:  # a row without a word would not load
+            with open(self._path, "a", encoding="utf-8", newline="\n") as fh:
+                fh.write("\t".join(row) + "\n")
         return result
 
 
@@ -190,19 +195,19 @@ def filter_candidates(tagged: Iterable[Sentence], lex: SentimentLexicon,
     list, in first-occurrence order.
     """
     seen: set[str] = set()
-    out = []
+    out: list[Candidate] = []
     for s in tagged:
-        for tok in s.tokens:
-            if tok.tag not in CANDIDATE_TAGS:
-                continue
-            word = tok.surface
-            if word in MASK_TOKENS or word in seen:
-                continue
-            if lex.lookup(word) is not None or word in lex.prevent_list:
-                continue
-            seen.add(word)
-            out.append(Candidate(word, tok.tag, topic_id))
+        _add_candidates(s.surfaces(), [t.tag for t in s.tokens], lex, topic_id, seen, out)
     return out
+
+
+def _add_candidates(words, tags, lex: SentimentLexicon, topic_id: str,
+                    seen: set[str], out: list[Candidate]) -> None:
+    for word, tag in zip(words, tags):
+        if (tag in CANDIDATE_TAGS and word not in MASK_TOKENS and word not in seen
+                and lex.lookup(word) is None and not lex.is_prevented(word)):
+            seen.add(word)
+            out.append(Candidate(word, tag, topic_id))
 
 
 def detect_orientation(word: str, syn: SynsetResult,
@@ -310,16 +315,9 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider,
     candidates: list[Candidate] = []
     seen: set[str] = set()
     for topic in corpus:
-        sentences = []
-        for raw_sentence in split_sentences(normalize_text(topic.text)):
-            s = tokenize(raw_sentence)
-            if stop:
-                s = remove_stopwords(s, stop)
-            sentences.append(pos_tag(s, tagger))
-        for cand in filter_candidates(sentences, working, topic_id=topic.id):
-            if cand.word not in seen:
-                seen.add(cand.word)
-                candidates.append(cand)
+        for words in preprocess(topic.text, stop):
+            _add_candidates(words, tag_words(words, tagger), working, topic.id,
+                            seen, candidates)
 
     def to_pending(item: ReviewItem) -> None:
         report.oov_pending.append(item.word)
@@ -328,7 +326,7 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider,
             already_pending.add(item.word)
 
     for cand in candidates:
-        if working.lookup(cand.word) is not None or cand.word in working.prevent_list:
+        if working.lookup(cand.word) is not None or working.is_prevented(cand.word):
             continue
         try:
             syn = provider.fetch(cand.word)

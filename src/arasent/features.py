@@ -7,12 +7,12 @@ lifetime of any trained model. Only nonzero slots are stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .lexicon import IdiomLexicon, Polarity, SentimentLexicon
 from .preprocess import (
-    MASK_TOKENS,
     NG_MASK,
     PO_MASK,
     PosTag,
@@ -20,10 +20,8 @@ from .preprocess import (
     TableTagger,
     Token,
     normalize_text,
-    pos_tag,
-    remove_stopwords,
-    split_sentences,
-    tokenize,
+    preprocess,
+    tag_words,
 )
 
 SCHEMA_VERSION = 1
@@ -47,28 +45,14 @@ IS_WISHFUL = 15
 N_O_WISHFUL = 16
 N_O_CONFLICT = 17
 
-SLOT_NAMES = {
-    HAS_PO_SENTI: "has_PO_senti",
-    HAS_NG_SENTI: "has_NG_senti",
-    HAS_PO_PH: "has_PO_ph",
-    HAS_NG_PH: "has_NG_ph",
-    W_PO: "W_PO",
-    W_NG: "W_NG",
-    W_NU: "W_NU",
-    PO_W_POSITION: "PO_W_Position",
-    NG_W_POSITION: "NG_W_Position",
-    NO_OF_WORDS: "No_of_words",
-    IS_NEGATION: "Is_Negation",
-    N_O_NEGATION: "N_O_Negation",
-    IS_QUESTION: "Is_Question",
-    N_O_QUESTION: "N_O_Question",
-    IS_WISHFUL: "Is_wishful",
-    N_O_WISHFUL: "N_O_wishful",
-    N_O_CONFLICT: "N_O_Conflict",
-}
+SLOT_NAMES = dict(enumerate((
+    "has_PO_senti", "has_NG_senti", "has_PO_ph", "has_NG_ph", "W_PO", "W_NG", "W_NU",
+    "PO_W_Position", "NG_W_Position", "No_of_words", "Is_Negation", "N_O_Negation",
+    "Is_Question", "N_O_Question", "Is_wishful", "N_O_wishful", "N_O_Conflict"), start=1))
 
 DEFAULT_NEGATION_WINDOW = 3
 DEFAULT_INTENSIFIER_WINDOW = 2
+_SLOTS = frozenset(range(1, N_SLOTS + 1))
 
 
 @dataclass
@@ -79,22 +63,25 @@ class FeatureVector:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        pruned = {}
-        for slot, value in self.values.items():
-            if not 1 <= slot <= N_SLOTS:
-                raise ValueError(f"slot {slot} outside schema 1..{N_SLOTS}")
-            if value:
-                pruned[slot] = float(value)
-        self.values = pruned
+        values = {slot: float(value) for slot, value in self.values.items() if value}
+        if self.values.keys() <= _SLOTS and all(map(math.isfinite, values.values())):
+            self.values = values
+        else:  # set() names the first bad slot or value
+            values, self.values = self.values, {}
+            for slot, value in values.items():
+                self.set(slot, value)
 
     def get(self, slot: int) -> float:
         return self.values.get(slot, 0.0)
 
     def set(self, slot: int, value: float) -> None:
-        if not 1 <= slot <= N_SLOTS:
+        if slot not in _SLOTS:
             raise ValueError(f"slot {slot} outside schema 1..{N_SLOTS}")
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"slot {slot} value {value} is not finite")
         if value:
-            self.values[slot] = float(value)
+            self.values[slot] = value
         else:
             self.values.pop(slot, None)
 
@@ -144,6 +131,65 @@ class ScoredToken:
     neutral: bool = False  # True when the lexicon marks the word NU
 
 
+# The rules work on one sentence held as parallel lists: words, tags and
+# lexicon values (+1, -1, 0 for NU, None for unknown words and masks).
+_SIGN = {Polarity.PO: 1, Polarity.NG: -1, Polarity.NU: 0}
+_CONFLICT_TAGS = {PosTag.NN, PosTag.JJ}
+
+
+def _mask_phrases(words, tags, idioms: IdiomLexicon):
+    """Collapse each leftmost-longest idiom match into one mask word tagged
+    OTHER; returns the new words and tags and the (PO, NG) phrase counts."""
+    out_words, out_tags, counts = [], [], {Polarity.PO: 0, Polarity.NG: 0}
+    i = 0
+    while i < len(words):
+        hit = idioms.match_at(words, i)
+        if hit is None:
+            out_words.append(words[i])
+            out_tags.append(tags[i])
+            i += 1
+        else:
+            counts[hit.polarity] += 1
+            out_words.append(PO_MASK if hit.polarity is Polarity.PO else NG_MASK)
+            out_tags.append(PosTag.OTHER)
+            i += len(hit.phrase)
+    return out_words, out_tags, counts[Polarity.PO], counts[Polarity.NG]
+
+
+def _shift(bases, negated, intensified, negation_window, intensifier_window):
+    """Shifted values, given which words are negators and intensifiers."""
+    adjusted = [0] * len(bases)
+    for i, base in enumerate(bases):
+        if base:
+            value = -base if sum(negated[max(0, i - negation_window):i]) % 2 else base
+            if True in intensified[i + 1:i + 1 + intensifier_window]:
+                value *= 2
+            adjusted[i] = value
+    return adjusted
+
+
+def _resolve_conflicts(tags, adjusted) -> int:
+    """Resolves noun/adjective conflicts in ``adjusted`` in place; returns their number."""
+    count = i = 0
+    while i < len(adjusted) - 1:
+        if adjusted[i] * adjusted[i + 1] < 0 and {tags[i], tags[i + 1]} == _CONFLICT_TAGS:
+            count += 1
+            adjusted[i], adjusted[i + 1] = -1, 0
+            i += 2
+        else:
+            i += 1
+    return count
+
+
+def _sentence(words, tags) -> Sentence:
+    return Sentence([Token(w, pos, tag) for pos, (w, tag) in enumerate(zip(words, tags), 1)])
+
+
+def _scored(tokens, bases, adjusted) -> list[ScoredToken]:
+    return [ScoredToken(tok, base or 0, adj, base == 0)
+            for tok, base, adj in zip(tokens, bases, adjusted)]
+
+
 def mask_idioms(sentences: Iterable[Sentence],
                 idioms: IdiomLexicon) -> tuple[list[Sentence], tuple[int, int]]:
     """Replace every leftmost-longest idiom match with a single mask token.
@@ -154,29 +200,10 @@ def mask_idioms(sentences: Iterable[Sentence],
     po = ng = 0
     out = []
     for s in sentences:
-        surfaces = s.surfaces()
-        kept: list[Token | str] = []
-        i = 0
-        while i < len(surfaces):
-            hit = idioms.match_at(surfaces, i)
-            if hit is not None:
-                if hit.polarity is Polarity.PO:
-                    kept.append(PO_MASK)
-                    po += 1
-                else:
-                    kept.append(NG_MASK)
-                    ng += 1
-                i += len(hit.phrase)
-            else:
-                kept.append(s.tokens[i])
-                i += 1
-        tokens = []
-        for pos, item in enumerate(kept, start=1):
-            if isinstance(item, str):
-                tokens.append(Token(item, pos))
-            else:
-                tokens.append(replace(item, position=pos))
-        out.append(Sentence(tokens))
+        words, tags, p, n = _mask_phrases(s.surfaces(), [t.tag for t in s.tokens], idioms)
+        po += p
+        ng += n
+        out.append(_sentence(words, tags))
     return out, (po, ng)
 
 
@@ -191,28 +218,12 @@ def score_tokens(s: Sentence, lex: SentimentLexicon, cues: CueLists, *,
     within ``intensifier_window`` tokens after it doubles the magnitude
     once. Mask tokens and unknown words score 0.
     """
-    toks = s.tokens
-    scored = []
-    for i, tok in enumerate(toks):
-        if tok.surface in MASK_TOKENS:
-            scored.append(ScoredToken(tok, 0, 0))
-            continue
-        entry = lex.lookup(tok.surface)
-        if entry is None:
-            scored.append(ScoredToken(tok, 0, 0))
-            continue
-        if entry.polarity is Polarity.NU:
-            scored.append(ScoredToken(tok, 0, 0, neutral=True))
-            continue
-        base = 1 if entry.polarity is Polarity.PO else -1
-        lo = max(0, i - negation_window)
-        flips = sum(1 for p in toks[lo:i] if p.surface in cues.negators)
-        adjusted = -base if flips % 2 else base
-        trailing = toks[i + 1:i + 1 + intensifier_window]
-        if any(n.surface in cues.intensifiers for n in trailing):
-            adjusted *= 2
-        scored.append(ScoredToken(tok, base, adjusted))
-    return scored
+    words = s.surfaces()
+    bases = [None if (e := lex.lookup(w)) is None else _SIGN[e.polarity] for w in words]
+    adjusted = _shift(bases, [w in cues.negators for w in words],
+                      [w in cues.intensifiers for w in words],
+                      negation_window, intensifier_window)
+    return _scored(s.tokens, bases, adjusted)
 
 
 def detect_conflict_phrases(s: Sentence,
@@ -224,20 +235,10 @@ def detect_conflict_phrases(s: Sentence,
     negative unit at the first token's position. The scan is left-to-right
     and non-overlapping. Returns the conflict count and a modified copy.
     """
-    out = [replace(st) for st in scored]
-    count = 0
-    i = 0
-    while i < len(out) - 1:
-        a, b = out[i], out[i + 1]
-        tags = {a.token.tag, b.token.tag}
-        if tags == {PosTag.NN, PosTag.JJ} and a.adjusted * b.adjusted < 0:
-            count += 1
-            a.adjusted = -1
-            b.adjusted = 0
-            i += 2
-        else:
-            i += 1
-    return count, out
+    adjusted = [st.adjusted for st in scored]
+    count = _resolve_conflicts([st.token.tag for st in scored], adjusted)
+    return count, [ScoredToken(st.token, st.base, adj, st.neutral)
+                   for st, adj in zip(scored, adjusted)]
 
 
 @dataclass
@@ -259,118 +260,115 @@ class TopicAnalysis:
         return sum(s.word_count for s in self.sentences)
 
 
-def analyze_topic(text: str, lex: SentimentLexicon, idioms: IdiomLexicon,
-                  cues: CueLists, *,
-                  stopwords: Iterable[str] = frozenset(),
-                  tagger=None,
+class Analyzer:
+    """Featurizes topics in one walk per sentence over plain lists.
+
+    Built once from the resources, it sees the lexicon (kept as a word ->
+    {+1, -1, 0} map) and the idioms as they were then. Read-only, so safe to
+    share across threads."""
+
+    def __init__(self, lex: SentimentLexicon, idioms: IdiomLexicon, cues: CueLists, *,
+                 stopwords: Iterable[str] = frozenset(), tagger=None,
+                 negation_window: int = DEFAULT_NEGATION_WINDOW,
+                 intensifier_window: int = DEFAULT_INTENSIFIER_WINDOW):
+        self.idioms, self.cues = idioms, cues
+        self.stopwords = frozenset(stopwords)
+        self.tagger = tagger if tagger is not None else TableTagger()
+        self.windows = (negation_window, intensifier_window)
+        self._values = {entry.word: _SIGN[entry.polarity] for entry in lex}
+        self._idiom_starts = frozenset(entry.phrase[0] for entry in idioms)
+
+    def _walk(self, text: str, sink: list | None = None):
+        """Slot values (raw, in slot order), net score and (PO, NG) phrase
+        counts of a topic; ``sink`` also gets each sentence's lists."""
+        cues, values = self.cues, self._values
+        w_po = w_ng = w_nu = n_words = po_ph = ng_ph = conflicts = net = 0
+        negations = questions = wishes = 0
+        po_pos = ng_pos = 0.0
+        for words in preprocess(text, self.stopwords):
+            tags = tag_words(words, self.tagger)
+            if not self._idiom_starts.isdisjoint(words):
+                words, tags, po, ng = _mask_phrases(words, tags, self.idioms)
+                po_ph += po
+                ng_ph += ng
+            n = len(words)
+            n_words += n
+            bases = list(map(values.get, words))
+            negated = list(map(cues.negators.__contains__, words))
+            negations += sum(negated)
+            questions += sum(map(cues.question_terms.__contains__, words))
+            wishes += sum(map(cues.wishful_terms.__contains__, words))
+            w_nu += bases.count(0)  # NU words always keep a 0 value
+            adjusted = _shift(bases, negated, list(map(cues.intensifiers.__contains__, words)),
+                              *self.windows)
+            net += sum(adjusted)
+            if sink is not None:
+                sink.append((words, tags, bases, adjusted[:], adjusted))
+            conflicts += _resolve_conflicts(tags, adjusted)
+            for pos, value in enumerate(adjusted, 1):
+                if value > 0:
+                    w_po += value
+                    po_pos += n / pos
+                elif value < 0:
+                    w_ng -= value
+                    ng_pos += n / pos
+        slots = {HAS_PO_SENTI: w_po > 0, HAS_NG_SENTI: w_ng > 0, HAS_PO_PH: po_ph > 0,
+                 HAS_NG_PH: ng_ph > 0, W_PO: w_po, W_NG: w_ng, W_NU: w_nu,
+                 PO_W_POSITION: po_pos, NG_W_POSITION: ng_pos, NO_OF_WORDS: n_words,
+                 IS_NEGATION: negations > 0, N_O_NEGATION: negations,
+                 IS_QUESTION: questions > 0, N_O_QUESTION: questions,
+                 IS_WISHFUL: wishes > 0, N_O_WISHFUL: wishes, N_O_CONFLICT: conflicts}
+        return slots, net + 3 * po_ph - 3 * ng_ph, po_ph, ng_ph
+
+    def vector(self, text: str) -> FeatureVector:
+        """The 17-slot sparse vector of one topic."""
+        return FeatureVector(self._walk(text)[0])
+
+    def rule_score(self, text: str) -> tuple[float, Polarity]:
+        """Rule-based net score: shifted word values in [-2, +2] plus +-3 per
+        masked phrase. The label is the sign of the net score."""
+        net = self._walk(text)[1]
+        return float(net), Polarity.PO if net > 0 else Polarity.NG if net < 0 else Polarity.NU
+
+    def analyze(self, text: str) -> TopicAnalysis:
+        """The walk's per-token decisions as Token/ScoredToken objects."""
+        sink: list = []
+        slots, _, po_ph, ng_ph = self._walk(text, sink)
+        sentences, raw, resolved = [], [], []
+        for words, tags, bases, before, after in sink:
+            sentences.append(_sentence(words, tags))
+            raw.append(_scored(sentences[-1].tokens, bases, before))
+            resolved.append(_scored(sentences[-1].tokens, bases, after))
+        return TopicAnalysis(sentences, raw, resolved, po_ph, ng_ph, slots[N_O_CONFLICT],
+                             slots[N_O_NEGATION], slots[N_O_QUESTION], slots[N_O_WISHFUL])
+
+
+def analyze_topic(text: str, lex: SentimentLexicon, idioms: IdiomLexicon, cues: CueLists, *,
+                  stopwords: Iterable[str] = frozenset(), tagger=None,
                   negation_window: int = DEFAULT_NEGATION_WINDOW,
-                  intensifier_window: int = DEFAULT_INTENSIFIER_WINDOW,
-                  ) -> TopicAnalysis:
+                  intensifier_window: int = DEFAULT_INTENSIFIER_WINDOW) -> TopicAnalysis:
     """Run the full preprocessing and scoring pipeline over one topic."""
-    tagger = tagger if tagger is not None else TableTagger()
-    stop = set(stopwords)
-    sentences = []
-    for raw_sentence in split_sentences(normalize_text(text)):
-        s = tokenize(raw_sentence)
-        if stop:
-            s = remove_stopwords(s, stop)
-        sentences.append(pos_tag(s, tagger))
-    sentences, (po_ph, ng_ph) = mask_idioms(sentences, idioms)
-
-    raw_scores = []
-    scores = []
-    conflicts = 0
-    for s in sentences:
-        raw = score_tokens(s, lex, cues, negation_window=negation_window,
-                           intensifier_window=intensifier_window)
-        n, resolved = detect_conflict_phrases(s, raw)
-        conflicts += n
-        raw_scores.append(raw)
-        scores.append(resolved)
-
-    negators = questions = wishes = 0
-    for s in sentences:
-        for tok in s.tokens:
-            if tok.surface in cues.negators:
-                negators += 1
-            if tok.surface in cues.question_terms:
-                questions += 1
-            if tok.surface in cues.wishful_terms:
-                wishes += 1
-
-    return TopicAnalysis(sentences, raw_scores, scores, po_ph, ng_ph,
-                         conflicts, negators, questions, wishes)
+    return Analyzer(lex, idioms, cues, stopwords=stopwords, tagger=tagger,
+                    negation_window=negation_window,
+                    intensifier_window=intensifier_window).analyze(text)
 
 
-def extract_features(topic, lex: SentimentLexicon, idioms: IdiomLexicon,
-                     cues: CueLists, *,
-                     stopwords: Iterable[str] = frozenset(),
-                     tagger=None,
+def extract_features(topic, lex: SentimentLexicon, idioms: IdiomLexicon, cues: CueLists, *,
+                     stopwords: Iterable[str] = frozenset(), tagger=None,
                      negation_window: int = DEFAULT_NEGATION_WINDOW,
-                     intensifier_window: int = DEFAULT_INTENSIFIER_WINDOW,
-                     ) -> FeatureVector:
+                     intensifier_window: int = DEFAULT_INTENSIFIER_WINDOW) -> FeatureVector:
     """Build the 17-slot sparse vector for one topic."""
-    a = analyze_topic(topic.text, lex, idioms, cues, stopwords=stopwords,
-                      tagger=tagger, negation_window=negation_window,
-                      intensifier_window=intensifier_window)
-
-    w_po = w_ng = w_nu = 0
-    po_pos = ng_pos = 0.0
-    for sentence, scored in zip(a.sentences, a.scores):
-        words = sentence.word_count
-        for st in scored:
-            if st.adjusted > 0:
-                w_po += st.adjusted
-                po_pos += words / st.token.position
-            elif st.adjusted < 0:
-                w_ng += -st.adjusted
-                ng_pos += words / st.token.position
-            elif st.neutral:
-                w_nu += 1
-
-    v = FeatureVector()
-    v.set(HAS_PO_SENTI, 1 if w_po > 0 else 0)
-    v.set(HAS_NG_SENTI, 1 if w_ng > 0 else 0)
-    v.set(HAS_PO_PH, 1 if a.po_phrases > 0 else 0)
-    v.set(HAS_NG_PH, 1 if a.ng_phrases > 0 else 0)
-    v.set(W_PO, w_po)
-    v.set(W_NG, w_ng)
-    v.set(W_NU, w_nu)
-    v.set(PO_W_POSITION, po_pos)
-    v.set(NG_W_POSITION, ng_pos)
-    v.set(NO_OF_WORDS, a.word_count)
-    v.set(IS_NEGATION, 1 if a.negator_count else 0)
-    v.set(N_O_NEGATION, a.negator_count)
-    v.set(IS_QUESTION, 1 if a.question_count else 0)
-    v.set(N_O_QUESTION, a.question_count)
-    v.set(IS_WISHFUL, 1 if a.wishful_count else 0)
-    v.set(N_O_WISHFUL, a.wishful_count)
-    v.set(N_O_CONFLICT, a.conflicts)
-    return v
+    return Analyzer(lex, idioms, cues, stopwords=stopwords, tagger=tagger,
+                    negation_window=negation_window,
+                    intensifier_window=intensifier_window).vector(topic.text)
 
 
-def lexicon_rule_score(topic, lex: SentimentLexicon, idioms: IdiomLexicon,
-                       cues: CueLists, *,
-                       stopwords: Iterable[str] = frozenset(),
-                       tagger=None,
+def lexicon_rule_score(topic, lex: SentimentLexicon, idioms: IdiomLexicon, cues: CueLists, *,
+                       stopwords: Iterable[str] = frozenset(), tagger=None,
                        negation_window: int = DEFAULT_NEGATION_WINDOW,
                        intensifier_window: int = DEFAULT_INTENSIFIER_WINDOW,
                        ) -> tuple[float, Polarity]:
-    """Rule-based net score: shifted word values in [-2, +2] plus +-3 per
-    masked phrase. The label is the sign of the net score.
-    """
-    a = analyze_topic(topic.text, lex, idioms, cues, stopwords=stopwords,
-                      tagger=tagger, negation_window=negation_window,
-                      intensifier_window=intensifier_window)
-    net = 0.0
-    for scored in a.raw_scores:
-        for st in scored:
-            net += max(-2, min(2, st.adjusted))
-    net += 3 * a.po_phrases - 3 * a.ng_phrases
-    if net > 0:
-        label = Polarity.PO
-    elif net < 0:
-        label = Polarity.NG
-    else:
-        label = Polarity.NU
-    return net, label
+    """Rule-based net score of one topic; see ``Analyzer.rule_score``."""
+    return Analyzer(lex, idioms, cues, stopwords=stopwords, tagger=tagger,
+                    negation_window=negation_window,
+                    intensifier_window=intensifier_window).rule_score(topic.text)

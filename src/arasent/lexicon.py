@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import DuplicatePhrase, DuplicateWord, ParseError
-from .preprocess import normalize_text, split_sentences, tokenize
+from .preprocess import normalize_text, preprocess, tokenize
 
 LEXICON_HEADER = "word\tgloss\ttranslit\tpolarity\ttf"
 
@@ -93,7 +93,12 @@ class SentimentLexicon:
 
     @property
     def prevent_list(self) -> frozenset[str]:
+        """A snapshot of the prevent list; see ``is_prevented`` for lookups."""
         return frozenset(self._prevent)
+
+    def is_prevented(self, word: str) -> bool:
+        """True when the normalized form of ``word`` is on the prevent list."""
+        return normalize_text(word) in self._prevent
 
     def polarity_counts(self) -> dict[Polarity, int]:
         counts = {p: 0 for p in Polarity}
@@ -169,19 +174,22 @@ def load_sentiment_lexicon(path) -> SentimentLexicon:
     return lex
 
 
+def clean_field(text: str) -> str:
+    """``text`` with tabs and line breaks replaced by spaces, so that it stays
+    one field of one TSV row when read back."""
+    return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
+
+
 def save_sentiment_lexicon(lex: SentimentLexicon, path) -> None:
     """Write the lexicon TSV and its prevent-list sidecar.
 
-    Tabs and newlines inside gloss/translit are replaced by spaces so the
+    Tabs and line breaks inside gloss/translit are replaced by spaces so the
     row stays parseable; load(save(lex)) is structurally equal otherwise.
     """
-    def clean(text: str) -> str:
-        return text.replace("\t", " ").replace("\n", " ")
-
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(LEXICON_HEADER + "\n")
         for entry in lex:
-            fh.write(f"{entry.word}\t{clean(entry.gloss)}\t{clean(entry.translit)}"
+            fh.write(f"{entry.word}\t{clean_field(entry.gloss)}\t{clean_field(entry.translit)}"
                      f"\t{entry.polarity.value}\t{entry.tf}\n")
     with open(_prevent_path(path), "w", encoding="utf-8", newline="\n") as fh:
         for word in sorted(lex.prevent_list):
@@ -276,6 +284,6 @@ def count_corpus_tokens(corpus) -> Counter:
     """Token occurrence counts over normalized corpus topics."""
     counts: Counter = Counter()
     for topic in corpus:
-        for sent in split_sentences(normalize_text(topic.text)):
-            counts.update(tokenize(sent).surfaces())
+        for words in preprocess(topic.text):
+            counts.update(words)
     return counts

@@ -10,9 +10,9 @@ survive normalization so that sentence splitting still works afterwards.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Collection, Iterable, Mapping, Protocol, Sequence
 
 from .errors import ParseError, TaggerFailure
 
@@ -23,26 +23,24 @@ MASK_TOKENS = frozenset({PO_MASK, NG_MASK})
 
 # alef variants (hamza above/below, madda, wasla) -> bare alef; maqsura -> ya.
 # Ta marbuta is deliberately left alone: folding it into ha would merge
-# distinct lexicon surfaces.
+# distinct lexicon surfaces. Harakat (U+064B-065F), superscript alef
+# (U+0670), Quranic marks (U+06D6-06ED) and tatweel (U+0640) are deleted in
+# place so that they never split a word.
 _CHAR_MAP = str.maketrans({
     "أ": "ا",  # أ
     "إ": "ا",  # إ
     "آ": "ا",  # آ
     "ٱ": "ا",  # ٱ
     "ى": "ي",  # ى -> ي
+    **dict.fromkeys([*range(0x064B, 0x0660), 0x0670, *range(0x06D6, 0x06EE), 0x0640]),
 })
-
-# Harakat, Quranic marks, superscript alef and tatweel: deleted in place so
-# that they never split a word.
-_DIACRITICS_RE = re.compile(r"[ً-ٰٟۖ-ۭـ]")
 
 _ARABIC_LETTERS = "ء-غف-ي"
 _DELIMITERS = ".!?؟؛"  # . ! ? ؟ ؛  (newline counts as well)
 
-# Anything that is not an Arabic letter, a delimiter or whitespace becomes a
-# separator; runs collapse to a single space below.
-_DROP_RE = re.compile(f"[^{_ARABIC_LETTERS}{re.escape(_DELIMITERS)}\\s]+")
-_SPACE_RE = re.compile(r"[^\S\n]+")
+# Each run of anything but Arabic letters, delimiters and newlines (other
+# whitespace included) becomes a single space.
+_DROP_RE = re.compile(f"[^{_ARABIC_LETTERS}{re.escape(_DELIMITERS)}\\n]+")
 _NEWLINE_RE = re.compile(r"\s*\n\s*")
 _SENTENCE_RE = re.compile(f"[{re.escape(_DELIMITERS)}\n]")
 _TOKEN_RE = re.compile(f"{NG_MASK}|{PO_MASK}|[{_ARABIC_LETTERS}]+")
@@ -80,12 +78,8 @@ def normalize_text(raw: str) -> str:
     Idempotent; total over arbitrary unicode input. Keeps Arabic letters,
     whitespace and sentence delimiters, drops everything else.
     """
-    text = raw.translate(_CHAR_MAP)
-    text = _DIACRITICS_RE.sub("", text)
-    text = _DROP_RE.sub(" ", text)
-    text = _SPACE_RE.sub(" ", text)
-    text = _NEWLINE_RE.sub("\n", text)
-    return text.strip()
+    text = _DROP_RE.sub(" ", raw.translate(_CHAR_MAP))
+    return _NEWLINE_RE.sub("\n", text).strip()
 
 
 def split_sentences(text: str) -> list[str]:
@@ -99,15 +93,23 @@ def tokenize(sentence: str) -> Sentence:
     Residual punctuation is discarded; the idiom mask tokens pass through
     unchanged.
     """
-    words = _TOKEN_RE.findall(sentence)
-    return Sentence([Token(w, i + 1) for i, w in enumerate(words)])
+    return Sentence([Token(w, i + 1) for i, w in enumerate(_TOKEN_RE.findall(sentence))])
+
+
+def preprocess(text: str, stopwords: Collection[str] = frozenset()) -> list[list[str]]:
+    """Normalized, split and tokenized text minus stopwords: one word list
+    per sentence."""
+    sentences = [_TOKEN_RE.findall(s) for s in split_sentences(normalize_text(text))]
+    if stopwords:
+        sentences = [[w for w in words if w not in stopwords] for words in sentences]
+    return sentences
 
 
 def remove_stopwords(s: Sentence, stoplist: Iterable[str]) -> Sentence:
     """Drop stopword tokens and renumber. Mask tokens are never removed."""
     stop = set(stoplist)
     kept = [t for t in s.tokens if t.surface in MASK_TOKENS or t.surface not in stop]
-    return Sentence([replace(t, position=i + 1) for i, t in enumerate(kept)])
+    return Sentence([Token(t.surface, i + 1, t.tag) for i, t in enumerate(kept)])
 
 
 class PosTagger(Protocol):
@@ -157,26 +159,25 @@ def default_tagger(table: Mapping[str, PosTag] | None = None,
     """Build the default tagger: explicit table entries win, any remaining
     sentiment-lexicon word defaults to ``lexicon_tag``.
     """
-    merged: dict[str, PosTag] = {}
-    if lexicon is not None:
-        for word in lexicon.words():
-            merged[word] = lexicon_tag
+    merged = dict.fromkeys(lexicon.words() if lexicon is not None else (), lexicon_tag)
     if table:
         merged.update(table)
     return TableTagger(merged)
 
 
-def pos_tag(s: Sentence, tagger: PosTagger) -> Sentence:
-    """Assign one tag per token via the given tagger.
+def tag_words(words: Sequence[str], tagger: PosTagger) -> list[PosTag]:
+    """One tag per word via the given tagger. Raises TaggerFailure when a
+    pluggable tagger misbehaves and returns a different number of tags."""
+    tags = list(tagger.tag(words))
+    if len(tags) != len(words):
+        raise TaggerFailure(f"tagger returned {len(tags)} tags for {len(words)} tokens")
+    return tags
 
-    Raises TaggerFailure when a pluggable tagger misbehaves and returns a
-    tag count different from the token count.
-    """
-    tags = list(tagger.tag(s.surfaces()))
-    if len(tags) != len(s.tokens):
-        raise TaggerFailure(
-            f"tagger returned {len(tags)} tags for {len(s.tokens)} tokens")
-    return Sentence([replace(t, tag=tag) for t, tag in zip(s.tokens, tags)])
+
+def pos_tag(s: Sentence, tagger: PosTagger) -> Sentence:
+    """Assign one tag per token via the given tagger (see ``tag_words``)."""
+    tags = tag_words(s.surfaces(), tagger)
+    return Sentence([Token(t.surface, t.position, tag) for t, tag in zip(s.tokens, tags)])
 
 
 def load_stopwords(path) -> frozenset[str]:

@@ -1,0 +1,130 @@
+"""Differential tests: the one-pass Analyzer against the frozen per-token
+reference pipeline in ``reference_pipeline.py``."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_pipeline as ref
+from arasent import resources
+from arasent.errors import TaggerFailure
+from arasent.evaluation import Topic
+from arasent.features import (
+    Analyzer,
+    detect_conflict_phrases,
+    extract_features,
+    lexicon_rule_score,
+    mask_idioms,
+    score_tokens,
+)
+from arasent.lexicon import LexiconEntry, Polarity, SentimentLexicon
+from arasent.preprocess import PosTag, TableTagger, normalize_text
+
+LEX = resources.default_lexicon()
+IDIOMS = resources.default_idioms()
+CUES = resources.default_cues()
+STOPWORDS = resources.default_stopwords()
+TAGGER = resources.build_default_tagger(LEX)
+
+
+def _pool():
+    words = sorted(LEX.words())
+    words += sorted(CUES.negators | CUES.intensifiers | CUES.question_terms
+                    | CUES.wishful_terms | STOPWORDS)
+    for idiom in IDIOMS:
+        words += idiom.phrase
+        words.append(" ".join(idiom.phrase))
+    words += ["المكان", "الناس", "كلام", "اليوم", "الخدمة", "غيرمعروف"]
+    # raw forms that only match after normalization, and noise it drops
+    words += ["أحب", "رائِع", "جميـلة", "إتقان", "abc", "123", "NG_Phrase"]
+    return words
+
+
+WORDS = st.sampled_from(_pool())
+DELIMITERS = st.sampled_from([" ", " ", " ", ". ", "! ", "؟ ", "؛ ", "\n", " , "])
+
+
+@st.composite
+def topics(draw):
+    words = draw(st.lists(WORDS, max_size=30))
+    return "".join(w + draw(DELIMITERS) for w in words)
+
+
+def _options(use_stop, negation_window, intensifier_window):
+    return {"stopwords": STOPWORDS if use_stop else frozenset(), "tagger": TAGGER,
+            "negation_window": negation_window, "intensifier_window": intensifier_window}
+
+
+@settings(max_examples=300, deadline=None)
+@given(topics(), st.booleans(), st.integers(0, 4), st.integers(0, 3))
+def test_analyzer_matches_reference(text, use_stop, negation_window, intensifier_window):
+    options = _options(use_stop, negation_window, intensifier_window)
+    analyzer = Analyzer(LEX, IDIOMS, CUES, **options)
+    want_vector = ref.extract_features(text, LEX, IDIOMS, CUES, **options)
+    want_net, want_label = ref.lexicon_rule_score(text, LEX, IDIOMS, CUES, **options)
+
+    assert analyzer.vector(text) == want_vector
+    net, label = analyzer.rule_score(text)
+    assert type(net) is float and net == want_net and label is want_label
+    assert analyzer.analyze(text) == ref.analyze_topic(text, LEX, IDIOMS, CUES, **options)
+    topic = Topic("x", text)
+    assert extract_features(topic, LEX, IDIOMS, CUES, **options) == want_vector
+    assert lexicon_rule_score(topic, LEX, IDIOMS, CUES, **options) == (want_net, want_label)
+
+
+@settings(max_examples=200, deadline=None)
+@given(topics(), st.integers(0, 4), st.integers(0, 3))
+def test_stage_adapters_match_reference(text, negation_window, intensifier_window):
+    """mask_idioms, score_tokens and detect_conflict_phrases keep the
+    reference behaviour on the reference's own intermediate sentences."""
+    want = ref.analyze_topic(text, LEX, IDIOMS, CUES, tagger=TAGGER)
+    tagged = [ref.pos_tag(ref.tokenize(s), TAGGER)
+              for s in ref.split_sentences(ref.normalize_text(text))]
+    assert mask_idioms(tagged, IDIOMS) == ref.mask_idioms(tagged, IDIOMS)
+    for sentence in want.sentences:
+        scored = score_tokens(sentence, LEX, CUES, negation_window=negation_window,
+                              intensifier_window=intensifier_window)
+        assert scored == ref.score_tokens(sentence, LEX, CUES, negation_window,
+                                          intensifier_window)
+        assert detect_conflict_phrases(sentence, scored) == \
+            ref.detect_conflict_phrases(sentence, scored)
+
+
+NOISY_ARABIC = st.text(st.one_of(
+    st.characters(min_codepoint=0x0600, max_codepoint=0x06FF),
+    # range ends of the kept letters and of the deleted marks, and separators
+    st.sampled_from("\u0620\u0621\u063a\u063b\u0640\u0641\u064a\u064b\u065f\u0660"
+                    "\u066f\u0670\u0671\u06d5\u06d6\u06ed\u06ee"),
+    st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028.!?؟؛,a1_#")), max_size=40)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), NOISY_ARABIC))
+def test_normalize_matches_reference(raw):
+    assert normalize_text(raw) == ref.normalize_text(raw)
+
+
+def test_analyzer_snapshots_the_lexicon():
+    lex = SentimentLexicon([LexiconEntry("رائع", Polarity.PO)])
+    analyzer = Analyzer(lex, IDIOMS, CUES)
+    lex.add(LexiconEntry("سيئ", Polarity.NG))
+    assert analyzer.rule_score("رائع سيئ") == (1.0, Polarity.PO)
+    assert Analyzer(lex, IDIOMS, CUES).rule_score("رائع سيئ") == (0.0, Polarity.NU)
+
+
+def test_analyzer_rejects_a_tagger_with_the_wrong_count():
+    class Broken:
+        def tag(self, words):
+            return [PosTag.NN]
+
+    with pytest.raises(TaggerFailure):
+        Analyzer(LEX, IDIOMS, CUES, tagger=Broken()).vector("كلمة اخري")
+
+
+def test_analyzer_drops_stopwords_before_masking():
+    # "زي العسل" is a PO idiom: a stopword between its words is dropped
+    # first and so does not block the match
+    stop = frozenset({"في"})
+    analyzer = Analyzer(LEX, IDIOMS, CUES, stopwords=stop, tagger=TableTagger())
+    assert analyzer.analyze("زي العسل").po_phrases == 1
+    assert analyzer.analyze("زي في العسل").po_phrases == 1
+    assert Analyzer(LEX, IDIOMS, CUES).analyze("زي في العسل").po_phrases == 0

@@ -276,3 +276,21 @@ def test_load_model_rejects_truncated_file(tmp_path):
     path.write_text("schema_version: 1\nbias: 0.0\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_model(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_feature_vector_rejects_non_finite_values(value):
+    with pytest.raises(ValueError, match="not finite"):
+        FeatureVector({3: 1.0, 6: value})
+    v = FeatureVector({3: 1.0})
+    with pytest.raises(ValueError, match="not finite"):
+        v.set(6, value)
+    assert v.values == {3: 1.0}
+
+
+@pytest.mark.parametrize("pair", ["1:nan", "6:inf", "6:-inf", "2:1e999"])
+def test_read_svmlight_rejects_non_finite_values(tmp_path, pair):
+    path = tmp_path / "f.svml"
+    path.write_text(f"+1 1:1\n-1 {pair}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"f\.svml:2: non-finite value"):
+        read_svmlight(path)

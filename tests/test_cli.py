@@ -253,3 +253,14 @@ def test_config_missing_resource_is_data_error(tmp_path, capsys):
     assert run(["evaluate", "--corpus", str(data_path("corpus.jsonl")),
                 "--lexicon", str(tmp_path / "nope.tsv")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_train_on_non_finite_features_exits_2(tmp_path, capsys):
+    features = tmp_path / "bad.svml"
+    features.write_text("+1 1:1 6:2\n-1 1:nan 6:inf\n", encoding="utf-8")
+    model = tmp_path / "model.txt"
+    assert run(["train", "--features", str(features), "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bad.svml:2: non-finite value '1:nan'" in err
+    assert not model.exists()

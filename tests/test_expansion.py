@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from arasent.errors import InvalidPolarity, ParseError, ProviderError
 from arasent.evaluation import Topic
@@ -341,3 +341,52 @@ def test_expand_rejects_bad_mode(lex, provider):
         expand_lexicon([], lex, provider, "turbo")
     with pytest.raises(ValueError):
         expand_lexicon([], lex, provider, "interactive")  # no ask callback
+
+
+class _Fixed:
+    """Inner provider that always gives one answer and counts its calls."""
+
+    def __init__(self, result):
+        self.result = result
+        self.calls = 0
+
+    def fetch(self, word):
+        self.calls += 1
+        return self.result
+
+
+def test_caching_provider_survives_tabs_and_newlines_in_answers(tmp_path):
+    cache = tmp_path / "cache.tsv"
+    answer = SynsetResult("happy\tglad\nhi", (("سعيد", "g\tloss"), ("فرحان\nمبسوط", None)))
+    first = CachingProvider(_Fixed(answer), cache).fetch("مبسوط")
+    assert first.translation == "happy glad hi"
+    assert first.synonyms == (("سعيد", None), ("فرحان مبسوط", None))
+    reload = _Fixed(SynsetResult())
+    assert CachingProvider(reload, cache).fetch("مبسوط") == first
+    assert reload.calls == 0
+
+
+_field = st.text(st.one_of(st.characters(min_codepoint=0x0621, max_codepoint=0x064A),
+                           st.sampled_from(" \t\n\r,#.x1")), max_size=12)
+
+
+@given(word=_field, translation=st.none() | _field,
+       synonyms=st.lists(_field, max_size=3), antonyms=st.lists(_field, max_size=3))
+def test_caching_provider_round_trip(tmp_path_factory, word, translation, synonyms,
+                                     antonyms):
+    """fetch, then a fresh provider over the same cache file: same answer,
+    without asking the inner provider again."""
+    assume(normalize_text(word))
+    answer = SynsetResult(translation, tuple((w, None) for w in synonyms),
+                          tuple((w, "gloss") for w in antonyms))
+    cache = tmp_path_factory.mktemp("cache") / "cache.tsv"
+    first = CachingProvider(_Fixed(answer), cache).fetch(word)
+    reload = _Fixed(SynsetResult("other"))
+    assert CachingProvider(reload, cache).fetch(word) == first
+    assert reload.calls == 0
+
+
+def test_caching_provider_does_not_persist_a_word_that_normalizes_away(tmp_path):
+    cache = tmp_path / "cache.tsv"
+    assert CachingProvider(_Fixed(SynsetResult("x")), cache).fetch("123").translation == "x"
+    assert not cache.exists()

@@ -264,3 +264,25 @@ def test_polarity_flip():
     assert PO.flipped() is NG
     assert NG.flipped() is PO
     assert NU.flipped() is NU
+
+
+def test_is_prevented_checks_the_normalized_word():
+    lex = SentimentLexicon([LexiconEntry("رائع", PO)], prevent=["كلام", "أخبار"])
+    assert lex.is_prevented("كلام") and lex.is_prevented("أخبار")
+    assert lex.is_prevented("اخبار")  # alef variants fold on add and on lookup
+    assert not lex.is_prevented("رائع") and not lex.is_prevented("جدار")
+
+
+def test_prevent_list_is_a_snapshot():
+    lex = SentimentLexicon(prevent=["كلام"])
+    snapshot = lex.prevent_list
+    lex.add_prevent("جدار")
+    assert snapshot == {"كلام"}
+    assert lex.prevent_list == {"كلام", "جدار"} and lex.is_prevented("جدار")
+
+
+def test_save_replaces_carriage_returns_in_gloss(tmp_path):
+    lex = SentimentLexicon([LexiconEntry("رائع", PO, gloss="one\rtwo\r\nthree")])
+    path = tmp_path / "lex.tsv"
+    save_sentiment_lexicon(lex, path)
+    assert load_sentiment_lexicon(path).lookup("رائع").gloss == "one two  three"

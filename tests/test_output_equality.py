@@ -1,0 +1,111 @@
+"""Byte-for-byte pins on what the CLI writes.
+
+The SHA-256 digests below were taken from the implementation that built
+features through per-token ``Token``/``ScoredToken`` copies. Any change to
+featurization, scoring or training that alters a single output byte fails
+here, on the shipped corpus and on a generated multi-sentence corpus.
+"""
+
+import hashlib
+import json
+import random
+from itertools import count
+
+from arasent import synthetic
+from arasent.cli import run
+from arasent.resources import data_path
+
+SHIPPED = {
+    "extract": "0af0eb083236971462d03a150758e2eb870f6d97f5e8da11043470fe96b91430",
+    "train": "b0cbd18d14ac754c021fceeedb5586e5a82fe9b631ea865bf4d1bd8836267eb4",
+    "predict": "0bd0122a1db534fe4364a257fe43be8c1c7e880faa6b18061b8eb19d422e259a",
+    "score": "c66d40cbd172ee43b144a8e131ced458e21859b91198ed91240c0f14489e9107",
+    "evaluate": "7ff94ed1f8ab11ce6389d05a74d6df0c93e099e1ce5b1fc9ddd396027fcec83d",
+}
+
+REVIEWS = {
+    "extract": "b08e65bcede0dc6688e181466c7710f7fe209f1087d7143211f225390df096a1",
+    "predict": "518c3239f041e174ddc1d675132ac0ae66d3d154451725db15b687514761da4b",
+    "score": "6abffa4f3ef9d8d56d3275e084e807f93aacf82ca0c6ce2c9404cb102d63b282",
+}
+
+
+def review_corpus(seed: int, n: int, review_share: float = 0.2) -> list[dict]:
+    """``n`` topics from ``synthetic.sample_corpus`` over derived seeds; a
+    ``review_share`` of them join 3-6 same-genre, same-label topics into
+    one multi-sentence review.
+    """
+    seeds = random.Random(f"reviews:{seed}:seeds")
+    mix = random.Random(f"reviews:{seed}:mix")
+
+    def stream():
+        for batch in count():
+            for t in synthetic.sample_corpus(seeds.getrandbits(32)):
+                yield {"id": f"{batch:03d}-{t.id}", "text": t.text,
+                       "label": t.label.value, "genre": t.genre}
+
+    base = stream()
+    n_reviews = round(n * review_share)
+    topics = [next(base) for _ in range(n - n_reviews)]
+    open_reviews: dict[tuple, tuple[int, list]] = {}
+    reviews = []
+    while len(reviews) < n_reviews:
+        t = next(base)
+        key = (t["genre"], t["label"])
+        want, parts = open_reviews.setdefault(key, (mix.randint(3, 6), []))
+        parts.append(t)
+        if len(parts) == want:
+            del open_reviews[key]
+            reviews.append({"id": f"review-{len(reviews):05d}",
+                            "text": ". ".join(p["text"] for p in parts),
+                            "label": t["label"], "genre": t["genre"]})
+    topics += reviews
+    mix.shuffle(topics)
+    return topics
+
+
+def _digest(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def _outputs(corpus, model, work, capsys, train=False, evaluate=False) -> dict:
+    digests = {}
+    svm, predicted = work / "features.svm", work / "predict.tsv"
+    assert run(["extract", "--corpus", str(corpus), "--out", str(svm)]) == 0
+    digests["extract"] = _digest(svm.read_bytes())
+    if train:
+        assert run(["train", "--features", str(svm), "--model", str(model)]) == 0
+        digests["train"] = _digest(model.read_bytes())
+    assert run(["predict", "--model", str(model), "--corpus", str(corpus),
+                "--out", str(predicted)]) == 0
+    digests["predict"] = _digest(predicted.read_bytes())
+    capsys.readouterr()
+    assert run(["score", "--corpus", str(corpus)]) == 0
+    digests["score"] = _digest(capsys.readouterr().out)
+    if evaluate:
+        assert run(["evaluate", "--json", "--corpus", str(corpus)]) == 0
+        digests["evaluate"] = _digest(capsys.readouterr().out)
+    return digests
+
+
+def test_shipped_corpus_outputs_are_pinned(tmp_path, capsys):
+    got = _outputs(data_path("corpus.jsonl"), tmp_path / "model.txt", tmp_path, capsys,
+                   train=True, evaluate=True)
+    assert got == SHIPPED
+
+
+def test_review_corpus_outputs_are_pinned(tmp_path, capsys):
+    # the model comes from the shipped corpus, as in the shipped-corpus pin
+    model = tmp_path / "model.txt"
+    shipped_svm = tmp_path / "shipped.svm"
+    assert run(["extract", "--corpus", str(data_path("corpus.jsonl")),
+                "--out", str(shipped_svm)]) == 0
+    assert run(["train", "--features", str(shipped_svm), "--model", str(model)]) == 0
+    corpus = tmp_path / "reviews.jsonl"
+    topics = review_corpus(seed=2, n=2000)
+    corpus.write_text("".join(json.dumps(t, ensure_ascii=False) + "\n" for t in topics),
+                      encoding="utf-8")
+    assert sum(1 for t in topics if t["id"].startswith("review-")) == 400
+    assert _outputs(corpus, model, tmp_path, capsys) == REVIEWS
