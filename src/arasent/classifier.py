@@ -9,10 +9,9 @@ interchange with the original external tool.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import (
     EmptyTrainingSet,
@@ -21,6 +20,7 @@ from .errors import (
     SingleClassTrainingSet,
 )
 from .features import N_SLOTS, FeatureVector
+from .fileio import atomic_write
 
 
 @dataclass(frozen=True)
@@ -44,30 +44,10 @@ class LabeledVector:
 
 @dataclass
 class Model:
-    weights: np.ndarray  # dense, length N_SLOTS, index slot-1
+    weights: tuple[float, ...]  # length N_SLOTS, index slot-1
     bias: float
     schema_version: int
     config: TrainConfig = field(default_factory=TrainConfig)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Model):
-            return NotImplemented
-        return (np.array_equal(self.weights, other.weights)
-                and self.bias == other.bias
-                and self.schema_version == other.schema_version
-                and self.config == other.config)
-
-
-def _to_dense(data: Sequence[LabeledVector]) -> tuple[np.ndarray, np.ndarray]:
-    X = np.zeros((len(data), N_SLOTS))
-    y = np.zeros(len(data))
-    for r, lv in enumerate(data):
-        for slot, value in lv.vector.values.items():
-            if not 1 <= slot <= N_SLOTS:
-                raise SchemaMismatch(f"feature index {slot} outside schema 1..{N_SLOTS}")
-            X[r, slot - 1] = value
-        y[r] = lv.label
-    return X, y
 
 
 def train(data: Sequence[LabeledVector],
@@ -88,36 +68,44 @@ def train(data: Sequence[LabeledVector],
         raise SchemaMismatch(f"mixed schema versions {sorted(versions)}")
     schema_version = versions.pop()
 
-    X, y = _to_dense(data)
-    factors = np.ones(N_SLOTS)
-    if config.scale_max:
-        col_max = np.abs(X).max(axis=0)
-        factors = np.where(col_max > 0, col_max, 1.0)
-        X = X / factors
+    factors = [0.0] * (N_SLOTS + 1)  # column max |x| per slot, when scaling
+    for lv in data:
+        for slot, value in lv.vector.values.items():
+            if not 1 <= slot <= N_SLOTS:
+                raise SchemaMismatch(f"feature index {slot} outside schema 1..{N_SLOTS}")
+            factors[slot] = max(factors[slot], abs(value))
+    factors = [f if config.scale_max and f > 0 else 1.0 for f in factors]
+    # (index, value) rows over the augmented weights: index 0 is the bias
+    # riding on a constant 1, index s is slot s
+    rows = [[(0, 1.0)] + [(s, v / factors[s]) for s, v in sorted(lv.vector.values.items())]
+            for lv in data]
+    y = [lv.label for lv in data]
 
-    n = len(data)
     lam = config.regularization
-    # augmented weight vector: index 0 is the bias riding on a constant 1
-    Xa = np.hstack([np.ones((n, 1)), X])
-    w = np.zeros(N_SLOTS + 1)
+    w = [0.0] * (N_SLOTS + 1)
     cap = 1.0 / math.sqrt(lam)
-    rng = np.random.RandomState(config.seed)
+    order = list(range(len(data)))
+    rng = random.Random(config.seed)
     t = 0
     for _ in range(config.epochs):
-        for i in rng.permutation(n):
+        rng.shuffle(order)
+        for i in order:
             t += 1
             eta = 1.0 / (lam * t)
-            margin = y[i] * float(w @ Xa[i])
-            w *= 1.0 - eta * lam
+            margin = y[i] * sum(w[j] * x for j, x in rows[i])
+            shrink = 1.0 - eta * lam
+            w = [v * shrink for v in w]
             if margin < 1.0:
-                w += (eta * y[i]) * Xa[i]
-            norm = float(np.linalg.norm(w))
+                step = eta * y[i]
+                for j, x in rows[i]:
+                    w[j] += step * x
+            norm = math.hypot(*w)
             if norm > cap:
-                w *= cap / norm
+                w = [v * (cap / norm) for v in w]
 
-    weights = w[1:] / factors  # fold scaling back so predict takes raw vectors
-    return Model(weights=weights, bias=float(w[0]),
-                 schema_version=schema_version, config=config)
+    # fold scaling back so predict takes raw vectors
+    weights = tuple(v / f for v, f in zip(w[1:], factors[1:]))
+    return Model(weights=weights, bias=w[0], schema_version=schema_version, config=config)
 
 
 def predict(model: Model, v: FeatureVector) -> tuple[int, float]:
@@ -136,7 +124,7 @@ def predict(model: Model, v: FeatureVector) -> tuple[int, float]:
 def objective(model: Model, data: Sequence[LabeledVector]) -> float:
     """L2-regularized mean hinge loss of a model on a dataset."""
     lam = model.config.regularization
-    reg = 0.5 * lam * (float(model.weights @ model.weights) + model.bias ** 2)
+    reg = 0.5 * lam * (sum(w * w for w in model.weights) + model.bias ** 2)
     hinge = 0.0
     for lv in data:
         _, margin = predict(model, lv.vector)
@@ -185,15 +173,11 @@ def write_svmlight(data: Sequence[LabeledVector], path) -> None:
     Values carry up to 6 significant digits; integers drop the decimal
     point. The schema version goes in a leading comment line.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         if data:
             fh.write(f"# schema_version: {data[0].vector.schema_version}\n")
         for lv in data:
-            pairs = lv.vector.pairs()
-            indices = [i for i, _ in pairs]
-            if indices != sorted(set(indices)):
-                raise ValueError("feature indices must be strictly increasing")
-            body = " ".join(f"{i}:{_format_value(val)}" for i, val in pairs)
+            body = " ".join(f"{i}:{_format_value(val)}" for i, val in lv.vector.pairs())
             line = f"{lv.label:+d}"
             if body:
                 line += " " + body
@@ -254,9 +238,8 @@ def read_svmlight(path) -> list[LabeledVector]:
                     raise ParseError(path, line_no,
                                      f"feature index {index} outside schema 1..{N_SLOTS}")
                 last_index = index
-                if value:
-                    values[index] = value
-            vector = FeatureVector(values)
+                values[index] = value
+            vector = FeatureVector(values)  # drops zero values
             if schema_version is not None:
                 vector.schema_version = schema_version
             out.append(LabeledVector(vector, label, comment.strip()))
@@ -265,7 +248,7 @@ def read_svmlight(path) -> list[LabeledVector]:
 
 def save_model(model: Model, path) -> None:
     """Persist a model as a small text file (full float precision)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"schema_version: {model.schema_version}\n")
         fh.write(f"regularization: {model.config.regularization!r}\n")
         fh.write(f"epochs: {model.config.epochs}\n")
@@ -288,7 +271,7 @@ def load_model(path) -> Model:
                 raise ParseError(path, line_no, f"expected key: value, got {line!r}")
             fields[key.strip()] = value.strip()
     try:
-        weights = np.array([float(fields[str(slot)]) for slot in range(1, N_SLOTS + 1)])
+        weights = tuple(float(fields[str(slot)]) for slot in range(1, N_SLOTS + 1))
         config = TrainConfig(
             regularization=float(fields["regularization"]),
             epochs=int(fields["epochs"]),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .evaluation import (
     split_corpus,
 )
 from .expansion import CachingProvider, FixtureProvider, ReviewItem, SynsetResult
+from .fileio import atomic_write
 from .lexicon import (
     Polarity,
     load_idiom_lexicon,
@@ -68,6 +70,8 @@ class RunConfig:
     intensifier_window: int = 2
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ArasentError(f"seed must be a non-negative integer, got {self.seed}")
         for key in _PATH_KEYS:
             path = getattr(self, key)
             if not Path(path).exists():
@@ -244,15 +248,11 @@ def _cmd_predict(args) -> int:
     pipe = _Pipeline(config)
     model = classifier.load_model(args.model)
     corpus = load_corpus(args.corpus)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with atomic_write(args.out) if args.out else nullcontext(sys.stdout) as out:
         for topic in corpus:
             label, margin = classifier.predict(model, pipe.vector(topic))
             polarity = Polarity.PO if label > 0 else Polarity.NG
             out.write(f"{topic.id}\t{polarity.value}\t{margin:.6f}\n")
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -407,10 +407,7 @@ def run(argv) -> int:
         return 1
     try:
         return args.func(args)
-    except ArasentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ArasentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

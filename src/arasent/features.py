@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .errors import ArasentError
 from .lexicon import IdiomLexicon, Polarity, SentimentLexicon
 from .preprocess import (
     NG_MASK,
@@ -273,6 +274,10 @@ class Analyzer:
                  intensifier_window: int = DEFAULT_INTENSIFIER_WINDOW):
         self.idioms, self.cues = idioms, cues
         self.stopwords = frozenset(stopwords)
+        for entry in idioms:  # stopwords are dropped before masking
+            for word in self.stopwords.intersection(entry.phrase):
+                raise ArasentError(f"idiom {' '.join(entry.phrase)!r} contains the "
+                                   f"stopword {word!r}, so it can never match")
         self.tagger = tagger if tagger is not None else TableTagger()
         self.windows = (negation_window, intensifier_window)
         self._values = {entry.word: _SIGN[entry.polarity] for entry in lex}
@@ -343,32 +348,23 @@ class Analyzer:
                              slots[N_O_NEGATION], slots[N_O_QUESTION], slots[N_O_WISHFUL])
 
 
-def analyze_topic(text: str, lex: SentimentLexicon, idioms: IdiomLexicon, cues: CueLists, *,
-                  stopwords: Iterable[str] = frozenset(), tagger=None,
-                  negation_window: int = DEFAULT_NEGATION_WINDOW,
-                  intensifier_window: int = DEFAULT_INTENSIFIER_WINDOW) -> TopicAnalysis:
+# analyze_topic, extract_features and lexicon_rule_score build an Analyzer per
+# call; ``options`` are its keyword arguments.
+
+
+def analyze_topic(text: str, lex: SentimentLexicon, idioms: IdiomLexicon, cues: CueLists,
+                  **options) -> TopicAnalysis:
     """Run the full preprocessing and scoring pipeline over one topic."""
-    return Analyzer(lex, idioms, cues, stopwords=stopwords, tagger=tagger,
-                    negation_window=negation_window,
-                    intensifier_window=intensifier_window).analyze(text)
+    return Analyzer(lex, idioms, cues, **options).analyze(text)
 
 
-def extract_features(topic, lex: SentimentLexicon, idioms: IdiomLexicon, cues: CueLists, *,
-                     stopwords: Iterable[str] = frozenset(), tagger=None,
-                     negation_window: int = DEFAULT_NEGATION_WINDOW,
-                     intensifier_window: int = DEFAULT_INTENSIFIER_WINDOW) -> FeatureVector:
+def extract_features(topic, lex: SentimentLexicon, idioms: IdiomLexicon, cues: CueLists,
+                     **options) -> FeatureVector:
     """Build the 17-slot sparse vector for one topic."""
-    return Analyzer(lex, idioms, cues, stopwords=stopwords, tagger=tagger,
-                    negation_window=negation_window,
-                    intensifier_window=intensifier_window).vector(topic.text)
+    return Analyzer(lex, idioms, cues, **options).vector(topic.text)
 
 
-def lexicon_rule_score(topic, lex: SentimentLexicon, idioms: IdiomLexicon, cues: CueLists, *,
-                       stopwords: Iterable[str] = frozenset(), tagger=None,
-                       negation_window: int = DEFAULT_NEGATION_WINDOW,
-                       intensifier_window: int = DEFAULT_INTENSIFIER_WINDOW,
-                       ) -> tuple[float, Polarity]:
+def lexicon_rule_score(topic, lex: SentimentLexicon, idioms: IdiomLexicon, cues: CueLists,
+                       **options) -> tuple[float, Polarity]:
     """Rule-based net score of one topic; see ``Analyzer.rule_score``."""
-    return Analyzer(lex, idioms, cues, stopwords=stopwords, tagger=tagger,
-                    negation_window=negation_window,
-                    intensifier_window=intensifier_window).rule_score(topic.text)
+    return Analyzer(lex, idioms, cues, **options).rule_score(topic.text)

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import DuplicatePhrase, DuplicateWord, ParseError
+from .fileio import atomic_write
 from .preprocess import normalize_text, preprocess, tokenize
 
 LEXICON_HEADER = "word\tgloss\ttranslit\tpolarity\ttf"
@@ -181,19 +182,19 @@ def clean_field(text: str) -> str:
 
 
 def save_sentiment_lexicon(lex: SentimentLexicon, path) -> None:
-    """Write the lexicon TSV and its prevent-list sidecar.
+    """Write the lexicon TSV and its prevent-list sidecar. Each file is
+    replaced atomically, and neither is replaced if writing either one fails.
 
     Tabs and line breaks inside gloss/translit are replaced by spaces so the
     row stays parseable; load(save(lex)) is structurally equal otherwise.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh, atomic_write(_prevent_path(path)) as sidecar:
         fh.write(LEXICON_HEADER + "\n")
         for entry in lex:
             fh.write(f"{entry.word}\t{clean_field(entry.gloss)}\t{clean_field(entry.translit)}"
                      f"\t{entry.polarity.value}\t{entry.tf}\n")
-    with open(_prevent_path(path), "w", encoding="utf-8", newline="\n") as fh:
         for word in sorted(lex.prevent_list):
-            fh.write(word + "\n")
+            sidecar.write(word + "\n")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_pipeline as ref
 from arasent import resources
-from arasent.errors import TaggerFailure
+from arasent.errors import ArasentError, TaggerFailure
 from arasent.evaluation import Topic
 from arasent.features import (
     Analyzer,
@@ -16,7 +16,7 @@ from arasent.features import (
     mask_idioms,
     score_tokens,
 )
-from arasent.lexicon import LexiconEntry, Polarity, SentimentLexicon
+from arasent.lexicon import IdiomEntry, IdiomLexicon, LexiconEntry, Polarity, SentimentLexicon
 from arasent.preprocess import PosTag, TableTagger, normalize_text
 
 LEX = resources.default_lexicon()
@@ -128,3 +128,12 @@ def test_analyzer_drops_stopwords_before_masking():
     assert analyzer.analyze("زي العسل").po_phrases == 1
     assert analyzer.analyze("زي في العسل").po_phrases == 1
     assert Analyzer(LEX, IDIOMS, CUES).analyze("زي في العسل").po_phrases == 0
+
+
+def test_analyzer_rejects_an_idiom_that_contains_a_stopword():
+    # stopwords are dropped before masking, so this idiom could never match
+    idioms = IdiomLexicon([IdiomEntry(("في", "السما"), Polarity.PO)])
+    with pytest.raises(ArasentError, match="'في السما' contains the stopword 'في'"):
+        Analyzer(LEX, idioms, CUES, stopwords={"في"})
+    assert Analyzer(LEX, idioms, CUES).analyze("في السما").po_phrases == 1
+    assert IDIOMS and not any(STOPWORDS.intersection(e.phrase) for e in IDIOMS)

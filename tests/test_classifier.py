@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -102,13 +101,13 @@ def test_train_differs_across_seeds():
     _, data = hidden_separator_data(80, seed=3)
     m1 = train(data, TrainConfig(seed=1))
     m2 = train(data, TrainConfig(seed=2))
-    assert not np.array_equal(m1.weights, m2.weights)
+    assert m1.weights != m2.weights
 
 
 def test_objective_no_worse_than_zero_model():
     _, data = hidden_separator_data(120, seed=5)
     config = TrainConfig()
-    zero = Model(np.zeros(N_SLOTS), 0.0, data[0].vector.schema_version, config)
+    zero = Model((0.0,) * N_SLOTS, 0.0, data[0].vector.schema_version, config)
     trained = train(data, config)
     assert objective(trained, data) <= objective(zero, data)
 
@@ -132,21 +131,20 @@ def test_max_scaling_still_separates():
 # prediction
 
 def test_predict_zero_model_tie_rule():
-    model = Model(np.zeros(N_SLOTS), 0.0, 1)
+    model = Model((0.0,) * N_SLOTS, 0.0, 1)
     label, margin = predict(model, FeatureVector({3: 5.0}))
     assert (label, margin) == (1, 0.0)
 
 
 def test_predict_dot_product():
-    weights = np.zeros(N_SLOTS)
-    weights[4] = 1.0  # slot 5
+    weights = (0.0,) * 4 + (1.0,) + (0.0,) * (N_SLOTS - 5)  # slot 5
     model = Model(weights, 0.0, 1)
     label, margin = predict(model, FeatureVector({5: 3}))
     assert label == 1 and margin == pytest.approx(3.0)
 
 
 def test_predict_schema_mismatch():
-    model = Model(np.zeros(N_SLOTS), 0.0, 2)
+    model = Model((0.0,) * N_SLOTS, 0.0, 2)
     with pytest.raises(SchemaMismatch):
         predict(model, FeatureVector({1: 1}))
 
@@ -154,10 +152,10 @@ def test_predict_schema_mismatch():
 @given(st.floats(min_value=0.01, max_value=100),
        st.dictionaries(st.integers(1, 17), st.floats(-3, 3, allow_nan=False), max_size=6))
 def test_predict_sign_invariant_under_positive_scaling(scale, values):
-    rng = np.random.RandomState(0)
-    weights = rng.uniform(-1, 1, N_SLOTS)
+    rng = random.Random(0)
+    weights = tuple(rng.uniform(-1, 1) for _ in range(N_SLOTS))
     model = Model(weights, 0.25, 1)
-    scaled = Model(weights * scale, 0.25 * scale, 1)
+    scaled = Model(tuple(w * scale for w in weights), 0.25 * scale, 1)
     v = FeatureVector(dict(values))
     assert predict(model, v)[0] == predict(scaled, v)[0]
 
@@ -269,6 +267,43 @@ def test_model_save_load_round_trip(tmp_path):
     path = tmp_path / "model.txt"
     save_model(model, path)
     assert load_model(path) == model
+
+
+# the shipped-corpus model as the vectorised trainer wrote it
+EARLIER_MODEL = """\
+schema_version: 1
+regularization: 0.01
+epochs: 200
+seed: 42
+scaling: none
+1: 0.25885290776705216
+2: -0.2896497396855868
+3: 1.0149999999999935
+4: -0.9925051135042745
+5: 0.2591397209861373
+6: -0.2904488208473587
+7: 0.0
+8: 0.3482982636718648
+9: -0.363574029721413
+10: -0.0019019998505810402
+11: 0.023516906395329436
+12: 0.023516906395329436
+13: -0.03500000023562276
+14: -0.03500000023562276
+15: -0.035000005379292466
+16: -0.035000005379292466
+17: -8.020347771816344e-07
+bias: -0.00830194542281695
+"""
+
+
+def test_model_written_by_the_earlier_trainer_loads(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text(EARLIER_MODEL, encoding="utf-8")
+    model = load_model(path)
+    assert model.weights[2] == 1.0149999999999935 and model.bias == -0.00830194542281695
+    save_model(model, path)
+    assert path.read_text(encoding="utf-8") == EARLIER_MODEL
 
 
 def test_load_model_rejects_truncated_file(tmp_path):

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import arasent
 
 from arasent.cli import run
 from arasent.classifier import load_model
@@ -124,9 +130,8 @@ def test_pipeline_composition_matches_evaluate(tmp_path, corpus_path, capsys):
 
     # the svmlight interchange rounds values at 6 significant digits, so the
     # two routes agree up to that rounding and exactly on predicted labels
-    import numpy as np
     m1, m2 = load_model(model), load_model(eval_model)
-    assert np.allclose(m1.weights, m2.weights, rtol=1e-5, atol=1e-8)
+    assert m1.weights == pytest.approx(m2.weights, rel=1e-5, abs=1e-8)
     assert m1.bias == pytest.approx(m2.bias, rel=1e-5, abs=1e-8)
 
     preds2 = tmp_path / "pred-eval.tsv"
@@ -264,3 +269,56 @@ def test_train_on_non_finite_features_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "bad.svml:2: non-finite value '1:nan'" in err
     assert not model.exists()
+
+
+def test_cli_imports_only_the_standard_library():
+    code = ("import sys; before = set(sys.modules); import arasent.cli; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(new - set(sys.stdlib_module_names) - {'arasent'}))")
+    src = str(Path(arasent.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_negative_seed_is_a_data_error(tmp_path, corpus_path, capsys, how):
+    features = tmp_path / "f.svml"
+    features.write_text("+1 1:1\n-1 2:1\n", encoding="utf-8")
+    model = tmp_path / "m.txt"
+    if how == "flag":
+        seed = ["--seed", "-1"]
+    else:
+        config = tmp_path / "run.conf"
+        config.write_text("seed = -1\n", encoding="utf-8")
+        seed = ["--config", str(config)]
+    assert run(["train", "--features", str(features), "--model", str(model), *seed]) == 2
+    assert run(["evaluate", "--corpus", corpus_path, *seed]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: seed must be a non-negative integer, got -1") == 2
+    assert not model.exists()
+
+
+def test_seed_beyond_32_bits_trains(tmp_path, corpus_path, capsys):
+    model = tmp_path / "m.txt"
+    assert run(["evaluate", "--corpus", corpus_path, "--seed", "4294967296",
+                "--model-out", str(model)]) == 0
+    assert load_model(model).config.seed == 4294967296
+
+
+def test_failed_predict_leaves_the_output_file_untouched(tmp_path, corpus_path, capsys):
+    features, model = tmp_path / "f.svml", tmp_path / "m.txt"
+    assert run(["extract", "--corpus", corpus_path, "--out", str(features)]) == 0
+    assert run(["train", "--features", str(features), "--model", str(model)]) == 0
+    text = model.read_text(encoding="utf-8")
+    model.write_text(text.replace("schema_version: 1", "schema_version: 2"), encoding="utf-8")
+    out = tmp_path / "pred.tsv"
+    out.write_bytes(b"earlier\tPO\t1.000000\n")
+    before = sorted(tmp_path.iterdir())
+    assert run(["predict", "--model", str(model), "--corpus", corpus_path,
+                "--out", str(out)]) == 2
+    assert "schema" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier\tPO\t1.000000\n"
+    assert sorted(tmp_path.iterdir()) == before

@@ -1,9 +1,13 @@
 """Byte-for-byte pins on what the CLI writes.
 
-The SHA-256 digests below were taken from the implementation that built
-features through per-token ``Token``/``ScoredToken`` copies. Any change to
-featurization, scoring or training that alters a single output byte fails
-here, on the shipped corpus and on a generated multi-sentence corpus.
+The extract, score and evaluate digests below were taken from the
+implementation that built features through per-token ``Token``/``ScoredToken``
+copies, the ``predict_labels`` digests (id and label columns only) from the
+earlier, vectorised SGD trainer. The train and predict digests pin the
+list-based trainer, whose shuffle and summation order differ from the
+vectorised one; its margins moved but no predicted label did. Any change to featurization, scoring or
+training that alters a single output byte fails here, on the shipped corpus
+and on a generated multi-sentence corpus.
 """
 
 import hashlib
@@ -17,15 +21,17 @@ from arasent.resources import data_path
 
 SHIPPED = {
     "extract": "0af0eb083236971462d03a150758e2eb870f6d97f5e8da11043470fe96b91430",
-    "train": "b0cbd18d14ac754c021fceeedb5586e5a82fe9b631ea865bf4d1bd8836267eb4",
-    "predict": "0bd0122a1db534fe4364a257fe43be8c1c7e880faa6b18061b8eb19d422e259a",
+    "train": "fb3a9fd6aff327de432a414f9e32886bd9afe214043077032474f4baf64fe938",
+    "predict": "36fb7ce3a765f644ea774eecde547a4e57df68b3b13a9dd8160c6cfcca3cc606",
+    "predict_labels": "e0a3a878cfdbb0ca0bf1b9912d7506f25654f4b397a3d1ef8c34376d124e894f",
     "score": "c66d40cbd172ee43b144a8e131ced458e21859b91198ed91240c0f14489e9107",
     "evaluate": "7ff94ed1f8ab11ce6389d05a74d6df0c93e099e1ce5b1fc9ddd396027fcec83d",
 }
 
 REVIEWS = {
     "extract": "b08e65bcede0dc6688e181466c7710f7fe209f1087d7143211f225390df096a1",
-    "predict": "518c3239f041e174ddc1d675132ac0ae66d3d154451725db15b687514761da4b",
+    "predict": "ecb1fb2db271087366237d9d7896cdbebfb62978568c6f6e2762273868631717",
+    "predict_labels": "cceb2e0cef80c054bc0b43b2e2784aae1d8aa75e9c9ce63902045419409c005f",
     "score": "6abffa4f3ef9d8d56d3275e084e807f93aacf82ca0c6ce2c9404cb102d63b282",
 }
 
@@ -81,6 +87,8 @@ def _outputs(corpus, model, work, capsys, train=False, evaluate=False) -> dict:
     assert run(["predict", "--model", str(model), "--corpus", str(corpus),
                 "--out", str(predicted)]) == 0
     digests["predict"] = _digest(predicted.read_bytes())
+    rows = (line.split("\t")[:2] for line in predicted.read_text(encoding="utf-8").splitlines())
+    digests["predict_labels"] = _digest("".join(f"{id_}\t{label}\n" for id_, label in rows))
     capsys.readouterr()
     assert run(["score", "--corpus", str(corpus)]) == 0
     digests["score"] = _digest(capsys.readouterr().out)
