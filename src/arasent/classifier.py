@@ -260,7 +260,7 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    fields: dict[str, str] = {}
+    fields: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -269,18 +269,23 @@ def load_model(path) -> Model:
             key, sep, value = line.partition(":")
             if not sep:
                 raise ParseError(path, line_no, f"expected key: value, got {line!r}")
-            fields[key.strip()] = value.strip()
-    try:
-        weights = tuple(float(fields[str(slot)]) for slot in range(1, N_SLOTS + 1))
-        config = TrainConfig(
-            regularization=float(fields["regularization"]),
-            epochs=int(fields["epochs"]),
-            seed=int(fields["seed"]),
-            scale_max=fields.get("scaling", "none") == "max",
-        )
-        return Model(weights=weights, bias=float(fields["bias"]),
-                     schema_version=int(fields["schema_version"]), config=config)
-    except KeyError as exc:
-        raise ParseError(path, 0, f"missing model field {exc}") from None
-    except ValueError as exc:
-        raise ParseError(path, 0, str(exc)) from None
+            fields[key.strip()] = (line_no, value.strip())
+
+    def number(key, cast=float):
+        if key not in fields:
+            raise ParseError(path, 0, f"missing model field {key!r}")
+        line_no, text = fields[key]
+        try:
+            value = cast(text)
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
+        if not math.isfinite(value):
+            raise ParseError(path, line_no, f"non-finite {key}: {text}")
+        return value
+
+    config = TrainConfig(regularization=number("regularization"), epochs=number("epochs", int),
+                         seed=number("seed", int),
+                         scale_max=fields.get("scaling", (0, "none"))[1] == "max")
+    return Model(weights=tuple(number(str(slot)) for slot in range(1, N_SLOTS + 1)),
+                 bias=number("bias"), schema_version=number("schema_version", int),
+                 config=config)

@@ -9,13 +9,14 @@ config file is plain ``key = value`` text with ``#`` comments.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import classifier, expansion, features, resources
-from .errors import ArasentError
+from .errors import ArasentError, ParseError
 from .evaluation import (
     SplitSpec,
     cohen_kappa,
@@ -27,37 +28,15 @@ from .evaluation import (
 )
 from .expansion import CachingProvider, FixtureProvider, ReviewItem, SynsetResult
 from .fileio import atomic_write
-from .lexicon import (
-    Polarity,
-    load_idiom_lexicon,
-    load_sentiment_lexicon,
-    save_sentiment_lexicon,
-)
-from .preprocess import default_tagger, load_stopwords, load_tag_table, normalize_text
-
-_PATH_KEYS = ("lexicon", "idioms", "stopwords", "tagtable",
-              "negators", "intensifiers", "questions", "wishful")
-
-_DEFAULT_FILES = {
-    "lexicon": "lexicon.tsv", "idioms": "idioms.tsv",
-    "stopwords": "stopwords.txt", "tagtable": "tags.tsv",
-    "negators": "negators.txt", "intensifiers": "intensifiers.txt",
-    "questions": "questions.txt", "wishful": "wishful.txt",
-}
+from .lexicon import Polarity, save_sentiment_lexicon
+from .preprocess import normalize_text
 
 
 @dataclass
 class RunConfig:
-    """Resolved resource paths and pipeline settings for one invocation."""
+    """Resource overrides and pipeline settings for one invocation."""
 
-    lexicon: Path
-    idioms: Path
-    stopwords: Path
-    tagtable: Path
-    negators: Path
-    intensifiers: Path
-    questions: Path
-    wishful: Path
+    paths: dict[str, str] = field(default_factory=dict)  # key in resources.FILES -> file
     seed: int = 42
     train_frac: float = 0.8
     dev_frac: float = 0.1
@@ -72,66 +51,63 @@ class RunConfig:
     def validate(self) -> None:
         if self.seed < 0:
             raise ArasentError(f"seed must be a non-negative integer, got {self.seed}")
-        for key in _PATH_KEYS:
-            path = getattr(self, key)
-            if not Path(path).exists():
-                raise ArasentError(f"{key} file not found: {path}")
+        if not 0 < self.regularization < math.inf:
+            raise ArasentError("regularization must be a positive finite number, "
+                               f"got {self.regularization}")
+        if self.epochs < 1:
+            raise ArasentError(f"epochs must be a positive integer, got {self.epochs}")
+        for key in ("negation_window", "intensifier_window"):
+            if getattr(self, key) < 0:
+                raise ArasentError(f"{key} must be a non-negative integer, "
+                                   f"got {getattr(self, key)}")
 
 
-def load_config_file(path) -> dict[str, str]:
-    """Parse ``key = value`` lines; ``#`` starts a comment."""
-    values: dict[str, str] = {}
+def _parse_bool(text: str) -> bool:
+    if text.lower() in ("1", "true", "yes", "on"):
+        return True
+    if text.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+# Every config-file key any subcommand knows, with the type of its value.
+_SETTINGS = {
+    **dict.fromkeys(resources.FILES, str),
+    **dict.fromkeys(("seed", "epochs", "negation_window", "intensifier_window"), int),
+    **dict.fromkeys(("train_frac", "dev_frac", "test_frac", "regularization"), float),
+    "scale": _parse_bool, "stratify": _parse_bool,
+}
+
+
+def load_config_file(path) -> dict:
+    """Parse ``key = value`` lines into typed values; ``#`` starts a comment."""
+    values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, sep, value = line.partition("=")
+            key, sep, value = (part.strip() for part in line.partition("="))
             if not sep:
-                raise ArasentError(f"{path}:{line_no}: expected key = value")
-            values[key.strip()] = value.strip()
+                raise ParseError(path, line_no, "expected key = value")
+            if key not in _SETTINGS:
+                raise ParseError(path, line_no, f"unknown key {key!r}")
+            try:
+                values[key] = _SETTINGS[key](value)
+            except ValueError as exc:
+                raise ParseError(path, line_no, f"{key}: {exc}") from None
     return values
 
 
 def _resolve_config(args) -> RunConfig:
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    settings: dict = {}
-    for key in _PATH_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = Path(flag)
-        elif key in file_values:
-            settings[key] = Path(file_values[key])
-        else:
-            settings[key] = resources.data_path(_DEFAULT_FILES[key])
-    for key in ("seed", "epochs", "negation_window", "intensifier_window"):
-        settings[key] = _pick(args, file_values, key, int)
-    for key in ("train_frac", "dev_frac", "test_frac", "regularization"):
-        settings[key] = _pick(args, file_values, key, float)
-    for key in ("scale", "stratify"):
-        settings[key] = _pick(args, file_values, key, _parse_bool)
-    config = RunConfig(**{k: v for k, v in settings.items() if v is not None})
+    """Each setting from its flag, else the config file, else the default."""
+    file_values = load_config_file(args.config) if args.config else {}
+    flags = {key: getattr(args, key, None) for key in _SETTINGS}
+    settings = {**file_values, **{k: v for k, v in flags.items() if v is not None}}
+    config = RunConfig({k: settings.pop(k) for k in resources.FILES if k in settings},
+                       **settings)
     config.validate()
     return config
-
-
-def _pick(args, file_values, key, cast):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return cast(flag) if not isinstance(flag, bool) else flag
-    if key in file_values:
-        return cast(file_values[key])
-    return None
-
-
-def _parse_bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    if text.lower() in ("1", "true", "yes", "on"):
-        return True
-    if text.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ArasentError(f"expected a boolean, got {text!r}")
 
 
 class _Pipeline:
@@ -139,16 +115,8 @@ class _Pipeline:
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self.lexicon = load_sentiment_lexicon(config.lexicon)
-        self.idioms = load_idiom_lexicon(config.idioms)
-        self.cues = features.CueLists.load(
-            negators=config.negators, intensifiers=config.intensifiers,
-            questions=config.questions, wishful=config.wishful)
-        self.stopwords = load_stopwords(config.stopwords)
-        self.tagger = default_tagger(load_tag_table(config.tagtable), self.lexicon)
-        self.analyzer = features.Analyzer(
-            self.lexicon, self.idioms, self.cues,
-            stopwords=self.stopwords, tagger=self.tagger,
+        self.resources = resources.load(config.paths)
+        self.analyzer = self.resources.analyzer(
             negation_window=config.negation_window,
             intensifier_window=config.intensifier_window)
 
@@ -185,7 +153,7 @@ def _cmd_expand(args) -> int:
     provider = FixtureProvider.from_file(args.provider)
     if args.cache:
         provider = CachingProvider(provider, args.cache)
-    out_path = Path(args.out) if args.out else Path(config.lexicon)
+    out_path = Path(args.out) if args.out else resources.locate("lexicon", config.paths)
     pending = Path(args.pending) if args.pending else out_path.with_suffix(".pending.tsv")
 
     ask = None
@@ -203,9 +171,9 @@ def _cmd_expand(args) -> int:
                 print("  please answer p, n, r or s")
 
     grown, report = expansion.expand_lexicon(
-        corpus, pipe.lexicon, provider,
+        corpus, pipe.resources.lexicon, provider,
         "interactive" if args.interactive else "batch",
-        tagger=pipe.tagger, stopwords=pipe.stopwords,
+        tagger=pipe.resources.tagger, stopwords=pipe.resources.stopwords,
         pending_path=pending, ask=ask)
     save_sentiment_lexicon(grown, out_path)
     for key, value in report.counts().items():
@@ -315,12 +283,13 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _add_config_flags(parser, hyper=False):
+def _add_config_flags(parser, resource_flags=True, hyper=False):
     parser.add_argument("--config", help="key = value config file")
-    for key in _PATH_KEYS:
-        parser.add_argument(f"--{key}", help=f"{key} file (default: packaged)")
-    parser.add_argument("--negation-window", dest="negation_window", type=int)
-    parser.add_argument("--intensifier-window", dest="intensifier_window", type=int)
+    if resource_flags:
+        for key in resources.FILES:
+            parser.add_argument(f"--{key}", help=f"{key} file (default: packaged)")
+        parser.add_argument("--negation-window", dest="negation_window", type=int)
+        parser.add_argument("--intensifier-window", dest="intensifier_window", type=int)
     if hyper:
         parser.add_argument("--seed", type=int, help="random seed (default 42)")
         parser.add_argument("--reg", dest="regularization", type=float,
@@ -360,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a linear model from SVM-light features")
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True)
-    _add_config_flags(p, hyper=True)
+    _add_config_flags(p, resource_flags=False, hyper=True)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="label a corpus with a trained model")
@@ -407,7 +376,7 @@ def run(argv) -> int:
         return 1
     try:
         return args.func(args)
-    except (ArasentError, OSError) as exc:
+    except (ArasentError, OSError, UnicodeError) as exc:  # text that is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -50,6 +50,8 @@ def load_corpus(path) -> list[Topic]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(path, line_no, f"bad JSON: {exc.msg}") from None
+            except RecursionError:
+                raise ParseError(path, line_no, "bad JSON: nested too deeply") from None
             if not isinstance(record, dict) or "id" not in record or "text" not in record:
                 raise ParseError(path, line_no, "record needs 'id' and 'text' fields")
             topic_id = str(record["id"])
@@ -91,7 +93,7 @@ class SplitSpec:
 
     def validate(self) -> None:
         fracs = (self.train_frac, self.dev_frac, self.test_frac)
-        if any(f <= 0 for f in fracs):
+        if not all(f > 0 for f in fracs):  # also rejects NaN
             raise InvalidSplitSpec(f"fractions must be positive: {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise InvalidSplitSpec(f"fractions must sum to 1: {fracs}")

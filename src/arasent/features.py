@@ -20,7 +20,7 @@ from .preprocess import (
     Sentence,
     TableTagger,
     Token,
-    normalize_text,
+    load_stopwords,
     preprocess,
     tag_words,
 )
@@ -100,28 +100,15 @@ class CueLists:
     wishful_terms: frozenset[str] = frozenset()
 
     @classmethod
-    def load(cls, negators=None, intensifiers=None, questions=None,
-             wishful=None) -> "CueLists":
+    def load(cls, negators, intensifiers, questions, wishful) -> "CueLists":
+        """Each list in the stopword-list format: one term per line, ``#``
+        comments."""
         return cls(
-            negators=_load_terms(negators),
-            intensifiers=_load_terms(intensifiers),
-            question_terms=_load_terms(questions),
-            wishful_terms=_load_terms(wishful),
+            negators=load_stopwords(negators),
+            intensifiers=load_stopwords(intensifiers),
+            question_terms=load_stopwords(questions),
+            wishful_terms=load_stopwords(wishful),
         )
-
-
-def _load_terms(path) -> frozenset[str]:
-    if path is None:
-        return frozenset()
-    terms = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            term = line.split("#", 1)[0].strip()
-            if term:
-                norm = normalize_text(term)
-                if norm:
-                    terms.add(norm)
-    return frozenset(terms)
 
 
 @dataclass

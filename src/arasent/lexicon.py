@@ -165,13 +165,19 @@ def load_sentiment_lexicon(path) -> SentimentLexicon:
                 lex.add(LexiconEntry(word, polarity, gloss, translit, freq))
             except ValueError as exc:
                 raise ParseError(path, line_no, str(exc)) from None
+            except DuplicateWord as exc:
+                raise DuplicateWord(f"{path}:{line_no}: duplicate word {exc}") from None
     sidecar = _prevent_path(path)
     if sidecar.exists():
         with open(sidecar, encoding="utf-8") as fh:
-            for line in fh:
+            for line_no, line in enumerate(fh, start=1):
                 word = line.split("#", 1)[0].strip()
-                if word:
+                if not word:
+                    continue
+                try:
                     lex.add_prevent(word)
+                except (ValueError, DuplicateWord) as exc:
+                    raise ParseError(sidecar, line_no, str(exc)) from None
     return lex
 
 

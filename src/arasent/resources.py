@@ -1,26 +1,35 @@
-"""Access to the packaged default resources (lexicons, cue lists, corpus)."""
+"""The resources a run reads (lexicons, cue lists, stopwords, tag table):
+which files they are, and how each one is loaded."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Mapping
 
-from .features import CueLists
+from .errors import ArasentError
+from .features import Analyzer, CueLists
 from .lexicon import (
     IdiomLexicon,
     SentimentLexicon,
     load_idiom_lexicon,
     load_sentiment_lexicon,
 )
-from .preprocess import TableTagger, default_tagger, load_stopwords, load_tag_table
+from .preprocess import PosTag, TableTagger, default_tagger, load_stopwords, load_tag_table
+
+# Resource key -> packaged file name. The keys are also the CLI flags and
+# the config-file keys that override a file.
+FILES = {
+    "lexicon": "lexicon.tsv", "idioms": "idioms.tsv",
+    "stopwords": "stopwords.txt", "tagtable": "tags.tsv",
+    "negators": "negators.txt", "intensifiers": "intensifiers.txt",
+    "questions": "questions.txt", "wishful": "wishful.txt",
+}
 
 
 def data_path(name: str) -> Path:
     return Path(str(resources.files("arasent").joinpath("data", name)))
-
-
-def default_lexicon() -> SentimentLexicon:
-    return load_sentiment_lexicon(data_path("lexicon.tsv"))
 
 
 def seed_lexicon() -> SentimentLexicon:
@@ -28,23 +37,42 @@ def seed_lexicon() -> SentimentLexicon:
     return load_sentiment_lexicon(data_path("lexicon_seed.tsv"))
 
 
-def default_idioms() -> IdiomLexicon:
-    return load_idiom_lexicon(data_path("idioms.tsv"))
+def locate(key: str, paths: Mapping[str, str | Path] = {}) -> Path:
+    """The file resource ``key`` is read from: ``paths[key]`` when given,
+    else the packaged file."""
+    path = Path(paths[key]) if key in paths else data_path(FILES[key])
+    if not path.exists():
+        raise ArasentError(f"{key} file not found: {path}")
+    return path
 
 
-def default_cues() -> CueLists:
-    return CueLists.load(
-        negators=data_path("negators.txt"),
-        intensifiers=data_path("intensifiers.txt"),
-        questions=data_path("questions.txt"),
-        wishful=data_path("wishful.txt"),
-    )
+@dataclass(frozen=True)
+class Resources:
+    """The loaded resources of one run."""
+
+    lexicon: SentimentLexicon
+    idioms: IdiomLexicon
+    cues: CueLists
+    stopwords: frozenset[str]
+    tags: dict[str, PosTag]
+
+    @property
+    def tagger(self) -> TableTagger:
+        """The tag table, with the other words of ``lexicon`` tagged JJ."""
+        return default_tagger(self.tags, self.lexicon)
+
+    def analyzer(self, **windows) -> Analyzer:
+        return Analyzer(self.lexicon, self.idioms, self.cues, stopwords=self.stopwords,
+                        tagger=self.tagger, **windows)
 
 
-def default_stopwords() -> frozenset[str]:
-    return load_stopwords(data_path("stopwords.txt"))
-
-
-def build_default_tagger(lexicon: SentimentLexicon | None = None) -> TableTagger:
-    """Shipped tag table, with lexicon words defaulting to JJ."""
-    return default_tagger(load_tag_table(data_path("tags.tsv")), lexicon)
+def load(paths: Mapping[str, str | Path] = {}) -> Resources:
+    """Every resource, each from ``paths[key]`` when given, else packaged."""
+    where = {key: locate(key, paths) for key in FILES}
+    return Resources(
+        lexicon=load_sentiment_lexicon(where["lexicon"]),
+        idioms=load_idiom_lexicon(where["idioms"]),
+        cues=CueLists.load(negators=where["negators"], intensifiers=where["intensifiers"],
+                           questions=where["questions"], wishful=where["wishful"]),
+        stopwords=load_stopwords(where["stopwords"]),
+        tags=load_tag_table(where["tagtable"]))

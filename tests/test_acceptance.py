@@ -6,6 +6,7 @@ lines alongside pytest's own verdicts.
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -60,13 +61,14 @@ def report(n, text):
 
 @pytest.fixture(scope="module")
 def shipped():
-    lex = resources.default_lexicon()
+    res = resources.load()
     return {
-        "lexicon": lex,
-        "idioms": resources.default_idioms(),
-        "cues": resources.default_cues(),
-        "stopwords": resources.default_stopwords(),
-        "tagger": resources.build_default_tagger(lex),
+        "resources": res,
+        "lexicon": res.lexicon,
+        "idioms": res.idioms,
+        "cues": res.cues,
+        "stopwords": res.stopwords,
+        "tagger": res.tagger,
         "corpus": load_corpus(resources.data_path("corpus.jsonl")),
     }
 
@@ -290,7 +292,7 @@ def test_criterion_09_expansion_effect_direction(shipped):
 
     train_t, _, test_t = split_corpus(corpus, SplitSpec())
 
-    tagger = resources.build_default_tagger(seed_lex)
+    tagger = replace(shipped["resources"], lexicon=seed_lex).tagger
     pre_model = classifier.train(
         _labeled(train_t, seed_lex, idioms, cues, stop, tagger))
     pre_acc = classifier.accuracy(
@@ -301,7 +303,7 @@ def test_criterion_09_expansion_effect_direction(shipped):
                                           tagger=tagger, stopwords=stop)
     assert set(rep.adopted) == set(held)
 
-    tagger_g = resources.build_default_tagger(grown)
+    tagger_g = replace(shipped["resources"], lexicon=grown).tagger
     post_model = classifier.train(
         _labeled(train_t, grown, idioms, cues, stop, tagger_g))
     post_acc = classifier.accuracy(
@@ -326,7 +328,7 @@ def test_criterion_10_format_fidelity(tmp_path):
     classifier.write_svmlight(data, path)
     assert classifier.read_svmlight(path) == data
 
-    lex = resources.default_lexicon()
+    lex = resources.load().lexicon
     out = tmp_path / "lexicon.tsv"
     save_sentiment_lexicon(lex, out)
     assert load_sentiment_lexicon(out) == lex

@@ -19,11 +19,8 @@ from arasent.features import (
 from arasent.lexicon import IdiomEntry, IdiomLexicon, LexiconEntry, Polarity, SentimentLexicon
 from arasent.preprocess import PosTag, TableTagger, normalize_text
 
-LEX = resources.default_lexicon()
-IDIOMS = resources.default_idioms()
-CUES = resources.default_cues()
-STOPWORDS = resources.default_stopwords()
-TAGGER = resources.build_default_tagger(LEX)
+RES = resources.load()
+LEX, IDIOMS, CUES, STOPWORDS, TAGGER = RES.lexicon, RES.idioms, RES.cues, RES.stopwords, RES.tagger
 
 
 def _pool():

@@ -313,6 +313,17 @@ def test_load_model_rejects_truncated_file(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("field, value, line_no", [
+    ("3", "nan", 8), ("bias", "inf", 23), ("17", "-inf", 22), ("17", "1e999", 22)])
+def test_load_model_rejects_non_finite_values(tmp_path, field, value, line_no):
+    path = tmp_path / "model.txt"
+    path.write_text(EARLIER_MODEL.replace(
+        next(line for line in EARLIER_MODEL.splitlines() if line.startswith(f"{field}: ")),
+        f"{field}: {value}"), encoding="utf-8")
+    with pytest.raises(ParseError, match=f"model.txt:{line_no}: non-finite {field}: {value}$"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_feature_vector_rejects_non_finite_values(value):
     with pytest.raises(ValueError, match="not finite"):

@@ -288,17 +288,79 @@ def test_negative_seed_is_a_data_error(tmp_path, corpus_path, capsys, how):
     features = tmp_path / "f.svml"
     features.write_text("+1 1:1\n-1 2:1\n", encoding="utf-8")
     model = tmp_path / "m.txt"
-    if how == "flag":
-        seed = ["--seed", "-1"]
-    else:
-        config = tmp_path / "run.conf"
-        config.write_text("seed = -1\n", encoding="utf-8")
-        seed = ["--config", str(config)]
-    assert run(["train", "--features", str(features), "--model", str(model), *seed]) == 2
-    assert run(["evaluate", "--corpus", corpus_path, *seed]) == 2
+    reg = "regularization must be a positive finite number, got"
+    for flag, key, value, message in [
+            ("--seed", "seed", "-1", "seed must be a non-negative integer, got -1"),
+            ("--reg", "regularization", "0", f"{reg} 0.0"),
+            ("--reg", "regularization", "-1", f"{reg} -1.0"),
+            ("--reg", "regularization", "nan", f"{reg} nan"),
+            ("--reg", "regularization", "inf", f"{reg} inf"),
+            ("--epochs", "epochs", "0", "epochs must be a positive integer, got 0")]:
+        if how == "flag":
+            setting = [flag, value]
+        else:
+            config = tmp_path / "run.conf"
+            config.write_text(f"{key} = {value}\n", encoding="utf-8")
+            setting = ["--config", str(config)]
+        assert run(["train", "--features", str(features), "--model", str(model),
+                    *setting]) == 2
+        assert run(["evaluate", "--corpus", corpus_path, *setting]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n" * 2
+        assert not model.exists()
+
+
+@pytest.mark.parametrize("flag", ["--negation-window", "--intensifier-window"])
+def test_negative_window_is_a_data_error(corpus_path, capsys, flag):
+    assert run(["score", "--corpus", corpus_path, flag, "-1"]) == 2
+    key = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {key} must be a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("seed = abc", "run.conf:2: seed: invalid literal for int() with base 10: 'abc'"),
+    ("scale = maybe", "run.conf:2: scale: expected a boolean, got 'maybe'"),
+    ("lexcon = my.tsv", "run.conf:2: unknown key 'lexcon'"),
+    ("lexicon my.tsv", "run.conf:2: expected key = value")],
+    ids=["bad-int", "bad-bool", "unknown-key", "no-equals"])
+def test_bad_config_line_is_a_data_error(tmp_path, corpus_path, capsys, line, message):
+    config = tmp_path / "run.conf"
+    config.write_text(f"# shared settings\n{line}\n", encoding="utf-8")
+    assert run(["score", "--corpus", corpus_path, "--config", str(config)]) == 2
     err = capsys.readouterr().err
-    assert err.count("error: seed must be a non-negative integer, got -1") == 2
-    assert not model.exists()
+    assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
+
+
+def test_config_file_may_name_settings_of_other_subcommands(tmp_path, corpus_path, capsys):
+    features, model = tmp_path / "f.svml", tmp_path / "m.txt"
+    features.write_text("+1 1:1\n-1 2:1\n", encoding="utf-8")
+    config = tmp_path / "run.conf"
+    config.write_text(f"lexicon = {tmp_path / 'absent.tsv'}\nstratify = no\nepochs = 3\n",
+                      encoding="utf-8")
+    assert run(["train", "--features", str(features), "--model", str(model),
+                "--config", str(config)]) == 0  # train reads no resource
+    assert load_model(model).config.epochs == 3
+    assert run(["score", "--corpus", corpus_path, "--config", str(config)]) == 2
+    assert "lexicon file not found" in capsys.readouterr().err
+
+
+def test_train_takes_no_resource_flags(capsys):
+    assert run(["train", "--help"]) == 0
+    flags = {word.strip("[],") for word in capsys.readouterr().out.split()
+             if word.startswith(("--", "[--"))}
+    assert flags == {"--help", "--features", "--model", "--config", "--seed", "--reg",
+                     "--epochs", "--scale"}
+
+
+@pytest.mark.parametrize("line", [b'{"id": "a", "text": "\xff"}',
+                                  b'{"id": "\\ud800", "text": "x"}'],
+                         ids=["invalid-byte", "lone-surrogate"])
+def test_text_that_is_not_utf8_is_a_data_error(tmp_path, capsys, line):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(line + b"\n")
+    assert run(["score", "--corpus", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "utf-8" in err and err.count("\n") == 1
 
 
 def test_seed_beyond_32_bits_trains(tmp_path, corpus_path, capsys):

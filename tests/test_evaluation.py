@@ -81,6 +81,13 @@ def test_corpus_rejects_bad_json(tmp_path):
     assert err.value.line_no == 1
 
 
+def test_corpus_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "text": "x"}\n' + "[" * 100000 + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="corpus.jsonl:2: bad JSON: nested too deeply"):
+        load_corpus(path)
+
+
 # splitting
 
 def test_split_2000_topics_80_10_10():
@@ -129,6 +136,8 @@ def test_split_rejects_bad_spec():
         split_corpus(topics(10), SplitSpec(0.5, 0.5, 0.5))
     with pytest.raises(InvalidSplitSpec):
         split_corpus(topics(10), SplitSpec(-0.2, 0.6, 0.6))
+    with pytest.raises(InvalidSplitSpec):
+        split_corpus(topics(10), SplitSpec(float("nan"), 0.1, 0.1))
 
 
 @given(st.integers(1, 200), st.integers(0, 10_000))

@@ -80,8 +80,19 @@ def test_load_rejects_wrong_column_count(tmp_path):
 def test_load_rejects_duplicate_word(tmp_path):
     path = tmp_path / "lex.tsv"
     write_lexicon_file(path, [("رائع", "", "", "PO", 0), ("رائِع", "", "", "NG", 0)])
-    with pytest.raises(DuplicateWord):
+    with pytest.raises(DuplicateWord, match="lex.tsv:3: duplicate word رائع$"):
         load_sentiment_lexicon(path)  # duplicate after normalization too
+
+
+@pytest.mark.parametrize("word, reason", [
+    ("hello", "prevent-list word is empty after normalization"),
+    ("رائِع", "رائع is already a lexicon entry")], ids=["empty", "lexicon-entry"])
+def test_load_rejects_bad_prevent_line(tmp_path, word, reason):
+    path = tmp_path / "lex.tsv"
+    write_lexicon_file(path, [("رائع", "", "", "PO", 0)])
+    (tmp_path / "lex.prevent").write_text(f"كلام\n# a comment\n{word}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"lex.prevent:3: {reason}$"):
+        load_sentiment_lexicon(path)
 
 
 def test_load_rejects_missing_header(tmp_path):

@@ -59,7 +59,7 @@ def test_vocab_words_are_normalization_fixpoints():
 
 
 def test_corpus_pools_live_in_the_full_lexicon():
-    lex = resources.default_lexicon()
+    lex = resources.load().lexicon
     for word in CORPUS_PO:
         assert lex.lookup(word).polarity is Polarity.PO, word
     for word in CORPUS_NG:
@@ -68,7 +68,7 @@ def test_corpus_pools_live_in_the_full_lexicon():
 
 def test_heldout_words_absent_from_seed_lexicon():
     seed = resources.seed_lexicon()
-    full = resources.default_lexicon()
+    full = resources.load().lexicon
     for word in heldout_words():
         assert seed.lookup(word) is None
         assert full.lookup(word) is not None
@@ -76,7 +76,7 @@ def test_heldout_words_absent_from_seed_lexicon():
 
 
 def test_cue_lists_disjoint_from_lexicon_and_stopwords():
-    lex = resources.default_lexicon()
+    lex = resources.load().lexicon
     cue_words = set(NEGATORS) | set(INTENSIFIERS) | set(QUESTIONS) | set(WISHFUL)
     for word in cue_words:
         assert lex.lookup(word) is None, word
@@ -93,7 +93,7 @@ def test_every_heldout_word_occurs_in_the_corpus():
 
 
 def test_shipped_lexicon_tf_matches_corpus():
-    lex = resources.default_lexicon()
+    lex = resources.load().lexicon
     counts = count_corpus_tokens(load_corpus(resources.data_path("corpus.jsonl")))
     for word, entry in lex.entries.items():
         assert entry.tf == counts.get(word, 0), word
