@@ -15,22 +15,14 @@ from .lexicon import (  # noqa: F401
 )
 from .preprocess import (  # noqa: F401
     PosTag,
-    Sentence,
     TableTagger,
-    Token,
     normalize_text,
-    pos_tag,
-    remove_stopwords,
     split_sentences,
-    tokenize,
 )
 from .features import (  # noqa: F401
     Analyzer,
     CueLists,
     FeatureVector,
-    extract_features,
-    lexicon_rule_score,
-    mask_idioms,
 )
 from .expansion import (  # noqa: F401
     FixtureProvider,

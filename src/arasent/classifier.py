@@ -20,7 +20,7 @@ from .errors import (
     SingleClassTrainingSet,
 )
 from .features import N_SLOTS, FeatureVector
-from .fileio import atomic_write
+from .fileio import atomic_write, read_lines
 
 
 @dataclass(frozen=True)
@@ -193,56 +193,55 @@ def read_svmlight(path) -> list[LabeledVector]:
     """
     out: list[LabeledVector] = []
     schema_version = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                head = line.lstrip("#").strip()
-                if head.startswith("schema_version:"):
-                    try:
-                        schema_version = int(head.split(":", 1)[1])
-                    except ValueError:
-                        raise ParseError(path, line_no, "bad schema_version header") from None
-                continue
-            body, _, comment = line.partition("#")
-            tokens = body.split()
-            if not tokens:
-                raise ParseError(path, line_no, "missing label")
-            if tokens[0] in ("+1", "1"):
-                label = 1
-            elif tokens[0] == "-1":
-                label = -1
-            else:
-                raise ParseError(path, line_no, f"label must be +1 or -1, got {tokens[0]!r}")
-            values: dict[int, float] = {}
-            last_index = 0
-            for tok in tokens[1:]:
-                if tok == "qid" or tok.startswith("qid:"):
-                    continue
-                index_s, sep, value_s = tok.partition(":")
-                if not sep:
-                    raise ParseError(path, line_no, f"expected index:value, got {tok!r}")
+    for line_no, raw in read_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            head = line.lstrip("#").strip()
+            if head.startswith("schema_version:"):
                 try:
-                    index = int(index_s)
-                    value = float(value_s)
+                    schema_version = int(head.split(":", 1)[1])
                 except ValueError:
-                    raise ParseError(path, line_no, f"non-numeric pair {tok!r}") from None
-                if not math.isfinite(value):
-                    raise ParseError(path, line_no, f"non-finite value {tok!r}")
-                if index <= last_index:
-                    raise ParseError(path, line_no,
-                                     f"indices must be strictly increasing at {tok!r}")
-                if index > N_SLOTS:
-                    raise ParseError(path, line_no,
-                                     f"feature index {index} outside schema 1..{N_SLOTS}")
-                last_index = index
-                values[index] = value
-            vector = FeatureVector(values)  # drops zero values
-            if schema_version is not None:
-                vector.schema_version = schema_version
-            out.append(LabeledVector(vector, label, comment.strip()))
+                    raise ParseError(path, line_no, "bad schema_version header") from None
+            continue
+        body, _, comment = line.partition("#")
+        tokens = body.split()
+        if not tokens:
+            raise ParseError(path, line_no, "missing label")
+        if tokens[0] in ("+1", "1"):
+            label = 1
+        elif tokens[0] == "-1":
+            label = -1
+        else:
+            raise ParseError(path, line_no, f"label must be +1 or -1, got {tokens[0]!r}")
+        values: dict[int, float] = {}
+        last_index = 0
+        for tok in tokens[1:]:
+            if tok == "qid" or tok.startswith("qid:"):
+                continue
+            index_s, sep, value_s = tok.partition(":")
+            if not sep:
+                raise ParseError(path, line_no, f"expected index:value, got {tok!r}")
+            try:
+                index = int(index_s)
+                value = float(value_s)
+            except ValueError:
+                raise ParseError(path, line_no, f"non-numeric pair {tok!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(path, line_no, f"non-finite value {tok!r}")
+            if index <= last_index:
+                raise ParseError(path, line_no,
+                                 f"indices must be strictly increasing at {tok!r}")
+            if index > N_SLOTS:
+                raise ParseError(path, line_no,
+                                 f"feature index {index} outside schema 1..{N_SLOTS}")
+            last_index = index
+            values[index] = value
+        vector = FeatureVector(values)  # drops zero values
+        if schema_version is not None:
+            vector.schema_version = schema_version
+        out.append(LabeledVector(vector, label, comment.strip()))
     return out
 
 
@@ -261,15 +260,14 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     fields: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            key, sep, value = line.partition(":")
-            if not sep:
-                raise ParseError(path, line_no, f"expected key: value, got {line!r}")
-            fields[key.strip()] = (line_no, value.strip())
+    for line_no, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        key, sep, value = line.partition(":")
+        if not sep:
+            raise ParseError(path, line_no, f"expected key: value, got {line!r}")
+        fields[key.strip()] = (line_no, value.strip())
 
     def number(key, cast=float):
         if key not in fields:

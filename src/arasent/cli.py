@@ -27,7 +27,7 @@ from .evaluation import (
     split_corpus,
 )
 from .expansion import CachingProvider, FixtureProvider, ReviewItem, SynsetResult
-from .fileio import atomic_write
+from .fileio import atomic_write, read_lines
 from .lexicon import Polarity, save_sentiment_lexicon
 from .preprocess import normalize_text
 
@@ -82,20 +82,19 @@ _SETTINGS = {
 def load_config_file(path) -> dict:
     """Parse ``key = value`` lines into typed values; ``#`` starts a comment."""
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = (part.strip() for part in line.partition("="))
-            if not sep:
-                raise ParseError(path, line_no, "expected key = value")
-            if key not in _SETTINGS:
-                raise ParseError(path, line_no, f"unknown key {key!r}")
-            try:
-                values[key] = _SETTINGS[key](value)
-            except ValueError as exc:
-                raise ParseError(path, line_no, f"{key}: {exc}") from None
+    for line_no, line in read_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise ParseError(path, line_no, "expected key = value")
+        if key not in _SETTINGS:
+            raise ParseError(path, line_no, f"unknown key {key!r}")
+        try:
+            values[key] = _SETTINGS[key](value)
+        except ValueError as exc:
+            raise ParseError(path, line_no, f"{key}: {exc}") from None
     return values
 
 
@@ -138,7 +137,7 @@ class _Pipeline:
 def _read_text(source: str) -> str:
     if source == "-":
         return sys.stdin.read()
-    return Path(source).read_text(encoding="utf-8")
+    return "".join(line for _, line in read_lines(source))
 
 
 def _cmd_normalize(args) -> int:
@@ -171,10 +170,8 @@ def _cmd_expand(args) -> int:
                 print("  please answer p, n, r or s")
 
     grown, report = expansion.expand_lexicon(
-        corpus, pipe.resources.lexicon, provider,
-        "interactive" if args.interactive else "batch",
-        tagger=pipe.resources.tagger, stopwords=pipe.resources.stopwords,
-        pending_path=pending, ask=ask)
+        corpus, pipe.resources.lexicon, provider, tagger=pipe.resources.tagger,
+        stopwords=pipe.resources.stopwords, pending_path=pending, ask=ask)
     save_sentiment_lexicon(grown, out_path)
     for key, value in report.counts().items():
         print(f"{key}: {value}")

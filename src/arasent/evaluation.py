@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     UndefinedMetric,
 )
+from .fileio import read_lines
 from .lexicon import Polarity
 
 GENRES = ("tweet", "hotel", "product", "tv")
@@ -41,35 +42,43 @@ def load_corpus(path) -> list[Topic]:
     """Read a JSON-lines corpus; topic ids must be unique."""
     topics: list[Topic] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+    for line_no, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, line_no, f"bad JSON: {exc.msg}") from None
+        except RecursionError:
+            raise ParseError(path, line_no, "bad JSON: nested too deeply") from None
+        if not isinstance(record, dict) or "id" not in record or "text" not in record:
+            raise ParseError(path, line_no, "record needs 'id' and 'text' fields")
+        for key in ("id", "text", "genre"):
+            value = record.get(key)
+            if key == "genre" and value is None:
                 continue
+            if not isinstance(value, str):
+                raise ParseError(path, line_no,
+                                 f"{key!r} must be a string, got {type(value).__name__}")
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"bad JSON: {exc.msg}") from None
-            except RecursionError:
-                raise ParseError(path, line_no, "bad JSON: nested too deeply") from None
-            if not isinstance(record, dict) or "id" not in record or "text" not in record:
-                raise ParseError(path, line_no, "record needs 'id' and 'text' fields")
-            topic_id = str(record["id"])
-            if topic_id in seen:
-                raise ParseError(path, line_no, f"duplicate topic id {topic_id!r}")
-            seen.add(topic_id)
-            label = None
-            if record.get("label") is not None:
-                try:
-                    label = Polarity(record["label"])
-                except ValueError:
-                    raise ParseError(path, line_no,
-                                     f"label must be PO or NG, got {record['label']!r}") from None
-                if label is Polarity.NU:
-                    raise ParseError(path, line_no, "topic labels are PO or NG only")
-            genre = record.get("genre")
-            topics.append(Topic(topic_id, str(record["text"]), label,
-                                str(genre) if genre is not None else None))
+                value.encode("utf-8")  # a JSON escape can give a lone surrogate
+            except UnicodeEncodeError:
+                raise ParseError(path, line_no, f"{key!r} is not valid utf-8 text") from None
+        topic_id = record["id"]
+        if topic_id in seen:
+            raise ParseError(path, line_no, f"duplicate topic id {topic_id!r}")
+        seen.add(topic_id)
+        label = None
+        if record.get("label") is not None:
+            try:
+                label = Polarity(record["label"])
+            except ValueError:
+                raise ParseError(path, line_no,
+                                 f"label must be PO or NG, got {record['label']!r}") from None
+            if label is Polarity.NU:
+                raise ParseError(path, line_no, "topic labels are PO or NG only")
+        topics.append(Topic(topic_id, record["text"], label, record.get("genre")))
     return topics
 
 
@@ -242,15 +251,14 @@ def cohen_kappa(ratings: Sequence[Sequence]) -> float:
 def load_ratings(path) -> list[tuple[str, ...]]:
     """TSV ratings file: one item per line, one column per rater."""
     items: list[tuple[str, ...]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            labels = tuple(part.strip() for part in line.split("\t"))
-            if any(not label for label in labels):
-                raise ParseError(path, line_no, "empty rating column")
-            items.append(labels)
+    for line_no, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        labels = tuple(part.strip() for part in line.split("\t"))
+        if any(not label for label in labels):
+            raise ParseError(path, line_no, "empty rating column")
+        items.append(labels)
     return items
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol
 
 from .errors import InvalidPolarity, ParseError, ProviderError
+from .fileio import read_lines
 from .lexicon import (
     LexiconEntry,
     Polarity,
@@ -24,9 +25,7 @@ from .lexicon import (
     count_corpus_tokens,
 )
 from .preprocess import (
-    MASK_TOKENS,
     PosTag,
-    Sentence,
     TableTagger,
     normalize_text,
     preprocess,
@@ -71,22 +70,20 @@ class FixtureProvider:
     @classmethod
     def from_file(cls, path) -> "FixtureProvider":
         table: dict[str, SynsetResult] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if not 1 <= len(parts) <= 4:
-                    raise ParseError(path, line_no,
-                                     f"expected 1-4 columns, got {len(parts)}")
-                parts += [""] * (4 - len(parts))
-                word = normalize_text(parts[0])
-                if not word:
-                    raise ParseError(path, line_no, "empty word")
-                if word in table:
-                    raise ParseError(path, line_no, f"duplicate word {word!r}")
-                table[word] = _parse_row(parts)
+        for line_no, line in read_lines(path):
+            line = line.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = line.split("\t")
+            if not 1 <= len(parts) <= 4:
+                raise ParseError(path, line_no, f"expected 1-4 columns, got {len(parts)}")
+            parts += [""] * (4 - len(parts))
+            word = normalize_text(parts[0])
+            if not word:
+                raise ParseError(path, line_no, "empty word")
+            if word in table:
+                raise ParseError(path, line_no, f"duplicate word {word!r}")
+            table[word] = _parse_row(parts)
         return cls(table)
 
     def fetch(self, word: str) -> SynsetResult:
@@ -141,13 +138,6 @@ class CachingProvider:
         return result
 
 
-@dataclass(frozen=True)
-class Candidate:
-    word: str
-    tag: PosTag
-    source_topic_id: str = ""
-
-
 class Outcome(Enum):
     ADOPT = "ADOPT"
     COS = "COS"
@@ -187,27 +177,6 @@ class ExpansionReport:
             "oov_rejected": len(self.oov_rejected),
             "errors": len(self.errors),
         }
-
-
-def filter_candidates(tagged: Iterable[Sentence], lex: SentimentLexicon,
-                      topic_id: str = "") -> list[Candidate]:
-    """Distinct JJ/NN/VB tokens unknown to both the lexicon and the prevent
-    list, in first-occurrence order.
-    """
-    seen: set[str] = set()
-    out: list[Candidate] = []
-    for s in tagged:
-        _add_candidates(s.surfaces(), [t.tag for t in s.tokens], lex, topic_id, seen, out)
-    return out
-
-
-def _add_candidates(words, tags, lex: SentimentLexicon, topic_id: str,
-                    seen: set[str], out: list[Candidate]) -> None:
-    for word, tag in zip(words, tags):
-        if (tag in CANDIDATE_TAGS and word not in MASK_TOKENS and word not in seen
-                and lex.lookup(word) is None and not lex.is_prevented(word)):
-            seen.add(word)
-            out.append(Candidate(word, tag, topic_id))
 
 
 def detect_orientation(word: str, syn: SynsetResult,
@@ -270,11 +239,10 @@ def _load_pending_words(path) -> set[str]:
     p = Path(path)
     if not p.exists():
         return words
-    with open(p, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            if parts and parts[0].strip():
-                words.add(parts[0].strip())
+    for _, line in read_lines(p):
+        parts = line.rstrip("\n").split("\t")
+        if parts and parts[0].strip():
+            words.add(parts[0].strip())
     return words
 
 
@@ -284,8 +252,7 @@ def _append_pending(path, item: ReviewItem) -> None:
         fh.write(f"{item.word}\t{suggested}\t{item.status}\n")
 
 
-def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider,
-                   mode: str = "batch", *,
+def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
                    tagger=None,
                    stopwords: Iterable[str] = frozenset(),
                    pending_path=None,
@@ -296,14 +263,10 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider,
     Adopted words are inserted immediately, so later candidates can use
     them as evidence; processing order is first occurrence in the corpus.
     Provider errors skip the candidate (they are transient, not evidence
-    that the word carries no sentiment). In batch mode, out-of-vocabulary
-    words go to ``pending_path``; in interactive mode the ``ask`` callback
-    supplies the operator's answer (``s`` skips to pending).
+    that the word carries no sentiment). Out-of-vocabulary words go to
+    ``pending_path``, unless an ``ask`` callback is given: then it supplies
+    the operator's answer (``s`` skips to pending).
     """
-    if mode not in ("batch", "interactive"):
-        raise ValueError(f"mode must be 'batch' or 'interactive', got {mode!r}")
-    if mode == "interactive" and ask is None:
-        raise ValueError("interactive mode needs an ask callback")
     tagger = tagger if tagger is not None else TableTagger()
     stop = set(stopwords)
 
@@ -312,12 +275,15 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider,
     tf_counts = count_corpus_tokens(corpus)
     already_pending = _load_pending_words(pending_path) if pending_path else set()
 
-    candidates: list[Candidate] = []
-    seen: set[str] = set()
+    # distinct JJ/NN/VB words unknown to the lexicon and the prevent list,
+    # in first-occurrence order
+    candidates: dict[str, None] = {}
     for topic in corpus:
         for words in preprocess(topic.text, stop):
-            _add_candidates(words, tag_words(words, tagger), working, topic.id,
-                            seen, candidates)
+            for word, tag in zip(words, tag_words(words, tagger)):
+                if (tag in CANDIDATE_TAGS and word not in candidates
+                        and working.lookup(word) is None and not working.is_prevented(word)):
+                    candidates[word] = None
 
     def to_pending(item: ReviewItem) -> None:
         report.oov_pending.append(item.word)
@@ -325,36 +291,34 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider,
             _append_pending(pending_path, item)
             already_pending.add(item.word)
 
-    for cand in candidates:
-        if working.lookup(cand.word) is not None or working.is_prevented(cand.word):
+    for word in candidates:
+        if working.lookup(word) is not None or working.is_prevented(word):
             continue
         try:
-            syn = provider.fetch(cand.word)
+            syn = provider.fetch(word)
         except ProviderError as exc:
-            report.errors.append((cand.word, str(exc)))
+            report.errors.append((word, str(exc)))
             continue
-        decision = detect_orientation(cand.word, syn, working)
+        decision = detect_orientation(word, syn, working)
         if decision.outcome is Outcome.ADOPT:
-            working.add(LexiconEntry(cand.word, decision.polarity,
-                                     gloss=syn.translation or "",
-                                     tf=tf_counts.get(cand.word, 0)))
-            report.adopted.append(cand.word)
+            working.add(LexiconEntry(word, decision.polarity, gloss=syn.translation or "",
+                                     tf=tf_counts.get(word, 0)))
+            report.adopted.append(word)
         elif decision.outcome is Outcome.COS:
-            report.cos.append(cand.word)
+            report.cos.append(word)
         else:
-            item = ReviewItem(cand.word)
-            if mode == "batch":
+            item = ReviewItem(word)
+            if ask is None:
                 to_pending(item)
                 continue
             answer = ask(item, syn)
             if answer.strip().lower() in ("s", "skip"):
                 to_pending(item)
                 continue
-            working = resolve_oov(working, item, answer,
-                                  tf=tf_counts.get(cand.word, 0))
+            working = resolve_oov(working, item, answer, tf=tf_counts.get(word, 0))
             if item.status == ACCEPTED:
-                report.oov_accepted.append(cand.word)
+                report.oov_accepted.append(word)
             else:
-                report.oov_rejected.append(cand.word)
+                report.oov_rejected.append(word)
 
     return working, report

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ArasentError
 from .lexicon import IdiomLexicon, Polarity, SentimentLexicon
@@ -17,9 +17,7 @@ from .preprocess import (
     NG_MASK,
     PO_MASK,
     PosTag,
-    Sentence,
     TableTagger,
-    Token,
     load_stopwords,
     preprocess,
     tag_words,
@@ -111,14 +109,6 @@ class CueLists:
         )
 
 
-@dataclass
-class ScoredToken:
-    token: Token
-    base: int        # -1, 0, +1 from lexicon polarity
-    adjusted: int    # after negation flip and intensifier doubling
-    neutral: bool = False  # True when the lexicon marks the word NU
-
-
 # The rules work on one sentence held as parallel lists: words, tags and
 # lexicon values (+1, -1, 0 for NU, None for unknown words and masks).
 _SIGN = {Polarity.PO: 1, Polarity.NG: -1, Polarity.NU: 0}
@@ -169,83 +159,14 @@ def _resolve_conflicts(tags, adjusted) -> int:
     return count
 
 
-def _sentence(words, tags) -> Sentence:
-    return Sentence([Token(w, pos, tag) for pos, (w, tag) in enumerate(zip(words, tags), 1)])
+class SentenceTrace(NamedTuple):
+    """One sentence as the walk leaves it, in parallel lists."""
 
-
-def _scored(tokens, bases, adjusted) -> list[ScoredToken]:
-    return [ScoredToken(tok, base or 0, adj, base == 0)
-            for tok, base, adj in zip(tokens, bases, adjusted)]
-
-
-def mask_idioms(sentences: Iterable[Sentence],
-                idioms: IdiomLexicon) -> tuple[list[Sentence], tuple[int, int]]:
-    """Replace every leftmost-longest idiom match with a single mask token.
-
-    Matches never overlap; positions are renumbered. Returns the masked
-    sentences and the (positive, negative) phrase counts.
-    """
-    po = ng = 0
-    out = []
-    for s in sentences:
-        words, tags, p, n = _mask_phrases(s.surfaces(), [t.tag for t in s.tokens], idioms)
-        po += p
-        ng += n
-        out.append(_sentence(words, tags))
-    return out, (po, ng)
-
-
-def score_tokens(s: Sentence, lex: SentimentLexicon, cues: CueLists, *,
-                 negation_window: int = DEFAULT_NEGATION_WINDOW,
-                 intensifier_window: int = DEFAULT_INTENSIFIER_WINDOW,
-                 ) -> list[ScoredToken]:
-    """Assign each token its lexicon base value and the shifted value.
-
-    A negator within ``negation_window`` tokens before a sentiment word
-    flips its sign (an even number of negators cancels out); an intensifier
-    within ``intensifier_window`` tokens after it doubles the magnitude
-    once. Mask tokens and unknown words score 0.
-    """
-    words = s.surfaces()
-    bases = [None if (e := lex.lookup(w)) is None else _SIGN[e.polarity] for w in words]
-    adjusted = _shift(bases, [w in cues.negators for w in words],
-                      [w in cues.intensifiers for w in words],
-                      negation_window, intensifier_window)
-    return _scored(s.tokens, bases, adjusted)
-
-
-def detect_conflict_phrases(s: Sentence,
-                            scored: list[ScoredToken],
-                            ) -> tuple[int, list[ScoredToken]]:
-    """Resolve adjacent noun/adjective pairs of opposite polarity.
-
-    Each conflicting bigram zeroes both contributions and leaves one
-    negative unit at the first token's position. The scan is left-to-right
-    and non-overlapping. Returns the conflict count and a modified copy.
-    """
-    adjusted = [st.adjusted for st in scored]
-    count = _resolve_conflicts([st.token.tag for st in scored], adjusted)
-    return count, [ScoredToken(st.token, st.base, adj, st.neutral)
-                   for st, adj in zip(scored, adjusted)]
-
-
-@dataclass
-class TopicAnalysis:
-    """Everything the feature builder and the rule scorer need for a topic."""
-
-    sentences: list[Sentence]            # post-stopword, post-mask
-    raw_scores: list[list[ScoredToken]]  # shifted values, pre-conflict
-    scores: list[list[ScoredToken]]      # after conflict resolution
-    po_phrases: int
-    ng_phrases: int
-    conflicts: int
-    negator_count: int
-    question_count: int
-    wishful_count: int
-
-    @property
-    def word_count(self) -> int:
-        return sum(s.word_count for s in self.sentences)
+    words: list[str]               # after stopword removal and idiom masking
+    tags: list[PosTag]
+    values: list[int | None]       # lexicon value: +1, -1, 0 for NU, None if unknown
+    shifted: list[int]             # after negation flips and intensifier doubling
+    resolved: list[int]            # after conflict resolution
 
 
 class Analyzer:
@@ -271,8 +192,8 @@ class Analyzer:
         self._idiom_starts = frozenset(entry.phrase[0] for entry in idioms)
 
     def _walk(self, text: str, sink: list | None = None):
-        """Slot values (raw, in slot order), net score and (PO, NG) phrase
-        counts of a topic; ``sink`` also gets each sentence's lists."""
+        """Slot values (raw, in slot order) and net score of a topic; ``sink``
+        also gets each sentence's trace."""
         cues, values = self.cues, self._values
         w_po = w_ng = w_nu = n_words = po_ph = ng_ph = conflicts = net = 0
         negations = questions = wishes = 0
@@ -295,7 +216,7 @@ class Analyzer:
                               *self.windows)
             net += sum(adjusted)
             if sink is not None:
-                sink.append((words, tags, bases, adjusted[:], adjusted))
+                sink.append(SentenceTrace(words, tags, bases, adjusted[:], adjusted))
             conflicts += _resolve_conflicts(tags, adjusted)
             for pos, value in enumerate(adjusted, 1):
                 if value > 0:
@@ -310,7 +231,7 @@ class Analyzer:
                  IS_NEGATION: negations > 0, N_O_NEGATION: negations,
                  IS_QUESTION: questions > 0, N_O_QUESTION: questions,
                  IS_WISHFUL: wishes > 0, N_O_WISHFUL: wishes, N_O_CONFLICT: conflicts}
-        return slots, net + 3 * po_ph - 3 * ng_ph, po_ph, ng_ph
+        return slots, net + 3 * po_ph - 3 * ng_ph
 
     def vector(self, text: str) -> FeatureVector:
         """The 17-slot sparse vector of one topic."""
@@ -322,36 +243,8 @@ class Analyzer:
         net = self._walk(text)[1]
         return float(net), Polarity.PO if net > 0 else Polarity.NG if net < 0 else Polarity.NU
 
-    def analyze(self, text: str) -> TopicAnalysis:
-        """The walk's per-token decisions as Token/ScoredToken objects."""
-        sink: list = []
-        slots, _, po_ph, ng_ph = self._walk(text, sink)
-        sentences, raw, resolved = [], [], []
-        for words, tags, bases, before, after in sink:
-            sentences.append(_sentence(words, tags))
-            raw.append(_scored(sentences[-1].tokens, bases, before))
-            resolved.append(_scored(sentences[-1].tokens, bases, after))
-        return TopicAnalysis(sentences, raw, resolved, po_ph, ng_ph, slots[N_O_CONFLICT],
-                             slots[N_O_NEGATION], slots[N_O_QUESTION], slots[N_O_WISHFUL])
-
-
-# analyze_topic, extract_features and lexicon_rule_score build an Analyzer per
-# call; ``options`` are its keyword arguments.
-
-
-def analyze_topic(text: str, lex: SentimentLexicon, idioms: IdiomLexicon, cues: CueLists,
-                  **options) -> TopicAnalysis:
-    """Run the full preprocessing and scoring pipeline over one topic."""
-    return Analyzer(lex, idioms, cues, **options).analyze(text)
-
-
-def extract_features(topic, lex: SentimentLexicon, idioms: IdiomLexicon, cues: CueLists,
-                     **options) -> FeatureVector:
-    """Build the 17-slot sparse vector for one topic."""
-    return Analyzer(lex, idioms, cues, **options).vector(topic.text)
-
-
-def lexicon_rule_score(topic, lex: SentimentLexicon, idioms: IdiomLexicon, cues: CueLists,
-                       **options) -> tuple[float, Polarity]:
-    """Rule-based net score of one topic; see ``Analyzer.rule_score``."""
-    return Analyzer(lex, idioms, cues, **options).rule_score(topic.text)
+    def analyze(self, text: str) -> list[SentenceTrace]:
+        """What the walk decided for each word, one row per sentence."""
+        sink: list[SentenceTrace] = []
+        self._walk(text, sink)
+        return sink

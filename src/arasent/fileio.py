@@ -1,8 +1,23 @@
-"""Atomic replacement of the text files the toolkit writes."""
+"""Reading and atomic replacement of the text files the toolkit uses."""
 
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import ParseError
+
+
+def read_lines(path):
+    """Yield ``(line_no, line)`` for each line of the UTF-8 text file at
+    ``path``, numbered from 1, with universal newlines. A line that is not
+    valid UTF-8 raises ``ParseError`` at its line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")  # an undecodable byte became a lone surrogate
+            except UnicodeEncodeError:
+                raise ParseError(path, line_no, "not valid utf-8 text") from None
+            yield line_no, line
 
 
 @contextmanager

@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import DuplicatePhrase, DuplicateWord, ParseError
-from .fileio import atomic_write
-from .preprocess import normalize_text, preprocess, tokenize
+from .fileio import atomic_write, read_lines
+from .preprocess import normalize_text, preprocess
 
 LEXICON_HEADER = "word\tgloss\ttranslit\tpolarity\ttf"
 
@@ -135,49 +135,46 @@ def _prevent_path(path) -> Path:
 def load_sentiment_lexicon(path) -> SentimentLexicon:
     """Load a five-column TSV lexicon plus its prevent-list sidecar."""
     lex = SentimentLexicon()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line_no == 1:
-                if line != LEXICON_HEADER:
-                    raise ParseError(path, 1, "missing lexicon header line")
-                continue
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ParseError(path, line_no,
-                                 f"expected 5 columns, got {len(parts)}")
-            word, gloss, translit, pol, tf = parts
-            try:
-                polarity = Polarity(pol.strip())
-            except ValueError:
-                raise ParseError(path, line_no,
-                                 f"polarity must be PO, NG or NU, got {pol!r}") from None
-            try:
-                freq = int(tf)
-                if freq < 0:
-                    raise ValueError
-            except ValueError:
-                raise ParseError(path, line_no,
-                                 f"term frequency must be a non-negative integer, got {tf!r}") from None
-            try:
-                lex.add(LexiconEntry(word, polarity, gloss, translit, freq))
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-            except DuplicateWord as exc:
-                raise DuplicateWord(f"{path}:{line_no}: duplicate word {exc}") from None
+    for line_no, line in read_lines(path):
+        line = line.rstrip("\n")
+        if line_no == 1:
+            if line != LEXICON_HEADER:
+                raise ParseError(path, 1, "missing lexicon header line")
+            continue
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise ParseError(path, line_no, f"expected 5 columns, got {len(parts)}")
+        word, gloss, translit, pol, tf = parts
+        try:
+            polarity = Polarity(pol.strip())
+        except ValueError:
+            raise ParseError(path, line_no,
+                             f"polarity must be PO, NG or NU, got {pol!r}") from None
+        try:
+            freq = int(tf)
+            if freq < 0:
+                raise ValueError
+        except ValueError:
+            raise ParseError(path, line_no,
+                             f"term frequency must be a non-negative integer, got {tf!r}") from None
+        try:
+            lex.add(LexiconEntry(word, polarity, gloss, translit, freq))
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
+        except DuplicateWord as exc:
+            raise DuplicateWord(f"{path}:{line_no}: duplicate word {exc}") from None
     sidecar = _prevent_path(path)
     if sidecar.exists():
-        with open(sidecar, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                word = line.split("#", 1)[0].strip()
-                if not word:
-                    continue
-                try:
-                    lex.add_prevent(word)
-                except (ValueError, DuplicateWord) as exc:
-                    raise ParseError(sidecar, line_no, str(exc)) from None
+        for line_no, line in read_lines(sidecar):
+            word = line.split("#", 1)[0].strip()
+            if not word:
+                continue
+            try:
+                lex.add_prevent(word)
+            except (ValueError, DuplicateWord) as exc:
+                raise ParseError(sidecar, line_no, str(exc)) from None
     return lex
 
 
@@ -253,26 +250,24 @@ class IdiomLexicon:
 def load_idiom_lexicon(path) -> IdiomLexicon:
     """Load a 2-3 column TSV: ``phrase<TAB>polarity[<TAB>gloss]``."""
     idioms = IdiomLexicon()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (2, 3):
-                raise ParseError(path, line_no,
-                                 f"expected 2 or 3 columns, got {len(parts)}")
-            phrase = tuple(tokenize(normalize_text(parts[0])).surfaces())
-            try:
-                polarity = Polarity(parts[1].strip())
-            except ValueError:
-                raise ParseError(path, line_no,
-                                 f"polarity must be PO or NG, got {parts[1]!r}") from None
-            gloss = parts[2] if len(parts) == 3 else ""
-            try:
-                idioms.add(IdiomEntry(phrase, polarity, gloss))
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
+    for line_no, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (2, 3):
+            raise ParseError(path, line_no, f"expected 2 or 3 columns, got {len(parts)}")
+        phrase = tuple(word for words in preprocess(parts[0]) for word in words)
+        try:
+            polarity = Polarity(parts[1].strip())
+        except ValueError:
+            raise ParseError(path, line_no,
+                             f"polarity must be PO or NG, got {parts[1]!r}") from None
+        gloss = parts[2] if len(parts) == 3 else ""
+        try:
+            idioms.add(IdiomEntry(phrase, polarity, gloss))
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
     return idioms
 
 
@@ -288,7 +283,7 @@ def update_term_frequencies(lex: SentimentLexicon, corpus) -> SentimentLexicon:
 
 
 def count_corpus_tokens(corpus) -> Counter:
-    """Token occurrence counts over normalized corpus topics."""
+    """Word occurrence counts over normalized corpus topics."""
     counts: Counter = Counter()
     for topic in corpus:
         for words in preprocess(topic.text):

@@ -10,13 +10,13 @@ survive normalization so that sentence splitting still works afterwards.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Collection, Iterable, Mapping, Protocol, Sequence
+from typing import Collection, Mapping, Protocol, Sequence
 
 from .errors import ParseError, TaggerFailure
+from .fileio import read_lines
 
-# Idiom mask tokens are the only non-Arabic surfaces allowed in a Sentence.
+# Idiom mask words are the only non-Arabic words a masked sentence holds.
 PO_MASK = "PO_Phrase"
 NG_MASK = "NG_Phrase"
 MASK_TOKENS = frozenset({PO_MASK, NG_MASK})
@@ -43,7 +43,7 @@ _DELIMITERS = ".!?؟؛"  # . ! ? ؟ ؛  (newline counts as well)
 _DROP_RE = re.compile(f"[^{_ARABIC_LETTERS}{re.escape(_DELIMITERS)}\\n]+")
 _NEWLINE_RE = re.compile(r"\s*\n\s*")
 _SENTENCE_RE = re.compile(f"[{re.escape(_DELIMITERS)}\n]")
-_TOKEN_RE = re.compile(f"{NG_MASK}|{PO_MASK}|[{_ARABIC_LETTERS}]+")
+_WORD_RE = re.compile(f"[{_ARABIC_LETTERS}]+")
 
 
 class PosTag(Enum):
@@ -51,25 +51,6 @@ class PosTag(Enum):
     NN = "NN"
     VB = "VB"
     OTHER = "OTHER"
-
-
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    position: int  # 1-based within its sentence
-    tag: PosTag = PosTag.OTHER
-
-
-@dataclass
-class Sentence:
-    tokens: list[Token] = field(default_factory=list)
-
-    @property
-    def word_count(self) -> int:
-        return len(self.tokens)
-
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
 
 
 def normalize_text(raw: str) -> str:
@@ -87,29 +68,13 @@ def split_sentences(text: str) -> list[str]:
     return [part for part in (p.strip() for p in _SENTENCE_RE.split(text)) if part]
 
 
-def tokenize(sentence: str) -> Sentence:
-    """Split a delimiter-free sentence into positioned tokens.
-
-    Residual punctuation is discarded; the idiom mask tokens pass through
-    unchanged.
-    """
-    return Sentence([Token(w, i + 1) for i, w in enumerate(_TOKEN_RE.findall(sentence))])
-
-
 def preprocess(text: str, stopwords: Collection[str] = frozenset()) -> list[list[str]]:
     """Normalized, split and tokenized text minus stopwords: one word list
     per sentence."""
-    sentences = [_TOKEN_RE.findall(s) for s in split_sentences(normalize_text(text))]
+    sentences = [_WORD_RE.findall(s) for s in split_sentences(normalize_text(text))]
     if stopwords:
         sentences = [[w for w in words if w not in stopwords] for words in sentences]
     return sentences
-
-
-def remove_stopwords(s: Sentence, stoplist: Iterable[str]) -> Sentence:
-    """Drop stopword tokens and renumber. Mask tokens are never removed."""
-    stop = set(stoplist)
-    kept = [t for t in s.tokens if t.surface in MASK_TOKENS or t.surface not in stop]
-    return Sentence([Token(t.surface, i + 1, t.tag) for i, t in enumerate(kept)])
 
 
 class PosTagger(Protocol):
@@ -137,32 +102,19 @@ class TableTagger:
 
 def load_tag_table(path) -> dict[str, PosTag]:
     table: dict[str, PosTag] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(path, line_no, "expected 2 tab-separated columns")
-            word, tag = normalize_text(parts[0]), parts[1].strip()
-            try:
-                table[word] = PosTag(tag)
-            except ValueError:
-                raise ParseError(path, line_no, f"unknown tag {tag!r}") from None
+    for line_no, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(path, line_no, "expected 2 tab-separated columns")
+        word, tag = normalize_text(parts[0]), parts[1].strip()
+        try:
+            table[word] = PosTag(tag)
+        except ValueError:
+            raise ParseError(path, line_no, f"unknown tag {tag!r}") from None
     return table
-
-
-def default_tagger(table: Mapping[str, PosTag] | None = None,
-                   lexicon=None,
-                   lexicon_tag: PosTag = PosTag.JJ) -> TableTagger:
-    """Build the default tagger: explicit table entries win, any remaining
-    sentiment-lexicon word defaults to ``lexicon_tag``.
-    """
-    merged = dict.fromkeys(lexicon.words() if lexicon is not None else (), lexicon_tag)
-    if table:
-        merged.update(table)
-    return TableTagger(merged)
 
 
 def tag_words(words: Sequence[str], tagger: PosTagger) -> list[PosTag]:
@@ -174,19 +126,12 @@ def tag_words(words: Sequence[str], tagger: PosTagger) -> list[PosTag]:
     return tags
 
 
-def pos_tag(s: Sentence, tagger: PosTagger) -> Sentence:
-    """Assign one tag per token via the given tagger (see ``tag_words``)."""
-    tags = tag_words(s.surfaces(), tagger)
-    return Sentence([Token(t.surface, t.position, tag) for t, tag in zip(s.tokens, tags)])
-
-
 def load_stopwords(path) -> frozenset[str]:
     """One normalized word per line; ``#`` starts a comment."""
     words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.split("#", 1)[0].strip()
-            if word:
-                words.add(normalize_text(word))
+    for _, line in read_lines(path):
+        word = line.split("#", 1)[0].strip()
+        if word:
+            words.add(normalize_text(word))
     words.discard("")
     return frozenset(words)

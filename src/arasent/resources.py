@@ -16,7 +16,7 @@ from .lexicon import (
     load_idiom_lexicon,
     load_sentiment_lexicon,
 )
-from .preprocess import PosTag, TableTagger, default_tagger, load_stopwords, load_tag_table
+from .preprocess import PosTag, TableTagger, load_stopwords, load_tag_table
 
 # Resource key -> packaged file name. The keys are also the CLI flags and
 # the config-file keys that override a file.
@@ -59,7 +59,7 @@ class Resources:
     @property
     def tagger(self) -> TableTagger:
         """The tag table, with the other words of ``lexicon`` tagged JJ."""
-        return default_tagger(self.tags, self.lexicon)
+        return TableTagger({**dict.fromkeys(self.lexicon.words(), PosTag.JJ), **self.tags})
 
     def analyzer(self, **windows) -> Analyzer:
         return Analyzer(self.lexicon, self.idioms, self.cues, stopwords=self.stopwords,

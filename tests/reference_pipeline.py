@@ -1,17 +1,17 @@
 """Frozen reference of the per-token featurization pipeline.
 
-This is the composition that ``analyze_topic``, ``extract_features`` and
-``lexicon_rule_score`` used before the one-pass ``features.Analyzer``: every
-stage builds fresh ``Token``/``ScoredToken`` objects, every lexicon lookup
-normalizes its word, and normalization runs one regular expression per step.
-It stays here, unoptimized and independent of the library's own stage
-functions, so that differential tests can check the analyzer against it.
+This is the composition of per-token stages that featurized topics before
+the one-pass ``features.Analyzer``: every stage builds fresh
+``Token``/``ScoredToken`` objects, every lexicon lookup normalizes its word,
+and normalization runs one regular expression per step. It stays here,
+unoptimized and with its own copies of the token types, so that
+differential tests can check the analyzer against it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 from arasent.features import (
     HAS_NG_PH,
@@ -32,8 +32,6 @@ from arasent.features import (
     W_NU,
     W_PO,
     FeatureVector,
-    ScoredToken,
-    TopicAnalysis,
 )
 from arasent.lexicon import Polarity
 from arasent.preprocess import (
@@ -41,9 +39,7 @@ from arasent.preprocess import (
     NG_MASK,
     PO_MASK,
     PosTag,
-    Sentence,
     TableTagger,
-    Token,
     split_sentences,
 )
 
@@ -53,6 +49,50 @@ _DROP_RE = re.compile("[^\u0621-\u063a\u0641-\u064a.!?\u061f\u061b\\s]+")
 _SPACE_RE = re.compile(r"[^\S\n]+")
 _NEWLINE_RE = re.compile(r"\s*\n\s*")
 _TOKEN_RE = re.compile(f"{NG_MASK}|{PO_MASK}|[ء-غف-ي]+")
+
+
+@dataclass(frozen=True)
+class Token:
+    surface: str
+    position: int  # 1-based within its sentence
+    tag: PosTag = PosTag.OTHER
+
+
+@dataclass
+class Sentence:
+    tokens: list[Token] = field(default_factory=list)
+
+    @property
+    def word_count(self):
+        return len(self.tokens)
+
+    def surfaces(self):
+        return [t.surface for t in self.tokens]
+
+
+@dataclass
+class ScoredToken:
+    token: Token
+    base: int        # -1, 0, +1 from lexicon polarity
+    adjusted: int    # after negation flip and intensifier doubling
+    neutral: bool = False  # True when the lexicon marks the word NU
+
+
+@dataclass
+class TopicAnalysis:
+    sentences: list[Sentence]            # post-stopword, post-mask
+    raw_scores: list[list[ScoredToken]]  # shifted values, pre-conflict
+    scores: list[list[ScoredToken]]      # after conflict resolution
+    po_phrases: int
+    ng_phrases: int
+    conflicts: int
+    negator_count: int
+    question_count: int
+    wishful_count: int
+
+    @property
+    def word_count(self):
+        return sum(s.word_count for s in self.sentences)
 
 
 def normalize_text(raw):

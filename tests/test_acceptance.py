@@ -22,33 +22,25 @@ from arasent.evaluation import (
 )
 from arasent.expansion import FixtureProvider, Outcome, SynsetResult
 from arasent.features import (
+    Analyzer,
     FeatureVector,
     HAS_NG_PH,
+    N_O_CONFLICT,
     N_SLOTS,
     NG_W_POSITION,
     PO_W_POSITION,
     W_NG,
     W_PO,
-    detect_conflict_phrases,
-    extract_features,
-    lexicon_rule_score,
-    mask_idioms,
-    score_tokens,
 )
 from arasent.lexicon import (
+    IdiomLexicon,
     LexiconEntry,
     Polarity,
     SentimentLexicon,
     load_sentiment_lexicon,
     save_sentiment_lexicon,
 )
-from arasent.preprocess import (
-    PosTag,
-    TableTagger,
-    normalize_text,
-    pos_tag,
-    tokenize,
-)
+from arasent.preprocess import PosTag, TableTagger
 
 PO, NG, NU = Polarity.PO, Polarity.NG, Polarity.NU
 
@@ -109,15 +101,13 @@ def test_criterion_02_expansion_walkthrough(tmp_path):
     d = expansion.detect_orientation("هايف", provider.fetch("هايف"), lex)
     assert d.outcome is Outcome.OOV
 
-    grown, rep = expansion.expand_lexicon(corpus, lex, provider, "batch",
-                                          tagger=tagger,
+    grown, rep = expansion.expand_lexicon(corpus, lex, provider, tagger=tagger,
                                           pending_path=tmp_path / "pending.tsv")
     assert rep.adopted == ["مسرور"] and grown.lookup("مسرور").polarity is PO
     assert rep.cos == ["شديد"] and grown.lookup("شديد") is None
     assert rep.oov_pending == ["هايف"]
 
-    grown2, rep2 = expansion.expand_lexicon(corpus, lex, provider, "interactive",
-                                            tagger=tagger,
+    grown2, rep2 = expansion.expand_lexicon(corpus, lex, provider, tagger=tagger,
                                             ask=lambda item, syn: "n")
     assert rep2.oov_accepted == ["هايف"]
     assert grown2.lookup("هايف").polarity is NG
@@ -125,13 +115,13 @@ def test_criterion_02_expansion_walkthrough(tmp_path):
 
 
 def test_criterion_03_valence_shifters(shipped):
-    lex, cues = shipped["lexicon"], shipped["cues"]
+    analyzer = Analyzer(shipped["lexicon"], IdiomLexicon(), shipped["cues"])
+    cues = shipped["cues"]
 
     def adjusted(text, word):
-        s = pos_tag(tokenize(normalize_text(text)), TableTagger())
-        for st in score_tokens(s, lex, cues):
-            if st.token.surface == word:
-                return st.adjusted
+        for row in analyzer.analyze(text):
+            if word in row.words:
+                return row.shifted[row.words.index(word)]
         raise AssertionError(word)
 
     assert adjusted("هذه المرأة جميلة اوي", "جميلة") == 2
@@ -156,9 +146,8 @@ def test_criterion_03_valence_shifters(shipped):
 
 
 def test_criterion_04_position_feature(shipped):
-    lex, idioms, cues = shipped["lexicon"], shipped["idioms"], shipped["cues"]
-    topic = Topic("x", "هذا المسلسل رائع لكن يوجد ملل في بعض حلقاته")
-    v = extract_features(topic, lex, idioms, cues)
+    analyzer = Analyzer(shipped["lexicon"], shipped["idioms"], shipped["cues"])
+    v = analyzer.vector("هذا المسلسل رائع لكن يوجد ملل في بعض حلقاته")
     assert v.get(PO_W_POSITION) == pytest.approx(3.0)
     assert v.get(NG_W_POSITION) == pytest.approx(1.5)
 
@@ -168,19 +157,19 @@ def test_criterion_04_position_feature(shipped):
         weights = []
         for pos in range(len(context) + 1):
             words = context[:pos] + ["رائع"] + context[pos:]
-            vv = extract_features(Topic("x", " ".join(words)), lex, idioms, cues)
+            vv = analyzer.vector(" ".join(words))
             weights.append(vv.get(PO_W_POSITION))
         assert all(a > b for a, b in zip(weights, weights[1:]))
     report(4, "position weights 3.0/1.5 on the 9-token example, monotone in 1/pos")
 
 
 def test_criterion_05_conflict_phrases(shipped):
-    lex, cues, tagger = shipped["lexicon"], shipped["cues"], shipped["tagger"]
+    analyzer = Analyzer(shipped["lexicon"], IdiomLexicon(), shipped["cues"],
+                        tagger=shipped["tagger"])
 
     def conflicts(text):
-        s = pos_tag(tokenize(normalize_text(text)), tagger)
-        n, out = detect_conflict_phrases(s, score_tokens(s, lex, cues))
-        return n, sum(st.adjusted for st in out)
+        [row] = analyzer.analyze(text)
+        return analyzer.vector(text).get(N_O_CONFLICT), sum(row.resolved)
 
     assert conflicts("خدمة سيئة") == (1, -1)
     assert conflicts("فساد أخلاقي") == (1, -1)
@@ -196,13 +185,11 @@ def test_criterion_05_conflict_phrases(shipped):
 
 
 def test_criterion_06_idiom_masking(shipped):
-    lex, idioms, cues = shipped["lexicon"], shipped["idioms"], shipped["cues"]
+    analyzer = Analyzer(shipped["lexicon"], shipped["idioms"], shipped["cues"])
     text = "تسليم السلطة للبرلمان تعني تسليم القط مفتاح الكرار"
-    sentences = [tokenize(normalize_text(text))]
-    masked, (po, ng) = mask_idioms(sentences, idioms)
-    assert masked[0].surfaces().count("NG_Phrase") == 1
-    assert (po, ng) == (0, 1)
-    v = extract_features(Topic("x", text), lex, idioms, cues)
+    [row] = analyzer.analyze(text)
+    assert row.words == ["تسليم", "السلطة", "للبرلمان", "تعني", "NG_Phrase"]
+    v = analyzer.vector(text)
     assert v.get(HAS_NG_PH) == 1
     assert v.get(W_PO) == 0 and v.get(W_NG) == 0
     report(6, "proverb masks to one NG_Phrase with no word-level double count")
@@ -242,12 +229,9 @@ def test_criterion_07_classifier_sanity(tmp_path):
 
 
 def _labeled(topics, lex, idioms, cues, stopwords, tagger):
-    out = []
-    for t in topics:
-        v = extract_features(t, lex, idioms, cues, stopwords=stopwords,
-                             tagger=tagger)
-        out.append(LabeledVector(v, 1 if t.label is PO else -1, t.id))
-    return out
+    analyzer = Analyzer(lex, idioms, cues, stopwords=stopwords, tagger=tagger)
+    return [LabeledVector(analyzer.vector(t.text), 1 if t.label is PO else -1, t.id)
+            for t in topics]
 
 
 def test_criterion_08_end_to_end_pipeline(shipped):
@@ -263,10 +247,8 @@ def test_criterion_08_end_to_end_pipeline(shipped):
         model, _labeled(test_t, lex, idioms, cues, stop, tagger))
     assert test_acc >= 0.90
 
-    agree = sum(
-        1 for t in corpus
-        if lexicon_rule_score(t, lex, idioms, cues, stopwords=stop,
-                              tagger=tagger)[1] is t.label)
+    analyzer = Analyzer(lex, idioms, cues, stopwords=stop, tagger=tagger)
+    agree = sum(1 for t in corpus if analyzer.rule_score(t.text)[1] is t.label)
     rule_rate = agree / len(corpus)
     assert rule_rate >= 0.85
     elapsed = time.perf_counter() - start
@@ -299,8 +281,8 @@ def test_criterion_09_expansion_effect_direction(shipped):
         pre_model, _labeled(test_t, seed_lex, idioms, cues, stop, tagger))
 
     provider = FixtureProvider.from_file(resources.data_path("synsets.tsv"))
-    grown, rep = expansion.expand_lexicon(corpus, seed_lex, provider, "batch",
-                                          tagger=tagger, stopwords=stop)
+    grown, rep = expansion.expand_lexicon(corpus, seed_lex, provider, tagger=tagger,
+                                          stopwords=stop)
     assert set(rep.adopted) == set(held)
 
     tagger_g = replace(shipped["resources"], lexicon=grown).tagger

@@ -7,15 +7,7 @@ from hypothesis import given, settings, strategies as st
 import reference_pipeline as ref
 from arasent import resources
 from arasent.errors import ArasentError, TaggerFailure
-from arasent.evaluation import Topic
-from arasent.features import (
-    Analyzer,
-    detect_conflict_phrases,
-    extract_features,
-    lexicon_rule_score,
-    mask_idioms,
-    score_tokens,
-)
+from arasent.features import Analyzer, SentenceTrace
 from arasent.lexicon import IdiomEntry, IdiomLexicon, LexiconEntry, Polarity, SentimentLexicon
 from arasent.preprocess import PosTag, TableTagger, normalize_text
 
@@ -46,6 +38,15 @@ def topics(draw):
     return "".join(w + draw(DELIMITERS) for w in words)
 
 
+def _rows(analysis):
+    """The reference's per-token objects as the analyzer's per-sentence rows."""
+    return [SentenceTrace([t.surface for t in sentence.tokens], [t.tag for t in sentence.tokens],
+                          [st.base if st.base or st.neutral else None for st in raw],
+                          [st.adjusted for st in raw], [st.adjusted for st in resolved])
+            for sentence, raw, resolved in zip(analysis.sentences, analysis.raw_scores,
+                                               analysis.scores)]
+
+
 def _options(use_stop, negation_window, intensifier_window):
     return {"stopwords": STOPWORDS if use_stop else frozenset(), "tagger": TAGGER,
             "negation_window": negation_window, "intensifier_window": intensifier_window}
@@ -62,28 +63,8 @@ def test_analyzer_matches_reference(text, use_stop, negation_window, intensifier
     assert analyzer.vector(text) == want_vector
     net, label = analyzer.rule_score(text)
     assert type(net) is float and net == want_net and label is want_label
-    assert analyzer.analyze(text) == ref.analyze_topic(text, LEX, IDIOMS, CUES, **options)
-    topic = Topic("x", text)
-    assert extract_features(topic, LEX, IDIOMS, CUES, **options) == want_vector
-    assert lexicon_rule_score(topic, LEX, IDIOMS, CUES, **options) == (want_net, want_label)
-
-
-@settings(max_examples=200, deadline=None)
-@given(topics(), st.integers(0, 4), st.integers(0, 3))
-def test_stage_adapters_match_reference(text, negation_window, intensifier_window):
-    """mask_idioms, score_tokens and detect_conflict_phrases keep the
-    reference behaviour on the reference's own intermediate sentences."""
-    want = ref.analyze_topic(text, LEX, IDIOMS, CUES, tagger=TAGGER)
-    tagged = [ref.pos_tag(ref.tokenize(s), TAGGER)
-              for s in ref.split_sentences(ref.normalize_text(text))]
-    assert mask_idioms(tagged, IDIOMS) == ref.mask_idioms(tagged, IDIOMS)
-    for sentence in want.sentences:
-        scored = score_tokens(sentence, LEX, CUES, negation_window=negation_window,
-                              intensifier_window=intensifier_window)
-        assert scored == ref.score_tokens(sentence, LEX, CUES, negation_window,
-                                          intensifier_window)
-        assert detect_conflict_phrases(sentence, scored) == \
-            ref.detect_conflict_phrases(sentence, scored)
+    assert analyzer.analyze(text) == _rows(ref.analyze_topic(text, LEX, IDIOMS, CUES,
+                                                             **options))
 
 
 NOISY_ARABIC = st.text(st.one_of(
@@ -122,9 +103,10 @@ def test_analyzer_drops_stopwords_before_masking():
     # first and so does not block the match
     stop = frozenset({"في"})
     analyzer = Analyzer(LEX, IDIOMS, CUES, stopwords=stop, tagger=TableTagger())
-    assert analyzer.analyze("زي العسل").po_phrases == 1
-    assert analyzer.analyze("زي في العسل").po_phrases == 1
-    assert Analyzer(LEX, IDIOMS, CUES).analyze("زي في العسل").po_phrases == 0
+    assert [row.words for row in analyzer.analyze("زي العسل")] == [["PO_Phrase"]]
+    assert [row.words for row in analyzer.analyze("زي في العسل")] == [["PO_Phrase"]]
+    assert [row.words for row in Analyzer(LEX, IDIOMS, CUES).analyze("زي في العسل")] == \
+        [["زي", "في", "العسل"]]
 
 
 def test_analyzer_rejects_an_idiom_that_contains_a_stopword():
@@ -132,5 +114,6 @@ def test_analyzer_rejects_an_idiom_that_contains_a_stopword():
     idioms = IdiomLexicon([IdiomEntry(("في", "السما"), Polarity.PO)])
     with pytest.raises(ArasentError, match="'في السما' contains the stopword 'في'"):
         Analyzer(LEX, idioms, CUES, stopwords={"في"})
-    assert Analyzer(LEX, idioms, CUES).analyze("في السما").po_phrases == 1
+    assert [row.words for row in Analyzer(LEX, idioms, CUES).analyze("في السما")] == \
+        [["PO_Phrase"]]
     assert IDIOMS and not any(STOPWORDS.intersection(e.phrase) for e in IDIOMS)

@@ -357,10 +357,32 @@ def test_train_takes_no_resource_flags(capsys):
                          ids=["invalid-byte", "lone-surrogate"])
 def test_text_that_is_not_utf8_is_a_data_error(tmp_path, capsys, line):
     corpus = tmp_path / "corpus.jsonl"
-    corpus.write_bytes(line + b"\n")
+    corpus.write_bytes(b'{"id": "ok", "text": "x"}\n' + line + b"\n")
     assert run(["score", "--corpus", str(corpus)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and "utf-8" in err and err.count("\n") == 1
+    assert f"{corpus}:2: " in err and out == ""
+
+
+@pytest.mark.parametrize("line", ['{"id": 1, "text": "رائع"}', '{"id": "a", "text": ["رائع"]}',
+                                  '{"id": "a", "text": "رائع", "genre": 5}'],
+                         ids=["id", "text", "genre"])
+def test_corpus_field_that_is_not_a_string_is_a_data_error(tmp_path, capsys, line):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "ok", "text": "رائع"}\n' + line + "\n", encoding="utf-8")
+    assert run(["score", "--corpus", str(corpus)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {corpus}:2: ") and "must be a string" in err
+    assert out == ""
+
+
+def test_resource_that_is_not_utf8_is_reported_at_its_line(tmp_path, corpus_path, capsys):
+    stopwords = tmp_path / "stopwords.txt"
+    stopwords.write_bytes("في\nمن\n".encode("utf-8") + b"\xff\n")
+    assert run(["score", "--corpus", corpus_path, "--stopwords", str(stopwords)]) == 2
+    assert capsys.readouterr().err == f"error: {stopwords}:3: not valid utf-8 text\n"
+    assert run(["normalize", str(stopwords)]) == 2
+    assert capsys.readouterr() == ("", f"error: {stopwords}:3: not valid utf-8 text\n")
 
 
 def test_seed_beyond_32_bits_trains(tmp_path, corpus_path, capsys):

@@ -88,6 +88,37 @@ def test_corpus_rejects_deeply_nested_json(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("record, field", [
+    ('{"id": 1, "text": "x"}', "'id'"), ('{"id": null, "text": "x"}', "'id'"),
+    ('{"id": "a", "text": 5}', "'text'"), ('{"id": "a", "text": ["رائع"]}', "'text'"),
+    ('{"id": "a", "text": {"t": "x"}}', "'text'"),
+    ('{"id": "a", "text": "x", "genre": 3}', "'genre'")],
+    ids=["int-id", "null-id", "int-text", "list-text", "object-text", "int-genre"])
+def test_corpus_rejects_a_field_that_is_not_a_string(tmp_path, record, field):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "ok", "text": "x"}\n' + record + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"corpus.jsonl:2: {field} must be a string"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("record, field", [
+    ('{"id": "\\ud800", "text": "x"}', "'id'"), ('{"id": "a", "text": "x\\udfff"}', "'text'"),
+    ('{"id": "a", "text": "x", "genre": "\\udc80"}', "'genre'")], ids=["id", "text", "genre"])
+def test_corpus_rejects_a_lone_surrogate(tmp_path, record, field):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(record + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"corpus.jsonl:1: {field} is not valid utf-8 text"):
+        load_corpus(path)
+
+
+def test_corpus_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b'{"id": "a", "text": "x"}\r\n{"id": "b", "text": "y"}\r'
+                     b'{"id": "c", "text": "\xff"}\n')
+    with pytest.raises(ParseError, match="corpus.jsonl:3: not valid utf-8 text"):
+        load_corpus(path)
+
+
 # splitting
 
 def test_split_2000_topics_80_10_10():

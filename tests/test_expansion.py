@@ -14,11 +14,10 @@ from arasent.expansion import (
     SynsetResult,
     detect_orientation,
     expand_lexicon,
-    filter_candidates,
     resolve_oov,
 )
 from arasent.lexicon import LexiconEntry, Polarity, SentimentLexicon
-from arasent.preprocess import PosTag, TableTagger, normalize_text, pos_tag, tokenize
+from arasent.preprocess import PosTag, TableTagger, normalize_text
 
 PO, NG, NU = Polarity.PO, Polarity.NG, Polarity.NU
 
@@ -65,39 +64,41 @@ def tagger():
                        | {"ضجة": PosTag.NN, "يفرح": PosTag.VB})
 
 
-def tagged(text, tagger):
-    return [pos_tag(tokenize(normalize_text(text)), tagger)]
+def candidates(texts, lex, tagger):
+    """The words expansion looks up over a corpus of ``texts``, in order."""
+    asked = []
+
+    class Recording:
+        def fetch(self, word):
+            asked.append(word)
+            return SynsetResult()
+
+    expand_lexicon([Topic(f"t{i}", text) for i, text in enumerate(texts)], lex, Recording(),
+                   tagger=tagger)
+    return asked
 
 
 # candidate filtering
 
 def test_filter_excludes_known_words(lex, tagger):
-    cands = filter_candidates(tagged("مسرور شديد", tagger), lex)
-    assert [c.word for c in cands] == ["شديد"]  # مسرور already in lexicon
+    assert candidates(["مسرور شديد"], lex, tagger) == ["شديد"]  # مسرور already in lexicon
 
 
 def test_filter_excludes_other_tags(lex, tagger):
-    cands = filter_candidates(tagged("غامض شديد", tagger), lex)
-    assert [c.word for c in cands] == ["شديد"]  # غامض tagged OTHER
+    assert candidates(["غامض شديد"], lex, tagger) == ["شديد"]  # غامض tagged OTHER
 
 
 def test_filter_dedups_first_occurrence(lex, tagger):
-    cands = filter_candidates(
-        tagged("هايف شديد هايف هايف شديد", tagger), lex, topic_id="t9")
-    assert [c.word for c in cands] == ["هايف", "شديد"]
-    assert cands[0].source_topic_id == "t9"
-    assert cands[0].tag is PosTag.JJ
+    assert candidates(["هايف شديد هايف", "هايف شديد"], lex, tagger) == ["هايف", "شديد"]
 
 
 def test_filter_excludes_prevent_listed(lex):
     t = TableTagger({"كلام": PosTag.NN, "ضجة": PosTag.NN})
-    cands = filter_candidates(tagged("كلام ضجة", t), lex)
-    assert [c.word for c in cands] == ["ضجة"]
+    assert candidates(["كلام ضجة"], lex, t) == ["ضجة"]
 
 
 def test_filter_accepts_nn_and_vb(lex, tagger):
-    cands = filter_candidates(tagged("ضجة يفرح", tagger), lex)
-    assert {c.word for c in cands} == {"ضجة", "يفرح"}
+    assert candidates(["ضجة يفرح"], lex, tagger) == ["ضجة", "يفرح"]
 
 
 # orientation detection
@@ -251,7 +252,7 @@ def walkthrough_corpus():
 
 def test_expand_nothing_to_do(lex, provider, tagger):
     grown, report = expand_lexicon([Topic("t1", "الموظف مسرور")], lex, provider,
-                                   "batch", tagger=tagger)
+                                   tagger=tagger)
     assert report.counts() == {"adopted": 0, "cos": 0, "oov_pending": 0,
                                "oov_accepted": 0, "oov_rejected": 0, "errors": 0}
     assert grown == lex
@@ -260,7 +261,7 @@ def test_expand_nothing_to_do(lex, provider, tagger):
 def test_expand_three_case_walkthrough(provider, tagger, tmp_path):
     base = seed_lexicon()
     pending = tmp_path / "review.tsv"
-    grown, report = expand_lexicon(walkthrough_corpus(), base, provider, "batch",
+    grown, report = expand_lexicon(walkthrough_corpus(), base, provider,
                                    tagger=tagger, pending_path=pending)
     assert report.adopted == ["مسرور"]
     assert report.cos == ["شديد"]
@@ -274,9 +275,9 @@ def test_expand_three_case_walkthrough(provider, tagger, tmp_path):
 def test_expand_idempotent(provider, tagger, tmp_path):
     base = seed_lexicon()
     pending = tmp_path / "review.tsv"
-    grown, _ = expand_lexicon(walkthrough_corpus(), base, provider, "batch",
+    grown, _ = expand_lexicon(walkthrough_corpus(), base, provider,
                               tagger=tagger, pending_path=pending)
-    again, report = expand_lexicon(walkthrough_corpus(), grown, provider, "batch",
+    again, report = expand_lexicon(walkthrough_corpus(), grown, provider,
                                    tagger=tagger, pending_path=pending)
     assert report.counts()["adopted"] == 0
     assert len(again) == len(grown)
@@ -288,7 +289,7 @@ def test_expand_interactive_accepts_ng(provider, tagger):
     base = seed_lexicon()
     answers = {"هايف": "n"}
     grown, report = expand_lexicon(
-        walkthrough_corpus(), base, provider, "interactive", tagger=tagger,
+        walkthrough_corpus(), base, provider, tagger=tagger,
         ask=lambda item, syn: answers[item.word])
     assert report.oov_accepted == ["هايف"]
     assert grown.lookup("هايف").polarity is NG
@@ -299,13 +300,13 @@ def test_expand_interactive_reject_and_skip(provider, tagger, tmp_path):
     pending = tmp_path / "review.tsv"
     grown, report = expand_lexicon(
         walkthrough_corpus() + [Topic("t4", "الجو هادي")], base, provider,
-        "interactive", tagger=tagger, pending_path=pending,
+        tagger=tagger, pending_path=pending,
         ask=lambda item, syn: {"هايف": "r", "هادي": "s"}[item.word])
     assert report.oov_rejected == ["هايف"]
     assert report.oov_pending == ["هادي"]
     assert "هايف" in grown.prevent_list
     # rejected words never come back as candidates
-    _, report2 = expand_lexicon(walkthrough_corpus(), grown, provider, "batch",
+    _, report2 = expand_lexicon(walkthrough_corpus(), grown, provider,
                                 tagger=tagger)
     assert report2.counts()["oov_pending"] == 0
 
@@ -316,7 +317,7 @@ def test_expand_provider_error_skips_without_prevent_listing(tagger):
             raise ProviderError(word, "offline")
 
     base = seed_lexicon()
-    grown, report = expand_lexicon(walkthrough_corpus(), base, Flaky(), "batch",
+    grown, report = expand_lexicon(walkthrough_corpus(), base, Flaky(),
                                    tagger=tagger)
     assert report.counts()["errors"] == 3
     assert len(grown) == len(base)
@@ -331,16 +332,9 @@ def test_expand_insert_immediately_feeds_later_candidates(tagger):
         "هادي": SynsetResult("Calm", (("مسرور", None),)),  # only known post-adopt
     })
     corpus = [Topic("t1", "الموظف مسرور"), Topic("t2", "الجو هادي")]
-    grown, report = expand_lexicon(corpus, lex, provider, "batch", tagger=tagger)
+    grown, report = expand_lexicon(corpus, lex, provider, tagger=tagger)
     assert report.adopted == ["مسرور", "هادي"]
     assert grown.lookup("هادي").polarity is PO
-
-
-def test_expand_rejects_bad_mode(lex, provider):
-    with pytest.raises(ValueError):
-        expand_lexicon([], lex, provider, "turbo")
-    with pytest.raises(ValueError):
-        expand_lexicon([], lex, provider, "interactive")  # no ask callback
 
 
 class _Fixed:

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from arasent.evaluation import Topic
 from arasent.features import (
+    Analyzer,
     CueLists,
     FeatureVector,
     HAS_NG_PH,
@@ -21,11 +21,6 @@ from arasent.features import (
     W_NG,
     W_NU,
     W_PO,
-    detect_conflict_phrases,
-    extract_features,
-    lexicon_rule_score,
-    mask_idioms,
-    score_tokens,
 )
 from arasent.lexicon import (
     IdiomEntry,
@@ -34,7 +29,7 @@ from arasent.lexicon import (
     Polarity,
     SentimentLexicon,
 )
-from arasent.preprocess import PosTag, TableTagger, normalize_text, pos_tag, tokenize
+from arasent.preprocess import PosTag, TableTagger
 
 PO, NG, NU = Polarity.PO, Polarity.NG, Polarity.NU
 
@@ -80,17 +75,40 @@ def tagger(lex):
     return TableTagger(table)
 
 
-def scored_for(text, lex, cues, tagger=None):
-    s = tokenize(normalize_text(text))
-    s = pos_tag(s, tagger or TableTagger())
-    return score_tokens(s, lex, cues)
+def features(text, lex, idioms, cues, **options):
+    return Analyzer(lex, idioms, cues, **options).vector(text)
+
+
+def rule_score(text, lex, idioms, cues):
+    return Analyzer(lex, idioms, cues).rule_score(text)
+
+
+def scored_for(text, lex, cues, tagger=None, idioms=IdiomLexicon()):
+    """(word, lexicon value, shifted value, resolved value) per word."""
+    rows = Analyzer(lex, idioms, cues, tagger=tagger).analyze(text)
+    return [scored for row in rows
+            for scored in zip(row.words, row.values, row.shifted, row.resolved)]
 
 
 def adjusted_of(text, word, lex, cues):
-    for st_ in scored_for(text, lex, cues):
-        if st_.token.surface == word:
-            return st_.adjusted
+    for surface, _, shifted, _ in scored_for(text, lex, cues):
+        if surface == word:
+            return shifted
     raise AssertionError(f"{word} not found in {text}")
+
+
+def conflicts(text, lex, cues, tagger):
+    """The conflict count and the resolved values of a one-sentence topic."""
+    analyzer = Analyzer(lex, IdiomLexicon(), cues, tagger=tagger)
+    [row] = analyzer.analyze(text)
+    return analyzer.vector(text).get(N_O_CONFLICT), row.resolved
+
+
+def masked(text, idioms):
+    """The words of each sentence after masking, and the (PO, NG) phrase counts."""
+    words = [row.words for row in Analyzer(SentimentLexicon(), idioms, CueLists()).analyze(text)]
+    return words, (sum(ws.count("PO_Phrase") for ws in words),
+                   sum(ws.count("NG_Phrase") for ws in words))
 
 
 # intensifier examples: base value doubles
@@ -122,16 +140,12 @@ def test_flip_applies_with_doubling(lex, cues):
 
 
 def test_neutral_words_tracked_but_score_zero(lex, cues):
-    scored = scored_for("المكان عادي", lex, cues)
-    neutral = [s for s in scored if s.neutral]
-    assert len(neutral) == 1 and neutral[0].adjusted == 0
+    assert scored_for("المكان عادي", lex, cues) == [("المكان", None, 0, 0), ("عادي", 0, 0, 0)]
 
 
-def test_mask_tokens_score_zero(lex, cues):
-    # masks appear only after mask_idioms, so feed tokenize directly
-    s = pos_tag(tokenize("NG_Phrase رائع"), TableTagger())
-    scored = score_tokens(s, lex, cues)
-    assert scored[0].adjusted == 0 and scored[1].adjusted == 1
+def test_mask_tokens_score_zero(lex, cues, idioms):
+    scored = scored_for("تسليم القط مفتاح الكرار رائع", lex, cues, idioms=idioms)
+    assert scored == [("NG_Phrase", None, 0, 0), ("رائع", 1, 1, 1)]
 
 
 def test_negation_involution_1000_random_sentences(lex, cues):
@@ -153,10 +167,8 @@ def test_negation_before_plain_word_changes_only_cue_slots(lex, cues, idioms):
     rng = random.Random(11)
     for _ in range(200):
         words = rng.sample(FILLERS, 4) + [rng.choice(POS_WORDS + NEG_WORDS)]
-        plain = Topic("a", " ".join(words))
-        shifted = Topic("b", " ".join([rng.choice(NEGATORS)] + words))
-        v1 = extract_features(plain, lex, idioms, cues)
-        v2 = extract_features(shifted, lex, idioms, cues)
+        v1 = features(" ".join(words), lex, idioms, cues)
+        v2 = features(" ".join([rng.choice(NEGATORS)] + words), lex, idioms, cues)
         assert v2.get(IS_NEGATION) == 1 and v2.get(N_O_NEGATION) == 1
         assert v1.get(W_PO) == v2.get(W_PO) and v1.get(W_NG) == v2.get(W_NG)
         assert v2.get(NO_OF_WORDS) == v1.get(NO_OF_WORDS) + 1
@@ -175,88 +187,78 @@ def test_intensifier_doubling_1000_random_sentences(lex, cues):
         after = adjusted_of(" ".join(boosted), target, lex, cues)
         assert after == 2 * before
         # other tokens' scores unchanged
-        others_before = [s.adjusted for s in scored_for(" ".join(plain), lex, cues)
-                         if s.token.surface != target]
-        others_after = [s.adjusted for s in scored_for(" ".join(boosted), lex, cues)
-                        if s.token.surface not in (target,) and not s.neutral
-                        and s.token.surface not in INTENSIFIERS]
+        others_before = [shifted for word, _, shifted, _
+                         in scored_for(" ".join(plain), lex, cues) if word != target]
+        others_after = [shifted for word, value, shifted, _
+                        in scored_for(" ".join(boosted), lex, cues)
+                        if word != target and value != 0 and word not in INTENSIFIERS]
         assert others_before == others_after
 
 
 # conflict phrases
 
 def test_conflict_service_bad(lex, cues, tagger):
-    s = pos_tag(tokenize(normalize_text("خدمة سيئة")), tagger)
-    n, out = detect_conflict_phrases(s, score_tokens(s, lex, cues))
+    n, resolved = conflicts("خدمة سيئة", lex, cues, tagger)
     assert n == 1
-    assert sum(o.adjusted for o in out) == -1
+    assert sum(resolved) == -1
 
 
 def test_conflict_moral_corruption(lex, cues, tagger):
-    s = pos_tag(tokenize(normalize_text("فساد أخلاقي")), tagger)
-    n, out = detect_conflict_phrases(s, score_tokens(s, lex, cues))
+    n, resolved = conflicts("فساد أخلاقي", lex, cues, tagger)
     assert n == 1
-    assert sum(o.adjusted for o in out) == -1
+    assert sum(resolved) == -1
 
 
 def test_conflict_requires_opposite_signs(lex, cues, tagger):
-    s = pos_tag(tokenize(normalize_text("خدمة جميلة")), tagger)  # NN + JJ same sign
-    n, out = detect_conflict_phrases(s, score_tokens(s, lex, cues))
+    n, resolved = conflicts("خدمة جميلة", lex, cues, tagger)  # NN + JJ same sign
     assert n == 0
-    assert [o.adjusted for o in out] == [1, 1]
+    assert resolved == [1, 1]
 
 
 def test_conflict_requires_nn_jj_pair(lex, cues):
     tagger = TableTagger({"خدمة": PosTag.NN, "ملل": PosTag.NN})
-    s = pos_tag(tokenize("خدمة ملل"), tagger)  # NN + NN, opposite signs
-    n, _ = detect_conflict_phrases(s, score_tokens(s, lex, cues))
+    n, _ = conflicts("خدمة ملل", lex, cues, tagger)  # NN + NN, opposite signs
     assert n == 0
 
 
 def test_conflict_scan_non_overlapping(lex, cues, tagger):
     # JJ(+) NN(-) JJ(+): the first pair resolves, the survivor cannot re-pair
-    s = pos_tag(tokenize("اخلاقي فساد اخلاقي"),
-                TableTagger({"اخلاقي": PosTag.JJ, "فساد": PosTag.NN}))
-    n, out = detect_conflict_phrases(s, score_tokens(s, lex, cues))
+    n, resolved = conflicts("اخلاقي فساد اخلاقي", lex, cues,
+                            TableTagger({"اخلاقي": PosTag.JJ, "فساد": PosTag.NN}))
     assert n == 1
-    assert [o.adjusted for o in out] == [-1, 0, 1]
+    assert resolved == [-1, 0, 1]
 
 
 # idiom masking
 
 def test_mask_idioms_table1_example(lex, idioms):
-    sents = [tokenize(normalize_text("تسليم السلطة للبرلمان تعني تسليم القط مفتاح الكرار"))]
-    masked, (po, ng) = mask_idioms(sents, idioms)
-    assert masked[0].surfaces() == ["تسليم", "السلطة", "للبرلمان", "تعني", "NG_Phrase"]
-    assert (po, ng) == (0, 1)
-    assert [t.position for t in masked[0].tokens] == [1, 2, 3, 4, 5]
+    words, counts = masked("تسليم السلطة للبرلمان تعني تسليم القط مفتاح الكرار", idioms)
+    assert words == [["تسليم", "السلطة", "للبرلمان", "تعني", "NG_Phrase"]]
+    assert counts == (0, 1)
 
 
 def test_mask_idioms_positive(idioms):
-    masked, (po, ng) = mask_idioms([tokenize("المكان زي العسل")], idioms)
-    assert masked[0].surfaces() == ["المكان", "PO_Phrase"]
-    assert (po, ng) == (1, 0)
+    words, counts = masked("المكان زي العسل", idioms)
+    assert words == [["المكان", "PO_Phrase"]]
+    assert counts == (1, 0)
 
 
 def test_mask_idioms_no_match(idioms):
-    sents = [tokenize("المكان جميل")]
-    masked, counts = mask_idioms(sents, idioms)
-    assert masked[0].surfaces() == ["المكان", "جميل"]
+    words, counts = masked("المكان جميل", idioms)
+    assert words == [["المكان", "جميل"]]
     assert counts == (0, 0)
 
 
 def test_masked_idiom_never_double_counts(lex, cues, idioms):
-    topic = Topic("x", "تسليم السلطة للبرلمان تعني تسليم القط مفتاح الكرار")
-    v = extract_features(topic, lex, idioms, cues)
+    v = features("تسليم السلطة للبرلمان تعني تسليم القط مفتاح الكرار", lex, idioms, cues)
     assert v.get(HAS_NG_PH) == 1
     assert v.get(W_PO) == 0 and v.get(W_NG) == 0
 
 
-# extract_features
+# feature vectors
 
 def test_position_feature_series_example(lex, cues, idioms):
-    topic = Topic("x", "هذا المسلسل رائع لكن يوجد ملل في بعض حلقاته")
-    v = extract_features(topic, lex, idioms, cues)
+    v = features("هذا المسلسل رائع لكن يوجد ملل في بعض حلقاته", lex, idioms, cues)
     assert v.get(NO_OF_WORDS) == 9
     assert v.get(PO_W_POSITION) == pytest.approx(3.0)
     assert v.get(NG_W_POSITION) == pytest.approx(1.5)
@@ -264,26 +266,26 @@ def test_position_feature_series_example(lex, cues, idioms):
 
 
 def test_empty_topic_all_zero(lex, cues, idioms):
-    v = extract_features(Topic("x", ""), lex, idioms, cues)
+    v = features("", lex, idioms, cues)
     assert v.values == {}
 
 
 def test_negation_example_slots(lex, cues, idioms):
-    v = extract_features(Topic("x", "انا لا احب هذا الكتاب"), lex, idioms, cues)
+    v = features("انا لا احب هذا الكتاب", lex, idioms, cues)
     assert v.get(IS_NEGATION) == 1 and v.get(N_O_NEGATION) == 1
     assert v.get(W_NG) == 1 and v.get(W_PO) == 0
     assert v.get(HAS_NG_SENTI) == 1 and v.get(HAS_PO_SENTI) == 0
 
 
 def test_neutral_count_slot(lex, cues, idioms):
-    v = extract_features(Topic("x", "المكان عادي متوسط"), lex, idioms, cues)
+    v = features("المكان عادي متوسط", lex, idioms, cues)
     assert v.get(W_NU) == 2
 
 
 def test_question_and_wishful_slots(lex, cues, idioms):
-    v = extract_features(Topic("x", "هل المكان قذر ليه"), lex, idioms, cues)
+    v = features("هل المكان قذر ليه", lex, idioms, cues)
     assert v.get(13) == 1 and v.get(14) == 2  # Is_Question, N_O_Question
-    v2 = extract_features(Topic("x", "يارب اتمني الفرج"), lex, idioms, cues)
+    v2 = features("يارب اتمني الفرج", lex, idioms, cues)
     assert v2.get(15) == 1 and v2.get(16) == 2  # Is_wishful, N_O_wishful
 
 
@@ -296,7 +298,7 @@ def test_position_monotone_in_word_position(lex, cues, idioms):
         values = []
         for pos in range(n + 1):
             words = fillers[:pos] + ["رائع"] + fillers[pos:]
-            v = extract_features(Topic("x", " ".join(words)), lex, idioms, cues)
+            v = features(" ".join(words), lex, idioms, cues)
             values.append(v.get(PO_W_POSITION))
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -306,27 +308,26 @@ def test_has_flags_match_weights(lex, cues, idioms):
     vocab = POS_WORDS + NEG_WORDS + FILLERS + NEGATORS + INTENSIFIERS
     for _ in range(300):
         words = [rng.choice(vocab) for _ in range(rng.randint(0, 8))]
-        v = extract_features(Topic("x", " ".join(words)), lex, idioms, cues)
+        v = features(" ".join(words), lex, idioms, cues)
         assert (v.get(HAS_PO_SENTI) == 1) == (v.get(W_PO) > 0)
         assert (v.get(HAS_NG_SENTI) == 1) == (v.get(W_NG) > 0)
 
 
 def test_extract_features_deterministic(lex, cues, idioms, tagger):
-    topic = Topic("x", "خدمة سيئة والمكان زي العسل. مش ممتاز جدا هل كده")
-    v1 = extract_features(topic, lex, idioms, cues, tagger=tagger)
-    v2 = extract_features(topic, lex, idioms, cues, tagger=tagger)
+    text = "خدمة سيئة والمكان زي العسل. مش ممتاز جدا هل كده"
+    v1 = features(text, lex, idioms, cues, tagger=tagger)
+    v2 = features(text, lex, idioms, cues, tagger=tagger)
     assert v1 == v2 and v1.schema_version == SCHEMA_VERSION
 
 
 def test_extract_runs_full_pipeline_with_stopwords(lex, cues, idioms):
-    topic = Topic("x", "هذا المكان رائِع 123!")
-    v = extract_features(topic, lex, idioms, cues, stopwords={"هذا"})
+    v = features("هذا المكان رائِع 123!", lex, idioms, cues, stopwords={"هذا"})
     assert v.get(W_PO) == 1
     assert v.get(NO_OF_WORDS) == 2  # هذا removed, digits stripped
 
 
 def test_conflict_slot_via_extract(lex, cues, idioms, tagger):
-    v = extract_features(Topic("x", "المكان خدمة سيئة فعلا"), lex, idioms, cues,
+    v = features("المكان خدمة سيئة فعلا", lex, idioms, cues,
                          tagger=tagger)
     assert v.get(N_O_CONFLICT) == 1
     assert v.get(W_NG) == 1 and v.get(W_PO) == 0
@@ -335,20 +336,18 @@ def test_conflict_slot_via_extract(lex, cues, idioms, tagger):
 # rule-based scorer
 
 def test_rule_score_idiom_plus_word(lex, cues, idioms):
-    net, label = lexicon_rule_score(
-        Topic("x", "تسليم القط مفتاح الكرار والمكان جميلة"), lex, idioms, cues)
+    net, label = rule_score("تسليم القط مفتاح الكرار والمكان جميلة", lex, idioms, cues)
     assert net == -2  # -3 idiom + 1 word
     assert label is NG
 
 
 def test_rule_score_no_hits_is_neutral(lex, cues, idioms):
-    net, label = lexicon_rule_score(Topic("x", "المكان كلام"), lex, idioms, cues)
+    net, label = rule_score("المكان كلام", lex, idioms, cues)
     assert net == 0 and label is NU
 
 
 def test_rule_score_intensified_positive(lex, cues, idioms):
-    net, label = lexicon_rule_score(Topic("x", "هذه المراة جميلة اوي"),
-                                    lex, idioms, cues)
+    net, label = rule_score("هذه المراة جميلة اوي", lex, idioms, cues)
     assert net == 2 and label is PO
 
 
@@ -365,9 +364,9 @@ def test_rule_score_antisymmetric_under_polarity_flip(cues, idioms):
         ["زي", "العسل", "تسليم", "القط", "مفتاح", "الكرار"]
     for _ in range(300):
         words = [rng.choice(vocab) for _ in range(rng.randint(0, 9))]
-        topic = Topic("x", " ".join(words))
-        net1, label1 = lexicon_rule_score(topic, lex, idioms, cues)
-        net2, label2 = lexicon_rule_score(topic, flipped_lex, flipped_idioms, cues)
+        text = " ".join(words)
+        net1, label1 = rule_score(text, lex, idioms, cues)
+        net2, label2 = rule_score(text, flipped_lex, flipped_idioms, cues)
         assert net2 == -net1
         assert label2 is label1.flipped()
 
@@ -382,7 +381,7 @@ def test_slot_domains_over_random_topics(lex, cues, idioms, tagger):
     counts = {W_PO, W_NG, W_NU, NO_OF_WORDS, N_O_NEGATION, 14, 16, N_O_CONFLICT}
     for _ in range(300):
         words = [rng.choice(vocab) for _ in range(rng.randint(0, 10))]
-        v = extract_features(Topic("x", " ".join(words)), lex, idioms, cues,
+        v = features(" ".join(words), lex, idioms, cues,
                              tagger=tagger)
         for slot in binary:
             assert v.get(slot) in (0.0, 1.0)
@@ -393,15 +392,17 @@ def test_slot_domains_over_random_topics(lex, cues, idioms, tagger):
 
 
 def test_scored_token_magnitude_invariant(lex, cues):
-    """adjusted is 0, +-base or +-2*base; zero base never shifts."""
+    """A shifted value is 0, +-value or +-2*value; a zero or unknown value
+    never shifts."""
     rng = random.Random(29)
     vocab = POS_WORDS + NEG_WORDS + NEUTRAL_LEX + FILLERS + NEGATORS + INTENSIFIERS
     for _ in range(500):
         words = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
-        for st_ in scored_for(" ".join(words), lex, cues):
-            assert abs(st_.adjusted) in (0, abs(st_.base), 2 * abs(st_.base))
-            if st_.base == 0:
-                assert st_.adjusted == 0
+        for _, value, shifted, _ in scored_for(" ".join(words), lex, cues):
+            base = value or 0
+            assert abs(shifted) in (0, abs(base), 2 * abs(base))
+            if base == 0:
+                assert shifted == 0
 
 
 # FeatureVector plumbing

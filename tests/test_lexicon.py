@@ -201,6 +201,16 @@ def test_load_idiom_lexicon(tmp_path):
     assert entries[1].gloss == "like honey"
 
 
+def test_load_idiom_phrase_with_delimiters_inside(tmp_path):
+    # a delimiter splits no word, so a phrase loads to the same words with or
+    # without one
+    path = tmp_path / "idioms.tsv"
+    path.write_text("زي. العسل\tPO\n"
+                    "تسليم القط؟ مفتاحُ الكرار!\tNG\n", encoding="utf-8")
+    assert [entry.phrase for entry in load_idiom_lexicon(path)] == [
+        ("زي", "العسل"), ("تسليم", "القط", "مفتاح", "الكرار")]
+
+
 def test_load_idiom_rejects_single_token(tmp_path):
     path = tmp_path / "idioms.tsv"
     path.write_text("رائع\tNG\n", encoding="utf-8")
@@ -231,13 +241,10 @@ def test_idiom_match_prefers_longest():
 
 
 def oracle_flat_count(topics, word):
-    """Independent tf oracle: flat count over normalized token stream."""
-    from arasent.preprocess import normalize_text, split_sentences, tokenize
-    count = 0
-    for t in topics:
-        for s in split_sentences(normalize_text(t.text)):
-            count += sum(1 for w in tokenize(s).surfaces() if w == word)
-    return count
+    """Independent tf oracle: flat count over the normalized text's words."""
+    import re
+    from arasent.preprocess import normalize_text
+    return sum(re.split(r"[\s.!?؟؛]+", normalize_text(t.text)).count(word) for t in topics)
 
 
 def test_update_term_frequencies():

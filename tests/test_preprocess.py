@@ -1,22 +1,22 @@
 import unicodedata
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from arasent import resources
 from arasent.errors import ParseError, TaggerFailure
+from arasent.features import Analyzer, CueLists
+from arasent.lexicon import IdiomEntry, IdiomLexicon, Polarity, SentimentLexicon
 from arasent.preprocess import (
     MASK_TOKENS,
     PosTag,
-    Sentence,
     TableTagger,
-    Token,
-    default_tagger,
     load_stopwords,
     normalize_text,
-    pos_tag,
-    remove_stopwords,
+    preprocess,
     split_sentences,
-    tokenize,
+    tag_words,
 )
 
 ARABIC_LETTERS = set(chr(c) for c in range(0x0621, 0x063B)) | \
@@ -122,83 +122,70 @@ def test_split_sentences_covers_input():
 
 
 def test_tokenize_positions():
-    s = tokenize("هذا المسلسل رائع")
-    assert s.surfaces() == ["هذا", "المسلسل", "رائع"]
-    assert [t.position for t in s.tokens] == [1, 2, 3]
+    assert preprocess("هذا المسلسل رائع") == [["هذا", "المسلسل", "رائع"]]
+    assert preprocess("هذا المسلسل. رائع") == [["هذا", "المسلسل"], ["رائع"]]
 
 
 def test_tokenize_strips_punctuation():
-    s = tokenize("رائع، جدا")
-    assert s.surfaces() == ["رائع", "جدا"]
+    assert preprocess("رائع، جدا") == [["رائع", "جدا"]]
 
 
 def test_tokenize_empty():
-    s = tokenize("")
-    assert s.word_count == 0
-
-
-def test_tokenize_mask_tokens_pass_through():
-    s = tokenize("الموضوع NG_Phrase خالص")
-    assert s.surfaces() == ["الموضوع", "NG_Phrase", "خالص"]
+    assert preprocess("") == []
+    assert preprocess(" ... ") == []
 
 
 @given(st.lists(st.sampled_from(["رائع", "جميل", "سيئ", "NG_Phrase", "PO_Phrase", "كلام"]),
                 max_size=10))
 def test_tokenize_rejoin_stable(words):
-    first = tokenize(" ".join(words))
-    again = tokenize(" ".join(first.surfaces()))
-    assert again.surfaces() == first.surfaces()
+    first = preprocess(" ".join(words))
+    again = preprocess(" ".join(w for ws in first for w in ws))
+    assert again == first
 
 
 def test_remove_stopwords():
-    s = tokenize("هذا المسلسل رائع")
-    out = remove_stopwords(s, {"هذا"})
-    assert out.surfaces() == ["المسلسل", "رائع"]
-    assert [t.position for t in out.tokens] == [1, 2]
+    assert preprocess("هذا المسلسل رائع", {"هذا"}) == [["المسلسل", "رائع"]]
 
 
 def test_remove_stopwords_empty_stoplist_identity():
-    s = tokenize("هذا المسلسل رائع")
-    assert remove_stopwords(s, set()).surfaces() == s.surfaces()
+    assert preprocess("هذا المسلسل رائع", set()) == preprocess("هذا المسلسل رائع")
 
 
 def test_remove_stopwords_empty_sentence():
-    assert remove_stopwords(Sentence(), {"هذا"}).word_count == 0
+    assert preprocess("هذا", {"هذا"}) == [[]]
+    assert preprocess("", {"هذا"}) == []
 
 
 def test_remove_stopwords_keeps_masks():
-    s = tokenize("هذا NG_Phrase")
-    out = remove_stopwords(s, {"هذا", "NG_Phrase"})
-    assert out.surfaces() == ["NG_Phrase"]
+    # stopwords are dropped before idioms are masked, so no stoplist removes a mask
+    idioms = IdiomLexicon([IdiomEntry(("زي", "العسل"), Polarity.PO)])
+    analyzer = Analyzer(SentimentLexicon(), idioms, CueLists(),
+                        stopwords={"هذا", "PO_Phrase"})
+    assert [row.words for row in analyzer.analyze("هذا زي العسل")] == [["PO_Phrase"]]
 
 
 @given(st.lists(st.sampled_from(["في", "من", "رائع", "جميل", "كلام", "ملل"]), max_size=12))
 def test_remove_stopwords_preserves_order(words):
-    s = tokenize(" ".join(words))
-    out = remove_stopwords(s, {"في", "من"})
-    survivors = [w for w in s.surfaces() if w not in {"في", "من"}]
-    assert out.surfaces() == survivors
-    assert [t.position for t in out.tokens] == list(range(1, len(survivors) + 1))
+    survivors = [w for w in words if w not in {"في", "من"}]
+    assert preprocess(" ".join(words), {"في", "من"}) == ([survivors] if words else [])
 
 
 def test_pos_tag_with_table():
     tagger = TableTagger({"خدمة": PosTag.NN, "سيئة": PosTag.JJ})
-    s = pos_tag(tokenize("خدمة سيئة"), tagger)
-    assert [t.tag for t in s.tokens] == [PosTag.NN, PosTag.JJ]
+    assert tag_words(["خدمة", "سيئة"], tagger) == [PosTag.NN, PosTag.JJ]
 
 
 def test_pos_tag_unknown_word_falls_back_to_other():
-    s = pos_tag(tokenize("غموض"), TableTagger())
-    assert s.tokens[0].tag is PosTag.OTHER
+    assert tag_words(["غموض"], TableTagger()) == [PosTag.OTHER]
 
 
 def test_pos_tag_empty_sentence():
-    assert pos_tag(Sentence(), TableTagger()).word_count == 0
+    assert tag_words([], TableTagger()) == []
 
 
 def test_pos_tag_total():
-    s = pos_tag(tokenize("كلمة اخري وثالثة"), TableTagger())
-    assert len([t.tag for t in s.tokens]) == s.word_count
+    words = ["كلمة", "اخري", "وثالثة"]
+    assert len(tag_words(words, TableTagger())) == len(words)
 
 
 def test_pos_tag_bad_external_tagger():
@@ -207,7 +194,7 @@ def test_pos_tag_bad_external_tagger():
             return [PosTag.NN]  # wrong count
 
     with pytest.raises(TaggerFailure):
-        pos_tag(tokenize("كلمة اخري"), Broken())
+        tag_words(["كلمة", "اخري"], Broken())
 
 
 def test_tag_table_file(tmp_path):
@@ -225,11 +212,11 @@ def test_tag_table_rejects_unknown_tag(tmp_path):
 
 
 def test_default_tagger_lexicon_words_default_jj():
-    from arasent.lexicon import LexiconEntry, Polarity, SentimentLexicon
+    from arasent.lexicon import LexiconEntry
     lex = SentimentLexicon([LexiconEntry("رائع", Polarity.PO),
                             LexiconEntry("فساد", Polarity.NG)])
-    tagger = default_tagger({"فساد": PosTag.NN}, lex)
-    assert tagger.tag(["رائع", "فساد"]) == [PosTag.JJ, PosTag.NN]
+    res = replace(resources.load(), lexicon=lex, tags={"فساد": PosTag.NN})
+    assert res.tagger.tag(["رائع", "فساد", "كلام"]) == [PosTag.JJ, PosTag.NN, PosTag.OTHER]
 
 
 def test_load_stopwords(tmp_path):
@@ -243,8 +230,3 @@ def test_mask_tokens_are_the_only_ascii_surfaces():
     assert MASK_TOKENS == {"PO_Phrase", "NG_Phrase"}
     assert all(isinstance(t, str) for t in MASK_TOKENS)
 
-
-def test_token_is_immutable():
-    tok = Token("رائع", 1)
-    with pytest.raises(AttributeError):
-        tok.surface = "آخر"
