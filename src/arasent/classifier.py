@@ -13,13 +13,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import (
-    EmptyTrainingSet,
-    ParseError,
-    SchemaMismatch,
-    SingleClassTrainingSet,
-)
-from .features import N_SLOTS, FeatureVector
+from .errors import EmptyTrainingSet, ParseError, SingleClassTrainingSet
+from .features import N_SLOTS, SCHEMA_VERSION, FeatureVector
 from .fileio import atomic_write, read_lines
 
 
@@ -46,7 +41,6 @@ class LabeledVector:
 class Model:
     weights: tuple[float, ...]  # length N_SLOTS, index slot-1
     bias: float
-    schema_version: int
     config: TrainConfig = field(default_factory=TrainConfig)
 
 
@@ -63,16 +57,10 @@ def train(data: Sequence[LabeledVector],
     labels = {lv.label for lv in data}
     if labels != {1, -1}:
         raise SingleClassTrainingSet(f"need both labels, got {sorted(labels)}")
-    versions = {lv.vector.schema_version for lv in data}
-    if len(versions) != 1:
-        raise SchemaMismatch(f"mixed schema versions {sorted(versions)}")
-    schema_version = versions.pop()
 
     factors = [0.0] * (N_SLOTS + 1)  # column max |x| per slot, when scaling
     for lv in data:
         for slot, value in lv.vector.values.items():
-            if not 1 <= slot <= N_SLOTS:
-                raise SchemaMismatch(f"feature index {slot} outside schema 1..{N_SLOTS}")
             factors[slot] = max(factors[slot], abs(value))
     factors = [f if config.scale_max and f > 0 else 1.0 for f in factors]
     # (index, value) rows over the augmented weights: index 0 is the bias
@@ -105,18 +93,13 @@ def train(data: Sequence[LabeledVector],
 
     # fold scaling back so predict takes raw vectors
     weights = tuple(v / f for v, f in zip(w[1:], factors[1:]))
-    return Model(weights=weights, bias=w[0], schema_version=schema_version, config=config)
+    return Model(weights=weights, bias=w[0], config=config)
 
 
 def predict(model: Model, v: FeatureVector) -> tuple[int, float]:
     """Label and margin for one vector. Margin 0 maps to +1."""
-    if v.schema_version != model.schema_version:
-        raise SchemaMismatch(
-            f"vector schema {v.schema_version} != model schema {model.schema_version}")
     margin = model.bias
     for slot, value in v.values.items():
-        if not 1 <= slot <= N_SLOTS:
-            raise SchemaMismatch(f"feature index {slot} outside schema 1..{N_SLOTS}")
         margin += model.weights[slot - 1] * value
     return (1 if margin >= 0 else -1), float(margin)
 
@@ -167,6 +150,13 @@ def _format_value(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _check_schema(path, line_no, version: int) -> None:
+    """Refuse a file written for any feature schema but this one."""
+    if version != SCHEMA_VERSION:
+        raise ParseError(path, line_no, f"unsupported schema_version {version} "
+                                        f"(only schema {SCHEMA_VERSION} exists)")
+
+
 def write_svmlight(data: Sequence[LabeledVector], path) -> None:
     """Write ``<label> <index>:<value> ... # <comment>`` lines.
 
@@ -175,7 +165,7 @@ def write_svmlight(data: Sequence[LabeledVector], path) -> None:
     """
     with atomic_write(path) as fh:
         if data:
-            fh.write(f"# schema_version: {data[0].vector.schema_version}\n")
+            fh.write(f"# schema_version: {SCHEMA_VERSION}\n")
         for lv in data:
             body = " ".join(f"{i}:{_format_value(val)}" for i, val in lv.vector.pairs())
             line = f"{lv.label:+d}"
@@ -189,10 +179,11 @@ def write_svmlight(data: Sequence[LabeledVector], path) -> None:
 def read_svmlight(path) -> list[LabeledVector]:
     """Parse an SVM-light file written by this module or the original tool.
 
-    Arbitrary whitespace between pairs is fine; ``#`` starts a comment.
+    Arbitrary whitespace between pairs is fine; ``#`` starts a comment. A
+    ``# schema_version:`` header on any line must name ``SCHEMA_VERSION``; a
+    file without one, as the original tool writes, is read as that schema.
     """
     out: list[LabeledVector] = []
-    schema_version = None
     for line_no, raw in read_lines(path):
         line = raw.strip()
         if not line:
@@ -201,9 +192,10 @@ def read_svmlight(path) -> list[LabeledVector]:
             head = line.lstrip("#").strip()
             if head.startswith("schema_version:"):
                 try:
-                    schema_version = int(head.split(":", 1)[1])
+                    version = int(head.split(":", 1)[1])
                 except ValueError:
                     raise ParseError(path, line_no, "bad schema_version header") from None
+                _check_schema(path, line_no, version)
             continue
         body, _, comment = line.partition("#")
         tokens = body.split()
@@ -239,8 +231,6 @@ def read_svmlight(path) -> list[LabeledVector]:
             last_index = index
             values[index] = value
         vector = FeatureVector(values)  # drops zero values
-        if schema_version is not None:
-            vector.schema_version = schema_version
         out.append(LabeledVector(vector, label, comment.strip()))
     return out
 
@@ -248,7 +238,7 @@ def read_svmlight(path) -> list[LabeledVector]:
 def save_model(model: Model, path) -> None:
     """Persist a model as a small text file (full float precision)."""
     with atomic_write(path) as fh:
-        fh.write(f"schema_version: {model.schema_version}\n")
+        fh.write(f"schema_version: {SCHEMA_VERSION}\n")
         fh.write(f"regularization: {model.config.regularization!r}\n")
         fh.write(f"epochs: {model.config.epochs}\n")
         fh.write(f"seed: {model.config.seed}\n")
@@ -281,9 +271,10 @@ def load_model(path) -> Model:
             raise ParseError(path, line_no, f"non-finite {key}: {text}")
         return value
 
+    version = number("schema_version", int)  # raises if the field is missing
+    _check_schema(path, fields["schema_version"][0], version)
     config = TrainConfig(regularization=number("regularization"), epochs=number("epochs", int),
                          seed=number("seed", int),
                          scale_max=fields.get("scaling", (0, "none"))[1] == "max")
     return Model(weights=tuple(number(str(slot)) for slot in range(1, N_SLOTS + 1)),
-                 bias=number("bias"), schema_version=number("schema_version", int),
-                 config=config)
+                 bias=number("bias"), config=config)

@@ -162,7 +162,7 @@ def _cmd_expand(args) -> int:
             if syn.translation:
                 print(f"  translation: {syn.translation}")
             if syn.synonyms:
-                print(f"  synonyms: {', '.join(w for w, _ in syn.synonyms)}")
+                print(f"  synonyms: {', '.join(syn.synonyms)}")
             while True:
                 answer = input("  polarity? [p]ositive / [n]egative / [r]eject / [s]kip: ")
                 if answer.strip().lower() in ("p", "po", "n", "ng", "r", "reject", "s", "skip"):

@@ -52,10 +52,6 @@ class SingleClassTrainingSet(ArasentError):
     """train() was called with only one label present."""
 
 
-class SchemaMismatch(ArasentError):
-    """Feature vector and model disagree on the feature schema."""
-
-
 class InvalidSplitSpec(ArasentError):
     """Split fractions are not positive or do not sum to 1."""
 

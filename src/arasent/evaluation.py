@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     UndefinedMetric,
 )
-from .fileio import read_lines
+from .fileio import atomic_write, read_lines
 from .lexicon import Polarity
 
 GENRES = ("tweet", "hotel", "product", "tv")
@@ -83,7 +83,7 @@ def load_corpus(path) -> list[Topic]:
 
 
 def save_corpus(topics: Iterable[Topic], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for t in topics:
             record = {"id": t.id, "text": t.text}
             if t.label is not None:

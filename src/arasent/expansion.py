@@ -10,6 +10,7 @@ word to human review or, non-interactively, to a pending file.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -22,7 +23,6 @@ from .lexicon import (
     Polarity,
     SentimentLexicon,
     clean_field,
-    count_corpus_tokens,
 )
 from .preprocess import (
     PosTag,
@@ -41,11 +41,11 @@ REJECTED = "REJECTED"
 
 @dataclass(frozen=True)
 class SynsetResult:
-    """Provider answer: optional translation plus (word, gloss) lists."""
+    """Provider answer: optional translation plus synonym and antonym words."""
 
     translation: str | None = None
-    synonyms: tuple[tuple[str, str | None], ...] = ()
-    antonyms: tuple[tuple[str, str | None], ...] = ()
+    synonyms: tuple[str, ...] = ()
+    antonyms: tuple[str, ...] = ()
 
     @property
     def is_empty(self) -> bool:
@@ -97,13 +97,8 @@ def _parse_row(parts: list[str]) -> SynsetResult:
                         antonyms=_parse_word_list(parts[3]))
 
 
-def _parse_word_list(text: str) -> tuple[tuple[str, str | None], ...]:
-    out = []
-    for chunk in text.split(","):
-        w = normalize_text(chunk)
-        if w:
-            out.append((w, None))
-    return tuple(out)
+def _parse_word_list(text: str) -> tuple[str, ...]:
+    return tuple(w for w in map(normalize_text, text.split(",")) if w)
 
 
 class CachingProvider:
@@ -112,8 +107,8 @@ class CachingProvider:
     Answers already in the cache file never hit the inner provider, so an
     online thesaurus client can be plugged in without refetching across
     runs. Cache rows use the fixture TSV format, with tabs and line breaks
-    in the fields replaced by spaces; synonym glosses are not persisted. A
-    fetch answers what a later load of the cache reads back.
+    in the fields replaced by spaces. A fetch answers what a later load of
+    the cache reads back.
     """
 
     def __init__(self, inner: SynsetProvider, cache_path):
@@ -129,8 +124,8 @@ class CachingProvider:
             return self._cache[key]
         result = self._inner.fetch(key)
         row = [key, clean_field(result.translation or ""),
-               ",".join(clean_field(w) for w, _ in result.synonyms),
-               ",".join(clean_field(w) for w, _ in result.antonyms)]
+               ",".join(map(clean_field, result.synonyms)),
+               ",".join(map(clean_field, result.antonyms))]
         self._cache[key] = result = _parse_row(row)
         if key:  # a row without a word would not load
             with open(self._path, "a", encoding="utf-8", newline="\n") as fh:
@@ -154,7 +149,6 @@ class OrientationDecision:
 @dataclass
 class ReviewItem:
     word: str
-    suggested: Polarity | None = None
     status: str = PENDING
     polarity: Polarity | None = None
 
@@ -179,8 +173,7 @@ class ExpansionReport:
         }
 
 
-def detect_orientation(word: str, syn: SynsetResult,
-                       lex: SentimentLexicon) -> OrientationDecision:
+def detect_orientation(syn: SynsetResult, lex: SentimentLexicon) -> OrientationDecision:
     """Classify a candidate by its synonym/antonym votes.
 
     Synonyms vote with their lexicon polarity, antonyms vote flipped;
@@ -190,11 +183,11 @@ def detect_orientation(word: str, syn: SynsetResult,
     if syn.is_empty:
         return OrientationDecision(Outcome.OOV)
     evidence: list[tuple[str, Polarity]] = []
-    for w, _ in syn.synonyms:
+    for w in syn.synonyms:
         entry = lex.lookup(w)
         if entry is not None and entry.polarity is not Polarity.NU:
             evidence.append((w, entry.polarity))
-    for w, _ in syn.antonyms:
+    for w in syn.antonyms:
         entry = lex.lookup(w)
         if entry is not None and entry.polarity is not Polarity.NU:
             evidence.append((w, entry.polarity.flipped()))
@@ -247,9 +240,8 @@ def _load_pending_words(path) -> set[str]:
 
 
 def _append_pending(path, item: ReviewItem) -> None:
-    suggested = item.suggested.value if item.suggested else ""
     with open(path, "a", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{item.word}\t{suggested}\t{item.status}\n")
+        fh.write(f"{item.word}\t{item.status}\n")
 
 
 def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
@@ -272,7 +264,8 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
 
     working = lex.copy()
     report = ExpansionReport()
-    tf_counts = count_corpus_tokens(corpus)
+    # candidates are never stopwords, so counting after their removal keeps every tf
+    tf_counts: Counter = Counter()
     already_pending = _load_pending_words(pending_path) if pending_path else set()
 
     # distinct JJ/NN/VB words unknown to the lexicon and the prevent list,
@@ -280,6 +273,7 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
     candidates: dict[str, None] = {}
     for topic in corpus:
         for words in preprocess(topic.text, stop):
+            tf_counts.update(words)
             for word, tag in zip(words, tag_words(words, tagger)):
                 if (tag in CANDIDATE_TAGS and word not in candidates
                         and working.lookup(word) is None and not working.is_prevented(word)):
@@ -299,7 +293,7 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
         except ProviderError as exc:
             report.errors.append((word, str(exc)))
             continue
-        decision = detect_orientation(word, syn, working)
+        decision = detect_orientation(syn, working)
         if decision.outcome is Outcome.ADOPT:
             working.add(LexiconEntry(word, decision.polarity, gloss=syn.translation or "",
                                      tf=tf_counts.get(word, 0)))

@@ -59,7 +59,6 @@ class FeatureVector:
     """Sparse slot-index -> value map over the fixed schema."""
 
     values: dict[int, float] = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         values = {slot: float(value) for slot, value in self.values.items() if value}

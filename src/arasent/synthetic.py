@@ -22,6 +22,7 @@ from .lexicon import (
     update_term_frequencies,
 )
 from .evaluation import Topic, save_corpus
+from .fileio import atomic_write
 
 PO = Polarity.PO
 NG = Polarity.NG
@@ -411,24 +412,16 @@ def write_data_files(directory) -> None:
         lex = update_term_frequencies(full_vocab_lexicon(include_heldout), corpus)
         save_sentiment_lexicon(lex, directory / name)
 
-    with open(directory / "idioms.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for phrase, polarity, gloss in IDIOMS:
-            fh.write(f"{phrase}\t{polarity.value}\t{gloss}\n")
-
-    for name, terms in (("stopwords.txt", STOPWORDS), ("negators.txt", NEGATORS),
-                        ("intensifiers.txt", INTENSIFIERS),
-                        ("questions.txt", QUESTIONS), ("wishful.txt", WISHFUL)):
-        with open(directory / name, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(terms) + "\n")
-
-    with open(directory / "tags.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for word, _, tag, _, _ in VOCAB:
-            fh.write(f"{word}\t{tag}\n")
-        for word, _, tag, _ in HELDOUT:
-            fh.write(f"{word}\t{tag}\n")
-        for word, tag in EXTRA_TAGGED.items():
-            fh.write(f"{word}\t{tag}\n")
-
-    with open(directory / "synsets.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for word, (translation, syns, ants) in SYNSETS.items():
-            fh.write(f"{word}\t{translation}\t{','.join(syns)}\t{','.join(ants)}\n")
+    tags = [(word, tag) for word, _, tag, *_ in VOCAB + HELDOUT] + list(EXTRA_TAGGED.items())
+    files = {
+        "idioms.tsv": [f"{phrase}\t{polarity.value}\t{gloss}"
+                       for phrase, polarity, gloss in IDIOMS],
+        "stopwords.txt": STOPWORDS, "negators.txt": NEGATORS, "intensifiers.txt": INTENSIFIERS,
+        "questions.txt": QUESTIONS, "wishful.txt": WISHFUL,
+        "tags.tsv": [f"{word}\t{tag}" for word, tag in tags],
+        "synsets.tsv": [f"{word}\t{translation}\t{','.join(syns)}\t{','.join(ants)}"
+                        for word, (translation, syns, ants) in SYNSETS.items()],
+    }
+    for name, lines in files.items():
+        with atomic_write(directory / name) as fh:
+            fh.writelines(line + "\n" for line in lines)

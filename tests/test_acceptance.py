@@ -86,19 +86,19 @@ def test_criterion_02_expansion_walkthrough(tmp_path):
     ])
     provider = FixtureProvider({
         "مسرور": SynsetResult("Delighted",
-                              (("فرحان", None), ("سعيد", None), ("مبتهج", None))),
+                              ("فرحان", "سعيد", "مبتهج")),
         "شديد": SynsetResult("Intense",
-                             (("قوي", None), ("عنيف", None), ("حاد", None))),
+                             ("قوي", "عنيف", "حاد")),
     })
     tagger = TableTagger({w: PosTag.JJ for w in ("مسرور", "شديد", "هايف")})
     corpus = [Topic("t1", "الموظف مسرور"), Topic("t2", "الزحام شديد"),
               Topic("t3", "الفيلم هايف")]
 
-    d = expansion.detect_orientation("مسرور", provider.fetch("مسرور"), lex)
+    d = expansion.detect_orientation(provider.fetch("مسرور"), lex)
     assert d.outcome is Outcome.ADOPT and d.polarity is PO
-    d = expansion.detect_orientation("شديد", provider.fetch("شديد"), lex)
+    d = expansion.detect_orientation(provider.fetch("شديد"), lex)
     assert d.outcome is Outcome.COS
-    d = expansion.detect_orientation("هايف", provider.fetch("هايف"), lex)
+    d = expansion.detect_orientation(provider.fetch("هايف"), lex)
     assert d.outcome is Outcome.OOV
 
     grown, rep = expansion.expand_lexicon(corpus, lex, provider, tagger=tagger,

@@ -17,12 +17,7 @@ from arasent.classifier import (
     train,
     write_svmlight,
 )
-from arasent.errors import (
-    EmptyTrainingSet,
-    ParseError,
-    SchemaMismatch,
-    SingleClassTrainingSet,
-)
+from arasent.errors import EmptyTrainingSet, ParseError, SingleClassTrainingSet
 from arasent.features import N_SLOTS, FeatureVector
 
 
@@ -70,14 +65,6 @@ def test_train_rejects_single_class():
         train([lv({1: 1}, 1), lv({2: 1}, 1)])
 
 
-def test_train_rejects_mixed_schema_versions():
-    a = lv({1: 1}, 1)
-    b = lv({2: 1}, -1)
-    b.vector.schema_version = 2
-    with pytest.raises(SchemaMismatch):
-        train([a, b])
-
-
 def test_train_recovers_hidden_separator():
     w_star, data = hidden_separator_data(200, seed=1)
     model = train(data)
@@ -107,7 +94,7 @@ def test_train_differs_across_seeds():
 def test_objective_no_worse_than_zero_model():
     _, data = hidden_separator_data(120, seed=5)
     config = TrainConfig()
-    zero = Model((0.0,) * N_SLOTS, 0.0, data[0].vector.schema_version, config)
+    zero = Model((0.0,) * N_SLOTS, 0.0, config)
     trained = train(data, config)
     assert objective(trained, data) <= objective(zero, data)
 
@@ -131,22 +118,16 @@ def test_max_scaling_still_separates():
 # prediction
 
 def test_predict_zero_model_tie_rule():
-    model = Model((0.0,) * N_SLOTS, 0.0, 1)
+    model = Model((0.0,) * N_SLOTS, 0.0)
     label, margin = predict(model, FeatureVector({3: 5.0}))
     assert (label, margin) == (1, 0.0)
 
 
 def test_predict_dot_product():
     weights = (0.0,) * 4 + (1.0,) + (0.0,) * (N_SLOTS - 5)  # slot 5
-    model = Model(weights, 0.0, 1)
+    model = Model(weights, 0.0)
     label, margin = predict(model, FeatureVector({5: 3}))
     assert label == 1 and margin == pytest.approx(3.0)
-
-
-def test_predict_schema_mismatch():
-    model = Model((0.0,) * N_SLOTS, 0.0, 2)
-    with pytest.raises(SchemaMismatch):
-        predict(model, FeatureVector({1: 1}))
 
 
 @given(st.floats(min_value=0.01, max_value=100),
@@ -154,8 +135,8 @@ def test_predict_schema_mismatch():
 def test_predict_sign_invariant_under_positive_scaling(scale, values):
     rng = random.Random(0)
     weights = tuple(rng.uniform(-1, 1) for _ in range(N_SLOTS))
-    model = Model(weights, 0.25, 1)
-    scaled = Model(tuple(w * scale for w in weights), 0.25 * scale, 1)
+    model = Model(weights, 0.25)
+    scaled = Model(tuple(w * scale for w in weights), 0.25 * scale)
     v = FeatureVector(dict(values))
     assert predict(model, v)[0] == predict(scaled, v)[0]
 
@@ -219,6 +200,30 @@ def test_read_svmlight_tolerates_whitespace_and_comments(tmp_path):
     assert data[0].vector.values == {2: 1.5, 10: 4.0}
     assert data[0].comment == "topic-7"
     assert data[1].label == -1
+
+
+# the feature schema is checked where files come in
+
+@pytest.mark.parametrize("text, error", [
+    pytest.param("# schema_version: 2\n+1 1:1\n-1 2:1\n",
+                 "1: unsupported schema_version 2", id="first-line"),
+    pytest.param("+1 1:1\n-1 2:1\n# schema_version: 3\n+1 3:1\n",
+                 "3: unsupported schema_version 3", id="after-valid-rows"),
+    pytest.param("# schema_version: x\n+1 1:1\n", "1: bad schema_version header",
+                 id="unparsable")])
+def test_read_svmlight_rejects_another_schema(tmp_path, text, error):
+    path = tmp_path / "f.svml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"f\.svml:{error}"):
+        read_svmlight(path)
+
+
+def test_svmlight_without_a_schema_header_trains(tmp_path):
+    path = tmp_path / "f.svml"
+    path.write_text("+1 5:1\n+1 5:2\n-1 6:1\n-1 6:2\n", encoding="utf-8")
+    data = read_svmlight(path)
+    assert [d.label for d in data] == [1, 1, -1, -1]
+    assert accuracy(train(data), data) == 1.0
 
 
 def grid_value(rng):
@@ -304,6 +309,18 @@ def test_model_written_by_the_earlier_trainer_loads(tmp_path):
     assert model.weights[2] == 1.0149999999999935 and model.bias == -0.00830194542281695
     save_model(model, path)
     assert path.read_text(encoding="utf-8") == EARLIER_MODEL
+
+
+def test_load_model_rejects_another_schema_at_its_line(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text(EARLIER_MODEL.replace("schema_version: 1", "schema_version: 2"),
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match=r"model\.txt:1: unsupported schema_version 2"):
+        load_model(path)
+    path.write_text("\n" + EARLIER_MODEL.replace("schema_version: 1\n", "")
+                    + "schema_version: 0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"model\.txt:24: unsupported schema_version 0"):
+        load_model(path)
 
 
 def test_load_model_rejects_truncated_file(tmp_path):

@@ -406,3 +406,12 @@ def test_failed_predict_leaves_the_output_file_untouched(tmp_path, corpus_path, 
     assert "schema" in capsys.readouterr().err
     assert out.read_bytes() == b"earlier\tPO\t1.000000\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_train_refuses_another_feature_schema_before_writing(tmp_path, capsys):
+    features, model = tmp_path / "f.svml", tmp_path / "m.txt"
+    features.write_text("# schema_version: 2\n+1 5:1\n-1 6:1\n", encoding="utf-8")
+    assert run(["train", "--features", str(features), "--model", str(model)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {features}:1: unsupported schema_version 2 (only schema 1 exists)\n"
+    assert out == "" and not model.exists()

@@ -50,6 +50,21 @@ def test_corpus_round_trip(tmp_path):
     assert load_corpus(path) == corpus
 
 
+def test_failed_corpus_save_leaves_the_old_file(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus([Topic("a", "المكان رائع", PO, "hotel")], path)
+    before = path.read_bytes()
+
+    def topics():
+        yield Topic("b", "ملل", NG, "tv")
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError):
+        save_corpus(topics(), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+
 def test_corpus_rejects_duplicate_ids(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n',

@@ -51,9 +51,9 @@ def lex():
 @pytest.fixture
 def provider():
     return FixtureProvider({
-        "مسرور": SynsetResult("Delighted", (("فرحان", None), ("سعيد", None), ("مبتهج", None))),
-        "شديد": SynsetResult("Intense", (("قوي", None), ("عنيف", None), ("حاد", None))),
-        "قبيح": SynsetResult("Ugly", (), (("جميل", None), ("رائع", None))),
+        "مسرور": SynsetResult("Delighted", ("فرحان", "سعيد", "مبتهج")),
+        "شديد": SynsetResult("Intense", ("قوي", "عنيف", "حاد")),
+        "قبيح": SynsetResult("Ugly", (), ("جميل", "رائع")),
     })
 
 
@@ -104,46 +104,46 @@ def test_filter_accepts_nn_and_vb(lex, tagger):
 # orientation detection
 
 def test_unanimous_synonyms_adopt(lex, provider):
-    d = detect_orientation("مسرور", provider.fetch("مسرور"), lex)
+    d = detect_orientation(provider.fetch("مسرور"), lex)
     assert d.outcome is Outcome.ADOPT and d.polarity is PO
     assert len(d.evidence) == 3
 
 
 def test_conflicting_synonyms_cos(lex, provider):
-    d = detect_orientation("شديد", provider.fetch("شديد"), lex)
+    d = detect_orientation(provider.fetch("شديد"), lex)
     assert d.outcome is Outcome.COS and d.polarity is None
 
 
 def test_no_translation_no_synonyms_oov(lex, provider):
-    d = detect_orientation("هايف", provider.fetch("هايف"), lex)
+    d = detect_orientation(provider.fetch("هايف"), lex)
     assert d.outcome is Outcome.OOV
     assert d.evidence == []
 
 
 def test_unknown_synonyms_route_to_oov(lex):
-    syn = SynsetResult("Mysterious", (("غامض", None), ("مبهم", None)))
-    d = detect_orientation("ملغز", syn, lex)
+    syn = SynsetResult("Mysterious", ("غامض", "مبهم"))
+    d = detect_orientation(syn, lex)
     assert d.outcome is Outcome.OOV
 
 
 def test_neutral_synonyms_contribute_no_evidence(lex):
-    syn = SynsetResult("Ordinary", (("عادي", None),))
-    assert detect_orientation("نمطي", syn, lex).outcome is Outcome.OOV
+    syn = SynsetResult("Ordinary", ("عادي",))
+    assert detect_orientation(syn, lex).outcome is Outcome.OOV
 
 
 def test_antonyms_vote_flipped(lex, provider):
-    d = detect_orientation("قبيح", provider.fetch("قبيح"), lex)
+    d = detect_orientation(provider.fetch("قبيح"), lex)
     assert d.outcome is Outcome.ADOPT and d.polarity is NG
 
 
 def test_never_adopt_neutral(lex):
     results = [
-        SynsetResult("x", (("فرحان", None),), (("عنيف", None),)),
-        SynsetResult("y", (("عادي", None), ("قوي", None))),
+        SynsetResult("x", ("فرحان",), ("عنيف",)),
+        SynsetResult("y", ("عادي", "قوي")),
         SynsetResult(None, (), ()),
     ]
     for syn in results:
-        d = detect_orientation("كلمة", syn, lex)
+        d = detect_orientation(syn, lex)
         assert not (d.outcome is Outcome.ADOPT and d.polarity is NU)
 
 
@@ -160,14 +160,12 @@ def test_antonym_flip_equivalence(syn_words, ant_words):
     ])
     flip_map = {"فرحان": "حزين", "سعيد": "حزين", "عنيف": "مبسوط",
                 "قوي": "مرعب", "جميل": "حزين"}
-    as_given = SynsetResult("x", tuple((w, None) for w in syn_words),
-                            tuple((w, None) for w in ant_words))
-    # replace each antonym (w, p) by a synonym with flipped polarity
-    flipped_syns = tuple((w, None) for w in syn_words) + \
-        tuple((flip_map[w], None) for w in ant_words)
+    as_given = SynsetResult("x", tuple(syn_words), tuple(ant_words))
+    # replace each antonym by a synonym with flipped polarity
+    flipped_syns = tuple(syn_words) + tuple(flip_map[w] for w in ant_words)
     as_synonyms = SynsetResult("x", flipped_syns, ())
-    d1 = detect_orientation("كلمة", as_given, lex)
-    d2 = detect_orientation("كلمة", as_synonyms, lex)
+    d1 = detect_orientation(as_given, lex)
+    d2 = detect_orientation(as_synonyms, lex)
     assert d1.outcome is d2.outcome
     assert d1.polarity is d2.polarity
 
@@ -211,8 +209,8 @@ def test_fixture_provider_from_file(tmp_path):
                     "هايف\t\t\t\n", encoding="utf-8")
     p = FixtureProvider.from_file(path)
     assert p.fetch("مسرور").translation == "Delighted"
-    assert p.fetch("مسرور").synonyms == (("فرحان", None), ("سعيد", None))
-    assert p.fetch("قبيح").antonyms == (("جميل", None),)
+    assert p.fetch("مسرور").synonyms == ("فرحان", "سعيد")
+    assert p.fetch("قبيح").antonyms == ("جميل",)
     assert p.fetch("هايف").is_empty
     assert p.fetch("غيرموجود").is_empty
 
@@ -230,7 +228,7 @@ def test_caching_provider_persists_answers(tmp_path):
     class Counting:
         def fetch(self, word):
             calls.append(word)
-            return SynsetResult("Happy", (("سعيد", None),))
+            return SynsetResult("Happy", ("سعيد",))
 
     cache = tmp_path / "cache.tsv"
     p1 = CachingProvider(Counting(), cache)
@@ -239,7 +237,7 @@ def test_caching_provider_persists_answers(tmp_path):
     assert calls == ["مبسوط"]
     # a fresh wrapper reads the file, no inner calls at all
     p2 = CachingProvider(Counting(), cache)
-    assert p2.fetch("مبسوط").synonyms == (("سعيد", None),)
+    assert p2.fetch("مبسوط").synonyms == ("سعيد",)
     assert calls == ["مبسوط"]
 
 
@@ -269,7 +267,7 @@ def test_expand_three_case_walkthrough(provider, tagger, tmp_path):
     entry = grown.lookup("مسرور")
     assert entry.polarity is PO and entry.gloss == "Delighted" and entry.tf == 1
     assert grown.lookup("شديد") is None  # conflicts never mutate the lexicon
-    assert pending.read_text(encoding="utf-8") == "هايف\t\tPENDING\n"
+    assert pending.read_text(encoding="utf-8") == "هايف\tPENDING\n"
 
 
 def test_expand_idempotent(provider, tagger, tmp_path):
@@ -282,6 +280,16 @@ def test_expand_idempotent(provider, tagger, tmp_path):
     assert report.counts()["adopted"] == 0
     assert len(again) == len(grown)
     # the pending file is not re-appended either
+    assert pending.read_text(encoding="utf-8") == "هايف\tPENDING\n"
+
+
+def test_expand_reads_pending_files_with_the_earlier_middle_column(provider, tagger,
+                                                                  tmp_path):
+    pending = tmp_path / "review.tsv"
+    pending.write_text("هايف\t\tPENDING\n", encoding="utf-8")
+    _, report = expand_lexicon(walkthrough_corpus(), seed_lexicon(), provider,
+                               tagger=tagger, pending_path=pending)
+    assert report.oov_pending == ["هايف"]
     assert pending.read_text(encoding="utf-8") == "هايف\t\tPENDING\n"
 
 
@@ -328,8 +336,8 @@ def test_expand_insert_immediately_feeds_later_candidates(tagger):
     """A word adopted early serves as evidence for a later candidate."""
     lex = SentimentLexicon([LexiconEntry("فرحان", PO), LexiconEntry("سعيد", PO)])
     provider = FixtureProvider({
-        "مسرور": SynsetResult("Delighted", (("فرحان", None), ("سعيد", None))),
-        "هادي": SynsetResult("Calm", (("مسرور", None),)),  # only known post-adopt
+        "مسرور": SynsetResult("Delighted", ("فرحان", "سعيد")),
+        "هادي": SynsetResult("Calm", ("مسرور",)),  # only known post-adopt
     })
     corpus = [Topic("t1", "الموظف مسرور"), Topic("t2", "الجو هادي")]
     grown, report = expand_lexicon(corpus, lex, provider, tagger=tagger)
@@ -351,10 +359,10 @@ class _Fixed:
 
 def test_caching_provider_survives_tabs_and_newlines_in_answers(tmp_path):
     cache = tmp_path / "cache.tsv"
-    answer = SynsetResult("happy\tglad\nhi", (("سعيد", "g\tloss"), ("فرحان\nمبسوط", None)))
+    answer = SynsetResult("happy\tglad\nhi", ("سع\tيد", "فرحان\nمبسوط"))
     first = CachingProvider(_Fixed(answer), cache).fetch("مبسوط")
     assert first.translation == "happy glad hi"
-    assert first.synonyms == (("سعيد", None), ("فرحان مبسوط", None))
+    assert first.synonyms == ("سع يد", "فرحان مبسوط")
     reload = _Fixed(SynsetResult())
     assert CachingProvider(reload, cache).fetch("مبسوط") == first
     assert reload.calls == 0
@@ -371,8 +379,7 @@ def test_caching_provider_round_trip(tmp_path_factory, word, translation, synony
     """fetch, then a fresh provider over the same cache file: same answer,
     without asking the inner provider again."""
     assume(normalize_text(word))
-    answer = SynsetResult(translation, tuple((w, None) for w in synonyms),
-                          tuple((w, "gloss") for w in antonyms))
+    answer = SynsetResult(translation, tuple(synonyms), tuple(antonyms))
     cache = tmp_path_factory.mktemp("cache") / "cache.tsv"
     first = CachingProvider(_Fixed(answer), cache).fetch(word)
     reload = _Fixed(SynsetResult("other"))
