@@ -204,7 +204,11 @@ def _cmd_train(args) -> int:
     data = classifier.read_svmlight(args.features)
     model = classifier.train(data, _train_config(config))
     classifier.save_model(model, args.model)
-    print(f"trained on {len(data)} vectors; model written to {args.model}")
+    if model.gap >= classifier.TOL:
+        print(f"note: stopped by the epochs cap after {model.passes} passes, before the gap "
+              f"{model.gap:.3g} fell under {classifier.TOL:g}", file=sys.stderr)
+    print(f"trained on {len(data)} vectors in {model.passes} passes (gap {model.gap:.3g}); "
+          f"model written to {args.model}")
     return 0
 
 
@@ -235,7 +239,7 @@ def _cmd_evaluate(args) -> int:
         dev_data, _ = pipe.labeled_vectors(dev_t)
         train_cfg, model, dev_acc = classifier.grid_search(
             train_data, dev_data, seed=config.seed)
-        print(f"grid pick: reg={train_cfg.regularization} epochs={train_cfg.epochs} "
+        print(f"grid pick: reg={train_cfg.regularization} "
               f"(dev accuracy {100 * dev_acc:.2f}%)")
     else:
         model = classifier.train(train_data, _train_config(config))
@@ -291,7 +295,7 @@ def _add_config_flags(parser, resource_flags=True, hyper=False):
         parser.add_argument("--seed", type=int, help="random seed (default 42)")
         parser.add_argument("--reg", dest="regularization", type=float,
                             help="L2 regularization strength (default 1e-2)")
-        parser.add_argument("--epochs", type=int, help="training epochs (default 200)")
+        parser.add_argument("--epochs", type=int, help="cap on solver passes (default 200)")
         parser.add_argument("--scale", action="store_const", const=True,
                             help="per-slot max scaling during training")
 

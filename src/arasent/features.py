@@ -8,8 +8,9 @@ lifetime of any trained model. Only nonzero slots are stored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ArasentError
 from .lexicon import IdiomLexicon, Polarity, SentimentLexicon
@@ -54,34 +55,25 @@ DEFAULT_INTENSIFIER_WINDOW = 2
 _SLOTS = frozenset(range(1, N_SLOTS + 1))
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class FeatureVector:
-    """Sparse slot-index -> value map over the fixed schema."""
+    """Read-only sparse slot-index -> value map over the fixed schema."""
 
-    values: dict[int, float] = field(default_factory=dict)
+    values: Mapping[int, float]
 
-    def __post_init__(self):
-        values = {slot: float(value) for slot, value in self.values.items() if value}
-        if self.values.keys() <= _SLOTS and all(map(math.isfinite, values.values())):
-            self.values = values
-        else:  # set() names the first bad slot or value
-            values, self.values = self.values, {}
-            for slot, value in values.items():
-                self.set(slot, value)
+    # one assignment, after validation: a vector is built per topic
+    def __init__(self, values: Mapping[int, float] = MappingProxyType({})):
+        kept = {slot: float(value) for slot, value in values.items() if value}
+        if not (values.keys() <= _SLOTS and all(map(math.isfinite, kept.values()))):
+            for slot, value in values.items():  # name the first bad slot or value
+                if slot not in _SLOTS:
+                    raise ValueError(f"slot {slot} outside schema 1..{N_SLOTS}")
+                if not math.isfinite(float(value)):
+                    raise ValueError(f"slot {slot} value {float(value)} is not finite")
+        object.__setattr__(self, "values", MappingProxyType(kept))
 
     def get(self, slot: int) -> float:
         return self.values.get(slot, 0.0)
-
-    def set(self, slot: int, value: float) -> None:
-        if slot not in _SLOTS:
-            raise ValueError(f"slot {slot} outside schema 1..{N_SLOTS}")
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"slot {slot} value {value} is not finite")
-        if value:
-            self.values[slot] = value
-        else:
-            self.values.pop(slot, None)
 
     def pairs(self) -> list[tuple[int, float]]:
         return sorted(self.values.items())

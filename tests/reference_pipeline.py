@@ -245,25 +245,25 @@ def extract_features(text, lex, idioms, cues, **kw):
             elif st.neutral:
                 w_nu += 1
 
-    v = FeatureVector()
-    v.set(HAS_PO_SENTI, 1 if w_po > 0 else 0)
-    v.set(HAS_NG_SENTI, 1 if w_ng > 0 else 0)
-    v.set(HAS_PO_PH, 1 if a.po_phrases > 0 else 0)
-    v.set(HAS_NG_PH, 1 if a.ng_phrases > 0 else 0)
-    v.set(W_PO, w_po)
-    v.set(W_NG, w_ng)
-    v.set(W_NU, w_nu)
-    v.set(PO_W_POSITION, po_pos)
-    v.set(NG_W_POSITION, ng_pos)
-    v.set(NO_OF_WORDS, a.word_count)
-    v.set(IS_NEGATION, 1 if a.negator_count else 0)
-    v.set(N_O_NEGATION, a.negator_count)
-    v.set(IS_QUESTION, 1 if a.question_count else 0)
-    v.set(N_O_QUESTION, a.question_count)
-    v.set(IS_WISHFUL, 1 if a.wishful_count else 0)
-    v.set(N_O_WISHFUL, a.wishful_count)
-    v.set(N_O_CONFLICT, a.conflicts)
-    return v
+    v = {}  # FeatureVector is read-only: collect the slots, then build it
+    v[HAS_PO_SENTI] = 1 if w_po > 0 else 0
+    v[HAS_NG_SENTI] = 1 if w_ng > 0 else 0
+    v[HAS_PO_PH] = 1 if a.po_phrases > 0 else 0
+    v[HAS_NG_PH] = 1 if a.ng_phrases > 0 else 0
+    v[W_PO] = w_po
+    v[W_NG] = w_ng
+    v[W_NU] = w_nu
+    v[PO_W_POSITION] = po_pos
+    v[NG_W_POSITION] = ng_pos
+    v[NO_OF_WORDS] = a.word_count
+    v[IS_NEGATION] = 1 if a.negator_count else 0
+    v[N_O_NEGATION] = a.negator_count
+    v[IS_QUESTION] = 1 if a.question_count else 0
+    v[N_O_QUESTION] = a.question_count
+    v[IS_WISHFUL] = 1 if a.wishful_count else 0
+    v[N_O_WISHFUL] = a.wishful_count
+    v[N_O_CONFLICT] = a.conflicts
+    return FeatureVector(v)
 
 
 def lexicon_rule_score(text, lex, idioms, cues, **kw):

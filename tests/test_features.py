@@ -409,17 +409,26 @@ def test_scored_token_magnitude_invariant(lex, cues):
 def test_feature_vector_stores_only_nonzero():
     v = FeatureVector({1: 1.0, 5: 0.0, 10: 9})
     assert v.values == {1: 1.0, 10: 9.0}
-    v.set(5, 2)
-    v.set(1, 0)
+    v = FeatureVector({10: 9, 5: 2, 1: 0})
     assert v.pairs() == [(5, 2.0), (10, 9.0)]
 
 
 def test_feature_vector_rejects_out_of_schema_slot():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slot 18 outside"):
         FeatureVector({18: 1.0})
-    v = FeatureVector()
-    with pytest.raises(ValueError):
-        v.set(0, 1.0)
+    with pytest.raises(ValueError, match="slot 0 outside"):
+        FeatureVector({3: 1.0, 0: 1.0})
+
+
+def test_feature_vector_is_read_only():
+    # a slot written after construction would skip the slot check: slot 0
+    # would land on the bias column in train and on weight 17 in predict
+    v = FeatureVector({1: 1.0})
+    with pytest.raises(TypeError):
+        v.values[0] = 1.0
+    with pytest.raises(TypeError):
+        del v.values[1]
+    assert v.pairs() == [(1, 1.0)]
 
 
 @given(st.dictionaries(st.integers(1, 17), st.floats(-5, 5, allow_nan=False),

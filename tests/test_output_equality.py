@@ -4,8 +4,8 @@ The extract, score and evaluate digests below were taken from the
 implementation that built features through per-token ``Token``/``ScoredToken``
 copies, the ``predict_labels`` digests (id and label columns only) from the
 earlier, vectorised SGD trainer. The train and predict digests pin the
-list-based trainer, whose shuffle and summation order differ from the
-vectorised one; its margins moved but no predicted label did. Any change to featurization, scoring or
+dual coordinate descent solver, which replaced fixed-epoch SGD; its margins
+moved but no predicted label did. Any change to featurization, scoring or
 training that alters a single output byte fails here, on the shipped corpus
 and on a generated multi-sentence corpus.
 """
@@ -21,8 +21,8 @@ from arasent.resources import data_path
 
 SHIPPED = {
     "extract": "0af0eb083236971462d03a150758e2eb870f6d97f5e8da11043470fe96b91430",
-    "train": "fb3a9fd6aff327de432a414f9e32886bd9afe214043077032474f4baf64fe938",
-    "predict": "36fb7ce3a765f644ea774eecde547a4e57df68b3b13a9dd8160c6cfcca3cc606",
+    "train": "a4078035fe2b21b2df613e098aa70c4f82c120a0b22932430c768e231cb2593d",
+    "predict": "ad43cd255dc281fbce7f40641e61a804ead02cd2e1c5577d9a4b0d7b5064442b",
     "predict_labels": "e0a3a878cfdbb0ca0bf1b9912d7506f25654f4b397a3d1ef8c34376d124e894f",
     "score": "c66d40cbd172ee43b144a8e131ced458e21859b91198ed91240c0f14489e9107",
     "evaluate": "7ff94ed1f8ab11ce6389d05a74d6df0c93e099e1ce5b1fc9ddd396027fcec83d",
@@ -30,7 +30,7 @@ SHIPPED = {
 
 REVIEWS = {
     "extract": "b08e65bcede0dc6688e181466c7710f7fe209f1087d7143211f225390df096a1",
-    "predict": "ecb1fb2db271087366237d9d7896cdbebfb62978568c6f6e2762273868631717",
+    "predict": "4b75b4145d96595773af8d86ea512387f1407bacfd5badb5d4c634a0c543a384",
     "predict_labels": "cceb2e0cef80c054bc0b43b2e2784aae1d8aa75e9c9ce63902045419409c005f",
     "score": "6abffa4f3ef9d8d56d3275e084e807f93aacf82ca0c6ce2c9404cb102d63b282",
 }
