@@ -15,7 +15,6 @@ from .lexicon import (  # noqa: F401
 )
 from .preprocess import (  # noqa: F401
     PosTag,
-    TableTagger,
     normalize_text,
     split_sentences,
 )

@@ -170,7 +170,7 @@ def _cmd_expand(args) -> int:
                 print("  please answer p, n, r or s")
 
     grown, report = expansion.expand_lexicon(
-        corpus, pipe.resources.lexicon, provider, tagger=pipe.resources.tagger,
+        corpus, pipe.resources.lexicon, provider, tags=pipe.resources.word_tags,
         stopwords=pipe.resources.stopwords, pending_path=pending, ask=ask)
     save_sentiment_lexicon(grown, out_path)
     for key, value in report.counts().items():

@@ -27,10 +27,6 @@ class DuplicatePhrase(ArasentError):
     """The same token sequence was added to an idiom lexicon twice."""
 
 
-class TaggerFailure(ArasentError):
-    """A POS tagger returned a tag count different from the token count."""
-
-
 class InvalidPolarity(ArasentError):
     """An operator answer did not name a usable polarity."""
 

@@ -24,13 +24,7 @@ from .lexicon import (
     SentimentLexicon,
     clean_field,
 )
-from .preprocess import (
-    PosTag,
-    TableTagger,
-    normalize_text,
-    preprocess,
-    tag_words,
-)
+from .preprocess import PosTag, normalize_text, preprocess
 
 CANDIDATE_TAGS = frozenset({PosTag.JJ, PosTag.NN, PosTag.VB})
 
@@ -53,7 +47,9 @@ class SynsetResult:
 
 
 class SynsetProvider(Protocol):
-    def fetch(self, word: str) -> SynsetResult: ...
+    def fetch(self, word: str) -> SynsetResult:
+        """The answer for a normalized word, its synonyms and antonyms
+        normalized too."""
 
 
 class FixtureProvider:
@@ -61,7 +57,8 @@ class FixtureProvider:
 
     Row format: ``word<TAB>translation<TAB>syn1,syn2,...<TAB>ant1,ant2,...``
     with empty fields allowed. Words absent from the table answer with an
-    empty result (the out-of-vocabulary case), never an error.
+    empty result (the out-of-vocabulary case), never an error. ``table``
+    holds normalized words only, as ``from_file`` builds it.
     """
 
     def __init__(self, table: Mapping[str, SynsetResult] | None = None):
@@ -87,7 +84,7 @@ class FixtureProvider:
         return cls(table)
 
     def fetch(self, word: str) -> SynsetResult:
-        return self._table.get(normalize_text(word), SynsetResult())
+        return self._table.get(word, SynsetResult())
 
 
 def _parse_row(parts: list[str]) -> SynsetResult:
@@ -233,9 +230,9 @@ def _load_pending_words(path) -> set[str]:
     if not p.exists():
         return words
     for _, line in read_lines(p):
-        parts = line.rstrip("\n").split("\t")
-        if parts and parts[0].strip():
-            words.add(parts[0].strip())
+        word = normalize_text(line.split("\t", 1)[0])
+        if word:
+            words.add(word)
     return words
 
 
@@ -245,13 +242,14 @@ def _append_pending(path, item: ReviewItem) -> None:
 
 
 def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
-                   tagger=None,
+                   tags: Mapping[str, PosTag] = {},
                    stopwords: Iterable[str] = frozenset(),
                    pending_path=None,
                    ask: Callable[[ReviewItem, SynsetResult], str] | None = None,
                    ) -> tuple[SentimentLexicon, ExpansionReport]:
     """Run the four expansion steps over a corpus.
 
+    ``tags`` maps words to their tag; a word it lacks is no candidate.
     Adopted words are inserted immediately, so later candidates can use
     them as evidence; processing order is first occurrence in the corpus.
     Provider errors skip the candidate (they are transient, not evidence
@@ -259,7 +257,6 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
     ``pending_path``, unless an ``ask`` callback is given: then it supplies
     the operator's answer (``s`` skips to pending).
     """
-    tagger = tagger if tagger is not None else TableTagger()
     stop = set(stopwords)
 
     working = lex.copy()
@@ -274,8 +271,8 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
     for topic in corpus:
         for words in preprocess(topic.text, stop):
             tf_counts.update(words)
-            for word, tag in zip(words, tag_words(words, tagger)):
-                if (tag in CANDIDATE_TAGS and word not in candidates
+            for word in words:
+                if (tags.get(word) in CANDIDATE_TAGS and word not in candidates
                         and working.lookup(word) is None and not working.is_prevented(word)):
                     candidates[word] = None
 
@@ -286,8 +283,6 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
             already_pending.add(item.word)
 
     for word in candidates:
-        if working.lookup(word) is not None or working.is_prevented(word):
-            continue
         try:
             syn = provider.fetch(word)
         except ProviderError as exc:

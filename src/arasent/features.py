@@ -18,10 +18,8 @@ from .preprocess import (
     NG_MASK,
     PO_MASK,
     PosTag,
-    TableTagger,
     load_stopwords,
     preprocess,
-    tag_words,
 )
 
 SCHEMA_VERSION = 1
@@ -164,11 +162,12 @@ class Analyzer:
     """Featurizes topics in one walk per sentence over plain lists.
 
     Built once from the resources, it sees the lexicon (kept as a word ->
-    {+1, -1, 0} map) and the idioms as they were then. Read-only, so safe to
+    {+1, -1, 0} map), the word -> tag table and the idioms as they were then;
+    words missing from the tag table are tagged OTHER. Read-only, so safe to
     share across threads."""
 
     def __init__(self, lex: SentimentLexicon, idioms: IdiomLexicon, cues: CueLists, *,
-                 stopwords: Iterable[str] = frozenset(), tagger=None,
+                 stopwords: Iterable[str] = frozenset(), tags: Mapping[str, PosTag] = {},
                  negation_window: int = DEFAULT_NEGATION_WINDOW,
                  intensifier_window: int = DEFAULT_INTENSIFIER_WINDOW):
         self.idioms, self.cues = idioms, cues
@@ -177,7 +176,7 @@ class Analyzer:
             for word in self.stopwords.intersection(entry.phrase):
                 raise ArasentError(f"idiom {' '.join(entry.phrase)!r} contains the "
                                    f"stopword {word!r}, so it can never match")
-        self.tagger = tagger if tagger is not None else TableTagger()
+        self.tags = dict(tags)
         self.windows = (negation_window, intensifier_window)
         self._values = {entry.word: _SIGN[entry.polarity] for entry in lex}
         self._idiom_starts = frozenset(entry.phrase[0] for entry in idioms)
@@ -185,12 +184,12 @@ class Analyzer:
     def _walk(self, text: str, sink: list | None = None):
         """Slot values (raw, in slot order) and net score of a topic; ``sink``
         also gets each sentence's trace."""
-        cues, values = self.cues, self._values
+        cues, values, tag_of, other = self.cues, self._values, self.tags.get, PosTag.OTHER
         w_po = w_ng = w_nu = n_words = po_ph = ng_ph = conflicts = net = 0
         negations = questions = wishes = 0
         po_pos = ng_pos = 0.0
         for words in preprocess(text, self.stopwords):
-            tags = tag_words(words, self.tagger)
+            tags = [tag_of(w, other) for w in words]
             if not self._idiom_starts.isdisjoint(words):
                 words, tags, po, ng = _mask_phrases(words, tags, self.idioms)
                 po_ph += po

@@ -50,7 +50,10 @@ class LexiconEntry:
 
 
 class SentimentLexicon:
-    """Map of normalized word -> entry, plus the disjoint prevent list."""
+    """Map of normalized word -> entry, plus the disjoint prevent list.
+
+    ``add`` and ``add_prevent`` normalize the words they are given; the
+    readers (``lookup``, ``is_prevented``, ``in``) take normalized words."""
 
     def __init__(self, entries: Iterable[LexiconEntry] = (),
                  prevent: Iterable[str] = ()):
@@ -82,8 +85,8 @@ class SentimentLexicon:
         self._prevent.add(w)
 
     def lookup(self, word: str) -> LexiconEntry | None:
-        """Entry for the normalized form of ``word``, or None."""
-        return self._entries.get(normalize_text(word))
+        """Entry for the normalized word ``word``, or None."""
+        return self._entries.get(word)
 
     def words(self) -> list[str]:
         return list(self._entries)
@@ -98,8 +101,8 @@ class SentimentLexicon:
         return frozenset(self._prevent)
 
     def is_prevented(self, word: str) -> bool:
-        """True when the normalized form of ``word`` is on the prevent list."""
-        return normalize_text(word) in self._prevent
+        """True when the normalized word ``word`` is on the prevent list."""
+        return word in self._prevent
 
     def polarity_counts(self) -> dict[Polarity, int]:
         counts = {p: 0 for p in Polarity}
@@ -117,7 +120,7 @@ class SentimentLexicon:
         return len(self._entries)
 
     def __contains__(self, word: str) -> bool:
-        return normalize_text(word) in self._entries
+        return word in self._entries
 
     def __iter__(self) -> Iterator[LexiconEntry]:
         return iter(self._entries.values())

@@ -1,19 +1,22 @@
-"""Normalization, sentence splitting, tokenization and POS tagging.
+"""Normalization, sentence splitting and tokenization.
 
-Everything downstream (lexicon lookups, idiom matching, cue detection)
-assumes the canonical form produced here: alef variants unified, alef
-maqsura mapped to ya, diacritics and tatweel stripped, and every
-non-Arabic character dropped. Whitespace and the sentence delimiter set
-survive normalization so that sentence splitting still works afterwards.
+Every word table in the package (the lexicon and its prevent list, the tag
+table, the synsets, the cue lists, the stopwords and the idioms) is a plain
+mapping or set keyed by the canonical form produced here: alef variants
+unified, alef maqsura mapped to ya, diacritics and tatweel stripped, and
+every non-Arabic character dropped. The code that reads a file, or adds an
+entry, normalizes; readers look words up as they are given. Whitespace and
+the sentence delimiter set survive normalization so that sentence splitting
+still works afterwards.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Collection, Mapping, Protocol, Sequence
+from typing import Collection
 
-from .errors import ParseError, TaggerFailure
+from .errors import ParseError
 from .fileio import read_lines
 
 # Idiom mask words are the only non-Arabic words a masked sentence holds.
@@ -77,30 +80,8 @@ def preprocess(text: str, stopwords: Collection[str] = frozenset()) -> list[list
     return sentences
 
 
-class PosTagger(Protocol):
-    def tag(self, words: Sequence[str]) -> Sequence[PosTag]: ...
-
-
-class TableTagger:
-    """Word-to-tag lookup with an OTHER fallback for unknown words.
-
-    The table is immutable after construction, so a single instance is safe
-    to share across threads.
-    """
-
-    def __init__(self, table: Mapping[str, PosTag] | None = None):
-        self._table = dict(table or {})
-
-    @classmethod
-    def from_file(cls, path) -> "TableTagger":
-        """Load a TSV tag table: ``word<TAB>tag``, tag in {JJ, NN, VB, OTHER}."""
-        return cls(load_tag_table(path))
-
-    def tag(self, words: Sequence[str]) -> list[PosTag]:
-        return [self._table.get(w, PosTag.OTHER) for w in words]
-
-
 def load_tag_table(path) -> dict[str, PosTag]:
+    """Load a TSV tag table: ``word<TAB>tag``, tag in {JJ, NN, VB, OTHER}."""
     table: dict[str, PosTag] = {}
     for line_no, line in read_lines(path):
         line = line.rstrip("\n")
@@ -110,6 +91,8 @@ def load_tag_table(path) -> dict[str, PosTag]:
         if len(parts) != 2:
             raise ParseError(path, line_no, "expected 2 tab-separated columns")
         word, tag = normalize_text(parts[0]), parts[1].strip()
+        if not word:
+            raise ParseError(path, line_no, "word is empty after normalization")
         try:
             table[word] = PosTag(tag)
         except ValueError:
@@ -117,21 +100,14 @@ def load_tag_table(path) -> dict[str, PosTag]:
     return table
 
 
-def tag_words(words: Sequence[str], tagger: PosTagger) -> list[PosTag]:
-    """One tag per word via the given tagger. Raises TaggerFailure when a
-    pluggable tagger misbehaves and returns a different number of tags."""
-    tags = list(tagger.tag(words))
-    if len(tags) != len(words):
-        raise TaggerFailure(f"tagger returned {len(tags)} tags for {len(words)} tokens")
-    return tags
-
-
 def load_stopwords(path) -> frozenset[str]:
-    """One normalized word per line; ``#`` starts a comment."""
+    """One word per line, normalized on load; ``#`` starts a comment."""
     words = set()
-    for _, line in read_lines(path):
+    for line_no, line in read_lines(path):
         word = line.split("#", 1)[0].strip()
         if word:
-            words.add(normalize_text(word))
-    words.discard("")
+            word = normalize_text(word)
+            if not word:
+                raise ParseError(path, line_no, "word is empty after normalization")
+            words.add(word)
     return frozenset(words)

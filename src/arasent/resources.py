@@ -16,7 +16,7 @@ from .lexicon import (
     load_idiom_lexicon,
     load_sentiment_lexicon,
 )
-from .preprocess import PosTag, TableTagger, load_stopwords, load_tag_table
+from .preprocess import PosTag, load_stopwords, load_tag_table
 
 # Resource key -> packaged file name. The keys are also the CLI flags and
 # the config-file keys that override a file.
@@ -57,13 +57,13 @@ class Resources:
     tags: dict[str, PosTag]
 
     @property
-    def tagger(self) -> TableTagger:
+    def word_tags(self) -> dict[str, PosTag]:
         """The tag table, with the other words of ``lexicon`` tagged JJ."""
-        return TableTagger({**dict.fromkeys(self.lexicon.words(), PosTag.JJ), **self.tags})
+        return {**dict.fromkeys(self.lexicon.words(), PosTag.JJ), **self.tags}
 
     def analyzer(self, **windows) -> Analyzer:
         return Analyzer(self.lexicon, self.idioms, self.cues, stopwords=self.stopwords,
-                        tagger=self.tagger, **windows)
+                        tags=self.word_tags, **windows)
 
 
 def load(paths: Mapping[str, str | Path] = {}) -> Resources:

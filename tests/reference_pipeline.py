@@ -2,16 +2,17 @@
 
 This is the composition of per-token stages that featurized topics before
 the one-pass ``features.Analyzer``: every stage builds fresh
-``Token``/``ScoredToken`` objects, every lexicon lookup normalizes its word,
-and normalization runs one regular expression per step. It stays here,
-unoptimized and with its own copies of the token types, so that
-differential tests can check the analyzer against it.
+``Token``/``ScoredToken`` objects, every sentence is tagged through a tagger
+object, and normalization runs one regular expression per step. It stays
+here, unoptimized and with its own copies of the token types and of the
+table tagger, so that differential tests can check the analyzer against it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from typing import Mapping, Sequence
 
 from arasent.features import (
     HAS_NG_PH,
@@ -39,7 +40,6 @@ from arasent.preprocess import (
     NG_MASK,
     PO_MASK,
     PosTag,
-    TableTagger,
     split_sentences,
 )
 
@@ -93,6 +93,16 @@ class TopicAnalysis:
     @property
     def word_count(self):
         return sum(s.word_count for s in self.sentences)
+
+
+class TableTagger:
+    """Word-to-tag lookup with an OTHER fallback for unknown words."""
+
+    def __init__(self, table: Mapping[str, PosTag] | None = None):
+        self._table = dict(table or {})
+
+    def tag(self, words: Sequence[str]) -> list[PosTag]:
+        return [self._table.get(w, PosTag.OTHER) for w in words]
 
 
 def normalize_text(raw):

@@ -40,7 +40,7 @@ from arasent.lexicon import (
     load_sentiment_lexicon,
     save_sentiment_lexicon,
 )
-from arasent.preprocess import PosTag, TableTagger
+from arasent.preprocess import PosTag
 
 PO, NG, NU = Polarity.PO, Polarity.NG, Polarity.NU
 
@@ -60,7 +60,7 @@ def shipped():
         "idioms": res.idioms,
         "cues": res.cues,
         "stopwords": res.stopwords,
-        "tagger": res.tagger,
+        "tags": res.word_tags,
         "corpus": load_corpus(resources.data_path("corpus.jsonl")),
     }
 
@@ -90,7 +90,7 @@ def test_criterion_02_expansion_walkthrough(tmp_path):
         "شديد": SynsetResult("Intense",
                              ("قوي", "عنيف", "حاد")),
     })
-    tagger = TableTagger({w: PosTag.JJ for w in ("مسرور", "شديد", "هايف")})
+    tags = {w: PosTag.JJ for w in ("مسرور", "شديد", "هايف")}
     corpus = [Topic("t1", "الموظف مسرور"), Topic("t2", "الزحام شديد"),
               Topic("t3", "الفيلم هايف")]
 
@@ -101,13 +101,13 @@ def test_criterion_02_expansion_walkthrough(tmp_path):
     d = expansion.detect_orientation(provider.fetch("هايف"), lex)
     assert d.outcome is Outcome.OOV
 
-    grown, rep = expansion.expand_lexicon(corpus, lex, provider, tagger=tagger,
+    grown, rep = expansion.expand_lexicon(corpus, lex, provider, tags=tags,
                                           pending_path=tmp_path / "pending.tsv")
     assert rep.adopted == ["مسرور"] and grown.lookup("مسرور").polarity is PO
     assert rep.cos == ["شديد"] and grown.lookup("شديد") is None
     assert rep.oov_pending == ["هايف"]
 
-    grown2, rep2 = expansion.expand_lexicon(corpus, lex, provider, tagger=tagger,
+    grown2, rep2 = expansion.expand_lexicon(corpus, lex, provider, tags=tags,
                                             ask=lambda item, syn: "n")
     assert rep2.oov_accepted == ["هايف"]
     assert grown2.lookup("هايف").polarity is NG
@@ -165,7 +165,7 @@ def test_criterion_04_position_feature(shipped):
 
 def test_criterion_05_conflict_phrases(shipped):
     analyzer = Analyzer(shipped["lexicon"], IdiomLexicon(), shipped["cues"],
-                        tagger=shipped["tagger"])
+                        tags=shipped["tags"])
 
     def conflicts(text):
         [row] = analyzer.analyze(text)
@@ -228,8 +228,8 @@ def test_criterion_07_classifier_sanity(tmp_path):
     report(7, f"oracle separator recovered, identical model files ({elapsed:.2f}s)")
 
 
-def _labeled(topics, lex, idioms, cues, stopwords, tagger):
-    analyzer = Analyzer(lex, idioms, cues, stopwords=stopwords, tagger=tagger)
+def _labeled(topics, lex, idioms, cues, stopwords, tags):
+    analyzer = Analyzer(lex, idioms, cues, stopwords=stopwords, tags=tags)
     return [LabeledVector(analyzer.vector(t.text), 1 if t.label is PO else -1, t.id)
             for t in topics]
 
@@ -238,16 +238,16 @@ def test_criterion_08_end_to_end_pipeline(shipped):
     start = time.perf_counter()
     corpus = shipped["corpus"]
     lex, idioms, cues = shipped["lexicon"], shipped["idioms"], shipped["cues"]
-    stop, tagger = shipped["stopwords"], shipped["tagger"]
+    stop, tags = shipped["stopwords"], shipped["tags"]
 
     train_t, dev_t, test_t = split_corpus(corpus, SplitSpec())
     assert (len(train_t), len(dev_t), len(test_t)) == (160, 20, 20)
-    model = classifier.train(_labeled(train_t, lex, idioms, cues, stop, tagger))
+    model = classifier.train(_labeled(train_t, lex, idioms, cues, stop, tags))
     test_acc = classifier.accuracy(
-        model, _labeled(test_t, lex, idioms, cues, stop, tagger))
+        model, _labeled(test_t, lex, idioms, cues, stop, tags))
     assert test_acc >= 0.90
 
-    analyzer = Analyzer(lex, idioms, cues, stopwords=stop, tagger=tagger)
+    analyzer = Analyzer(lex, idioms, cues, stopwords=stop, tags=tags)
     agree = sum(1 for t in corpus if analyzer.rule_score(t.text)[1] is t.label)
     rule_rate = agree / len(corpus)
     assert rule_rate >= 0.85
@@ -274,22 +274,22 @@ def test_criterion_09_expansion_effect_direction(shipped):
 
     train_t, _, test_t = split_corpus(corpus, SplitSpec())
 
-    tagger = replace(shipped["resources"], lexicon=seed_lex).tagger
+    tags = replace(shipped["resources"], lexicon=seed_lex).word_tags
     pre_model = classifier.train(
-        _labeled(train_t, seed_lex, idioms, cues, stop, tagger))
+        _labeled(train_t, seed_lex, idioms, cues, stop, tags))
     pre_acc = classifier.accuracy(
-        pre_model, _labeled(test_t, seed_lex, idioms, cues, stop, tagger))
+        pre_model, _labeled(test_t, seed_lex, idioms, cues, stop, tags))
 
     provider = FixtureProvider.from_file(resources.data_path("synsets.tsv"))
-    grown, rep = expansion.expand_lexicon(corpus, seed_lex, provider, tagger=tagger,
+    grown, rep = expansion.expand_lexicon(corpus, seed_lex, provider, tags=tags,
                                           stopwords=stop)
     assert set(rep.adopted) == set(held)
 
-    tagger_g = replace(shipped["resources"], lexicon=grown).tagger
+    tags_g = replace(shipped["resources"], lexicon=grown).word_tags
     post_model = classifier.train(
-        _labeled(train_t, grown, idioms, cues, stop, tagger_g))
+        _labeled(train_t, grown, idioms, cues, stop, tags_g))
     post_acc = classifier.accuracy(
-        post_model, _labeled(test_t, grown, idioms, cues, stop, tagger_g))
+        post_model, _labeled(test_t, grown, idioms, cues, stop, tags_g))
 
     assert post_acc >= pre_acc
     assert post_acc > pre_acc  # strict on the shipped fixture

@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 import reference_pipeline as ref
 from arasent import resources
-from arasent.errors import ArasentError, TaggerFailure
+from arasent.errors import ArasentError
 from arasent.features import Analyzer, SentenceTrace
 from arasent.lexicon import IdiomEntry, IdiomLexicon, LexiconEntry, Polarity, SentimentLexicon
-from arasent.preprocess import PosTag, TableTagger, normalize_text
+from arasent.preprocess import normalize_text
 
 RES = resources.load()
-LEX, IDIOMS, CUES, STOPWORDS, TAGGER = RES.lexicon, RES.idioms, RES.cues, RES.stopwords, RES.tagger
+LEX, IDIOMS, CUES, STOPWORDS, TAGS = RES.lexicon, RES.idioms, RES.cues, RES.stopwords, RES.word_tags
+TAGGER = ref.TableTagger(TAGS)
 
 
 def _pool():
@@ -48,7 +49,7 @@ def _rows(analysis):
 
 
 def _options(use_stop, negation_window, intensifier_window):
-    return {"stopwords": STOPWORDS if use_stop else frozenset(), "tagger": TAGGER,
+    return {"stopwords": STOPWORDS if use_stop else frozenset(),
             "negation_window": negation_window, "intensifier_window": intensifier_window}
 
 
@@ -56,7 +57,8 @@ def _options(use_stop, negation_window, intensifier_window):
 @given(topics(), st.booleans(), st.integers(0, 4), st.integers(0, 3))
 def test_analyzer_matches_reference(text, use_stop, negation_window, intensifier_window):
     options = _options(use_stop, negation_window, intensifier_window)
-    analyzer = Analyzer(LEX, IDIOMS, CUES, **options)
+    analyzer = Analyzer(LEX, IDIOMS, CUES, tags=TAGS, **options)
+    options["tagger"] = TAGGER
     want_vector = ref.extract_features(text, LEX, IDIOMS, CUES, **options)
     want_net, want_label = ref.lexicon_rule_score(text, LEX, IDIOMS, CUES, **options)
 
@@ -89,20 +91,11 @@ def test_analyzer_snapshots_the_lexicon():
     assert Analyzer(lex, IDIOMS, CUES).rule_score("رائع سيئ") == (0.0, Polarity.NU)
 
 
-def test_analyzer_rejects_a_tagger_with_the_wrong_count():
-    class Broken:
-        def tag(self, words):
-            return [PosTag.NN]
-
-    with pytest.raises(TaggerFailure):
-        Analyzer(LEX, IDIOMS, CUES, tagger=Broken()).vector("كلمة اخري")
-
-
 def test_analyzer_drops_stopwords_before_masking():
     # "زي العسل" is a PO idiom: a stopword between its words is dropped
     # first and so does not block the match
     stop = frozenset({"في"})
-    analyzer = Analyzer(LEX, IDIOMS, CUES, stopwords=stop, tagger=TableTagger())
+    analyzer = Analyzer(LEX, IDIOMS, CUES, stopwords=stop)
     assert [row.words for row in analyzer.analyze("زي العسل")] == [["PO_Phrase"]]
     assert [row.words for row in analyzer.analyze("زي في العسل")] == [["PO_Phrase"]]
     assert [row.words for row in Analyzer(LEX, IDIOMS, CUES).analyze("زي في العسل")] == \

@@ -405,6 +405,14 @@ def test_resource_that_is_not_utf8_is_reported_at_its_line(tmp_path, corpus_path
     assert capsys.readouterr() == ("", f"error: {stopwords}:3: not valid utf-8 text\n")
 
 
+def test_tag_table_word_that_normalizes_to_nothing_is_a_data_error(tmp_path, corpus_path,
+                                                                   capsys):
+    tags = tmp_path / "tags.tsv"
+    tags.write_text("رائع\tJJ\nabc\tJJ\n", encoding="utf-8")
+    assert run(["score", "--corpus", corpus_path, "--tagtable", str(tags)]) == 2
+    assert capsys.readouterr() == ("", f"error: {tags}:2: word is empty after normalization\n")
+
+
 def test_seed_beyond_32_bits_trains(tmp_path, corpus_path, capsys):
     model = tmp_path / "m.txt"
     assert run(["evaluate", "--corpus", corpus_path, "--seed", "4294967296",

@@ -17,7 +17,7 @@ from arasent.expansion import (
     resolve_oov,
 )
 from arasent.lexicon import LexiconEntry, Polarity, SentimentLexicon
-from arasent.preprocess import PosTag, TableTagger, normalize_text
+from arasent.preprocess import PosTag, normalize_text
 
 PO, NG, NU = Polarity.PO, Polarity.NG, Polarity.NU
 
@@ -58,13 +58,12 @@ def provider():
 
 
 @pytest.fixture
-def tagger():
-    return TableTagger({w: PosTag.JJ for w in
-                        ["مسرور", "شديد", "هايف", "قبيح", "هادي"]}
-                       | {"ضجة": PosTag.NN, "يفرح": PosTag.VB})
+def tags():
+    return ({w: PosTag.JJ for w in ["مسرور", "شديد", "هايف", "قبيح", "هادي"]}
+            | {"ضجة": PosTag.NN, "يفرح": PosTag.VB})
 
 
-def candidates(texts, lex, tagger):
+def candidates(texts, lex, tags):
     """The words expansion looks up over a corpus of ``texts``, in order."""
     asked = []
 
@@ -74,31 +73,30 @@ def candidates(texts, lex, tagger):
             return SynsetResult()
 
     expand_lexicon([Topic(f"t{i}", text) for i, text in enumerate(texts)], lex, Recording(),
-                   tagger=tagger)
+                   tags=tags)
     return asked
 
 
 # candidate filtering
 
-def test_filter_excludes_known_words(lex, tagger):
-    assert candidates(["مسرور شديد"], lex, tagger) == ["شديد"]  # مسرور already in lexicon
+def test_filter_excludes_known_words(lex, tags):
+    assert candidates(["مسرور شديد"], lex, tags) == ["شديد"]  # مسرور already in lexicon
 
 
-def test_filter_excludes_other_tags(lex, tagger):
-    assert candidates(["غامض شديد"], lex, tagger) == ["شديد"]  # غامض tagged OTHER
+def test_filter_excludes_other_tags(lex, tags):
+    assert candidates(["غامض شديد"], lex, tags) == ["شديد"]  # غامض tagged OTHER
 
 
-def test_filter_dedups_first_occurrence(lex, tagger):
-    assert candidates(["هايف شديد هايف", "هايف شديد"], lex, tagger) == ["هايف", "شديد"]
+def test_filter_dedups_first_occurrence(lex, tags):
+    assert candidates(["هايف شديد هايف", "هايف شديد"], lex, tags) == ["هايف", "شديد"]
 
 
 def test_filter_excludes_prevent_listed(lex):
-    t = TableTagger({"كلام": PosTag.NN, "ضجة": PosTag.NN})
-    assert candidates(["كلام ضجة"], lex, t) == ["ضجة"]
+    assert candidates(["كلام ضجة"], lex, {"كلام": PosTag.NN, "ضجة": PosTag.NN}) == ["ضجة"]
 
 
-def test_filter_accepts_nn_and_vb(lex, tagger):
-    assert candidates(["ضجة يفرح"], lex, tagger) == ["ضجة", "يفرح"]
+def test_filter_accepts_nn_and_vb(lex, tags):
+    assert candidates(["ضجة يفرح"], lex, tags) == ["ضجة", "يفرح"]
 
 
 # orientation detection
@@ -248,19 +246,19 @@ def walkthrough_corpus():
             Topic("t3", "الفيلم هايف")]
 
 
-def test_expand_nothing_to_do(lex, provider, tagger):
+def test_expand_nothing_to_do(lex, provider, tags):
     grown, report = expand_lexicon([Topic("t1", "الموظف مسرور")], lex, provider,
-                                   tagger=tagger)
+                                   tags=tags)
     assert report.counts() == {"adopted": 0, "cos": 0, "oov_pending": 0,
                                "oov_accepted": 0, "oov_rejected": 0, "errors": 0}
     assert grown == lex
 
 
-def test_expand_three_case_walkthrough(provider, tagger, tmp_path):
+def test_expand_three_case_walkthrough(provider, tags, tmp_path):
     base = seed_lexicon()
     pending = tmp_path / "review.tsv"
     grown, report = expand_lexicon(walkthrough_corpus(), base, provider,
-                                   tagger=tagger, pending_path=pending)
+                                   tags=tags, pending_path=pending)
     assert report.adopted == ["مسرور"]
     assert report.cos == ["شديد"]
     assert report.oov_pending == ["هايف"]
@@ -270,69 +268,78 @@ def test_expand_three_case_walkthrough(provider, tagger, tmp_path):
     assert pending.read_text(encoding="utf-8") == "هايف\tPENDING\n"
 
 
-def test_expand_idempotent(provider, tagger, tmp_path):
+def test_expand_idempotent(provider, tags, tmp_path):
     base = seed_lexicon()
     pending = tmp_path / "review.tsv"
     grown, _ = expand_lexicon(walkthrough_corpus(), base, provider,
-                              tagger=tagger, pending_path=pending)
+                              tags=tags, pending_path=pending)
     again, report = expand_lexicon(walkthrough_corpus(), grown, provider,
-                                   tagger=tagger, pending_path=pending)
+                                   tags=tags, pending_path=pending)
     assert report.counts()["adopted"] == 0
     assert len(again) == len(grown)
     # the pending file is not re-appended either
     assert pending.read_text(encoding="utf-8") == "هايف\tPENDING\n"
 
 
-def test_expand_reads_pending_files_with_the_earlier_middle_column(provider, tagger,
+def test_expand_reads_pending_files_with_the_earlier_middle_column(provider, tags,
                                                                   tmp_path):
     pending = tmp_path / "review.tsv"
     pending.write_text("هايف\t\tPENDING\n", encoding="utf-8")
     _, report = expand_lexicon(walkthrough_corpus(), seed_lexicon(), provider,
-                               tagger=tagger, pending_path=pending)
+                               tags=tags, pending_path=pending)
     assert report.oov_pending == ["هايف"]
     assert pending.read_text(encoding="utf-8") == "هايف\t\tPENDING\n"
 
 
-def test_expand_interactive_accepts_ng(provider, tagger):
+def test_expand_reads_pending_files_with_unnormalized_words(provider, tags, tmp_path):
+    pending = tmp_path / "review.tsv"
+    pending.write_text("هايِف\tPENDING\n", encoding="utf-8")
+    _, report = expand_lexicon(walkthrough_corpus(), seed_lexicon(), provider,
+                               tags=tags, pending_path=pending)
+    assert report.oov_pending == ["هايف"]
+    assert pending.read_text(encoding="utf-8") == "هايِف\tPENDING\n"
+
+
+def test_expand_interactive_accepts_ng(provider, tags):
     base = seed_lexicon()
     answers = {"هايف": "n"}
     grown, report = expand_lexicon(
-        walkthrough_corpus(), base, provider, tagger=tagger,
+        walkthrough_corpus(), base, provider, tags=tags,
         ask=lambda item, syn: answers[item.word])
     assert report.oov_accepted == ["هايف"]
     assert grown.lookup("هايف").polarity is NG
 
 
-def test_expand_interactive_reject_and_skip(provider, tagger, tmp_path):
+def test_expand_interactive_reject_and_skip(provider, tags, tmp_path):
     base = seed_lexicon()
     pending = tmp_path / "review.tsv"
     grown, report = expand_lexicon(
         walkthrough_corpus() + [Topic("t4", "الجو هادي")], base, provider,
-        tagger=tagger, pending_path=pending,
+        tags=tags, pending_path=pending,
         ask=lambda item, syn: {"هايف": "r", "هادي": "s"}[item.word])
     assert report.oov_rejected == ["هايف"]
     assert report.oov_pending == ["هادي"]
     assert "هايف" in grown.prevent_list
     # rejected words never come back as candidates
     _, report2 = expand_lexicon(walkthrough_corpus(), grown, provider,
-                                tagger=tagger)
+                                tags=tags)
     assert report2.counts()["oov_pending"] == 0
 
 
-def test_expand_provider_error_skips_without_prevent_listing(tagger):
+def test_expand_provider_error_skips_without_prevent_listing(tags):
     class Flaky:
         def fetch(self, word):
             raise ProviderError(word, "offline")
 
     base = seed_lexicon()
     grown, report = expand_lexicon(walkthrough_corpus(), base, Flaky(),
-                                   tagger=tagger)
+                                   tags=tags)
     assert report.counts()["errors"] == 3
     assert len(grown) == len(base)
     assert grown.prevent_list == base.prevent_list
 
 
-def test_expand_insert_immediately_feeds_later_candidates(tagger):
+def test_expand_insert_immediately_feeds_later_candidates(tags):
     """A word adopted early serves as evidence for a later candidate."""
     lex = SentimentLexicon([LexiconEntry("فرحان", PO), LexiconEntry("سعيد", PO)])
     provider = FixtureProvider({
@@ -340,7 +347,7 @@ def test_expand_insert_immediately_feeds_later_candidates(tagger):
         "هادي": SynsetResult("Calm", ("مسرور",)),  # only known post-adopt
     })
     corpus = [Topic("t1", "الموظف مسرور"), Topic("t2", "الجو هادي")]
-    grown, report = expand_lexicon(corpus, lex, provider, tagger=tagger)
+    grown, report = expand_lexicon(corpus, lex, provider, tags=tags)
     assert report.adopted == ["مسرور", "هادي"]
     assert grown.lookup("هادي").polarity is PO
 

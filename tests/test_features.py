@@ -28,7 +28,7 @@ from arasent.lexicon import (
     Polarity,
     SentimentLexicon,
 )
-from arasent.preprocess import PosTag, TableTagger
+from arasent.preprocess import PosTag
 
 PO, NG, NU = Polarity.PO, Polarity.NG, Polarity.NU
 
@@ -67,11 +67,11 @@ def idioms():
 
 
 @pytest.fixture
-def tagger(lex):
+def tags(lex):
     table = {w: PosTag.JJ for w in POS_WORDS + NEG_WORDS + NEUTRAL_LEX}
     table.update({"خدمة": PosTag.NN, "فساد": PosTag.NN, "ملل": PosTag.NN,
                   "احب": PosTag.VB})
-    return TableTagger(table)
+    return table
 
 
 def features(text, lex, idioms, cues, **options):
@@ -82,9 +82,9 @@ def rule_score(text, lex, idioms, cues):
     return Analyzer(lex, idioms, cues).rule_score(text)
 
 
-def scored_for(text, lex, cues, tagger=None, idioms=IdiomLexicon()):
+def scored_for(text, lex, cues, tags={}, idioms=IdiomLexicon()):
     """(word, lexicon value, shifted value, resolved value) per word."""
-    rows = Analyzer(lex, idioms, cues, tagger=tagger).analyze(text)
+    rows = Analyzer(lex, idioms, cues, tags=tags).analyze(text)
     return [scored for row in rows
             for scored in zip(row.words, row.values, row.shifted, row.resolved)]
 
@@ -96,9 +96,9 @@ def adjusted_of(text, word, lex, cues):
     raise AssertionError(f"{word} not found in {text}")
 
 
-def conflicts(text, lex, cues, tagger):
+def conflicts(text, lex, cues, tags):
     """The conflict count and the resolved values of a one-sentence topic."""
-    analyzer = Analyzer(lex, IdiomLexicon(), cues, tagger=tagger)
+    analyzer = Analyzer(lex, IdiomLexicon(), cues, tags=tags)
     [row] = analyzer.analyze(text)
     return analyzer.vector(text).get(N_O_CONFLICT), row.resolved
 
@@ -196,34 +196,34 @@ def test_intensifier_doubling_1000_random_sentences(lex, cues):
 
 # conflict phrases
 
-def test_conflict_service_bad(lex, cues, tagger):
-    n, resolved = conflicts("خدمة سيئة", lex, cues, tagger)
+def test_conflict_service_bad(lex, cues, tags):
+    n, resolved = conflicts("خدمة سيئة", lex, cues, tags)
     assert n == 1
     assert sum(resolved) == -1
 
 
-def test_conflict_moral_corruption(lex, cues, tagger):
-    n, resolved = conflicts("فساد أخلاقي", lex, cues, tagger)
+def test_conflict_moral_corruption(lex, cues, tags):
+    n, resolved = conflicts("فساد أخلاقي", lex, cues, tags)
     assert n == 1
     assert sum(resolved) == -1
 
 
-def test_conflict_requires_opposite_signs(lex, cues, tagger):
-    n, resolved = conflicts("خدمة جميلة", lex, cues, tagger)  # NN + JJ same sign
+def test_conflict_requires_opposite_signs(lex, cues, tags):
+    n, resolved = conflicts("خدمة جميلة", lex, cues, tags)  # NN + JJ same sign
     assert n == 0
     assert resolved == [1, 1]
 
 
 def test_conflict_requires_nn_jj_pair(lex, cues):
-    tagger = TableTagger({"خدمة": PosTag.NN, "ملل": PosTag.NN})
-    n, _ = conflicts("خدمة ملل", lex, cues, tagger)  # NN + NN, opposite signs
+    tags = {"خدمة": PosTag.NN, "ملل": PosTag.NN}
+    n, _ = conflicts("خدمة ملل", lex, cues, tags)  # NN + NN, opposite signs
     assert n == 0
 
 
-def test_conflict_scan_non_overlapping(lex, cues, tagger):
+def test_conflict_scan_non_overlapping(lex, cues, tags):
     # JJ(+) NN(-) JJ(+): the first pair resolves, the survivor cannot re-pair
     n, resolved = conflicts("اخلاقي فساد اخلاقي", lex, cues,
-                            TableTagger({"اخلاقي": PosTag.JJ, "فساد": PosTag.NN}))
+                            {"اخلاقي": PosTag.JJ, "فساد": PosTag.NN})
     assert n == 1
     assert resolved == [-1, 0, 1]
 
@@ -312,10 +312,10 @@ def test_has_flags_match_weights(lex, cues, idioms):
         assert (v.get(HAS_NG_SENTI) == 1) == (v.get(W_NG) > 0)
 
 
-def test_extract_features_deterministic(lex, cues, idioms, tagger):
+def test_extract_features_deterministic(lex, cues, idioms, tags):
     text = "خدمة سيئة والمكان زي العسل. مش ممتاز جدا هل كده"
-    v1 = features(text, lex, idioms, cues, tagger=tagger)
-    v2 = features(text, lex, idioms, cues, tagger=tagger)
+    v1 = features(text, lex, idioms, cues, tags=tags)
+    v2 = features(text, lex, idioms, cues, tags=tags)
     assert v1 == v2
 
 
@@ -325,9 +325,9 @@ def test_extract_runs_full_pipeline_with_stopwords(lex, cues, idioms):
     assert v.get(NO_OF_WORDS) == 2  # هذا removed, digits stripped
 
 
-def test_conflict_slot_via_extract(lex, cues, idioms, tagger):
+def test_conflict_slot_via_extract(lex, cues, idioms, tags):
     v = features("المكان خدمة سيئة فعلا", lex, idioms, cues,
-                         tagger=tagger)
+                         tags=tags)
     assert v.get(N_O_CONFLICT) == 1
     assert v.get(W_NG) == 1 and v.get(W_PO) == 0
 
@@ -370,7 +370,7 @@ def test_rule_score_antisymmetric_under_polarity_flip(cues, idioms):
         assert label2 is label1.flipped()
 
 
-def test_slot_domains_over_random_topics(lex, cues, idioms, tagger):
+def test_slot_domains_over_random_topics(lex, cues, idioms, tags):
     """Binary slots stay in {0,1}, count slots are non-negative integers,
     position slots are non-negative reals."""
     rng = random.Random(23)
@@ -381,7 +381,7 @@ def test_slot_domains_over_random_topics(lex, cues, idioms, tagger):
     for _ in range(300):
         words = [rng.choice(vocab) for _ in range(rng.randint(0, 10))]
         v = features(" ".join(words), lex, idioms, cues,
-                             tagger=tagger)
+                             tags=tags)
         for slot in binary:
             assert v.get(slot) in (0.0, 1.0)
         for slot in counts:

@@ -103,8 +103,9 @@ def test_load_rejects_missing_header(tmp_path):
 
 
 def test_lookup_normalizes_before_lookup():
-    lex = SentimentLexicon([LexiconEntry("رائع", PO)])
-    assert lex.lookup("رائِع").word == "رائع"
+    # normalization happens when the entry comes in; lookup takes normalized words
+    lex = SentimentLexicon([LexiconEntry("رائِع", PO)])
+    assert lex.lookup("رائع").word == "رائع"
     assert lex.lookup("مجهول") is None
 
 
@@ -115,10 +116,14 @@ def test_lookup_known_word_polarity():
 
 @given(st.sampled_from(["رائع", "رائِع", "أحب", "مستشفى", "جمـيل"]))
 def test_lookup_equals_lookup_of_normalized(word):
+    """An entry added un-normalized is found by its normalized form, as if it
+    had been added normalized."""
     from arasent.preprocess import normalize_text
-    lex = SentimentLexicon([LexiconEntry("رائع", PO), LexiconEntry("احب", PO),
-                            LexiconEntry("مستشفي", NU), LexiconEntry("جميل", PO)])
-    assert lex.lookup(word) == lex.lookup(normalize_text(word))
+    normalized = normalize_text(word)
+    lex = SentimentLexicon([LexiconEntry(word, PO, "gloss")])
+    assert lex.lookup(normalized) == LexiconEntry(normalized, PO, "gloss")
+    assert lex == SentimentLexicon([LexiconEntry(normalized, PO, "gloss")])
+    assert normalized in lex
 
 
 def test_entries_normalized_on_add():
@@ -284,11 +289,14 @@ def test_polarity_flip():
     assert NU.flipped() is NU
 
 
-def test_is_prevented_checks_the_normalized_word():
-    lex = SentimentLexicon([LexiconEntry("رائع", PO)], prevent=["كلام", "أخبار"])
-    assert lex.is_prevented("كلام") and lex.is_prevented("أخبار")
-    assert lex.is_prevented("اخبار")  # alef variants fold on add and on lookup
-    assert not lex.is_prevented("رائع") and not lex.is_prevented("جدار")
+@given(st.sampled_from(["كلام", "أخبار", "إعلان", "مبنى", "جـدار"]))
+def test_is_prevented_checks_the_normalized_word(word):
+    """A prevent word added un-normalized is found by its normalized form."""
+    from arasent.preprocess import normalize_text
+    lex = SentimentLexicon([LexiconEntry("رائع", PO)], prevent=[word])
+    assert lex.is_prevented(normalize_text(word))
+    assert lex.prevent_list == {normalize_text(word)}
+    assert not lex.is_prevented("رائع") and not lex.is_prevented("جدول")
 
 
 def test_prevent_list_is_a_snapshot():

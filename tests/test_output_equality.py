@@ -7,7 +7,9 @@ earlier, vectorised SGD trainer. The train and predict digests pin the
 dual coordinate descent solver, which replaced fixed-epoch SGD; its margins
 moved but no predicted label did. Any change to featurization, scoring or
 training that alters a single output byte fails here, on the shipped corpus
-and on a generated multi-sentence corpus.
+and on a generated multi-sentence corpus. The expand pins cover lexicon
+growth on the shipped corpus and on a small corpus that reaches every
+outcome.
 """
 
 import hashlib
@@ -117,3 +119,68 @@ def test_review_corpus_outputs_are_pinned(tmp_path, capsys):
                       encoding="utf-8")
     assert sum(1 for t in topics if t["id"].startswith("review-")) == 400
     assert _outputs(corpus, model, tmp_path, capsys) == REVIEWS
+
+
+# expand: the grown lexicon, its .prevent sidecar, the pending file (None when
+# none is written) and the report with the output path taken out; taken from
+# the implementation whose lexicon readers normalized every word they were given
+EXPAND = {
+    "shipped": {
+        "lexicon": "22a0d60873b1d82ba76667f9a6069b404b50f8f802bb2bb80b3d229d1cdc3cc3",
+        "prevent": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "pending": None,  # every candidate is adopted
+        "report": "d53f909c3a5b43d8cc315afc480b60ce5b84ab3a70a86aa628b6e65e2bac6f0a",
+    },
+    "walkthrough": {
+        "lexicon": "2fcfe10347c2b4efd765574f912f158bf591eaa255ebe7b9f172936d29a50870",
+        "prevent": "7e6ac1d025d5cc10fb7831fe7d8b9451a9cf80a5338c1e08fd5e17c63c05ba99",
+        "pending": "686a1f960f7c4b4f3220a136cae015356ccef96dd2ae785ae5e32c08223ce0ab",
+        "report": "f8a5591b16ebedb7a2afbfaa1d6f51ac8ace66ff88811629f775d05f215fd5fd",
+    },
+}
+
+
+def _expand(work, capsys, *flags) -> dict:
+    out = work / "grown.tsv"
+    capsys.readouterr()
+    assert run(["expand", "--out", str(out), *flags]) == 0
+    report = capsys.readouterr().out.replace(str(out), "OUT")
+    pending = out.with_suffix(".pending.tsv")
+    return {"lexicon": _digest(out.read_bytes()),
+            "prevent": _digest(out.with_suffix(".prevent").read_bytes()),
+            "pending": _digest(pending.read_bytes()) if pending.exists() else None,
+            "report": _digest(report)}
+
+
+def test_shipped_expand_outputs_are_pinned(tmp_path, capsys):
+    got = _expand(tmp_path, capsys, "--corpus", str(data_path("corpus.jsonl")),
+                  "--provider", str(data_path("synsets.tsv")),
+                  "--lexicon", str(data_path("lexicon_seed.tsv")))
+    assert got == EXPAND["shipped"]
+
+
+def test_walkthrough_expand_outputs_are_pinned(tmp_path, capsys):
+    """Candidates that adopt (one by synonyms, one by antonyms), conflict and
+    go to pending, read from files that hold words in un-normalized forms."""
+    files = {
+        "lexicon.tsv": "word\tgloss\ttranslit\tpolarity\ttf\n"
+                       "فَرْحان\tPleased\t\tPO\t0\nسعيد\tHappy\t\tPO\t0\nمُبتهج\tGlad\t\tPO\t0\n"
+                       "قوي\tstrong\t\tPO\t0\nعنيـف\tviolent\t\tNG\t0\nحادّ\tkeen\t\tPO\t0\n"
+                       "جميل\t\t\tPO\t0\nرائع\t\t\tPO\t0\nعادى\t\t\tNU\t0\n",
+        "lexicon.prevent": "كلام\n",
+        "tags.tsv": "مسـرور\tJJ\nشديد\tJJ\nهايف\tJJ\nقبيح\tJJ\nكلام\tNN\n",
+        "synsets.tsv": "مسرورٌ\tDelighted\tفرحانٌ,سعيد,مبتهج\t\n"
+                       "شديد\tIntense\tقوي,عنيف,حاد\t\nهايف\t\t\t\n"
+                       "قبيح\tUgly\tعادي\tجميل,رائع\n",
+        "corpus.jsonl": "".join(json.dumps({"id": f"t{i}", "text": text}, ensure_ascii=False)
+                                + "\n" for i, text in enumerate([
+                                    "الموظف مسرورٌ", "الزحام شديد", "الفيلم هايف",
+                                    "المنظر قبيح. كلام مسرور", "أنا مسـرور"])),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    got = _expand(tmp_path, capsys, "--corpus", str(tmp_path / "corpus.jsonl"),
+                  "--provider", str(tmp_path / "synsets.tsv"),
+                  "--lexicon", str(tmp_path / "lexicon.tsv"),
+                  "--tagtable", str(tmp_path / "tags.tsv"))
+    assert got == EXPAND["walkthrough"]

@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from arasent import resources
-from arasent.errors import ParseError, TaggerFailure
+from arasent.errors import ParseError
 from arasent.features import Analyzer, CueLists
 from arasent.lexicon import IdiomEntry, IdiomLexicon, Polarity, SentimentLexicon
 from arasent.preprocess import (
     MASK_TOKENS,
     PosTag,
-    TableTagger,
     load_stopwords,
+    load_tag_table,
     normalize_text,
     preprocess,
     split_sentences,
-    tag_words,
 )
 
 ARABIC_LETTERS = set(chr(c) for c in range(0x0621, 0x063B)) | \
@@ -170,45 +169,43 @@ def test_remove_stopwords_preserves_order(words):
     assert preprocess(" ".join(words), {"في", "من"}) == ([survivors] if words else [])
 
 
+def tags_of(text, tags, stopwords=frozenset()):
+    """The tags the analyzer gives each sentence's words."""
+    analyzer = Analyzer(SentimentLexicon(), IdiomLexicon(), CueLists(), stopwords=stopwords,
+                        tags=tags)
+    return [row.tags for row in analyzer.analyze(text)]
+
+
 def test_pos_tag_with_table():
-    tagger = TableTagger({"خدمة": PosTag.NN, "سيئة": PosTag.JJ})
-    assert tag_words(["خدمة", "سيئة"], tagger) == [PosTag.NN, PosTag.JJ]
+    tags = {"خدمة": PosTag.NN, "سيئة": PosTag.JJ}
+    assert tags_of("خدمة سيئة", tags) == [[PosTag.NN, PosTag.JJ]]
 
 
 def test_pos_tag_unknown_word_falls_back_to_other():
-    assert tag_words(["غموض"], TableTagger()) == [PosTag.OTHER]
+    assert tags_of("غموض", {}) == [[PosTag.OTHER]]
 
 
 def test_pos_tag_empty_sentence():
-    assert tag_words([], TableTagger()) == []
+    assert tags_of("في", {"في": PosTag.NN}, stopwords={"في"}) == [[]]
 
 
 def test_pos_tag_total():
     words = ["كلمة", "اخري", "وثالثة"]
-    assert len(tag_words(words, TableTagger())) == len(words)
-
-
-def test_pos_tag_bad_external_tagger():
-    class Broken:
-        def tag(self, words):
-            return [PosTag.NN]  # wrong count
-
-    with pytest.raises(TaggerFailure):
-        tag_words(["كلمة", "اخري"], Broken())
+    assert [len(t) for t in tags_of(" ".join(words), {"اخري": PosTag.JJ})] == [len(words)]
 
 
 def test_tag_table_file(tmp_path):
     path = tmp_path / "tags.tsv"
-    path.write_text("خدمة\tNN\nسيئة\tJJ\n", encoding="utf-8")
-    tagger = TableTagger.from_file(path)
-    assert tagger.tag(["خدمة", "سيئة", "غيرمعروف"]) == [PosTag.NN, PosTag.JJ, PosTag.OTHER]
+    path.write_text("خدمة\tNN\nسيئة\tJJ\nمستشفى\tNN\n", encoding="utf-8")
+    assert load_tag_table(path) == {"خدمة": PosTag.NN, "سيئة": PosTag.JJ,
+                                    "مستشفي": PosTag.NN}
 
 
 def test_tag_table_rejects_unknown_tag(tmp_path):
     path = tmp_path / "tags.tsv"
     path.write_text("خدمة\tXX\n", encoding="utf-8")
     with pytest.raises(ParseError):
-        TableTagger.from_file(path)
+        load_tag_table(path)
 
 
 def test_default_tagger_lexicon_words_default_jj():
@@ -216,7 +213,18 @@ def test_default_tagger_lexicon_words_default_jj():
     lex = SentimentLexicon([LexiconEntry("رائع", Polarity.PO),
                             LexiconEntry("فساد", Polarity.NG)])
     res = replace(resources.load(), lexicon=lex, tags={"فساد": PosTag.NN})
-    assert res.tagger.tag(["رائع", "فساد", "كلام"]) == [PosTag.JJ, PosTag.NN, PosTag.OTHER]
+    assert res.word_tags == {"رائع": PosTag.JJ, "فساد": PosTag.NN}
+
+
+@pytest.mark.parametrize("key", ["tagtable", "stopwords", "negators", "intensifiers",
+                                 "questions", "wishful"])
+def test_loaders_reject_a_word_that_normalizes_to_nothing(tmp_path, key):
+    # line 3 holds only Latin letters, which normalization drops
+    text = "# comment\nفي\tNN\nabc\tJJ\n" if key == "tagtable" else "# comment\nفي\nnot\n"
+    path = tmp_path / f"{key}.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=f"{key}.txt:3: word is empty after normalization$"):
+        resources.load({key: path})
 
 
 def test_load_stopwords(tmp_path):
