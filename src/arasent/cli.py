@@ -15,7 +15,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import classifier, expansion, features, resources
+from . import classifier, features, resources
 from .errors import ArasentError, ParseError
 from .evaluation import (
     SplitSpec,
@@ -26,7 +26,6 @@ from .evaluation import (
     load_ratings,
     split_corpus,
 )
-from .expansion import CachingProvider, FixtureProvider, ReviewItem, SynsetResult
 from .fileio import atomic_write, read_lines
 from .lexicon import Polarity, save_sentiment_lexicon
 from .preprocess import normalize_text
@@ -146,6 +145,9 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from .expansion import (CachingProvider, FixtureProvider, ReviewItem, SynsetResult,
+                            expand_lexicon)
+
     config = _resolve_config(args)
     pipe = _Pipeline(config)
     corpus = load_corpus(args.corpus)
@@ -169,7 +171,7 @@ def _cmd_expand(args) -> int:
                     return answer
                 print("  please answer p, n, r or s")
 
-    grown, report = expansion.expand_lexicon(
+    grown, report = expand_lexicon(
         corpus, pipe.resources.lexicon, provider, tags=pipe.resources.word_tags,
         stopwords=pipe.resources.stopwords, pending_path=pending, ask=ask)
     save_sentiment_lexicon(grown, out_path)

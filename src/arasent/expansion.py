@@ -80,7 +80,10 @@ class FixtureProvider:
                 raise ParseError(path, line_no, "empty word")
             if word in table:
                 raise ParseError(path, line_no, f"duplicate word {word!r}")
-            table[word] = _parse_row(parts)
+            try:
+                table[word] = _parse_row(parts)
+            except ValueError as exc:
+                raise ParseError(path, line_no, str(exc)) from None
         return cls(table)
 
     def fetch(self, word: str) -> SynsetResult:
@@ -88,14 +91,30 @@ class FixtureProvider:
 
 
 def _parse_row(parts: list[str]) -> SynsetResult:
-    """The answer held by a four-column fixture row."""
+    """The answer held by a four-column fixture row; a ValueError names a
+    synonym or antonym that normalizes to nothing."""
     return SynsetResult(translation=parts[1].strip() or None,
                         synonyms=_parse_word_list(parts[2]),
                         antonyms=_parse_word_list(parts[3]))
 
 
 def _parse_word_list(text: str) -> tuple[str, ...]:
-    return tuple(w for w in map(normalize_text, text.split(",")) if w)
+    """The normalized words of a comma-separated field; blank items are skipped."""
+    words = []
+    for item in text.split(","):
+        word = normalize_text(item)
+        if word:
+            words.append(word)
+        elif item.strip():
+            raise ValueError(f"word {item.strip()!r} is empty after normalization")
+    return tuple(words)
+
+
+def _word_field(words) -> str:
+    """``words`` as one comma-separated field, without the items that
+    ``_parse_word_list`` would refuse."""
+    items = clean_field(",".join(words)).split(",")
+    return ",".join(item for item in items if normalize_text(item))
 
 
 class CachingProvider:
@@ -104,8 +123,9 @@ class CachingProvider:
     Answers already in the cache file never hit the inner provider, so an
     online thesaurus client can be plugged in without refetching across
     runs. Cache rows use the fixture TSV format, with tabs and line breaks
-    in the fields replaced by spaces. A fetch answers what a later load of
-    the cache reads back.
+    in the fields replaced by spaces and without the synonyms or antonyms
+    that normalize to nothing. A fetch answers what a later load of the
+    cache reads back.
     """
 
     def __init__(self, inner: SynsetProvider, cache_path):
@@ -121,8 +141,7 @@ class CachingProvider:
             return self._cache[key]
         result = self._inner.fetch(key)
         row = [key, clean_field(result.translation or ""),
-               ",".join(map(clean_field, result.synonyms)),
-               ",".join(map(clean_field, result.antonyms))]
+               _word_field(result.synonyms), _word_field(result.antonyms)]
         self._cache[key] = result = _parse_row(row)
         if key:  # a row without a word would not load
             with open(self._path, "a", encoding="utf-8", newline="\n") as fh:

@@ -98,54 +98,54 @@ class CueLists:
         )
 
 
-# The rules work on one sentence held as parallel lists: words, tags and
-# lexicon values (+1, -1, 0 for NU, None for unknown words and masks).
+# The rules work on one sentence held as a list of words, the lexicon value
+# of each (+1, -1, 0 for NU, None for unknown words and masks) and the
+# positions of the words with a nonzero value: only those can be shifted,
+# resolved or weighted.
 _SIGN = {Polarity.PO: 1, Polarity.NG: -1, Polarity.NU: 0}
 _CONFLICT_TAGS = {PosTag.NN, PosTag.JJ}
 
 
-def _mask_phrases(words, tags, idioms: IdiomLexicon):
-    """Collapse each leftmost-longest idiom match into one mask word tagged
-    OTHER; returns the new words and tags and the (PO, NG) phrase counts."""
-    out_words, out_tags, counts = [], [], {Polarity.PO: 0, Polarity.NG: 0}
+def _mask_phrases(words, idioms: IdiomLexicon):
+    """Collapse each leftmost-longest idiom match into one mask word; returns
+    the new words and the (PO, NG) phrase counts."""
+    out, counts = [], {Polarity.PO: 0, Polarity.NG: 0}
     i = 0
     while i < len(words):
         hit = idioms.match_at(words, i)
         if hit is None:
-            out_words.append(words[i])
-            out_tags.append(tags[i])
+            out.append(words[i])
             i += 1
         else:
             counts[hit.polarity] += 1
-            out_words.append(PO_MASK if hit.polarity is Polarity.PO else NG_MASK)
-            out_tags.append(PosTag.OTHER)
+            out.append(PO_MASK if hit.polarity is Polarity.PO else NG_MASK)
             i += len(hit.phrase)
-    return out_words, out_tags, counts[Polarity.PO], counts[Polarity.NG]
+    return out, counts[Polarity.PO], counts[Polarity.NG]
 
 
-def _shift(bases, negated, intensified, negation_window, intensifier_window):
-    """Shifted values, given which words are negators and intensifiers."""
-    adjusted = [0] * len(bases)
-    for i, base in enumerate(bases):
-        if base:
-            value = -base if sum(negated[max(0, i - negation_window):i]) % 2 else base
-            if True in intensified[i + 1:i + 1 + intensifier_window]:
-                value *= 2
-            adjusted[i] = value
-    return adjusted
-
-
-def _resolve_conflicts(tags, adjusted) -> int:
-    """Resolves noun/adjective conflicts in ``adjusted`` in place; returns their number."""
-    count = i = 0
-    while i < len(adjusted) - 1:
-        if adjusted[i] * adjusted[i + 1] < 0 and {tags[i], tags[i + 1]} == _CONFLICT_TAGS:
+def _resolve_conflicts(words, hits, shifted, tag_of) -> int:
+    """Resolves, in place in ``shifted`` (the values of the words at ``hits``),
+    each pair of adjacent words of opposite sign tagged noun and adjective;
+    returns their number."""
+    count = k = 0
+    while k < len(hits) - 1:
+        i = hits[k]
+        if (hits[k + 1] == i + 1 and shifted[k] * shifted[k + 1] < 0
+                and {tag_of(words[i]), tag_of(words[i + 1])} == _CONFLICT_TAGS):
             count += 1
-            adjusted[i], adjusted[i + 1] = -1, 0
-            i += 2
+            shifted[k], shifted[k + 1] = -1, 0
+            k += 2
         else:
-            i += 1
+            k += 1
     return count
+
+
+def _placed(hits, values, n) -> list[int]:
+    """The values of the words at ``hits`` spread over a sentence of ``n`` words."""
+    out = [0] * n
+    for i, value in zip(hits, values):
+        out[i] = value
+    return out
 
 
 class SentenceTrace(NamedTuple):
@@ -185,36 +185,51 @@ class Analyzer:
         """Slot values (raw, in slot order) and net score of a topic; ``sink``
         also gets each sentence's trace."""
         cues, values, tag_of, other = self.cues, self._values, self.tags.get, PosTag.OTHER
+        negators, intensifiers = cues.negators, cues.intensifiers
+        negation_window, intensifier_window = self.windows
         w_po = w_ng = w_nu = n_words = po_ph = ng_ph = conflicts = net = 0
         negations = questions = wishes = 0
         po_pos = ng_pos = 0.0
         for words in preprocess(text, self.stopwords):
-            tags = [tag_of(w, other) for w in words]
             if not self._idiom_starts.isdisjoint(words):
-                words, tags, po, ng = _mask_phrases(words, tags, self.idioms)
+                words, po, ng = _mask_phrases(words, self.idioms)
                 po_ph += po
                 ng_ph += ng
             n = len(words)
             n_words += n
             bases = list(map(values.get, words))
-            negated = list(map(cues.negators.__contains__, words))
-            negations += sum(negated)
+            w_nu += bases.count(0)  # NU words always keep a 0 value
+            hits = [i for i, base in enumerate(bases) if base]
+            negated = None
+            if not negators.isdisjoint(words):
+                negated = list(map(negators.__contains__, words))
+                negations += sum(negated)
             questions += sum(map(cues.question_terms.__contains__, words))
             wishes += sum(map(cues.wishful_terms.__contains__, words))
-            w_nu += bases.count(0)  # NU words always keep a 0 value
-            adjusted = _shift(bases, negated, list(map(cues.intensifiers.__contains__, words)),
-                              *self.windows)
-            net += sum(adjusted)
-            if sink is not None:
-                sink.append(SentenceTrace(words, tags, bases, adjusted[:], adjusted))
-            conflicts += _resolve_conflicts(tags, adjusted)
-            for pos, value in enumerate(adjusted, 1):
+            has_intensifier = not intensifiers.isdisjoint(words)
+            shifted = []
+            for i in hits:
+                value = bases[i]
+                if negated and sum(negated[max(0, i - negation_window):i]) % 2:
+                    value = -value
+                if has_intensifier and not intensifiers.isdisjoint(
+                        words[i + 1:i + 1 + intensifier_window]):
+                    value *= 2
+                shifted.append(value)
+            net += sum(shifted)
+            unresolved = shifted[:] if sink is not None else None
+            if len(hits) > 1:
+                conflicts += _resolve_conflicts(words, hits, shifted, tag_of)
+            for i, value in zip(hits, shifted):
                 if value > 0:
                     w_po += value
-                    po_pos += n / pos
+                    po_pos += n / (i + 1)
                 elif value < 0:
                     w_ng -= value
-                    ng_pos += n / pos
+                    ng_pos += n / (i + 1)
+            if sink is not None:
+                sink.append(SentenceTrace(words, [tag_of(w, other) for w in words], bases,
+                                          _placed(hits, unresolved, n), _placed(hits, shifted, n)))
         slots = {HAS_PO_SENTI: w_po > 0, HAS_NG_SENTI: w_ng > 0, HAS_PO_PH: po_ph > 0,
                  HAS_NG_PH: ng_ph > 0, W_PO: w_po, W_NG: w_ng, W_NU: w_nu,
                  PO_W_POSITION: po_pos, NG_W_POSITION: ng_pos, NO_OF_WORDS: n_words,

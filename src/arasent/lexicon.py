@@ -217,7 +217,10 @@ class IdiomEntry:
 
 
 class IdiomLexicon:
-    """Idiom phrases indexed by first token for multi-token matching."""
+    """Idiom phrases indexed by first token for multi-token matching.
+
+    ``add`` normalizes each word of the phrase it is given; ``match_at``
+    takes normalized words."""
 
     def __init__(self, entries: Iterable[IdiomEntry] = ()):
         self._entries: list[IdiomEntry] = []
@@ -227,6 +230,9 @@ class IdiomLexicon:
             self.add(entry)
 
     def add(self, entry: IdiomEntry) -> None:
+        phrase = tuple(map(_idiom_word, entry.phrase))
+        if phrase != entry.phrase:
+            entry = replace(entry, phrase=phrase)
         if entry.phrase in self._seen:
             raise DuplicatePhrase(" ".join(entry.phrase))
         self._seen.add(entry.phrase)
@@ -248,6 +254,15 @@ class IdiomLexicon:
 
     def __iter__(self) -> Iterator[IdiomEntry]:
         return iter(self._entries)
+
+
+def _idiom_word(word: str) -> str:
+    """``word`` normalized; a ValueError unless that is exactly one word."""
+    words = [w for sentence in preprocess(word) for w in sentence]
+    if len(words) != 1:
+        raise ValueError(f"idiom word {word!r} is "
+                         f"{'empty' if not words else 'several words'} after normalization")
+    return words[0]
 
 
 def load_idiom_lexicon(path) -> IdiomLexicon:

@@ -28,15 +28,11 @@ MASK_TOKENS = frozenset({PO_MASK, NG_MASK})
 # Ta marbuta is deliberately left alone: folding it into ha would merge
 # distinct lexicon surfaces. Harakat (U+064B-065F), superscript alef
 # (U+0670), Quranic marks (U+06D6-06ED) and tatweel (U+0640) are deleted in
-# place so that they never split a word.
-_CHAR_MAP = str.maketrans({
-    "أ": "ا",  # أ
-    "إ": "ا",  # إ
-    "آ": "ا",  # آ
-    "ٱ": "ا",  # ٱ
-    "ى": "ي",  # ى -> ي
-    **dict.fromkeys([*range(0x064B, 0x0660), 0x0670, *range(0x06D6, 0x06EE), 0x0640]),
-})
+# place so that they never split a word. str.translate would do both in one
+# pass, but it looks every non-ASCII character up in a dict; these scans run
+# in C and take a fraction of its time on Arabic text.
+_FOLDS = (("أ", "ا"), ("إ", "ا"), ("آ", "ا"), ("ٱ", "ا"), ("ى", "ي"))
+_MARK_RE = re.compile("[\u064b-\u065f\u0670\u06d6-\u06ed\u0640]")
 
 _ARABIC_LETTERS = "ء-غف-ي"
 _DELIMITERS = ".!?؟؛"  # . ! ? ؟ ؛  (newline counts as well)
@@ -56,13 +52,20 @@ class PosTag(Enum):
     OTHER = "OTHER"
 
 
+def _fold(text: str) -> str:
+    """``text`` with alef variants and maqsura folded and marks deleted."""
+    for variant, letter in _FOLDS:
+        text = text.replace(variant, letter)
+    return _MARK_RE.sub("", text)
+
+
 def normalize_text(raw: str) -> str:
     """Map Arabic text to its canonical form.
 
     Idempotent; total over arbitrary unicode input. Keeps Arabic letters,
     whitespace and sentence delimiters, drops everything else.
     """
-    text = _DROP_RE.sub(" ", raw.translate(_CHAR_MAP))
+    text = _DROP_RE.sub(" ", _fold(raw))
     return _NEWLINE_RE.sub("\n", text).strip()
 
 
@@ -74,10 +77,13 @@ def split_sentences(text: str) -> list[str]:
 def preprocess(text: str, stopwords: Collection[str] = frozenset()) -> list[list[str]]:
     """Normalized, split and tokenized text minus stopwords: one word list
     per sentence."""
-    sentences = [_WORD_RE.findall(s) for s in split_sentences(normalize_text(text))]
+    # Only Arabic letters form words, so the characters normalize_text drops
+    # or folds into spaces never change a sentence's words, and a piece
+    # between delimiters that holds no word is exactly one it strips away.
+    pieces = map(_WORD_RE.findall, _SENTENCE_RE.split(_fold(text)))
     if stopwords:
-        sentences = [[w for w in words if w not in stopwords] for words in sentences]
-    return sentences
+        return [[w for w in words if w not in stopwords] for words in pieces if words]
+    return [words for words in pieces if words]
 
 
 def load_tag_table(path) -> dict[str, PosTag]:

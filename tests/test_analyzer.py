@@ -9,7 +9,7 @@ from arasent import resources
 from arasent.errors import ArasentError
 from arasent.features import Analyzer, SentenceTrace
 from arasent.lexicon import IdiomEntry, IdiomLexicon, LexiconEntry, Polarity, SentimentLexicon
-from arasent.preprocess import normalize_text
+from arasent.preprocess import PosTag, _WORD_RE, normalize_text, preprocess, split_sentences
 
 RES = resources.load()
 LEX, IDIOMS, CUES, STOPWORDS, TAGS = RES.lexicon, RES.idioms, RES.cues, RES.stopwords, RES.word_tags
@@ -29,14 +29,36 @@ def _pool():
     return words
 
 
-WORDS = st.sampled_from(_pool())
-DELIMITERS = st.sampled_from([" ", " ", " ", ". ", "! ", "؟ ", "؛ ", "\n", " , "])
+def _signed(tag, polarity):
+    return sorted(e.word for e in LEX if TAGS.get(e.word) is tag and e.polarity is polarity)
+
+
+@st.composite
+def conflict_pairs(draw):
+    """A noun and an adjective of opposite polarity, in either order, adjacent
+    or with an unscored adjective between them."""
+    tags = draw(st.permutations([PosTag.NN, PosTag.JJ]))
+    polarities = draw(st.permutations([Polarity.PO, Polarity.NG]))
+    first, second = (draw(st.sampled_from(_signed(t, p))) for t, p in zip(tags, polarities))
+    between = draw(st.sampled_from(["", "", "عادي ", "مسرور "]))  # NU, not in the lexicon
+    return f"{first} {between}{second}"
+
+
+WORDS = st.one_of(st.sampled_from(_pool()), conflict_pairs())
+DELIMITERS = st.sampled_from([" ", " ", " ", ". ", "! ", "؟ ", "؛ ", "\n", " , ",
+                              # noise that normalization drops or turns into a space
+                              "\r", "\r\n", "\x85", "\xa0", " 12 ", "7", " abc ", "x"])
+# tatweel, harakat and superscript alef: deleted in place, so never a separator
+MARKS = st.sampled_from(["", "", "\u0640", "\u064e", "\u0651", "\u0652", "\u0670"])
 
 
 @st.composite
 def topics(draw):
-    words = draw(st.lists(WORDS, max_size=30))
-    return "".join(w + draw(DELIMITERS) for w in words)
+    text = ""
+    for word in draw(st.lists(WORDS, max_size=30)):
+        at = draw(st.integers(0, len(word)))
+        text += word[:at] + draw(MARKS) + word[at:] + draw(DELIMITERS)
+    return text
 
 
 def _rows(analysis):
@@ -83,6 +105,26 @@ def test_normalize_matches_reference(raw):
     assert normalize_text(raw) == ref.normalize_text(raw)
 
 
+@pytest.mark.parametrize("mark, want", [
+    # each end of the deleted ranges, and the non-letters just outside them
+    *[(mark, "بب") for mark in "\u064b\u065f\u0670\u06d6\u06ed\u0640"],
+    *[(char, "ب ب") for char in "\u0660\u066f\u06d5\u06ee"]])
+def test_marks_are_deleted_inside_a_word(mark, want):
+    raw = f"ب{mark}ب"
+    assert normalize_text(raw) == ref.normalize_text(raw) == want
+    assert preprocess(raw) == [want.split()]
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), NOISY_ARABIC, topics()), st.booleans())
+def test_preprocess_matches_its_stages(raw, use_stop):
+    """preprocess takes words straight from the folded text: the same
+    words as normalizing, splitting and tokenizing one stage at a time."""
+    stop = STOPWORDS if use_stop else frozenset()
+    assert preprocess(raw, stop) == [[w for w in _WORD_RE.findall(s) if w not in stop]
+                                     for s in split_sentences(normalize_text(raw))]
+
+
 def test_analyzer_snapshots_the_lexicon():
     lex = SentimentLexicon([LexiconEntry("رائع", Polarity.PO)])
     analyzer = Analyzer(lex, IDIOMS, CUES)
@@ -110,3 +152,10 @@ def test_analyzer_rejects_an_idiom_that_contains_a_stopword():
     assert [row.words for row in Analyzer(LEX, idioms, CUES).analyze("في السما")] == \
         [["PO_Phrase"]]
     assert IDIOMS and not any(STOPWORDS.intersection(e.phrase) for e in IDIOMS)
+
+
+def test_an_idiom_added_unnormalized_still_masks():
+    idioms = IdiomLexicon([IdiomEntry(("زى", "العسل"), Polarity.PO)])
+    assert [entry.phrase for entry in idioms] == [("زي", "العسل")]
+    assert [row.words for row in Analyzer(LEX, idioms, CUES).analyze("زى العسل")] == \
+        [["PO_Phrase"]]

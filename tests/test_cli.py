@@ -291,16 +291,28 @@ def test_train_on_non_finite_features_exits_2(tmp_path, capsys):
     assert not model.exists()
 
 
-def test_cli_imports_only_the_standard_library():
-    code = ("import sys; before = set(sys.modules); import arasent.cli; "
-            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
-            "print(sorted(new - set(sys.stdlib_module_names) - {'arasent'}))")
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter on this checkout."""
     src = str(Path(arasent.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_imports_only_the_standard_library():
+    assert _fresh_python(
+        "import sys; before = set(sys.modules); import arasent.cli; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names) - {'arasent'}))") == "[]"
+
+
+def test_cli_import_leaves_expansion_and_synthetic_unloaded():
+    # only `expand` needs expansion, and no subcommand needs synthetic
+    assert _fresh_python(
+        "import sys, arasent.cli; "
+        "print(sorted({'arasent.expansion', 'arasent.synthetic'} & set(sys.modules)))") == "[]"
 
 
 @pytest.mark.parametrize("how", ["flag", "config"])

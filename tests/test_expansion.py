@@ -213,6 +213,17 @@ def test_fixture_provider_from_file(tmp_path):
     assert p.fetch("غيرموجود").is_empty
 
 
+def test_fixture_provider_rejects_a_synonym_that_normalizes_to_nothing(tmp_path):
+    path = tmp_path / "syn.tsv"
+    path.write_text("قبيح\tUgly\t\tجميل\n"
+                    "مسرور\tDelighted\thappy,سعيد\tsad\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"syn\.tsv:2: word 'happy' is empty after"):
+        FixtureProvider.from_file(path)
+    path.write_text("مسرور\tDelighted\tسعيد, ,\t \n", encoding="utf-8")  # blank items
+    assert FixtureProvider.from_file(path).fetch("مسرور") == \
+        SynsetResult("Delighted", ("سعيد",), ())
+
+
 def test_fixture_provider_rejects_duplicates(tmp_path):
     path = tmp_path / "syn.tsv"
     path.write_text("مسرور\tx\t\t\nمسرور\ty\t\t\n", encoding="utf-8")

@@ -235,6 +235,19 @@ def test_idiom_duplicate_phrase():
         idioms.add(IdiomEntry(("زي", "العسل"), NG))
 
 
+@pytest.mark.parametrize("word, problem", [("abc", "empty"), ("زي العسل", "several words"),
+                                            ("زي.العسل", "several words")])
+def test_idiom_add_rejects_a_word_that_is_not_one_word_when_normalized(word, problem):
+    with pytest.raises(ValueError, match=f"idiom word {word!r} is {problem}"):
+        IdiomLexicon([IdiomEntry((word, "جدا"), PO)])
+
+
+def test_idiom_add_normalizes_and_dedups_the_normalized_phrase():
+    idioms = IdiomLexicon([IdiomEntry(("زى", "العسـل"), PO)])
+    with pytest.raises(DuplicatePhrase):
+        idioms.add(IdiomEntry(("زي", "العسل"), NG))
+
+
 def test_idiom_match_prefers_longest():
     idioms = IdiomLexicon([
         IdiomEntry(("زي", "العسل"), PO),

@@ -14,9 +14,14 @@ outcome.
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import count
+from pathlib import Path
 
+import arasent
 from arasent import synthetic
 from arasent.cli import run
 from arasent.resources import data_path
@@ -140,23 +145,41 @@ EXPAND = {
 }
 
 
-def _expand(work, capsys, *flags) -> dict:
-    out = work / "grown.tsv"
-    capsys.readouterr()
-    assert run(["expand", "--out", str(out), *flags]) == 0
-    report = capsys.readouterr().out.replace(str(out), "OUT")
+def _expand_digests(out, report: str) -> dict:
     pending = out.with_suffix(".pending.tsv")
     return {"lexicon": _digest(out.read_bytes()),
             "prevent": _digest(out.with_suffix(".prevent").read_bytes()),
             "pending": _digest(pending.read_bytes()) if pending.exists() else None,
-            "report": _digest(report)}
+            "report": _digest(report.replace(str(out), "OUT"))}
+
+
+def _expand(work, capsys, *flags) -> dict:
+    out = work / "grown.tsv"
+    capsys.readouterr()
+    assert run(["expand", "--out", str(out), *flags]) == 0
+    return _expand_digests(out, capsys.readouterr().out)
+
+
+def _shipped_expand_flags() -> list[str]:
+    return ["--corpus", str(data_path("corpus.jsonl")),
+            "--provider", str(data_path("synsets.tsv")),
+            "--lexicon", str(data_path("lexicon_seed.tsv"))]
 
 
 def test_shipped_expand_outputs_are_pinned(tmp_path, capsys):
-    got = _expand(tmp_path, capsys, "--corpus", str(data_path("corpus.jsonl")),
-                  "--provider", str(data_path("synsets.tsv")),
-                  "--lexicon", str(data_path("lexicon_seed.tsv")))
-    assert got == EXPAND["shipped"]
+    assert _expand(tmp_path, capsys, *_shipped_expand_flags()) == EXPAND["shipped"]
+
+
+def test_shipped_expand_in_a_new_process_is_pinned(tmp_path):
+    """``expand`` imports the expansion module only when it runs."""
+    out = tmp_path / "grown.tsv"
+    src = str(Path(arasent.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "arasent.cli", "expand", "--out", str(out),
+                           *_shipped_expand_flags()], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert _expand_digests(out, done.stdout) == EXPAND["shipped"]
 
 
 def test_walkthrough_expand_outputs_are_pinned(tmp_path, capsys):
