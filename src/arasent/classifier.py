@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import EmptyTrainingSet, ParseError, SingleClassTrainingSet
-from .features import N_SLOTS, SCHEMA_VERSION, FeatureVector
+from .features import N_SLOTS, SCHEMA_VERSION
 from .fileio import atomic_write, read_lines
 
 # The solver stops once max PG - min PG over a pass falls under this.
@@ -33,13 +33,15 @@ class TrainConfig:
 
 @dataclass
 class LabeledVector:
-    vector: FeatureVector
+    vector: tuple[float, ...]  # length N_SLOTS, index slot-1
     label: int  # +1 (PO) or -1 (NG)
     comment: str = ""
 
     def __post_init__(self):
         if self.label not in (1, -1):
             raise ValueError(f"label must be +1 or -1, got {self.label}")
+        if len(self.vector) != N_SLOTS:
+            raise ValueError(f"vector must hold {N_SLOTS} slots, got {len(self.vector)}")
 
 
 @dataclass
@@ -71,13 +73,13 @@ def train(data: Sequence[LabeledVector],
 
     factors = [0.0] * (N_SLOTS + 1)  # column max |x| per slot, when scaling
     for lv in data:
-        for slot, value in lv.vector.values.items():
+        for slot, value in enumerate(lv.vector, 1):
             factors[slot] = max(factors[slot], abs(value))
     factors = [f if config.scale_max and f > 0 else 1.0 for f in factors]
     # label-signed (index, value) rows y_i x_i over the augmented weights:
     # index 0 is the bias riding on a constant 1, index s is slot s
     rows = [[(0, float(lv.label))]
-            + [(s, lv.label * v / factors[s]) for s, v in sorted(lv.vector.values.items())]
+            + [(s, lv.label * v / factors[s]) for s, v in enumerate(lv.vector, 1) if v]
             for lv in data]
 
     c = 1.0 / (config.regularization * len(rows))  # the dual box 0 <= alpha_i <= C
@@ -107,11 +109,14 @@ def train(data: Sequence[LabeledVector],
     return Model(weights=weights, bias=w[0], config=config, passes=passes, gap=gap)
 
 
-def predict(model: Model, v: FeatureVector) -> tuple[int, float]:
+def predict(model: Model, v: tuple[float, ...]) -> tuple[int, float]:
     """Label and margin for one vector. Margin 0 maps to +1."""
     margin = model.bias
-    for slot, value in v.values.items():
-        margin += model.weights[slot - 1] * value
+    # the nonzero slots in slot order, so a margin of zero keeps its sign;
+    # not sum(), which compensates on 3.12
+    for weight, value in zip(model.weights, v, strict=True):
+        if value:
+            margin += weight * value
     return (1 if margin >= 0 else -1), float(margin)
 
 
@@ -176,7 +181,8 @@ def write_svmlight(data: Sequence[LabeledVector], path) -> None:
         if data:
             fh.write(f"# schema_version: {SCHEMA_VERSION}\n")
         for lv in data:
-            body = " ".join(f"{i}:{_format_value(val)}" for i, val in lv.vector.pairs())
+            body = " ".join(f"{i}:{_format_value(val)}"
+                            for i, val in enumerate(lv.vector, 1) if val)
             line = f"{lv.label:+d}"
             if body:
                 line += " " + body
@@ -216,7 +222,7 @@ def read_svmlight(path) -> list[LabeledVector]:
             label = -1
         else:
             raise ParseError(path, line_no, f"label must be +1 or -1, got {tokens[0]!r}")
-        values: dict[int, float] = {}
+        values = [0.0] * N_SLOTS
         last_index = 0
         for tok in tokens[1:]:
             if tok == "qid" or tok.startswith("qid:"):
@@ -238,9 +244,8 @@ def read_svmlight(path) -> list[LabeledVector]:
                 raise ParseError(path, line_no,
                                  f"feature index {index} outside schema 1..{N_SLOTS}")
             last_index = index
-            values[index] = value
-        vector = FeatureVector(values)  # drops zero values
-        out.append(LabeledVector(vector, label, comment.strip()))
+            values[index - 1] = value
+        out.append(LabeledVector(tuple(values), label, comment.strip()))
     return out
 
 

@@ -15,7 +15,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import classifier, features, resources
+from . import resources
 from .errors import ArasentError, ParseError
 from .evaluation import (
     SplitSpec,
@@ -118,10 +118,13 @@ class _Pipeline:
             negation_window=config.negation_window,
             intensifier_window=config.intensifier_window)
 
-    def vector(self, topic) -> features.FeatureVector:
+    def vector(self, topic) -> tuple[float, ...]:
         return self.analyzer.vector(topic.text)
 
-    def labeled_vectors(self, topics) -> tuple[list[classifier.LabeledVector], int]:
+    def labeled_vectors(self, topics) -> tuple[list, int]:
+        """The labeled vectors of the labeled topics, and how many were not."""
+        from . import classifier
+
         out = []
         skipped = 0
         for t in topics:
@@ -184,6 +187,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    from . import classifier
+
     config = _resolve_config(args)
     pipe = _Pipeline(config)
     corpus = load_corpus(args.corpus)
@@ -195,13 +200,16 @@ def _cmd_extract(args) -> int:
     return 0
 
 
-def _train_config(config: RunConfig) -> classifier.TrainConfig:
-    return classifier.TrainConfig(regularization=config.regularization,
-                                  epochs=config.epochs, seed=config.seed,
-                                  scale_max=config.scale)
+def _train_config(config: RunConfig):
+    from .classifier import TrainConfig
+
+    return TrainConfig(regularization=config.regularization,
+                       epochs=config.epochs, seed=config.seed, scale_max=config.scale)
 
 
 def _cmd_train(args) -> int:
+    from . import classifier
+
     config = _resolve_config(args)
     data = classifier.read_svmlight(args.features)
     model = classifier.train(data, _train_config(config))
@@ -215,6 +223,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from . import classifier
+
     config = _resolve_config(args)
     pipe = _Pipeline(config)
     model = classifier.load_model(args.model)
@@ -228,6 +238,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import classifier
+
     config = _resolve_config(args)
     pipe = _Pipeline(config)
     corpus = load_corpus(args.corpus)

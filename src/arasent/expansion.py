@@ -24,7 +24,7 @@ from .lexicon import (
     SentimentLexicon,
     clean_field,
 )
-from .preprocess import PosTag, normalize_text, preprocess
+from .preprocess import PosTag, normalize_text, normalize_word, preprocess
 
 CANDIDATE_TAGS = frozenset({PosTag.JJ, PosTag.NN, PosTag.VB})
 
@@ -75,15 +75,13 @@ class FixtureProvider:
             if not 1 <= len(parts) <= 4:
                 raise ParseError(path, line_no, f"expected 1-4 columns, got {len(parts)}")
             parts += [""] * (4 - len(parts))
-            word = normalize_text(parts[0])
-            if not word:
-                raise ParseError(path, line_no, "empty word")
-            if word in table:
-                raise ParseError(path, line_no, f"duplicate word {word!r}")
             try:
-                table[word] = _parse_row(parts)
+                word, result = normalize_word(parts[0]), _parse_row(parts)
             except ValueError as exc:
                 raise ParseError(path, line_no, str(exc)) from None
+            if word in table:
+                raise ParseError(path, line_no, f"duplicate word {word!r}")
+            table[word] = result
         return cls(table)
 
     def fetch(self, word: str) -> SynsetResult:
@@ -92,7 +90,7 @@ class FixtureProvider:
 
 def _parse_row(parts: list[str]) -> SynsetResult:
     """The answer held by a four-column fixture row; a ValueError names a
-    synonym or antonym that normalizes to nothing."""
+    synonym or antonym that is not one word when normalized."""
     return SynsetResult(translation=parts[1].strip() or None,
                         synonyms=_parse_word_list(parts[2]),
                         antonyms=_parse_word_list(parts[3]))
@@ -100,21 +98,23 @@ def _parse_row(parts: list[str]) -> SynsetResult:
 
 def _parse_word_list(text: str) -> tuple[str, ...]:
     """The normalized words of a comma-separated field; blank items are skipped."""
-    words = []
-    for item in text.split(","):
-        word = normalize_text(item)
-        if word:
-            words.append(word)
-        elif item.strip():
-            raise ValueError(f"word {item.strip()!r} is empty after normalization")
-    return tuple(words)
+    items = (item.strip() for item in text.split(","))
+    return tuple(normalize_word(item, f"word {item!r}") for item in items if item)
+
+
+def _is_word(text: str) -> bool:
+    try:
+        normalize_word(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _word_field(words) -> str:
     """``words`` as one comma-separated field, without the items that
     ``_parse_word_list`` would refuse."""
     items = clean_field(",".join(words)).split(",")
-    return ",".join(item for item in items if normalize_text(item))
+    return ",".join(filter(_is_word, items))
 
 
 class CachingProvider:
@@ -124,8 +124,9 @@ class CachingProvider:
     online thesaurus client can be plugged in without refetching across
     runs. Cache rows use the fixture TSV format, with tabs and line breaks
     in the fields replaced by spaces and without the synonyms or antonyms
-    that normalize to nothing. A fetch answers what a later load of the
-    cache reads back.
+    that are not one word when normalized. A fetch answers what a later load
+    of the cache reads back; a word that is not one word when normalized has
+    no row, so its answer is not kept.
     """
 
     def __init__(self, inner: SynsetProvider, cache_path):
@@ -136,14 +137,18 @@ class CachingProvider:
             self._cache = dict(FixtureProvider.from_file(self._path)._table)
 
     def fetch(self, word: str) -> SynsetResult:
-        key = clean_field(normalize_text(word))
+        try:
+            key = normalize_word(word)
+        except ValueError:  # no cache row can hold it
+            key = None
         if key in self._cache:
             return self._cache[key]
-        result = self._inner.fetch(key)
-        row = [key, clean_field(result.translation or ""),
+        result = self._inner.fetch(word if key is None else key)
+        row = [key or "", clean_field(result.translation or ""),
                _word_field(result.synonyms), _word_field(result.antonyms)]
-        self._cache[key] = result = _parse_row(row)
-        if key:  # a row without a word would not load
+        result = _parse_row(row)
+        if key is not None:
+            self._cache[key] = result
             with open(self._path, "a", encoding="utf-8", newline="\n") as fh:
                 fh.write("\t".join(row) + "\n")
         return result

@@ -2,14 +2,14 @@
 cue detection, conflict phrases, and the rule-based net-score baseline.
 
 The feature schema is fixed at 17 slots; slot indices are frozen for the
-lifetime of any trained model. Only nonzero slots are stored.
+lifetime of any trained model. A feature vector is a plain tuple of the 17
+slot values as floats, slot ``s`` at index ``s - 1``; the SVM-light file
+holds only its nonzero slots.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ArasentError
@@ -50,31 +50,6 @@ SLOT_NAMES = dict(enumerate((
 
 DEFAULT_NEGATION_WINDOW = 3
 DEFAULT_INTENSIFIER_WINDOW = 2
-_SLOTS = frozenset(range(1, N_SLOTS + 1))
-
-
-@dataclass(frozen=True, init=False)
-class FeatureVector:
-    """Read-only sparse slot-index -> value map over the fixed schema."""
-
-    values: Mapping[int, float]
-
-    # one assignment, after validation: a vector is built per topic
-    def __init__(self, values: Mapping[int, float] = MappingProxyType({})):
-        kept = {slot: float(value) for slot, value in values.items() if value}
-        if not (values.keys() <= _SLOTS and all(map(math.isfinite, kept.values()))):
-            for slot, value in values.items():  # name the first bad slot or value
-                if slot not in _SLOTS:
-                    raise ValueError(f"slot {slot} outside schema 1..{N_SLOTS}")
-                if not math.isfinite(float(value)):
-                    raise ValueError(f"slot {slot} value {float(value)} is not finite")
-        object.__setattr__(self, "values", MappingProxyType(kept))
-
-    def get(self, slot: int) -> float:
-        return self.values.get(slot, 0.0)
-
-    def pairs(self) -> list[tuple[int, float]]:
-        return sorted(self.values.items())
 
 
 @dataclass(frozen=True)
@@ -182,8 +157,8 @@ class Analyzer:
         self._idiom_starts = frozenset(entry.phrase[0] for entry in idioms)
 
     def _walk(self, text: str, sink: list | None = None):
-        """Slot values (raw, in slot order) and net score of a topic; ``sink``
-        also gets each sentence's trace."""
+        """The feature vector and net score of a topic; ``sink`` also gets
+        each sentence's trace."""
         cues, values, tag_of, other = self.cues, self._values, self.tags.get, PosTag.OTHER
         negators, intensifiers = cues.negators, cues.intensifiers
         negation_window, intensifier_window = self.windows
@@ -230,17 +205,15 @@ class Analyzer:
             if sink is not None:
                 sink.append(SentenceTrace(words, [tag_of(w, other) for w in words], bases,
                                           _placed(hits, unresolved, n), _placed(hits, shifted, n)))
-        slots = {HAS_PO_SENTI: w_po > 0, HAS_NG_SENTI: w_ng > 0, HAS_PO_PH: po_ph > 0,
-                 HAS_NG_PH: ng_ph > 0, W_PO: w_po, W_NG: w_ng, W_NU: w_nu,
-                 PO_W_POSITION: po_pos, NG_W_POSITION: ng_pos, NO_OF_WORDS: n_words,
-                 IS_NEGATION: negations > 0, N_O_NEGATION: negations,
-                 IS_QUESTION: questions > 0, N_O_QUESTION: questions,
-                 IS_WISHFUL: wishes > 0, N_O_WISHFUL: wishes, N_O_CONFLICT: conflicts}
-        return slots, net + 3 * po_ph - 3 * ng_ph
+        vector = tuple(map(float, (  # in slot order, HAS_PO_SENTI to N_O_CONFLICT
+            w_po > 0, w_ng > 0, po_ph > 0, ng_ph > 0, w_po, w_ng, w_nu, po_pos, ng_pos,
+            n_words, negations > 0, negations, questions > 0, questions, wishes > 0, wishes,
+            conflicts)))
+        return vector, net + 3 * po_ph - 3 * ng_ph
 
-    def vector(self, text: str) -> FeatureVector:
-        """The 17-slot sparse vector of one topic."""
-        return FeatureVector(self._walk(text)[0])
+    def vector(self, text: str) -> tuple[float, ...]:
+        """The feature vector of one topic: slot ``s`` at index ``s - 1``."""
+        return self._walk(text)[0]
 
     def rule_score(self, text: str) -> tuple[float, Polarity]:
         """Rule-based net score: shifted word values in [-2, +2] plus +-3 per

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 from .errors import DuplicatePhrase, DuplicateWord, ParseError
 from .fileio import atomic_write, read_lines
-from .preprocess import normalize_text, preprocess
+from .preprocess import normalize_word, preprocess
 
 LEXICON_HEADER = "word\tgloss\ttranslit\tpolarity\ttf"
 
@@ -65,9 +65,7 @@ class SentimentLexicon:
             self.add_prevent(word)
 
     def add(self, entry: LexiconEntry) -> None:
-        word = normalize_text(entry.word)
-        if not word:
-            raise ValueError("lexicon word is empty after normalization")
+        word = normalize_word(entry.word, "lexicon word")
         if word != entry.word:
             entry = replace(entry, word=word)
         if word in self._entries:
@@ -77,9 +75,7 @@ class SentimentLexicon:
         self._entries[word] = entry
 
     def add_prevent(self, word: str) -> None:
-        w = normalize_text(word)
-        if not w:
-            raise ValueError("prevent-list word is empty after normalization")
+        w = normalize_word(word, "prevent-list word")
         if w in self._entries:
             raise DuplicateWord(f"{w} is already a lexicon entry")
         self._prevent.add(w)
@@ -230,7 +226,7 @@ class IdiomLexicon:
             self.add(entry)
 
     def add(self, entry: IdiomEntry) -> None:
-        phrase = tuple(map(_idiom_word, entry.phrase))
+        phrase = tuple(normalize_word(word, f"idiom word {word!r}") for word in entry.phrase)
         if phrase != entry.phrase:
             entry = replace(entry, phrase=phrase)
         if entry.phrase in self._seen:
@@ -254,15 +250,6 @@ class IdiomLexicon:
 
     def __iter__(self) -> Iterator[IdiomEntry]:
         return iter(self._entries)
-
-
-def _idiom_word(word: str) -> str:
-    """``word`` normalized; a ValueError unless that is exactly one word."""
-    words = [w for sentence in preprocess(word) for w in sentence]
-    if len(words) != 1:
-        raise ValueError(f"idiom word {word!r} is "
-                         f"{'empty' if not words else 'several words'} after normalization")
-    return words[0]
 
 
 def load_idiom_lexicon(path) -> IdiomLexicon:

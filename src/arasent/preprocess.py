@@ -2,11 +2,12 @@
 
 Every word table in the package (the lexicon and its prevent list, the tag
 table, the synsets, the cue lists, the stopwords and the idioms) is a plain
-mapping or set keyed by the canonical form produced here: alef variants
-unified, alef maqsura mapped to ya, diacritics and tatweel stripped, and
-every non-Arabic character dropped. The code that reads a file, or adds an
-entry, normalizes; readers look words up as they are given. Whitespace and
-the sentence delimiter set survive normalization so that sentence splitting
+mapping or set keyed by single words in the canonical form produced here:
+alef variants unified, alef maqsura mapped to ya, diacritics and tatweel
+stripped, and every non-Arabic character dropped. The code that reads a
+file, or adds an entry, normalizes with ``normalize_word``; readers look
+words up as they are given. In ``normalize_text``, whitespace and the
+sentence delimiter set survive normalization so that sentence splitting
 still works afterwards.
 """
 
@@ -69,6 +70,18 @@ def normalize_text(raw: str) -> str:
     return _NEWLINE_RE.sub("\n", text).strip()
 
 
+def normalize_word(word: str, name: str = "word") -> str:
+    """The one normalized word that ``word`` holds, as the walk would see it.
+
+    A ValueError, its message led by ``name``, says that it holds no word
+    or several words: such an entry could never match."""
+    words = _WORD_RE.findall(_fold(word))
+    if len(words) != 1:
+        raise ValueError(f"{name} is {'several words' if words else 'empty'} "
+                         "after normalization")
+    return words[0]
+
+
 def split_sentences(text: str) -> list[str]:
     """Split normalized text on { . ! ? ؟ ؛ newline }, dropping empties."""
     return [part for part in (p.strip() for p in _SENTENCE_RE.split(text)) if part]
@@ -96,9 +109,11 @@ def load_tag_table(path) -> dict[str, PosTag]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise ParseError(path, line_no, "expected 2 tab-separated columns")
-        word, tag = normalize_text(parts[0]), parts[1].strip()
-        if not word:
-            raise ParseError(path, line_no, "word is empty after normalization")
+        tag = parts[1].strip()
+        try:
+            word = normalize_word(parts[0])
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
         try:
             table[word] = PosTag(tag)
         except ValueError:
@@ -112,8 +127,8 @@ def load_stopwords(path) -> frozenset[str]:
     for line_no, line in read_lines(path):
         word = line.split("#", 1)[0].strip()
         if word:
-            word = normalize_text(word)
-            if not word:
-                raise ParseError(path, line_no, "word is empty after normalization")
-            words.add(word)
+            try:
+                words.add(normalize_word(word))
+            except ValueError as exc:
+                raise ParseError(path, line_no, str(exc)) from None
     return frozenset(words)

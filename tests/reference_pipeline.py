@@ -32,7 +32,6 @@ from arasent.features import (
     W_NG,
     W_NU,
     W_PO,
-    FeatureVector,
 )
 from arasent.lexicon import Polarity
 from arasent.preprocess import (
@@ -255,7 +254,7 @@ def extract_features(text, lex, idioms, cues, **kw):
             elif st.neutral:
                 w_nu += 1
 
-    v = {}  # FeatureVector is read-only: collect the slots, then build it
+    v = {}
     v[HAS_PO_SENTI] = 1 if w_po > 0 else 0
     v[HAS_NG_SENTI] = 1 if w_ng > 0 else 0
     v[HAS_PO_PH] = 1 if a.po_phrases > 0 else 0
@@ -273,7 +272,7 @@ def extract_features(text, lex, idioms, cues, **kw):
     v[IS_WISHFUL] = 1 if a.wishful_count else 0
     v[N_O_WISHFUL] = a.wishful_count
     v[N_O_CONFLICT] = a.conflicts
-    return FeatureVector(v)
+    return tuple(float(v[slot]) for slot in sorted(v))
 
 
 def lexicon_rule_score(text, lex, idioms, cues, **kw):

@@ -23,7 +23,6 @@ from arasent.evaluation import (
 from arasent.expansion import FixtureProvider, Outcome, SynsetResult
 from arasent.features import (
     Analyzer,
-    FeatureVector,
     HAS_NG_PH,
     N_O_CONFLICT,
     N_SLOTS,
@@ -148,8 +147,8 @@ def test_criterion_03_valence_shifters(shipped):
 def test_criterion_04_position_feature(shipped):
     analyzer = Analyzer(shipped["lexicon"], shipped["idioms"], shipped["cues"])
     v = analyzer.vector("هذا المسلسل رائع لكن يوجد ملل في بعض حلقاته")
-    assert v.get(PO_W_POSITION) == pytest.approx(3.0)
-    assert v.get(NG_W_POSITION) == pytest.approx(1.5)
+    assert v[PO_W_POSITION - 1] == pytest.approx(3.0)
+    assert v[NG_W_POSITION - 1] == pytest.approx(1.5)
 
     rng = random.Random(4)
     for _ in range(200):
@@ -158,7 +157,7 @@ def test_criterion_04_position_feature(shipped):
         for pos in range(len(context) + 1):
             words = context[:pos] + ["رائع"] + context[pos:]
             vv = analyzer.vector(" ".join(words))
-            weights.append(vv.get(PO_W_POSITION))
+            weights.append(vv[PO_W_POSITION - 1])
         assert all(a > b for a, b in zip(weights, weights[1:]))
     report(4, "position weights 3.0/1.5 on the 9-token example, monotone in 1/pos")
 
@@ -169,7 +168,7 @@ def test_criterion_05_conflict_phrases(shipped):
 
     def conflicts(text):
         [row] = analyzer.analyze(text)
-        return analyzer.vector(text).get(N_O_CONFLICT), sum(row.resolved)
+        return analyzer.vector(text)[N_O_CONFLICT - 1], sum(row.resolved)
 
     assert conflicts("خدمة سيئة") == (1, -1)
     assert conflicts("فساد أخلاقي") == (1, -1)
@@ -190,8 +189,8 @@ def test_criterion_06_idiom_masking(shipped):
     [row] = analyzer.analyze(text)
     assert row.words == ["تسليم", "السلطة", "للبرلمان", "تعني", "NG_Phrase"]
     v = analyzer.vector(text)
-    assert v.get(HAS_NG_PH) == 1
-    assert v.get(W_PO) == 0 and v.get(W_NG) == 0
+    assert v[HAS_NG_PH - 1] == 1
+    assert v[W_PO - 1] == 0 and v[W_NG - 1] == 0
     report(6, "proverb masks to one NG_Phrase with no word-level double count")
 
 
@@ -204,7 +203,8 @@ def _separator_points(w_star, n, seed, margin=0.5):
         score = sum(w_star[slot - 1] * v for slot, v in values.items())
         if abs(score) < margin:
             continue
-        points.append(LabeledVector(FeatureVector(values), 1 if score > 0 else -1))
+        vector = tuple(values.get(slot, 0.0) for slot in range(1, N_SLOTS + 1))
+        points.append(LabeledVector(vector, 1 if score > 0 else -1))
     return points
 
 
@@ -305,7 +305,8 @@ def test_criterion_10_format_fidelity(tmp_path):
     for i in range(1000):
         slots = sorted(rng.sample(range(1, N_SLOTS + 1), rng.randint(0, 6)))
         values = {s: v for s in slots if (v := rng.randint(-999000, 999000) / 1000)}
-        data.append(LabeledVector(FeatureVector(values), rng.choice([1, -1]), f"t{i}"))
+        vector = tuple(values.get(s, 0.0) for s in range(1, N_SLOTS + 1))
+        data.append(LabeledVector(vector, rng.choice([1, -1]), f"t{i}"))
     path = tmp_path / "vectors.svml"
     classifier.write_svmlight(data, path)
     assert classifier.read_svmlight(path) == data

@@ -21,11 +21,16 @@ from arasent.classifier import (
     write_svmlight,
 )
 from arasent.errors import EmptyTrainingSet, ParseError, SingleClassTrainingSet
-from arasent.features import N_SLOTS, FeatureVector
+from arasent.features import N_SLOTS
+
+
+def vec(values):
+    """The vector holding ``values``, a slot -> value map, and zeros elsewhere."""
+    return tuple(float(values.get(slot, 0)) for slot in range(1, N_SLOTS + 1))
 
 
 def lv(values, label, comment=""):
-    return LabeledVector(FeatureVector(dict(values)), label, comment)
+    return LabeledVector(vec(values), label, comment)
 
 
 def separator_points(w_star, n, seed, margin=0.5):
@@ -158,14 +163,14 @@ def test_max_scaling_still_separates():
 
 def test_predict_zero_model_tie_rule():
     model = Model((0.0,) * N_SLOTS, 0.0)
-    label, margin = predict(model, FeatureVector({3: 5.0}))
+    label, margin = predict(model, vec({3: 5.0}))
     assert (label, margin) == (1, 0.0)
 
 
 def test_predict_dot_product():
     weights = (0.0,) * 4 + (1.0,) + (0.0,) * (N_SLOTS - 5)  # slot 5
     model = Model(weights, 0.0)
-    label, margin = predict(model, FeatureVector({5: 3}))
+    label, margin = predict(model, vec({5: 3}))
     assert label == 1 and margin == pytest.approx(3.0)
 
 
@@ -176,8 +181,17 @@ def test_predict_sign_invariant_under_positive_scaling(scale, values):
     weights = tuple(rng.uniform(-1, 1) for _ in range(N_SLOTS))
     model = Model(weights, 0.25)
     scaled = Model(tuple(w * scale for w in weights), 0.25 * scale)
-    v = FeatureVector(dict(values))
+    v = vec(values)
     assert predict(model, v)[0] == predict(scaled, v)[0]
+
+
+@pytest.mark.parametrize("length", [0, N_SLOTS - 1, N_SLOTS + 1])
+def test_labeled_vector_and_predict_refuse_a_vector_not_17_long(length):
+    # a slot outside 1..17 cannot reach train or predict
+    with pytest.raises(ValueError, match=f"vector must hold 17 slots, got {length}"):
+        LabeledVector((1.0,) * length, 1)
+    with pytest.raises(ValueError):
+        predict(Model((0.0,) * N_SLOTS, 0.0), (1.0,) * length)
 
 
 def test_grid_search_picks_best_deterministically(monkeypatch):
@@ -236,7 +250,7 @@ def test_read_svmlight_tolerates_whitespace_and_comments(tmp_path):
                     encoding="utf-8")
     data = read_svmlight(path)
     assert len(data) == 2
-    assert data[0].vector.values == {2: 1.5, 10: 4.0}
+    assert data[0].vector == vec({2: 1.5, 10: 4.0})
     assert data[0].comment == "topic-7"
     assert data[1].label == -1
 
@@ -298,9 +312,9 @@ def test_svmlight_round_trip_arbitrary_floats_within_tolerance(tmp_path_factory,
     assert len(loaded) == len(data)
     for got, want in zip(loaded, data):
         assert got.label == want.label
-        assert set(got.vector.values) == set(want.vector.values)
-        for slot, value in want.vector.values.items():
-            assert got.vector.values[slot] == pytest.approx(value, rel=1e-5)
+        for slot, value in enumerate(want.vector, 1):
+            assert bool(got.vector[slot - 1]) == bool(value)
+            assert got.vector[slot - 1] == pytest.approx(value, rel=1e-5)
 
 
 # model files
@@ -380,15 +394,28 @@ def test_load_model_rejects_non_finite_values(tmp_path, field, value, line_no):
         load_model(path)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-def test_feature_vector_rejects_non_finite_values(value):
-    with pytest.raises(ValueError, match="slot 6 value .* is not finite"):
-        FeatureVector({3: 1.0, 6: value})
-
-
 @pytest.mark.parametrize("pair", ["1:nan", "6:inf", "6:-inf", "2:1e999"])
 def test_read_svmlight_rejects_non_finite_values(tmp_path, pair):
     path = tmp_path / "f.svml"
     path.write_text(f"+1 1:1\n-1 {pair}\n", encoding="utf-8")
     with pytest.raises(ParseError, match=r"f\.svml:2: non-finite value"):
         read_svmlight(path)
+
+
+@pytest.mark.parametrize("pair, error", [
+    ("18:1", "feature index 18 outside schema 1..17"),
+    ("0:1", "indices must be strictly increasing at '0:1'"),
+    ("-3:1", "indices must be strictly increasing at '-3:1'")], ids=["18", "0", "negative"])
+def test_read_svmlight_rejects_an_index_outside_the_schema(tmp_path, pair, error):
+    path = tmp_path / "f.svml"
+    path.write_text(f"+1 1:1\n-1 {pair}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"f\.svml:2: {error}$"):
+        read_svmlight(path)
+
+
+def test_write_svmlight_writes_only_nonzero_slots(tmp_path):
+    path = tmp_path / "f.svml"
+    write_svmlight([lv({1: 1.0, 5: 0.0, 10: 9}, 1), lv({}, -1), lv({17: -0.5}, 1)], path)
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == ["+1 1:1 10:9", "-1",
+                                                                 "+1 17:-0.5"]
+    assert read_svmlight(path)[0].vector == vec({1: 1.0, 10: 9.0})

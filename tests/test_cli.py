@@ -309,10 +309,11 @@ def test_cli_imports_only_the_standard_library():
 
 
 def test_cli_import_leaves_expansion_and_synthetic_unloaded():
-    # only `expand` needs expansion, and no subcommand needs synthetic
+    # only `expand` needs expansion, `score`, `normalize`, `kappa` and
+    # `expand` never need classifier, and no subcommand needs synthetic
     assert _fresh_python(
-        "import sys, arasent.cli; "
-        "print(sorted({'arasent.expansion', 'arasent.synthetic'} & set(sys.modules)))") == "[]"
+        "import sys, arasent.cli; print(sorted({'arasent.expansion', 'arasent.synthetic', "
+        "'arasent.classifier'} & set(sys.modules)))") == "[]"
 
 
 @pytest.mark.parametrize("how", ["flag", "config"])
@@ -423,6 +424,15 @@ def test_tag_table_word_that_normalizes_to_nothing_is_a_data_error(tmp_path, cor
     tags.write_text("رائع\tJJ\nabc\tJJ\n", encoding="utf-8")
     assert run(["score", "--corpus", corpus_path, "--tagtable", str(tags)]) == 2
     assert capsys.readouterr() == ("", f"error: {tags}:2: word is empty after normalization\n")
+
+
+def test_lexicon_word_that_is_several_words_is_a_data_error(tmp_path, corpus_path, capsys):
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("word\tgloss\ttranslit\tpolarity\ttf\nمش كده\t\t\tNG\t0\n",
+                   encoding="utf-8")
+    assert run(["score", "--corpus", corpus_path, "--lexicon", str(lex)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {lex}:2: lexicon word is several words after normalization\n")
 
 
 def test_seed_beyond_32_bits_trains(tmp_path, corpus_path, capsys):

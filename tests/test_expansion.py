@@ -17,7 +17,7 @@ from arasent.expansion import (
     resolve_oov,
 )
 from arasent.lexicon import LexiconEntry, Polarity, SentimentLexicon
-from arasent.preprocess import PosTag, normalize_text
+from arasent.preprocess import PosTag, _WORD_RE, normalize_text
 
 PO, NG, NU = Polarity.PO, Polarity.NG, Polarity.NU
 
@@ -224,6 +224,25 @@ def test_fixture_provider_rejects_a_synonym_that_normalizes_to_nothing(tmp_path)
         SynsetResult("Delighted", ("سعيد",), ())
 
 
+@pytest.mark.parametrize("row, error", [
+    ("مش كده\tx\t\t", "word is several words"), ("!\tx\t\t", "word is empty"),
+    ("مسرور\tx\tفرحان جدا\t", "word 'فرحان جدا' is several words"),
+    ("مسرور\tx\t\tحزين.جدا", "word 'حزين.جدا' is several words")],
+    ids=["word-space", "word-delimiter", "synonym-space", "antonym-delimiter"])
+def test_fixture_provider_rejects_a_word_that_is_not_one_word(tmp_path, row, error):
+    path = tmp_path / "syn.tsv"
+    path.write_text(f"قبيح\tUgly\t\tجميل\n{row}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"syn\.tsv:2: {error} after normalization$"):
+        FixtureProvider.from_file(path)
+
+
+def test_fixture_provider_drops_a_delimiter_next_to_a_word(tmp_path):
+    path = tmp_path / "syn.tsv"
+    path.write_text("مسرور!\tDelighted\tسعيد.\t\n", encoding="utf-8")
+    assert FixtureProvider.from_file(path).fetch("مسرور") == \
+        SynsetResult("Delighted", ("سعيد",), ())
+
+
 def test_fixture_provider_rejects_duplicates(tmp_path):
     path = tmp_path / "syn.tsv"
     path.write_text("مسرور\tx\t\t\nمسرور\ty\t\t\n", encoding="utf-8")
@@ -377,10 +396,10 @@ class _Fixed:
 
 def test_caching_provider_survives_tabs_and_newlines_in_answers(tmp_path):
     cache = tmp_path / "cache.tsv"
-    answer = SynsetResult("happy\tglad\nhi", ("سع\tيد", "فرحان\nمبسوط"))
+    answer = SynsetResult("happy\tglad\nhi", ("سعيد\t", "فرحان\nمبسوط", "\nمبسوط"))
     first = CachingProvider(_Fixed(answer), cache).fetch("مبسوط")
     assert first.translation == "happy glad hi"
-    assert first.synonyms == ("سع يد", "فرحان مبسوط")
+    assert first.synonyms == ("سعيد", "مبسوط")  # "فرحان مبسوط" is two words
     reload = _Fixed(SynsetResult())
     assert CachingProvider(reload, cache).fetch("مبسوط") == first
     assert reload.calls == 0
@@ -396,7 +415,7 @@ def test_caching_provider_round_trip(tmp_path_factory, word, translation, synony
                                      antonyms):
     """fetch, then a fresh provider over the same cache file: same answer,
     without asking the inner provider again."""
-    assume(normalize_text(word))
+    assume(len(_WORD_RE.findall(normalize_text(word))) == 1)  # only a word has a row
     answer = SynsetResult(translation, tuple(synonyms), tuple(antonyms))
     cache = tmp_path_factory.mktemp("cache") / "cache.tsv"
     first = CachingProvider(_Fixed(answer), cache).fetch(word)
@@ -407,5 +426,6 @@ def test_caching_provider_round_trip(tmp_path_factory, word, translation, synony
 
 def test_caching_provider_does_not_persist_a_word_that_normalizes_away(tmp_path):
     cache = tmp_path / "cache.tsv"
-    assert CachingProvider(_Fixed(SynsetResult("x")), cache).fetch("123").translation == "x"
+    for word in ("123", "!", "مش كده", "مش.كده"):
+        assert CachingProvider(_Fixed(SynsetResult("x")), cache).fetch(word).translation == "x"
     assert not cache.exists()

@@ -1,19 +1,22 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from arasent.features import (
     Analyzer,
     CueLists,
-    FeatureVector,
     HAS_NG_PH,
     HAS_NG_SENTI,
     HAS_PO_PH,
     HAS_PO_SENTI,
     IS_NEGATION,
+    IS_QUESTION,
+    IS_WISHFUL,
     N_O_CONFLICT,
     N_O_NEGATION,
+    N_O_QUESTION,
+    N_O_WISHFUL,
+    N_SLOTS,
     NG_W_POSITION,
     NO_OF_WORDS,
     PO_W_POSITION,
@@ -100,7 +103,7 @@ def conflicts(text, lex, cues, tags):
     """The conflict count and the resolved values of a one-sentence topic."""
     analyzer = Analyzer(lex, IdiomLexicon(), cues, tags=tags)
     [row] = analyzer.analyze(text)
-    return analyzer.vector(text).get(N_O_CONFLICT), row.resolved
+    return analyzer.vector(text)[N_O_CONFLICT - 1], row.resolved
 
 
 def masked(text, idioms):
@@ -168,9 +171,9 @@ def test_negation_before_plain_word_changes_only_cue_slots(lex, cues, idioms):
         words = rng.sample(FILLERS, 4) + [rng.choice(POS_WORDS + NEG_WORDS)]
         v1 = features(" ".join(words), lex, idioms, cues)
         v2 = features(" ".join([rng.choice(NEGATORS)] + words), lex, idioms, cues)
-        assert v2.get(IS_NEGATION) == 1 and v2.get(N_O_NEGATION) == 1
-        assert v1.get(W_PO) == v2.get(W_PO) and v1.get(W_NG) == v2.get(W_NG)
-        assert v2.get(NO_OF_WORDS) == v1.get(NO_OF_WORDS) + 1
+        assert v2[IS_NEGATION - 1] == 1 and v2[N_O_NEGATION - 1] == 1
+        assert v1[W_PO - 1] == v2[W_PO - 1] and v1[W_NG - 1] == v2[W_NG - 1]
+        assert v2[NO_OF_WORDS - 1] == v1[NO_OF_WORDS - 1] + 1
 
 
 def test_intensifier_doubling_1000_random_sentences(lex, cues):
@@ -250,42 +253,42 @@ def test_mask_idioms_no_match(idioms):
 
 def test_masked_idiom_never_double_counts(lex, cues, idioms):
     v = features("تسليم السلطة للبرلمان تعني تسليم القط مفتاح الكرار", lex, idioms, cues)
-    assert v.get(HAS_NG_PH) == 1
-    assert v.get(W_PO) == 0 and v.get(W_NG) == 0
+    assert v[HAS_NG_PH - 1] == 1
+    assert v[W_PO - 1] == 0 and v[W_NG - 1] == 0
 
 
 # feature vectors
 
 def test_position_feature_series_example(lex, cues, idioms):
     v = features("هذا المسلسل رائع لكن يوجد ملل في بعض حلقاته", lex, idioms, cues)
-    assert v.get(NO_OF_WORDS) == 9
-    assert v.get(PO_W_POSITION) == pytest.approx(3.0)
-    assert v.get(NG_W_POSITION) == pytest.approx(1.5)
-    assert v.get(W_PO) == 1 and v.get(W_NG) == 1
+    assert v[NO_OF_WORDS - 1] == 9
+    assert v[PO_W_POSITION - 1] == pytest.approx(3.0)
+    assert v[NG_W_POSITION - 1] == pytest.approx(1.5)
+    assert v[W_PO - 1] == 1 and v[W_NG - 1] == 1
 
 
 def test_empty_topic_all_zero(lex, cues, idioms):
     v = features("", lex, idioms, cues)
-    assert v.values == {}
+    assert v == (0.0,) * N_SLOTS
 
 
 def test_negation_example_slots(lex, cues, idioms):
     v = features("انا لا احب هذا الكتاب", lex, idioms, cues)
-    assert v.get(IS_NEGATION) == 1 and v.get(N_O_NEGATION) == 1
-    assert v.get(W_NG) == 1 and v.get(W_PO) == 0
-    assert v.get(HAS_NG_SENTI) == 1 and v.get(HAS_PO_SENTI) == 0
+    assert v[IS_NEGATION - 1] == 1 and v[N_O_NEGATION - 1] == 1
+    assert v[W_NG - 1] == 1 and v[W_PO - 1] == 0
+    assert v[HAS_NG_SENTI - 1] == 1 and v[HAS_PO_SENTI - 1] == 0
 
 
 def test_neutral_count_slot(lex, cues, idioms):
     v = features("المكان عادي متوسط", lex, idioms, cues)
-    assert v.get(W_NU) == 2
+    assert v[W_NU - 1] == 2
 
 
 def test_question_and_wishful_slots(lex, cues, idioms):
     v = features("هل المكان قذر ليه", lex, idioms, cues)
-    assert v.get(13) == 1 and v.get(14) == 2  # Is_Question, N_O_Question
+    assert v[IS_QUESTION - 1] == 1 and v[N_O_QUESTION - 1] == 2
     v2 = features("يارب اتمني الفرج", lex, idioms, cues)
-    assert v2.get(15) == 1 and v2.get(16) == 2  # Is_wishful, N_O_wishful
+    assert v2[IS_WISHFUL - 1] == 1 and v2[N_O_WISHFUL - 1] == 2
 
 
 def test_position_monotone_in_word_position(lex, cues, idioms):
@@ -298,7 +301,7 @@ def test_position_monotone_in_word_position(lex, cues, idioms):
         for pos in range(n + 1):
             words = fillers[:pos] + ["رائع"] + fillers[pos:]
             v = features(" ".join(words), lex, idioms, cues)
-            values.append(v.get(PO_W_POSITION))
+            values.append(v[PO_W_POSITION - 1])
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -308,8 +311,8 @@ def test_has_flags_match_weights(lex, cues, idioms):
     for _ in range(300):
         words = [rng.choice(vocab) for _ in range(rng.randint(0, 8))]
         v = features(" ".join(words), lex, idioms, cues)
-        assert (v.get(HAS_PO_SENTI) == 1) == (v.get(W_PO) > 0)
-        assert (v.get(HAS_NG_SENTI) == 1) == (v.get(W_NG) > 0)
+        assert (v[HAS_PO_SENTI - 1] == 1) == (v[W_PO - 1] > 0)
+        assert (v[HAS_NG_SENTI - 1] == 1) == (v[W_NG - 1] > 0)
 
 
 def test_extract_features_deterministic(lex, cues, idioms, tags):
@@ -321,15 +324,15 @@ def test_extract_features_deterministic(lex, cues, idioms, tags):
 
 def test_extract_runs_full_pipeline_with_stopwords(lex, cues, idioms):
     v = features("هذا المكان رائِع 123!", lex, idioms, cues, stopwords={"هذا"})
-    assert v.get(W_PO) == 1
-    assert v.get(NO_OF_WORDS) == 2  # هذا removed, digits stripped
+    assert v[W_PO - 1] == 1
+    assert v[NO_OF_WORDS - 1] == 2  # هذا removed, digits stripped
 
 
 def test_conflict_slot_via_extract(lex, cues, idioms, tags):
     v = features("المكان خدمة سيئة فعلا", lex, idioms, cues,
                          tags=tags)
-    assert v.get(N_O_CONFLICT) == 1
-    assert v.get(W_NG) == 1 and v.get(W_PO) == 0
+    assert v[N_O_CONFLICT - 1] == 1
+    assert v[W_NG - 1] == 1 and v[W_PO - 1] == 0
 
 
 # rule-based scorer
@@ -383,11 +386,11 @@ def test_slot_domains_over_random_topics(lex, cues, idioms, tags):
         v = features(" ".join(words), lex, idioms, cues,
                              tags=tags)
         for slot in binary:
-            assert v.get(slot) in (0.0, 1.0)
+            assert v[slot - 1] in (0.0, 1.0)
         for slot in counts:
-            value = v.get(slot)
+            value = v[slot - 1]
             assert value >= 0 and value == int(value)
-        assert v.get(PO_W_POSITION) >= 0 and v.get(NG_W_POSITION) >= 0
+        assert v[PO_W_POSITION - 1] >= 0 and v[NG_W_POSITION - 1] >= 0
 
 
 def test_scored_token_magnitude_invariant(lex, cues):
@@ -402,38 +405,3 @@ def test_scored_token_magnitude_invariant(lex, cues):
             assert abs(shifted) in (0, abs(base), 2 * abs(base))
             if base == 0:
                 assert shifted == 0
-
-
-# FeatureVector plumbing
-
-def test_feature_vector_stores_only_nonzero():
-    v = FeatureVector({1: 1.0, 5: 0.0, 10: 9})
-    assert v.values == {1: 1.0, 10: 9.0}
-    v = FeatureVector({10: 9, 5: 2, 1: 0})
-    assert v.pairs() == [(5, 2.0), (10, 9.0)]
-
-
-def test_feature_vector_rejects_out_of_schema_slot():
-    with pytest.raises(ValueError, match="slot 18 outside"):
-        FeatureVector({18: 1.0})
-    with pytest.raises(ValueError, match="slot 0 outside"):
-        FeatureVector({3: 1.0, 0: 1.0})
-
-
-def test_feature_vector_is_read_only():
-    # a slot written after construction would skip the slot check: slot 0
-    # would land on the bias column in train and on weight 17 in predict
-    v = FeatureVector({1: 1.0})
-    with pytest.raises(TypeError):
-        v.values[0] = 1.0
-    with pytest.raises(TypeError):
-        del v.values[1]
-    assert v.pairs() == [(1, 1.0)]
-
-
-@given(st.dictionaries(st.integers(1, 17), st.floats(-5, 5, allow_nan=False),
-                       max_size=8))
-def test_feature_vector_get_set_consistent(values):
-    v = FeatureVector(dict(values))
-    for slot, value in values.items():
-        assert v.get(slot) == (float(value) if value else 0.0)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from arasent import resources
 from arasent.errors import DuplicatePhrase, DuplicateWord, ParseError
 from arasent.evaluation import Topic
 from arasent.lexicon import (
@@ -86,13 +87,35 @@ def test_load_rejects_duplicate_word(tmp_path):
 
 @pytest.mark.parametrize("word, reason", [
     ("hello", "prevent-list word is empty after normalization"),
-    ("رائِع", "رائع is already a lexicon entry")], ids=["empty", "lexicon-entry"])
+    ("رائِع", "رائع is already a lexicon entry"),
+    ("?", "prevent-list word is empty after normalization"),
+    ("مش كده", "prevent-list word is several words after normalization")],
+    ids=["empty", "lexicon-entry", "delimiter", "several-words"])
 def test_load_rejects_bad_prevent_line(tmp_path, word, reason):
     path = tmp_path / "lex.tsv"
     write_lexicon_file(path, [("رائع", "", "", "PO", 0)])
     (tmp_path / "lex.prevent").write_text(f"كلام\n# a comment\n{word}\n", encoding="utf-8")
     with pytest.raises(ParseError, match=f"lex.prevent:3: {reason}$"):
         load_sentiment_lexicon(path)
+
+
+@pytest.mark.parametrize("word, problem", [("...", "empty"), ("مش كده", "several words"),
+                                            ("حلو.جدا", "several words")],
+                         ids=["delimiters", "space", "delimiter-inside"])
+def test_load_rejects_a_lexicon_word_that_is_not_one_word(tmp_path, word, problem):
+    path = tmp_path / "lex.tsv"
+    write_lexicon_file(path, [("رائع", "", "", "PO", 0), (word, "", "", "NG", 0)])
+    with pytest.raises(ParseError,
+                       match=f"lex.tsv:3: lexicon word is {problem} after normalization$"):
+        load_sentiment_lexicon(path)
+
+
+def test_a_lexicon_word_next_to_a_delimiter_still_matches(tmp_path):
+    path = tmp_path / "lex.tsv"
+    write_lexicon_file(path, [("رائع!", "", "", "PO", 0)])
+    assert load_sentiment_lexicon(path).words() == ["رائع"]
+    analyzer = resources.load({"lexicon": path}).analyzer()
+    assert analyzer.rule_score("المكان رائع") == (1.0, PO)
 
 
 def test_load_rejects_missing_header(tmp_path):

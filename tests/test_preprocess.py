@@ -219,12 +219,22 @@ def test_default_tagger_lexicon_words_default_jj():
 @pytest.mark.parametrize("key", ["tagtable", "stopwords", "negators", "intensifiers",
                                  "questions", "wishful"])
 def test_loaders_reject_a_word_that_normalizes_to_nothing(tmp_path, key):
-    # line 3 holds only Latin letters, which normalization drops
-    text = "# comment\nفي\tNN\nabc\tJJ\n" if key == "tagtable" else "# comment\nفي\nnot\n"
+    # Latin letters and delimiters are dropped; a space or delimiter inside
+    # leaves two words, which no single word of a sentence can equal
     path = tmp_path / f"{key}.txt"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(ParseError, match=f"{key}.txt:3: word is empty after normalization$"):
-        resources.load({key: path})
+    first, tag = ("في\tNN", "\tJJ") if key == "tagtable" else ("في", "")
+    for word, problem in [("not", "empty"), ("!.", "empty"), ("مش كده", "several words"),
+                          ("مش.كده", "several words")]:
+        path.write_text(f"# comment\n{first}\n{word}{tag}\n", encoding="utf-8")
+        with pytest.raises(ParseError,
+                           match=f"{key}.txt:3: word is {problem} after normalization$"):
+            resources.load({key: path})
+
+
+def test_a_delimiter_next_to_a_listed_word_is_dropped(tmp_path):
+    path = tmp_path / "negators.txt"
+    path.write_text("لا.\n", encoding="utf-8")  # cue lists load as stopword lists do
+    assert load_stopwords(path) == {"لا"}
 
 
 def test_load_stopwords(tmp_path):
