@@ -42,6 +42,9 @@ class LabeledVector:
             raise ValueError(f"label must be +1 or -1, got {self.label}")
         if len(self.vector) != N_SLOTS:
             raise ValueError(f"vector must hold {N_SLOTS} slots, got {len(self.vector)}")
+        for slot, value in enumerate(self.vector, 1):
+            if not math.isfinite(value):
+                raise ValueError(f"slot {slot} value {value} is not finite")
 
 
 @dataclass

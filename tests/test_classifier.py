@@ -394,6 +394,13 @@ def test_load_model_rejects_non_finite_values(tmp_path, field, value, line_no):
         load_model(path)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_feature_vector_rejects_non_finite_values(value):
+    # a non-finite value cannot reach train or write_svmlight
+    with pytest.raises(ValueError, match="slot 6 value .* is not finite"):
+        LabeledVector(vec({3: 1.0, 6: value}), 1)
+
+
 @pytest.mark.parametrize("pair", ["1:nan", "6:inf", "6:-inf", "2:1e999"])
 def test_read_svmlight_rejects_non_finite_values(tmp_path, pair):
     path = tmp_path / "f.svml"

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from arasent.classifier import read_svmlight
 from arasent.features import (
     Analyzer,
     CueLists,
@@ -405,3 +407,16 @@ def test_scored_token_magnitude_invariant(lex, cues):
             assert abs(shifted) in (0, abs(base), 2 * abs(base))
             if base == 0:
                 assert shifted == 0
+
+
+@given(st.dictionaries(st.integers(1, 17), st.floats(-5, 5, allow_nan=False),
+                       max_size=8))
+def test_feature_vector_get_set_consistent(tmp_path_factory, values):
+    """Slot s, set by number in an SVM-light line, reads back at index s - 1."""
+    path = tmp_path_factory.mktemp("svml") / "f.svml"
+    pairs = " ".join(f"{slot}:{values[slot]!r}" for slot in sorted(values))
+    path.write_text(f"+1 {pairs}\n", encoding="utf-8")
+    (loaded,) = read_svmlight(path)
+    assert len(loaded.vector) == N_SLOTS
+    for slot in range(1, N_SLOTS + 1):
+        assert loaded.vector[slot - 1] == values.get(slot, 0.0)
