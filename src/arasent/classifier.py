@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyTrainingSet, ParseError, SingleClassTrainingSet
 from .features import N_SLOTS, SCHEMA_VERSION
@@ -23,38 +22,38 @@ from .fileio import atomic_write, read_lines
 TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(NamedTuple):
     regularization: float = 1e-2
     epochs: int = 200
     seed: int = 42
     scale_max: bool = False
 
 
-@dataclass
 class LabeledVector:
-    vector: tuple[float, ...]  # length N_SLOTS, index slot-1
-    label: int  # +1 (PO) or -1 (NG)
-    comment: str = ""
+    """One training row: ``vector`` (length N_SLOTS, index slot-1), ``label``
+    +1 (PO) or -1 (NG) and a free ``comment``; refuses any other label,
+    length or a non-finite value."""
 
-    def __post_init__(self):
-        if self.label not in (1, -1):
-            raise ValueError(f"label must be +1 or -1, got {self.label}")
-        if len(self.vector) != N_SLOTS:
-            raise ValueError(f"vector must hold {N_SLOTS} slots, got {len(self.vector)}")
-        for slot, value in enumerate(self.vector, 1):
+    __slots__ = ("vector", "label", "comment")
+
+    def __init__(self, vector: tuple[float, ...], label: int, comment: str = ""):
+        if label not in (1, -1):
+            raise ValueError(f"label must be +1 or -1, got {label}")
+        if len(vector) != N_SLOTS:
+            raise ValueError(f"vector must hold {N_SLOTS} slots, got {len(vector)}")
+        for slot, value in enumerate(vector, 1):
             if not math.isfinite(value):
                 raise ValueError(f"slot {slot} value {value} is not finite")
+        self.vector, self.label, self.comment = vector, label, comment
 
 
-@dataclass
-class Model:
+class Model(NamedTuple):
     weights: tuple[float, ...]  # length N_SLOTS, index slot-1
     bias: float
-    config: TrainConfig = field(default_factory=TrainConfig)
-    # how the fit ended; not part of the model file
-    passes: int | None = field(default=None, compare=False)
-    gap: float | None = field(default=None, compare=False)
+    config: TrainConfig = TrainConfig()
+    # how the fit ended; not part of the model file, so a loaded model has None
+    passes: int | None = None
+    gap: float | None = None
 
 
 def train(data: Sequence[LabeledVector],
@@ -144,19 +143,19 @@ def accuracy(model: Model, data: Sequence[LabeledVector]) -> float:
 def grid_search(train_data: Sequence[LabeledVector],
                 dev_data: Sequence[LabeledVector],
                 regularizations: Iterable[float] = (1e-3, 1e-2, 1e-1),
-                seed: int = 42) -> tuple[TrainConfig, Model, float]:
+                config: TrainConfig = TrainConfig()) -> tuple[TrainConfig, Model, float]:
     """Pick the regularization with the best dev accuracy, one fit each.
 
-    Ties keep the first candidate in iteration order, so the search is
-    deterministic.
+    Every fit keeps the other settings of ``config``. Ties keep the first
+    candidate in iteration order, so the search is deterministic.
     """
     best: tuple[TrainConfig, Model, float] | None = None
     for reg in regularizations:
-        config = TrainConfig(regularization=reg, seed=seed)
-        model = train(train_data, config)
+        candidate = config._replace(regularization=reg)
+        model = train(train_data, candidate)
         acc = accuracy(model, dev_data)
         if best is None or acc > best[2]:
-            best = (config, model, acc)
+            best = (candidate, model, acc)
     assert best is not None
     return best
 

@@ -12,8 +12,8 @@ import argparse
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import resources
 from .errors import ArasentError, ParseError
@@ -31,11 +31,10 @@ from .lexicon import Polarity, save_sentiment_lexicon
 from .preprocess import normalize_text
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Resource overrides and pipeline settings for one invocation."""
 
-    paths: dict[str, str] = field(default_factory=dict)  # key in resources.FILES -> file
+    paths: dict[str, str]  # key in resources.FILES -> file
     seed: int = 42
     train_frac: float = 0.8
     dev_frac: float = 0.1
@@ -240,6 +239,9 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     from . import classifier
 
+    if args.grid and args.regularization is not None:
+        print("error: --grid picks the regularization; drop --reg", file=sys.stderr)
+        return 1
     config = _resolve_config(args)
     pipe = _Pipeline(config)
     corpus = load_corpus(args.corpus)
@@ -252,7 +254,7 @@ def _cmd_evaluate(args) -> int:
     if args.grid:
         dev_data, _ = pipe.labeled_vectors(dev_t)
         train_cfg, model, dev_acc = classifier.grid_search(
-            train_data, dev_data, seed=config.seed)
+            train_data, dev_data, config=_train_config(config))
         print(f"grid pick: reg={train_cfg.regularization} "
               f"(dev accuracy {100 * dev_acc:.2f}%)")
     else:
@@ -361,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-frac", dest="test_frac", type=float)
     p.add_argument("--no-stratify", dest="stratify", action="store_const", const=False)
     p.add_argument("--grid", action="store_true",
-                   help="pick hyperparameters on the dev split")
+                   help="pick the regularization on the dev split; --seed, --epochs "
+                        "and --scale still apply")
     p.add_argument("--model-out", help="also save the trained model")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     _add_config_flags(p, hyper=True)

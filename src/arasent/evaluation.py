@@ -12,10 +12,8 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     EmptyItems,
@@ -30,8 +28,7 @@ from .lexicon import Polarity
 GENRES = ("tweet", "hotel", "product", "tv")
 
 
-@dataclass
-class Topic:
+class Topic(NamedTuple):
     id: str
     text: str
     label: Polarity | None = None
@@ -93,8 +90,7 @@ def save_corpus(topics: Iterable[Topic], path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-@dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(NamedTuple):
     train_frac: float = 0.8
     dev_frac: float = 0.1
     test_frac: float = 0.1
@@ -147,16 +143,11 @@ def split_corpus(corpus: Sequence[Topic], spec: SplitSpec,
     return train, dev, test
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     tp: int = 0
     fp: int = 0
     fn: int = 0
     tn: int = 0
-
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.fn, self.tn) < 0:
-            raise ValueError("confusion counts must be non-negative")
 
     @property
     def total(self) -> int:
@@ -199,12 +190,6 @@ def recall(c: ConfusionCounts) -> float:
     return c.tp / (c.tp + c.fn)
 
 
-def confusion_metrics(c: ConfusionCounts) -> tuple[float, float, float]:
-    """(accuracy, precision, recall); raises UndefinedMetric on a zero
-    denominator rather than reporting 0."""
-    return accuracy(c), precision(c), recall(c)
-
-
 def f_measure(p: float, r: float) -> float:
     """Harmonic mean 2pr/(p+r)."""
     if p + r == 0:
@@ -213,6 +198,8 @@ def f_measure(p: float, r: float) -> float:
 
 
 def _pairwise_kappa(a: Sequence, b: Sequence) -> Fraction:
+    from fractions import Fraction
+
     n = len(a)
     agree = sum(1 for x, y in zip(a, b) if x == y)
     po = Fraction(agree, n)
@@ -233,6 +220,8 @@ def cohen_kappa(ratings: Sequence[Sequence]) -> float:
     pairwise kappas. Computed with exact rational arithmetic, so e.g. a
     0.4 comes out as exactly 0.4.
     """
+    from fractions import Fraction
+
     items = [tuple(row) for row in ratings]
     if not items:
         raise EmptyItems("no rated items")

@@ -11,10 +11,9 @@ word to human review or, non-interactively, to a pending file.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol
+from typing import Callable, Iterable, Mapping, NamedTuple, Protocol
 
 from .errors import InvalidPolarity, ParseError, ProviderError
 from .fileio import read_lines
@@ -24,7 +23,7 @@ from .lexicon import (
     SentimentLexicon,
     clean_field,
 )
-from .preprocess import PosTag, normalize_text, normalize_word, preprocess
+from .preprocess import PosTag, normalize_word, preprocess
 
 CANDIDATE_TAGS = frozenset({PosTag.JJ, PosTag.NN, PosTag.VB})
 
@@ -33,8 +32,7 @@ ACCEPTED = "ACCEPTED"
 REJECTED = "REJECTED"
 
 
-@dataclass(frozen=True)
-class SynsetResult:
+class SynsetResult(NamedTuple):
     """Provider answer: optional translation plus synonym and antonym words."""
 
     translation: str | None = None
@@ -160,28 +158,28 @@ class Outcome(Enum):
     OOV = "OOV"
 
 
-@dataclass
-class OrientationDecision:
+class OrientationDecision(NamedTuple):
     outcome: Outcome
     polarity: Polarity | None = None
-    evidence: list[tuple[str, Polarity]] = field(default_factory=list)
+    evidence: tuple[tuple[str, Polarity], ...] = ()
 
 
-@dataclass
 class ReviewItem:
-    word: str
-    status: str = PENDING
-    polarity: Polarity | None = None
+    """An out-of-vocabulary word; ``resolve_oov`` sets its status and polarity."""
+
+    def __init__(self, word: str, status: str = PENDING, polarity: Polarity | None = None):
+        self.word, self.status, self.polarity = word, status, polarity
 
 
-@dataclass
-class ExpansionReport:
-    adopted: list[str] = field(default_factory=list)
-    cos: list[str] = field(default_factory=list)
-    oov_pending: list[str] = field(default_factory=list)
-    oov_accepted: list[str] = field(default_factory=list)
-    oov_rejected: list[str] = field(default_factory=list)
-    errors: list[tuple[str, str]] = field(default_factory=list)
+class ExpansionReport(NamedTuple):
+    """The words of each outcome, in the order they were decided."""
+
+    adopted: list[str]
+    cos: list[str]
+    oov_pending: list[str]
+    oov_accepted: list[str]
+    oov_rejected: list[str]
+    errors: list[tuple[str, str]]
 
     def counts(self) -> dict[str, int]:
         return {
@@ -216,8 +214,8 @@ def detect_orientation(syn: SynsetResult, lex: SentimentLexicon) -> OrientationD
         return OrientationDecision(Outcome.OOV)
     polarities = {p for _, p in evidence}
     if len(polarities) == 1:
-        return OrientationDecision(Outcome.ADOPT, polarities.pop(), evidence)
-    return OrientationDecision(Outcome.COS, None, evidence)
+        return OrientationDecision(Outcome.ADOPT, polarities.pop(), tuple(evidence))
+    return OrientationDecision(Outcome.COS, None, tuple(evidence))
 
 
 def resolve_oov(lex: SentimentLexicon, item: ReviewItem, answer: str,
@@ -249,14 +247,19 @@ def resolve_oov(lex: SentimentLexicon, item: ReviewItem, answer: str,
 
 
 def _load_pending_words(path) -> set[str]:
+    """The words of a pending file's rows, normalized; a row whose first
+    column is not one word is a ParseError at its line."""
     words = set()
     p = Path(path)
     if not p.exists():
         return words
-    for _, line in read_lines(p):
-        word = normalize_text(line.split("\t", 1)[0])
-        if word:
-            words.add(word)
+    for line_no, line in read_lines(p):
+        if not line.strip():
+            continue
+        try:
+            words.add(normalize_word(line.split("\t", 1)[0], "pending word"))
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
     return words
 
 
@@ -284,7 +287,7 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
     stop = set(stopwords)
 
     working = lex.copy()
-    report = ExpansionReport()
+    report = ExpansionReport([], [], [], [], [], [])
     # candidates are never stopwords, so counting after their removal keeps every tf
     tf_counts: Counter = Counter()
     already_pending = _load_pending_words(pending_path) if pending_path else set()

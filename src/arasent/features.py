@@ -9,7 +9,6 @@ holds only its nonzero slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ArasentError
@@ -52,8 +51,7 @@ DEFAULT_NEGATION_WINDOW = 3
 DEFAULT_INTENSIFIER_WINDOW = 2
 
 
-@dataclass(frozen=True)
-class CueLists:
+class CueLists(NamedTuple):
     """Valence shifter and cue term sets, normalized on load."""
 
     negators: frozenset[str] = frozenset()

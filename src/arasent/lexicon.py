@@ -11,10 +11,9 @@ operations copy first.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DuplicatePhrase, DuplicateWord, ParseError
 from .fileio import atomic_write, read_lines
@@ -36,24 +35,20 @@ class Polarity(Enum):
         return Polarity.NU
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     word: str
     polarity: Polarity
     gloss: str = ""
     translit: str = ""
     tf: int = 0
 
-    def __post_init__(self):
-        if self.tf < 0:
-            raise ValueError(f"negative term frequency for {self.word!r}")
-
 
 class SentimentLexicon:
     """Map of normalized word -> entry, plus the disjoint prevent list.
 
-    ``add`` and ``add_prevent`` normalize the words they are given; the
-    readers (``lookup``, ``is_prevented``, ``in``) take normalized words."""
+    ``add`` and ``add_prevent`` normalize the words they are given, and
+    ``add`` refuses a negative tf; the readers (``lookup``, ``is_prevented``,
+    ``in``) take normalized words."""
 
     def __init__(self, entries: Iterable[LexiconEntry] = (),
                  prevent: Iterable[str] = ()):
@@ -66,8 +61,10 @@ class SentimentLexicon:
 
     def add(self, entry: LexiconEntry) -> None:
         word = normalize_word(entry.word, "lexicon word")
+        if entry.tf < 0:
+            raise ValueError(f"negative term frequency for {word!r}")
         if word != entry.word:
-            entry = replace(entry, word=word)
+            entry = entry._replace(word=word)
         if word in self._entries:
             raise DuplicateWord(word)
         if word in self._prevent:
@@ -99,12 +96,6 @@ class SentimentLexicon:
     def is_prevented(self, word: str) -> bool:
         """True when the normalized word ``word`` is on the prevent list."""
         return word in self._prevent
-
-    def polarity_counts(self) -> dict[Polarity, int]:
-        counts = {p: 0 for p in Polarity}
-        for entry in self._entries.values():
-            counts[entry.polarity] += 1
-        return counts
 
     def copy(self) -> "SentimentLexicon":
         fresh = SentimentLexicon()
@@ -199,24 +190,18 @@ def save_sentiment_lexicon(lex: SentimentLexicon, path) -> None:
             sidecar.write(word + "\n")
 
 
-@dataclass(frozen=True)
-class IdiomEntry:
+class IdiomEntry(NamedTuple):
     phrase: tuple[str, ...]
     polarity: Polarity
     gloss: str = ""
-
-    def __post_init__(self):
-        if len(self.phrase) < 2:
-            raise ValueError("idiom phrases need at least 2 tokens")
-        if self.polarity is Polarity.NU:
-            raise ValueError("idiom polarity must be PO or NG")
 
 
 class IdiomLexicon:
     """Idiom phrases indexed by first token for multi-token matching.
 
-    ``add`` normalizes each word of the phrase it is given; ``match_at``
-    takes normalized words."""
+    ``add`` normalizes each word of the phrase it is given and refuses a
+    phrase of one word or an NU polarity; ``match_at`` takes normalized
+    words."""
 
     def __init__(self, entries: Iterable[IdiomEntry] = ()):
         self._entries: list[IdiomEntry] = []
@@ -227,8 +212,12 @@ class IdiomLexicon:
 
     def add(self, entry: IdiomEntry) -> None:
         phrase = tuple(normalize_word(word, f"idiom word {word!r}") for word in entry.phrase)
+        if len(phrase) < 2:
+            raise ValueError("idiom phrases need at least 2 tokens")
+        if entry.polarity is Polarity.NU:
+            raise ValueError("idiom polarity must be PO or NG")
         if phrase != entry.phrase:
-            entry = replace(entry, phrase=phrase)
+            entry = entry._replace(phrase=phrase)
         if entry.phrase in self._seen:
             raise DuplicatePhrase(" ".join(entry.phrase))
         self._seen.add(entry.phrase)
@@ -283,7 +272,7 @@ def update_term_frequencies(lex: SentimentLexicon, corpus) -> SentimentLexicon:
     input is untouched.
     """
     counts = count_corpus_tokens(corpus)
-    fresh = [replace(e, tf=counts.get(word, 0)) for word, e in lex.entries.items()]
+    fresh = [e._replace(tf=counts.get(word, 0)) for word, e in lex.entries.items()]
     return SentimentLexicon(fresh, lex.prevent_list)
 
 

@@ -6,9 +6,8 @@ mapping or set keyed by single words in the canonical form produced here:
 alef variants unified, alef maqsura mapped to ya, diacritics and tatweel
 stripped, and every non-Arabic character dropped. The code that reads a
 file, or adds an entry, normalizes with ``normalize_word``; readers look
-words up as they are given. In ``normalize_text``, whitespace and the
-sentence delimiter set survive normalization so that sentence splitting
-still works afterwards.
+words up as they are given. In ``normalize_text``, which serves the
+``normalize`` subcommand, whitespace and the sentence delimiters survive.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .fileio import read_lines
 # Idiom mask words are the only non-Arabic words a masked sentence holds.
 PO_MASK = "PO_Phrase"
 NG_MASK = "NG_Phrase"
-MASK_TOKENS = frozenset({PO_MASK, NG_MASK})
 
 # alef variants (hamza above/below, madda, wasla) -> bare alef; maqsura -> ya.
 # Ta marbuta is deliberately left alone: folding it into ha would merge
@@ -82,14 +80,9 @@ def normalize_word(word: str, name: str = "word") -> str:
     return words[0]
 
 
-def split_sentences(text: str) -> list[str]:
-    """Split normalized text on { . ! ? ؟ ؛ newline }, dropping empties."""
-    return [part for part in (p.strip() for p in _SENTENCE_RE.split(text)) if part]
-
-
 def preprocess(text: str, stopwords: Collection[str] = frozenset()) -> list[list[str]]:
     """Normalized, split and tokenized text minus stopwords: one word list
-    per sentence."""
+    per sentence, the sentences ending at { . ! ? ؟ ؛ newline }."""
     # Only Arabic letters form words, so the characters normalize_text drops
     # or folds into spaces never change a sentence's words, and a piece
     # between delimiters that holds no word is exactly one it strips away.

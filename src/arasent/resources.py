@@ -3,10 +3,9 @@ which files they are, and how each one is loaded."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import ArasentError
 from .features import Analyzer, CueLists
@@ -46,8 +45,7 @@ def locate(key: str, paths: Mapping[str, str | Path] = {}) -> Path:
     return path
 
 
-@dataclass(frozen=True)
-class Resources:
+class Resources(NamedTuple):
     """The loaded resources of one run."""
 
     lexicon: SentimentLexicon

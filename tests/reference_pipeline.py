@@ -34,13 +34,9 @@ from arasent.features import (
     W_PO,
 )
 from arasent.lexicon import Polarity
-from arasent.preprocess import (
-    MASK_TOKENS,
-    NG_MASK,
-    PO_MASK,
-    PosTag,
-    split_sentences,
-)
+from arasent.preprocess import NG_MASK, PO_MASK, PosTag
+
+MASK_TOKENS = frozenset({PO_MASK, NG_MASK})
 
 _CHAR_MAP = str.maketrans({"أ": "ا", "إ": "ا", "آ": "ا", "ٱ": "ا", "ى": "ي"})
 _DIACRITICS_RE = re.compile("[\u064b-\u065f\u0670\u06d6-\u06ed\u0640]")
@@ -48,6 +44,7 @@ _DROP_RE = re.compile("[^\u0621-\u063a\u0641-\u064a.!?\u061f\u061b\\s]+")
 _SPACE_RE = re.compile(r"[^\S\n]+")
 _NEWLINE_RE = re.compile(r"\s*\n\s*")
 _TOKEN_RE = re.compile(f"{NG_MASK}|{PO_MASK}|[ء-غف-ي]+")
+_SENTENCE_RE = re.compile("[.!?\u061f\u061b\n]")
 
 
 @dataclass(frozen=True)
@@ -111,6 +108,10 @@ def normalize_text(raw):
     text = _SPACE_RE.sub(" ", text)
     text = _NEWLINE_RE.sub("\n", text)
     return text.strip()
+
+
+def split_sentences(text):
+    return [part for part in (p.strip() for p in _SENTENCE_RE.split(text)) if part]
 
 
 def tokenize(sentence):

@@ -6,7 +6,6 @@ lines alongside pytest's own verdicts.
 
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -274,7 +273,7 @@ def test_criterion_09_expansion_effect_direction(shipped):
 
     train_t, _, test_t = split_corpus(corpus, SplitSpec())
 
-    tags = replace(shipped["resources"], lexicon=seed_lex).word_tags
+    tags = shipped["resources"]._replace(lexicon=seed_lex).word_tags
     pre_model = classifier.train(
         _labeled(train_t, seed_lex, idioms, cues, stop, tags))
     pre_acc = classifier.accuracy(
@@ -285,7 +284,7 @@ def test_criterion_09_expansion_effect_direction(shipped):
                                           stopwords=stop)
     assert set(rep.adopted) == set(held)
 
-    tags_g = replace(shipped["resources"], lexicon=grown).word_tags
+    tags_g = shipped["resources"]._replace(lexicon=grown).word_tags
     post_model = classifier.train(
         _labeled(train_t, grown, idioms, cues, stop, tags_g))
     post_acc = classifier.accuracy(
@@ -309,7 +308,8 @@ def test_criterion_10_format_fidelity(tmp_path):
         data.append(LabeledVector(vector, rng.choice([1, -1]), f"t{i}"))
     path = tmp_path / "vectors.svml"
     classifier.write_svmlight(data, path)
-    assert classifier.read_svmlight(path) == data
+    assert ([(v.vector, v.label, v.comment) for v in classifier.read_svmlight(path)]
+            == [(v.vector, v.label, v.comment) for v in data])
 
     lex = resources.load().lexicon
     out = tmp_path / "lexicon.tsv"

@@ -9,7 +9,7 @@ from arasent import resources
 from arasent.errors import ArasentError
 from arasent.features import Analyzer, SentenceTrace
 from arasent.lexicon import IdiomEntry, IdiomLexicon, LexiconEntry, Polarity, SentimentLexicon
-from arasent.preprocess import PosTag, _WORD_RE, normalize_text, preprocess, split_sentences
+from arasent.preprocess import PosTag, _WORD_RE, normalize_text, preprocess
 
 RES = resources.load()
 LEX, IDIOMS, CUES, STOPWORDS, TAGS = RES.lexicon, RES.idioms, RES.cues, RES.stopwords, RES.word_tags
@@ -122,7 +122,7 @@ def test_preprocess_matches_its_stages(raw, use_stop):
     words as normalizing, splitting and tokenizing one stage at a time."""
     stop = STOPWORDS if use_stop else frozenset()
     assert preprocess(raw, stop) == [[w for w in _WORD_RE.findall(s) if w not in stop]
-                                     for s in split_sentences(normalize_text(raw))]
+                                     for s in ref.split_sentences(normalize_text(raw))]
 
 
 def test_analyzer_snapshots_the_lexicon():

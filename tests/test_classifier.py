@@ -295,7 +295,8 @@ def test_svmlight_round_trip_1000_random_vectors(tmp_path):
     path = tmp_path / "big.svml"
     write_svmlight(data, path)
     loaded = read_svmlight(path)
-    assert loaded == data
+    assert ([(v.vector, v.label, v.comment) for v in loaded]
+            == [(v.vector, v.label, v.comment) for v in data])
 
 
 @settings(max_examples=50)
@@ -324,7 +325,8 @@ def test_model_save_load_round_trip(tmp_path):
     model = train(data, TrainConfig(regularization=0.05, epochs=50, seed=7))
     path = tmp_path / "model.txt"
     save_model(model, path)
-    assert load_model(path) == model
+    # weights, bias and config come back; how the fit ended is not kept
+    assert load_model(path) == model._replace(passes=None, gap=None)
 
 
 # the shipped-corpus model as the vectorised trainer wrote it

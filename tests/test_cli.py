@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -175,6 +176,23 @@ def test_evaluate_grid_search_path(corpus_path, capsys):
     assert re.match(r"grid pick: reg=\S+ \(dev accuracy \S+%\)\n", out) and "Total" in out
 
 
+def test_evaluate_grid_keeps_the_other_train_settings(tmp_path, corpus_path):
+    model = tmp_path / "m.txt"
+    assert run(["evaluate", "--corpus", corpus_path, "--grid", "--scale", "--epochs", "3",
+                "--seed", "7", "--model-out", str(model)]) == 0
+    config = load_model(model).config
+    assert (config.epochs, config.seed, config.scale_max) == (3, 7, True)
+    assert config.regularization in (1e-3, 1e-2, 1e-1)
+
+
+def test_evaluate_grid_with_reg_is_a_usage_error(tmp_path, corpus_path, capsys):
+    model = tmp_path / "m.txt"
+    assert run(["evaluate", "--corpus", corpus_path, "--grid", "--reg", "0.5",
+                "--model-out", str(model)]) == 1
+    assert capsys.readouterr().err == "error: --grid picks the regularization; drop --reg\n"
+    assert not model.exists()
+
+
 def test_predict_to_stdout(tmp_path, corpus_path, capsys):
     features = tmp_path / "f.svml"
     model = tmp_path / "m.txt"
@@ -314,6 +332,26 @@ def test_cli_import_leaves_expansion_and_synthetic_unloaded():
     assert _fresh_python(
         "import sys, arasent.cli; print(sorted({'arasent.expansion', 'arasent.synthetic', "
         "'arasent.classifier'} & set(sys.modules)))") == "[]"
+
+
+def test_no_arasent_module_loads_dataclasses_inspect_or_fractions():
+    # each costs start-up time that no subcommand needs
+    assert _fresh_python(
+        "import sys, arasent.cli, arasent.classifier, arasent.expansion, "
+        "arasent.evaluation, arasent.resources, arasent.synthetic; "
+        "print(sorted({'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))") == "[]"
+
+
+@pytest.mark.parametrize("module", ["cli", "classifier", "evaluation", "expansion", "features",
+                                    "lexicon", "resources"])
+def test_no_named_tuple_shares_a_mutable_default(module):
+    mod = importlib.import_module(f"arasent.{module}")
+    types = [t for t in vars(mod).values() if isinstance(t, type) and issubclass(t, tuple)
+             and t.__module__ == mod.__name__]
+    assert types
+    for t in types:
+        for default in t._field_defaults.values():
+            hash(default)  # raises for a list, dict or set, which every instance would share
 
 
 @pytest.mark.parametrize("how", ["flag", "config"])

@@ -18,7 +18,6 @@ from arasent.evaluation import (
     Topic,
     accuracy,
     cohen_kappa,
-    confusion_metrics,
     f_measure,
     format_report,
     genre_report,
@@ -198,14 +197,15 @@ def test_split_partition_property(n, seed):
 
 def test_confusion_metrics_hand_example():
     c = ConfusionCounts(tp=3, fp=1, fn=2, tn=4)
-    acc, prec, rec = confusion_metrics(c)
+    acc, prec, rec = accuracy(c), precision(c), recall(c)
     assert acc == pytest.approx(0.7)
     assert prec == pytest.approx(0.75)
     assert rec == pytest.approx(0.6)
 
 
 def test_confusion_metrics_all_correct():
-    assert confusion_metrics(ConfusionCounts(tp=5, tn=5)) == (1.0, 1.0, 1.0)
+    c = ConfusionCounts(tp=5, tn=5)
+    assert (accuracy(c), precision(c), recall(c)) == (1.0, 1.0, 1.0)
 
 
 def test_precision_undefined():

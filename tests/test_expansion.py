@@ -115,7 +115,7 @@ def test_conflicting_synonyms_cos(lex, provider):
 def test_no_translation_no_synonyms_oov(lex, provider):
     d = detect_orientation(provider.fetch("هايف"), lex)
     assert d.outcome is Outcome.OOV
-    assert d.evidence == []
+    assert d.evidence == ()
 
 
 def test_unknown_synonyms_route_to_oov(lex):
@@ -328,6 +328,29 @@ def test_expand_reads_pending_files_with_unnormalized_words(provider, tags, tmp_
                                tags=tags, pending_path=pending)
     assert report.oov_pending == ["هايف"]
     assert pending.read_text(encoding="utf-8") == "هايِف\tPENDING\n"
+
+
+@pytest.mark.parametrize("row", ["هايف!\tPENDING", " هايف.\tPENDING", "هايف"])
+def test_expand_dedupes_a_hand_edited_pending_row(provider, tags, tmp_path, row):
+    pending = tmp_path / "review.tsv"
+    pending.write_text(f"{row}\n\n", encoding="utf-8")
+    _, report = expand_lexicon(walkthrough_corpus(), seed_lexicon(), provider,
+                               tags=tags, pending_path=pending)
+    assert report.oov_pending == ["هايف"]
+    assert pending.read_text(encoding="utf-8") == f"{row}\n\n"
+
+
+@pytest.mark.parametrize("row, problem", [("!\tPENDING", "empty"),
+                                          ("هايف جدا\tPENDING", "several words"),
+                                          ("هايف.جدا", "several words")])
+def test_expand_refuses_a_pending_row_that_is_not_one_word(provider, tags, tmp_path, row,
+                                                           problem):
+    pending = tmp_path / "review.tsv"
+    pending.write_text(f"هايف\tPENDING\n{row}\n", encoding="utf-8")
+    with pytest.raises(ParseError,
+                       match=f"review.tsv:2: pending word is {problem} after normalization$"):
+        expand_lexicon(walkthrough_corpus(), seed_lexicon(), provider, tags=tags,
+                       pending_path=pending)
 
 
 def test_expand_interactive_accepts_ng(provider, tags):

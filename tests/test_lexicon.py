@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -57,7 +59,7 @@ def test_load_class_counts_at_full_scale(tmp_path):
     path = tmp_path / "big.tsv"
     write_lexicon_file(path, rows)
     lex = load_sentiment_lexicon(path)
-    counts = lex.polarity_counts()
+    counts = Counter(entry.polarity for entry in lex)
     assert len(lex) == 5244
     assert counts[PO] == 2003 and counts[NG] == 2829 and counts[NU] == 412
     assert sum(counts.values()) == len(lex)
@@ -211,10 +213,21 @@ def test_round_trip_property(tmp_path_factory, entries):
 
 
 def test_idiom_entry_validation():
-    with pytest.raises(ValueError):
-        IdiomEntry(("واحدة",), NG)
-    with pytest.raises(ValueError):
-        IdiomEntry(("كلمتين", "هنا"), NU)
+    idioms = IdiomLexicon()
+    with pytest.raises(ValueError, match="idiom phrases need at least 2 tokens"):
+        idioms.add(IdiomEntry(("واحدة",), NG))
+    with pytest.raises(ValueError, match="idiom polarity must be PO or NG"):
+        idioms.add(IdiomEntry(("كلمتين", "هنا"), NU))
+    assert len(idioms) == 0 and idioms.match_at(["كلمتين", "هنا"], 0) is None
+
+
+def test_add_refuses_a_negative_tf():
+    lex = SentimentLexicon([LexiconEntry("رائع", PO, tf=2)])
+    with pytest.raises(ValueError, match="negative term frequency for 'ملل'"):
+        lex.add(LexiconEntry("ملل", NG, tf=-1))
+    with pytest.raises(ValueError, match="negative term frequency"):
+        SentimentLexicon([LexiconEntry("ملل", NG, tf=-1)])
+    assert lex.words() == ["رائع"]
 
 
 def test_load_idiom_lexicon(tmp_path):

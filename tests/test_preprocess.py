@@ -1,5 +1,4 @@
 import unicodedata
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,13 +8,13 @@ from arasent.errors import ParseError
 from arasent.features import Analyzer, CueLists
 from arasent.lexicon import IdiomEntry, IdiomLexicon, Polarity, SentimentLexicon
 from arasent.preprocess import (
-    MASK_TOKENS,
+    NG_MASK,
+    PO_MASK,
     PosTag,
     load_stopwords,
     load_tag_table,
     normalize_text,
     preprocess,
-    split_sentences,
 )
 
 ARABIC_LETTERS = set(chr(c) for c in range(0x0621, 0x063B)) | \
@@ -99,20 +98,21 @@ def test_normalize_matches_oracle(text):
 
 
 def test_split_sentences_period():
-    assert split_sentences("المكان جميل. الخدمة سيئة") == ["المكان جميل", "الخدمة سيئة"]
+    assert preprocess("المكان جميل. الخدمة سيئة") == [["المكان", "جميل"], ["الخدمة", "سيئة"]]
 
 
 def test_split_sentences_no_delimiter():
-    assert split_sentences("رائع") == ["رائع"]
+    assert preprocess("رائع") == [["رائع"]]
 
 
 def test_split_sentences_empty():
-    assert split_sentences("") == []
+    assert preprocess("") == []
+    assert preprocess(" .!\n؟ ") == []
 
 
 def test_split_sentences_covers_input():
     text = "اهلا! كيف الحال؟ تمام\nخلاص"
-    parts = split_sentences(text)
+    parts = [" ".join(words) for words in preprocess(text)]
     assert parts == ["اهلا", "كيف الحال", "تمام", "خلاص"]
     rest = text
     for p in parts:  # segments appear in order, nothing invented
@@ -212,7 +212,7 @@ def test_default_tagger_lexicon_words_default_jj():
     from arasent.lexicon import LexiconEntry
     lex = SentimentLexicon([LexiconEntry("رائع", Polarity.PO),
                             LexiconEntry("فساد", Polarity.NG)])
-    res = replace(resources.load(), lexicon=lex, tags={"فساد": PosTag.NN})
+    res = resources.load()._replace(lexicon=lex, tags={"فساد": PosTag.NN})
     assert res.word_tags == {"رائع": PosTag.JJ, "فساد": PosTag.NN}
 
 
@@ -245,6 +245,6 @@ def test_load_stopwords(tmp_path):
 
 
 def test_mask_tokens_are_the_only_ascii_surfaces():
-    assert MASK_TOKENS == {"PO_Phrase", "NG_Phrase"}
-    assert all(isinstance(t, str) for t in MASK_TOKENS)
+    assert (PO_MASK, NG_MASK) == ("PO_Phrase", "NG_Phrase")
+    assert preprocess(f"{PO_MASK} {NG_MASK}") == []  # no text can spell a mask
 
