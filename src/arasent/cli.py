@@ -243,6 +243,9 @@ def _cmd_evaluate(args) -> int:
         print("error: --grid picks the regularization; drop --reg", file=sys.stderr)
         return 1
     config = _resolve_config(args)
+    if args.grid and args.config and "regularization" in load_config_file(args.config):
+        print(f"note: --grid picks the regularization; the one in {args.config} is not used",
+              file=sys.stderr)
     pipe = _Pipeline(config)
     corpus = load_corpus(args.corpus)
     spec = SplitSpec(config.train_frac, config.dev_frac, config.test_frac,
@@ -363,8 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-frac", dest="test_frac", type=float)
     p.add_argument("--no-stratify", dest="stratify", action="store_const", const=False)
     p.add_argument("--grid", action="store_true",
-                   help="pick the regularization on the dev split; --seed, --epochs "
-                        "and --scale still apply")
+                   help="pick the regularization on the dev split (--reg is refused, a "
+                        "config file's one is not used); --seed, --epochs and --scale "
+                        "still apply")
     p.add_argument("--model-out", help="also save the trained model")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     _add_config_flags(p, hyper=True)

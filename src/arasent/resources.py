@@ -3,7 +3,6 @@ which files they are, and how each one is loaded."""
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
@@ -28,7 +27,7 @@ FILES = {
 
 
 def data_path(name: str) -> Path:
-    return Path(str(resources.files("arasent").joinpath("data", name)))
+    return Path(__file__).with_name("data") / name
 
 
 def seed_lexicon() -> SentimentLexicon:

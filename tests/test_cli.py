@@ -193,6 +193,18 @@ def test_evaluate_grid_with_reg_is_a_usage_error(tmp_path, corpus_path, capsys):
     assert not model.exists()
 
 
+def test_evaluate_grid_notes_a_config_file_regularization(tmp_path, corpus_path, capsys):
+    # a config file may be shared with `train`, so its value is noted, not refused
+    conf = tmp_path / "run.conf"
+    conf.write_text("regularization = 0.5\n", encoding="utf-8")
+    model = tmp_path / "m.txt"
+    assert run(["evaluate", "--corpus", corpus_path, "--grid", "--config", str(conf),
+                "--model-out", str(model)]) == 0
+    assert capsys.readouterr().err == (
+        f"note: --grid picks the regularization; the one in {conf} is not used\n")
+    assert load_model(model).config.regularization in (1e-3, 1e-2, 1e-1)
+
+
 def test_predict_to_stdout(tmp_path, corpus_path, capsys):
     features = tmp_path / "f.svml"
     model = tmp_path / "m.txt"
@@ -309,13 +321,13 @@ def test_train_on_non_finite_features_exits_2(tmp_path, capsys):
     assert not model.exists()
 
 
-def _fresh_python(code: str) -> str:
+def _fresh_python(code: str, *options: str) -> str:
     """Standard output of ``code`` run in a new interpreter on this checkout."""
     src = str(Path(arasent.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
+    done = subprocess.run([sys.executable, *options, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
     return done.stdout.strip()
 
 
@@ -335,11 +347,13 @@ def test_cli_import_leaves_expansion_and_synthetic_unloaded():
 
 
 def test_no_arasent_module_loads_dataclasses_inspect_or_fractions():
-    # each costs start-up time that no subcommand needs
+    # each costs start-up time that no subcommand needs; -S keeps out what a
+    # site-packages .pth file imports, so only arasent's own imports count
     assert _fresh_python(
         "import sys, arasent.cli, arasent.classifier, arasent.expansion, "
         "arasent.evaluation, arasent.resources, arasent.synthetic; "
-        "print(sorted({'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))") == "[]"
+        "print(sorted({'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))",
+        "-S") == "[]"
 
 
 @pytest.mark.parametrize("module", ["cli", "classifier", "evaluation", "expansion", "features",
