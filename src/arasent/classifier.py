@@ -14,7 +14,7 @@ import math
 import random
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import EmptyTrainingSet, ParseError, SingleClassTrainingSet
+from .errors import ArasentError, ParseError
 from .features import N_SLOTS, SCHEMA_VERSION
 from .fileio import atomic_write, read_lines
 
@@ -65,13 +65,20 @@ def train(data: Sequence[LabeledVector],
     projected-gradient gap of a pass falls under ``TOL`` or after
     ``config.epochs`` passes; the model records both. Deterministic: the
     same (data order, seed, config) reproduces the model bit for bit.
+    Refuses a regularization that is not positive and finite, fewer than one
+    pass, and data without both labels.
     """
     config = config or TrainConfig()
+    if not 0 < config.regularization < math.inf:
+        raise ArasentError("regularization must be a positive finite number, "
+                           f"got {config.regularization}")
+    if config.epochs < 1:
+        raise ArasentError(f"epochs must be a positive integer, got {config.epochs}")
     if not data:
-        raise EmptyTrainingSet("no training vectors")
+        raise ArasentError("no training vectors")
     labels = {lv.label for lv in data}
     if labels != {1, -1}:
-        raise SingleClassTrainingSet(f"need both labels, got {sorted(labels)}")
+        raise ArasentError(f"need both labels, got {sorted(labels)}")
 
     factors = [0.0] * (N_SLOTS + 1)  # column max |x| per slot, when scaling
     for lv in data:
@@ -135,7 +142,7 @@ def objective(model: Model, data: Sequence[LabeledVector]) -> float:
 
 def accuracy(model: Model, data: Sequence[LabeledVector]) -> float:
     if not data:
-        raise EmptyTrainingSet("no vectors to score")
+        raise ArasentError("no vectors to score")
     hits = sum(1 for lv in data if predict(model, lv.vector)[0] == lv.label)
     return hits / len(data)
 
@@ -166,11 +173,11 @@ def _format_value(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _check_schema(path, line_no, version: int) -> None:
+def _check_schema(version: int) -> None:
     """Refuse a file written for any feature schema but this one."""
     if version != SCHEMA_VERSION:
-        raise ParseError(path, line_no, f"unsupported schema_version {version} "
-                                        f"(only schema {SCHEMA_VERSION} exists)")
+        raise ValueError(f"unsupported schema_version {version} "
+                         f"(only schema {SCHEMA_VERSION} exists)")
 
 
 def write_svmlight(data: Sequence[LabeledVector], path) -> None:
@@ -201,53 +208,52 @@ def read_svmlight(path) -> list[LabeledVector]:
     file without one, as the original tool writes, is read as that schema.
     """
     out: list[LabeledVector] = []
-    for line_no, raw in read_lines(path):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            head = line.lstrip("#").strip()
-            if head.startswith("schema_version:"):
-                try:
-                    version = int(head.split(":", 1)[1])
-                except ValueError:
-                    raise ParseError(path, line_no, "bad schema_version header") from None
-                _check_schema(path, line_no, version)
-            continue
-        body, _, comment = line.partition("#")
-        tokens = body.split()
-        if not tokens:
-            raise ParseError(path, line_no, "missing label")
-        if tokens[0] in ("+1", "1"):
-            label = 1
-        elif tokens[0] == "-1":
-            label = -1
-        else:
-            raise ParseError(path, line_no, f"label must be +1 or -1, got {tokens[0]!r}")
-        values = [0.0] * N_SLOTS
-        last_index = 0
-        for tok in tokens[1:]:
-            if tok == "qid" or tok.startswith("qid:"):
+    with read_lines(path) as lines:
+        for line in lines:
+            line = line.strip()
+            if not line:
                 continue
-            index_s, sep, value_s = tok.partition(":")
-            if not sep:
-                raise ParseError(path, line_no, f"expected index:value, got {tok!r}")
-            try:
-                index = int(index_s)
-                value = float(value_s)
-            except ValueError:
-                raise ParseError(path, line_no, f"non-numeric pair {tok!r}") from None
-            if not math.isfinite(value):
-                raise ParseError(path, line_no, f"non-finite value {tok!r}")
-            if index <= last_index:
-                raise ParseError(path, line_no,
-                                 f"indices must be strictly increasing at {tok!r}")
-            if index > N_SLOTS:
-                raise ParseError(path, line_no,
-                                 f"feature index {index} outside schema 1..{N_SLOTS}")
-            last_index = index
-            values[index - 1] = value
-        out.append(LabeledVector(tuple(values), label, comment.strip()))
+            if line.startswith("#"):
+                head = line.lstrip("#").strip()
+                if head.startswith("schema_version:"):
+                    try:
+                        version = int(head.split(":", 1)[1])
+                    except ValueError:
+                        raise ValueError("bad schema_version header") from None
+                    _check_schema(version)
+                continue
+            body, _, comment = line.partition("#")
+            tokens = body.split()
+            if not tokens:
+                raise ValueError("missing label")
+            if tokens[0] in ("+1", "1"):
+                label = 1
+            elif tokens[0] == "-1":
+                label = -1
+            else:
+                raise ValueError(f"label must be +1 or -1, got {tokens[0]!r}")
+            values = [0.0] * N_SLOTS
+            last_index = 0
+            for tok in tokens[1:]:
+                if tok == "qid" or tok.startswith("qid:"):
+                    continue
+                index_s, sep, value_s = tok.partition(":")
+                if not sep:
+                    raise ValueError(f"expected index:value, got {tok!r}")
+                try:
+                    index = int(index_s)
+                    value = float(value_s)
+                except ValueError:
+                    raise ValueError(f"non-numeric pair {tok!r}") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite value {tok!r}")
+                if index <= last_index:
+                    raise ValueError(f"indices must be strictly increasing at {tok!r}")
+                if index > N_SLOTS:
+                    raise ValueError(f"feature index {index} outside schema 1..{N_SLOTS}")
+                last_index = index
+                values[index - 1] = value
+            out.append(LabeledVector(tuple(values), label, comment.strip()))
     return out
 
 
@@ -266,29 +272,31 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     fields: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
-    for line_no, line in read_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ParseError(path, line_no, f"expected key: value, got {line!r}")
-        fields[key.strip()] = (line_no, value.strip())
+    with read_lines(path) as lines:
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            key, sep, value = line.partition(":")
+            if not sep:
+                raise ValueError(f"expected key: value, got {line!r}")
+            fields[key.strip()] = (lines.line_no, value.strip())
 
     def number(key, cast=float):
         if key not in fields:
-            raise ParseError(path, 0, f"missing model field {key!r}")
+            raise ParseError(path, None, f"missing model field {key!r}")
         line_no, text = fields[key]
         try:
             value = cast(text)
+            if cast is float and not math.isfinite(value):  # an int is finite, however long
+                raise ValueError(f"non-finite {key}: {text}")
+            if key == "schema_version":
+                _check_schema(value)
         except ValueError as exc:
             raise ParseError(path, line_no, str(exc)) from None
-        if not math.isfinite(value):
-            raise ParseError(path, line_no, f"non-finite {key}: {text}")
         return value
 
-    version = number("schema_version", int)  # raises if the field is missing
-    _check_schema(path, fields["schema_version"][0], version)
+    number("schema_version", int)  # first: no other field is read from another schema
     config = TrainConfig(regularization=number("regularization"), epochs=number("epochs", int),
                          seed=number("seed", int),
                          scale_max=fields.get("scaling", (0, "none"))[1] == "max")

@@ -9,14 +9,13 @@ config file is plain ``key = value`` text with ``#`` comments.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from contextlib import nullcontext
 from pathlib import Path
 from typing import NamedTuple
 
 from . import resources
-from .errors import ArasentError, ParseError
+from .errors import ArasentError
 from .evaluation import (
     SplitSpec,
     cohen_kappa,
@@ -47,17 +46,9 @@ class RunConfig(NamedTuple):
     intensifier_window: int = 2
 
     def validate(self) -> None:
+        """Refuse a negative seed; ``train`` and ``Analyzer`` check the rest."""
         if self.seed < 0:
             raise ArasentError(f"seed must be a non-negative integer, got {self.seed}")
-        if not 0 < self.regularization < math.inf:
-            raise ArasentError("regularization must be a positive finite number, "
-                               f"got {self.regularization}")
-        if self.epochs < 1:
-            raise ArasentError(f"epochs must be a positive integer, got {self.epochs}")
-        for key in ("negation_window", "intensifier_window"):
-            if getattr(self, key) < 0:
-                raise ArasentError(f"{key} must be a non-negative integer, "
-                                   f"got {getattr(self, key)}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -80,19 +71,20 @@ _SETTINGS = {
 def load_config_file(path) -> dict:
     """Parse ``key = value`` lines into typed values; ``#`` starts a comment."""
     values: dict = {}
-    for line_no, line in read_lines(path):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = (part.strip() for part in line.partition("="))
-        if not sep:
-            raise ParseError(path, line_no, "expected key = value")
-        if key not in _SETTINGS:
-            raise ParseError(path, line_no, f"unknown key {key!r}")
-        try:
-            values[key] = _SETTINGS[key](value)
-        except ValueError as exc:
-            raise ParseError(path, line_no, f"{key}: {exc}") from None
+    with read_lines(path) as lines:
+        for line in lines:
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep:
+                raise ValueError("expected key = value")
+            if key not in _SETTINGS:
+                raise ValueError(f"unknown key {key!r}")
+            try:
+                values[key] = _SETTINGS[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
     return values
 
 
@@ -138,7 +130,7 @@ class _Pipeline:
 def _read_text(source: str) -> str:
     if source == "-":
         return sys.stdin.read()
-    return "".join(line for _, line in read_lines(source))
+    return "".join(read_lines(source))
 
 
 def _cmd_normalize(args) -> int:

@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
 The CLI maps any ArasentError to exit code 2 (data error); everything else
-is a bug.
+is a bug. A refused file line is a ``ParseError`` (see ``fileio.read_lines``),
+and a refused setting or data set an ``ArasentError``.
 """
 
 
@@ -10,25 +11,14 @@ class ArasentError(Exception):
 
 
 class ParseError(ArasentError):
-    """A resource file could not be parsed."""
+    """A file could not be parsed: at ``line_no``, or as a whole when it is None."""
 
     def __init__(self, source, line_no, reason):
         self.source = str(source)
         self.line_no = line_no
         self.reason = reason
-        super().__init__(f"{self.source}:{line_no}: {reason}")
-
-
-class DuplicateWord(ArasentError):
-    """The same word was added to a sentiment lexicon twice."""
-
-
-class DuplicatePhrase(ArasentError):
-    """The same token sequence was added to an idiom lexicon twice."""
-
-
-class InvalidPolarity(ArasentError):
-    """An operator answer did not name a usable polarity."""
+        where = self.source if line_no is None else f"{self.source}:{line_no}"
+        super().__init__(f"{where}: {reason}")
 
 
 class ProviderError(ArasentError):
@@ -38,27 +28,3 @@ class ProviderError(ArasentError):
         self.word = word
         super().__init__(f"provider failed for {word!r}: {reason}" if reason
                          else f"provider failed for {word!r}")
-
-
-class EmptyTrainingSet(ArasentError):
-    """train() was called with no data."""
-
-
-class SingleClassTrainingSet(ArasentError):
-    """train() was called with only one label present."""
-
-
-class InvalidSplitSpec(ArasentError):
-    """Split fractions are not positive or do not sum to 1."""
-
-
-class UndefinedMetric(ArasentError):
-    """A metric denominator is zero; the value is absent, not 0."""
-
-
-class InsufficientRaters(ArasentError):
-    """Agreement needs at least two raters per item."""
-
-
-class EmptyItems(ArasentError):
-    """Agreement needs at least one rated item."""

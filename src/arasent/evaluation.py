@@ -15,13 +15,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import (
-    EmptyItems,
-    InsufficientRaters,
-    InvalidSplitSpec,
-    ParseError,
-    UndefinedMetric,
-)
+from .errors import ArasentError
 from .fileio import atomic_write, read_lines
 from .lexicon import Polarity
 
@@ -39,43 +33,43 @@ def load_corpus(path) -> list[Topic]:
     """Read a JSON-lines corpus; topic ids must be unique."""
     topics: list[Topic] = []
     seen: set[str] = set()
-    for line_no, line in read_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, line_no, f"bad JSON: {exc.msg}") from None
-        except RecursionError:
-            raise ParseError(path, line_no, "bad JSON: nested too deeply") from None
-        if not isinstance(record, dict) or "id" not in record or "text" not in record:
-            raise ParseError(path, line_no, "record needs 'id' and 'text' fields")
-        for key in ("id", "text", "genre"):
-            value = record.get(key)
-            if key == "genre" and value is None:
+    with read_lines(path) as lines:
+        for line in lines:
+            line = line.strip()
+            if not line:
                 continue
-            if not isinstance(value, str):
-                raise ParseError(path, line_no,
-                                 f"{key!r} must be a string, got {type(value).__name__}")
             try:
-                value.encode("utf-8")  # a JSON escape can give a lone surrogate
-            except UnicodeEncodeError:
-                raise ParseError(path, line_no, f"{key!r} is not valid utf-8 text") from None
-        topic_id = record["id"]
-        if topic_id in seen:
-            raise ParseError(path, line_no, f"duplicate topic id {topic_id!r}")
-        seen.add(topic_id)
-        label = None
-        if record.get("label") is not None:
-            try:
-                label = Polarity(record["label"])
-            except ValueError:
-                raise ParseError(path, line_no,
-                                 f"label must be PO or NG, got {record['label']!r}") from None
-            if label is Polarity.NU:
-                raise ParseError(path, line_no, "topic labels are PO or NG only")
-        topics.append(Topic(topic_id, record["text"], label, record.get("genre")))
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"bad JSON: {exc.msg}") from None
+            except RecursionError:
+                raise ValueError("bad JSON: nested too deeply") from None
+            if not isinstance(record, dict) or "id" not in record or "text" not in record:
+                raise ValueError("record needs 'id' and 'text' fields")
+            for key in ("id", "text", "genre"):
+                value = record.get(key)
+                if key == "genre" and value is None:
+                    continue
+                if not isinstance(value, str):
+                    raise ValueError(f"{key!r} must be a string, got {type(value).__name__}")
+                try:
+                    value.encode("utf-8")  # a JSON escape can give a lone surrogate
+                except UnicodeEncodeError:
+                    raise ValueError(f"{key!r} is not valid utf-8 text") from None
+            topic_id = record["id"]
+            if topic_id in seen:
+                raise ValueError(f"duplicate topic id {topic_id!r}")
+            seen.add(topic_id)
+            label = None
+            if record.get("label") is not None:
+                try:
+                    label = Polarity(record["label"])
+                except ValueError:
+                    raise ValueError(
+                        f"label must be PO or NG, got {record['label']!r}") from None
+                if label is Polarity.NU:
+                    raise ValueError("topic labels are PO or NG only")
+            topics.append(Topic(topic_id, record["text"], label, record.get("genre")))
     return topics
 
 
@@ -99,9 +93,9 @@ class SplitSpec(NamedTuple):
     def validate(self) -> None:
         fracs = (self.train_frac, self.dev_frac, self.test_frac)
         if not all(f > 0 for f in fracs):  # also rejects NaN
-            raise InvalidSplitSpec(f"fractions must be positive: {fracs}")
+            raise ArasentError(f"fractions must be positive: {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
-            raise InvalidSplitSpec(f"fractions must sum to 1: {fracs}")
+            raise ArasentError(f"fractions must sum to 1: {fracs}")
 
 
 def _split_sizes(n: int, spec: SplitSpec) -> tuple[int, int, int]:
@@ -172,28 +166,28 @@ class ConfusionCounts(NamedTuple):
         return cls(tp, fp, fn, tn)
 
 
-def accuracy(c: ConfusionCounts) -> float:
+def accuracy(c: ConfusionCounts) -> float | None:
     if c.total == 0:
-        raise UndefinedMetric("accuracy needs at least one observation")
+        return None
     return (c.tp + c.tn) / c.total
 
 
-def precision(c: ConfusionCounts) -> float:
+def precision(c: ConfusionCounts) -> float | None:
     if c.tp + c.fp == 0:
-        raise UndefinedMetric("precision undefined: no positive predictions")
+        return None
     return c.tp / (c.tp + c.fp)
 
 
-def recall(c: ConfusionCounts) -> float:
+def recall(c: ConfusionCounts) -> float | None:
     if c.tp + c.fn == 0:
-        raise UndefinedMetric("recall undefined: no positive gold labels")
+        return None
     return c.tp / (c.tp + c.fn)
 
 
-def f_measure(p: float, r: float) -> float:
-    """Harmonic mean 2pr/(p+r)."""
+def f_measure(p: float, r: float) -> float | None:
+    """Harmonic mean 2pr/(p+r); None when p + r is 0."""
     if p + r == 0:
-        raise UndefinedMetric("F-measure undefined: precision + recall is 0")
+        return None
     return 2 * p * r / (p + r)
 
 
@@ -224,12 +218,12 @@ def cohen_kappa(ratings: Sequence[Sequence]) -> float:
 
     items = [tuple(row) for row in ratings]
     if not items:
-        raise EmptyItems("no rated items")
+        raise ArasentError("no rated items")
     k = len(items[0])
     if k < 2:
-        raise InsufficientRaters(f"need at least 2 raters, got {k}")
+        raise ArasentError(f"need at least 2 raters, got {k}")
     if any(len(row) != k for row in items):
-        raise InsufficientRaters("every item needs a label from every rater")
+        raise ArasentError("every item needs a label from every rater")
     columns = list(zip(*items))
     pairs = list(combinations(range(k), 2))
     total = sum((_pairwise_kappa(columns[i], columns[j]) for i, j in pairs),
@@ -240,14 +234,15 @@ def cohen_kappa(ratings: Sequence[Sequence]) -> float:
 def load_ratings(path) -> list[tuple[str, ...]]:
     """TSV ratings file: one item per line, one column per rater."""
     items: list[tuple[str, ...]] = []
-    for line_no, line in read_lines(path):
-        line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        labels = tuple(part.strip() for part in line.split("\t"))
-        if any(not label for label in labels):
-            raise ParseError(path, line_no, "empty rating column")
-        items.append(labels)
+    with read_lines(path) as lines:
+        for line in lines:
+            line = line.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            labels = tuple(part.strip() for part in line.split("\t"))
+            if any(not label for label in labels):
+                raise ValueError("empty rating column")
+            items.append(labels)
     return items
 
 
@@ -270,20 +265,10 @@ def genre_report(topics: Sequence[Topic],
 
     def row(name: str, pairs: list[tuple[Polarity, Polarity]]) -> dict:
         c = ConfusionCounts.from_pairs(pairs)
-        out = {"data": name, "count": len(pairs), "accuracy": None,
-               "precision": None, "recall": None, "f_measure": None}
-        for key, fn in (("accuracy", accuracy), ("precision", precision),
-                        ("recall", recall)):
-            try:
-                out[key] = fn(c)
-            except UndefinedMetric:
-                pass
-        if out["precision"] is not None and out["recall"] is not None:
-            try:
-                out["f_measure"] = f_measure(out["precision"], out["recall"])
-            except UndefinedMetric:
-                pass
-        return out
+        p, r = precision(c), recall(c)
+        f = None if p is None or r is None else f_measure(p, r)
+        return {"data": name, "count": len(pairs), "accuracy": accuracy(c),
+                "precision": p, "recall": r, "f_measure": f}
 
     rows = [row(genre, pairs) for genre, pairs in by_genre.items()]
     rows.append(row("Total", all_pairs))

@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Protocol
 
-from .errors import InvalidPolarity, ParseError, ProviderError
+from .errors import ArasentError, ProviderError
 from .fileio import read_lines
 from .lexicon import (
     LexiconEntry,
@@ -65,21 +65,19 @@ class FixtureProvider:
     @classmethod
     def from_file(cls, path) -> "FixtureProvider":
         table: dict[str, SynsetResult] = {}
-        for line_no, line in read_lines(path):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if not 1 <= len(parts) <= 4:
-                raise ParseError(path, line_no, f"expected 1-4 columns, got {len(parts)}")
-            parts += [""] * (4 - len(parts))
-            try:
+        with read_lines(path) as lines:
+            for line in lines:
+                line = line.rstrip("\n")
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                parts = line.split("\t")
+                if not 1 <= len(parts) <= 4:
+                    raise ValueError(f"expected 1-4 columns, got {len(parts)}")
+                parts += [""] * (4 - len(parts))
                 word, result = normalize_word(parts[0]), _parse_row(parts)
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-            if word in table:
-                raise ParseError(path, line_no, f"duplicate word {word!r}")
-            table[word] = result
+                if word in table:
+                    raise ValueError(f"duplicate word {word!r}")
+                table[word] = result
         return cls(table)
 
     def fetch(self, word: str) -> SynsetResult:
@@ -239,7 +237,7 @@ def resolve_oov(lex: SentimentLexicon, item: ReviewItem, answer: str,
         item.status = REJECTED
         return fresh
     else:
-        raise InvalidPolarity(f"expected p, n or r, got {answer!r}")
+        raise ArasentError(f"expected p, n or r, got {answer!r}")
     fresh.add(LexiconEntry(item.word, polarity, tf=tf))
     item.status = ACCEPTED
     item.polarity = polarity
@@ -250,16 +248,12 @@ def _load_pending_words(path) -> set[str]:
     """The words of a pending file's rows, normalized; a row whose first
     column is not one word is a ParseError at its line."""
     words = set()
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         return words
-    for line_no, line in read_lines(p):
-        if not line.strip():
-            continue
-        try:
-            words.add(normalize_word(line.split("\t", 1)[0], "pending word"))
-        except ValueError as exc:
-            raise ParseError(path, line_no, str(exc)) from None
+    with read_lines(path) as lines:
+        for line in lines:
+            if line.strip():
+                words.add(normalize_word(line.split("\t", 1)[0], "pending word"))
     return words
 
 

@@ -143,6 +143,10 @@ class Analyzer:
                  stopwords: Iterable[str] = frozenset(), tags: Mapping[str, PosTag] = {},
                  negation_window: int = DEFAULT_NEGATION_WINDOW,
                  intensifier_window: int = DEFAULT_INTENSIFIER_WINDOW):
+        for key, window in (("negation_window", negation_window),
+                            ("intensifier_window", intensifier_window)):
+            if window < 0:
+                raise ArasentError(f"{key} must be a non-negative integer, got {window}")
         self.idioms, self.cues = idioms, cues
         self.stopwords = frozenset(stopwords)
         for entry in idioms:  # stopwords are dropped before masking

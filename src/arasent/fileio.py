@@ -7,17 +7,32 @@ from pathlib import Path
 from .errors import ParseError
 
 
-def read_lines(path):
-    """Yield ``(line_no, line)`` for each line of the UTF-8 text file at
-    ``path``, numbered from 1, with universal newlines. A line that is not
-    valid UTF-8 raises ``ParseError`` at its line."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")  # an undecodable byte became a lone surrogate
-            except UnicodeEncodeError:
-                raise ParseError(path, line_no, "not valid utf-8 text") from None
-            yield line_no, line
+class read_lines:
+    """The lines of the UTF-8 text file at ``path`` (universal newlines);
+    ``line_no`` counts the lines yielded so far. A line that is not valid
+    UTF-8 is a ``ParseError`` at its line. As a context manager around the
+    loop over its lines, it turns a ``ValueError`` raised in the block into
+    a ``ParseError`` at the line being handled, so loaders raise plain
+    ``ValueError`` and the error names the file and line at fault."""
+
+    def __init__(self, path):
+        self.path, self.line_no = path, 0
+
+    def __iter__(self):
+        with open(self.path, encoding="utf-8", errors="surrogateescape") as fh:
+            for self.line_no, line in enumerate(fh, start=1):
+                try:
+                    line.encode("utf-8")  # an undecodable byte became a lone surrogate
+                except UnicodeEncodeError:
+                    raise ParseError(self.path, self.line_no, "not valid utf-8 text") from None
+                yield line
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if isinstance(exc, ValueError):
+            raise ParseError(self.path, self.line_no, str(exc)) from None
 
 
 @contextmanager

@@ -15,7 +15,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import DuplicatePhrase, DuplicateWord, ParseError
 from .fileio import atomic_write, read_lines
 from .preprocess import normalize_word, preprocess
 
@@ -46,9 +45,10 @@ class LexiconEntry(NamedTuple):
 class SentimentLexicon:
     """Map of normalized word -> entry, plus the disjoint prevent list.
 
-    ``add`` and ``add_prevent`` normalize the words they are given, and
-    ``add`` refuses a negative tf; the readers (``lookup``, ``is_prevented``,
-    ``in``) take normalized words."""
+    ``add`` and ``add_prevent`` normalize the words they are given and refuse
+    with ``ValueError`` a word already in the lexicon or on the prevent list;
+    ``add`` also refuses a negative tf. The readers (``lookup``,
+    ``is_prevented``, ``in``) take normalized words."""
 
     def __init__(self, entries: Iterable[LexiconEntry] = (),
                  prevent: Iterable[str] = ()):
@@ -66,15 +66,15 @@ class SentimentLexicon:
         if word != entry.word:
             entry = entry._replace(word=word)
         if word in self._entries:
-            raise DuplicateWord(word)
+            raise ValueError(f"duplicate word {word}")
         if word in self._prevent:
-            raise DuplicateWord(f"{word} is on the prevent list")
+            raise ValueError(f"{word} is on the prevent list")
         self._entries[word] = entry
 
     def add_prevent(self, word: str) -> None:
         w = normalize_word(word, "prevent-list word")
         if w in self._entries:
-            raise DuplicateWord(f"{w} is already a lexicon entry")
+            raise ValueError(f"{w} is already a lexicon entry")
         self._prevent.add(w)
 
     def lookup(self, word: str) -> LexiconEntry | None:
@@ -125,46 +125,38 @@ def _prevent_path(path) -> Path:
 def load_sentiment_lexicon(path) -> SentimentLexicon:
     """Load a five-column TSV lexicon plus its prevent-list sidecar."""
     lex = SentimentLexicon()
-    for line_no, line in read_lines(path):
-        line = line.rstrip("\n")
-        if line_no == 1:
-            if line != LEXICON_HEADER:
-                raise ParseError(path, 1, "missing lexicon header line")
-            continue
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ParseError(path, line_no, f"expected 5 columns, got {len(parts)}")
-        word, gloss, translit, pol, tf = parts
-        try:
-            polarity = Polarity(pol.strip())
-        except ValueError:
-            raise ParseError(path, line_no,
-                             f"polarity must be PO, NG or NU, got {pol!r}") from None
-        try:
-            freq = int(tf)
-            if freq < 0:
-                raise ValueError
-        except ValueError:
-            raise ParseError(path, line_no,
-                             f"term frequency must be a non-negative integer, got {tf!r}") from None
-        try:
+    with read_lines(path) as lines:
+        for line in lines:
+            line = line.rstrip("\n")
+            if lines.line_no == 1:
+                if line != LEXICON_HEADER:
+                    raise ValueError("missing lexicon header line")
+                continue
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 5:
+                raise ValueError(f"expected 5 columns, got {len(parts)}")
+            word, gloss, translit, pol, tf = parts
+            try:
+                polarity = Polarity(pol.strip())
+            except ValueError:
+                raise ValueError(f"polarity must be PO, NG or NU, got {pol!r}") from None
+            try:
+                freq = int(tf)
+                if freq < 0:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(
+                    f"term frequency must be a non-negative integer, got {tf!r}") from None
             lex.add(LexiconEntry(word, polarity, gloss, translit, freq))
-        except ValueError as exc:
-            raise ParseError(path, line_no, str(exc)) from None
-        except DuplicateWord as exc:
-            raise DuplicateWord(f"{path}:{line_no}: duplicate word {exc}") from None
     sidecar = _prevent_path(path)
     if sidecar.exists():
-        for line_no, line in read_lines(sidecar):
-            word = line.split("#", 1)[0].strip()
-            if not word:
-                continue
-            try:
-                lex.add_prevent(word)
-            except (ValueError, DuplicateWord) as exc:
-                raise ParseError(sidecar, line_no, str(exc)) from None
+        with read_lines(sidecar) as lines:
+            for line in lines:
+                word = line.split("#", 1)[0].strip()
+                if word:
+                    lex.add_prevent(word)
     return lex
 
 
@@ -199,9 +191,9 @@ class IdiomEntry(NamedTuple):
 class IdiomLexicon:
     """Idiom phrases indexed by first token for multi-token matching.
 
-    ``add`` normalizes each word of the phrase it is given and refuses a
-    phrase of one word or an NU polarity; ``match_at`` takes normalized
-    words."""
+    ``add`` normalizes each word of the phrase it is given and refuses with
+    ``ValueError`` a phrase of one word, an NU polarity or a phrase it holds
+    already; ``match_at`` takes normalized words."""
 
     def __init__(self, entries: Iterable[IdiomEntry] = ()):
         self._entries: list[IdiomEntry] = []
@@ -219,7 +211,7 @@ class IdiomLexicon:
         if phrase != entry.phrase:
             entry = entry._replace(phrase=phrase)
         if entry.phrase in self._seen:
-            raise DuplicatePhrase(" ".join(entry.phrase))
+            raise ValueError(f"duplicate idiom {' '.join(entry.phrase)!r}")
         self._seen.add(entry.phrase)
         self._entries.append(entry)
         bucket = self._by_first.setdefault(entry.phrase[0], [])
@@ -244,24 +236,21 @@ class IdiomLexicon:
 def load_idiom_lexicon(path) -> IdiomLexicon:
     """Load a 2-3 column TSV: ``phrase<TAB>polarity[<TAB>gloss]``."""
     idioms = IdiomLexicon()
-    for line_no, line in read_lines(path):
-        line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) not in (2, 3):
-            raise ParseError(path, line_no, f"expected 2 or 3 columns, got {len(parts)}")
-        phrase = tuple(word for words in preprocess(parts[0]) for word in words)
-        try:
-            polarity = Polarity(parts[1].strip())
-        except ValueError:
-            raise ParseError(path, line_no,
-                             f"polarity must be PO or NG, got {parts[1]!r}") from None
-        gloss = parts[2] if len(parts) == 3 else ""
-        try:
+    with read_lines(path) as lines:
+        for line in lines:
+            line = line.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) not in (2, 3):
+                raise ValueError(f"expected 2 or 3 columns, got {len(parts)}")
+            phrase = tuple(word for words in preprocess(parts[0]) for word in words)
+            try:
+                polarity = Polarity(parts[1].strip())
+            except ValueError:
+                raise ValueError(f"polarity must be PO or NG, got {parts[1]!r}") from None
+            gloss = parts[2] if len(parts) == 3 else ""
             idioms.add(IdiomEntry(phrase, polarity, gloss))
-        except ValueError as exc:
-            raise ParseError(path, line_no, str(exc)) from None
     return idioms
 
 

@@ -16,7 +16,6 @@ import re
 from enum import Enum
 from typing import Collection
 
-from .errors import ParseError
 from .fileio import read_lines
 
 # Idiom mask words are the only non-Arabic words a masked sentence holds.
@@ -93,35 +92,33 @@ def preprocess(text: str, stopwords: Collection[str] = frozenset()) -> list[list
 
 
 def load_tag_table(path) -> dict[str, PosTag]:
-    """Load a TSV tag table: ``word<TAB>tag``, tag in {JJ, NN, VB, OTHER}."""
+    """Load a TSV tag table: ``word<TAB>tag``, one row per word, tag in {JJ, NN, VB, OTHER}."""
     table: dict[str, PosTag] = {}
-    for line_no, line in read_lines(path):
-        line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(path, line_no, "expected 2 tab-separated columns")
-        tag = parts[1].strip()
-        try:
+    with read_lines(path) as lines:
+        for line in lines:
+            line = line.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ValueError("expected 2 tab-separated columns")
+            tag = parts[1].strip()
             word = normalize_word(parts[0])
-        except ValueError as exc:
-            raise ParseError(path, line_no, str(exc)) from None
-        try:
-            table[word] = PosTag(tag)
-        except ValueError:
-            raise ParseError(path, line_no, f"unknown tag {tag!r}") from None
+            if word in table:
+                raise ValueError(f"duplicate word {word!r}")
+            try:
+                table[word] = PosTag(tag)
+            except ValueError:
+                raise ValueError(f"unknown tag {tag!r}") from None
     return table
 
 
 def load_stopwords(path) -> frozenset[str]:
     """One word per line, normalized on load; ``#`` starts a comment."""
     words = set()
-    for line_no, line in read_lines(path):
-        word = line.split("#", 1)[0].strip()
-        if word:
-            try:
+    with read_lines(path) as lines:
+        for line in lines:
+            word = line.split("#", 1)[0].strip()
+            if word:
                 words.add(normalize_word(word))
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
     return frozenset(words)

@@ -154,6 +154,12 @@ def test_analyzer_rejects_an_idiom_that_contains_a_stopword():
     assert IDIOMS and not any(STOPWORDS.intersection(e.phrase) for e in IDIOMS)
 
 
+@pytest.mark.parametrize("key", ["negation_window", "intensifier_window"])
+def test_analyzer_refuses_a_negative_window(key):
+    with pytest.raises(ArasentError, match=f"^{key} must be a non-negative integer, got -1$"):
+        RES.analyzer(**{key: -1})
+
+
 def test_an_idiom_added_unnormalized_still_masks():
     idioms = IdiomLexicon([IdiomEntry(("زى", "العسل"), Polarity.PO)])
     assert [entry.phrase for entry in idioms] == [("زي", "العسل")]

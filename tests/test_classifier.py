@@ -20,7 +20,7 @@ from arasent.classifier import (
     train,
     write_svmlight,
 )
-from arasent.errors import EmptyTrainingSet, ParseError, SingleClassTrainingSet
+from arasent.errors import ArasentError, ParseError
 from arasent.features import N_SLOTS
 
 
@@ -64,13 +64,25 @@ def test_train_axis_aligned_separable():
 
 
 def test_train_rejects_empty():
-    with pytest.raises(EmptyTrainingSet):
+    with pytest.raises(ArasentError):
         train([])
 
 
 def test_train_rejects_single_class():
-    with pytest.raises(SingleClassTrainingSet):
+    with pytest.raises(ArasentError):
         train([lv({1: 1}, 1), lv({2: 1}, 1)])
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"regularization": 0.0}, "regularization must be a positive finite number, got 0.0"),
+    ({"regularization": -1.0}, "regularization must be a positive finite number, got -1.0"),
+    ({"regularization": math.inf}, "regularization must be a positive finite number, got inf"),
+    ({"regularization": math.nan}, "regularization must be a positive finite number, got nan"),
+    ({"epochs": 0}, "epochs must be a positive integer, got 0")],
+    ids=["reg-0", "reg-negative", "reg-inf", "reg-nan", "epochs-0"])
+def test_train_refuses_a_setting_without_a_usable_model(setting, message):
+    with pytest.raises(ArasentError, match=f"^{message}$"):
+        train([lv({1: 1}, 1), lv({2: 1}, -1)], TrainConfig(**setting))
 
 
 def test_train_recovers_hidden_separator():
@@ -381,8 +393,15 @@ def test_load_model_rejects_another_schema_at_its_line(tmp_path):
 def test_load_model_rejects_truncated_file(tmp_path):
     path = tmp_path / "model.txt"
     path.write_text("schema_version: 1\nbias: 0.0\n", encoding="utf-8")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"model\.txt: missing model field 'regularization'$"):
         load_model(path)
+
+
+def test_load_model_reads_an_integer_too_long_for_a_float(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text(EARLIER_MODEL.replace("epochs: 200", "epochs: " + "9" * 400),
+                    encoding="utf-8")
+    assert load_model(path).config.epochs == int("9" * 400)
 
 
 @pytest.mark.parametrize("field, value, line_no", [

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from arasent.errors import InvalidPolarity, ParseError, ProviderError
+from arasent.errors import ArasentError, ParseError, ProviderError
 from arasent.evaluation import Topic
 from arasent.expansion import (
     ACCEPTED,
@@ -188,7 +188,7 @@ def test_resolve_oov_reject_goes_to_prevent_list(lex):
 
 
 def test_resolve_oov_invalid_answer(lex):
-    with pytest.raises(InvalidPolarity):
+    with pytest.raises(ArasentError):
         resolve_oov(lex, ReviewItem("هايف"), "maybe")
 
 
