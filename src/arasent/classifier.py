@@ -280,7 +280,10 @@ def load_model(path) -> Model:
             key, sep, value = line.partition(":")
             if not sep:
                 raise ValueError(f"expected key: value, got {line!r}")
-            fields[key.strip()] = (lines.line_no, value.strip())
+            key = key.strip()
+            if key in fields:
+                raise ValueError(f"duplicate model field {key!r}")
+            fields[key] = (lines.line_no, value.strip())
 
     def number(key, cast=float):
         if key not in fields:

@@ -12,7 +12,6 @@ import argparse
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import NamedTuple
 
 from . import resources
 from .errors import ArasentError
@@ -28,27 +27,6 @@ from .evaluation import (
 from .fileio import atomic_write, read_lines
 from .lexicon import Polarity, save_sentiment_lexicon
 from .preprocess import normalize_text
-
-
-class RunConfig(NamedTuple):
-    """Resource overrides and pipeline settings for one invocation."""
-
-    paths: dict[str, str]  # key in resources.FILES -> file
-    seed: int = 42
-    train_frac: float = 0.8
-    dev_frac: float = 0.1
-    test_frac: float = 0.1
-    regularization: float = 1e-2
-    epochs: int = 200
-    scale: bool = False
-    stratify: bool = True
-    negation_window: int = 3
-    intensifier_window: int = 2
-
-    def validate(self) -> None:
-        """Refuse a negative seed; ``train`` and ``Analyzer`` check the rest."""
-        if self.seed < 0:
-            raise ArasentError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -81,6 +59,8 @@ def load_config_file(path) -> dict:
                 raise ValueError("expected key = value")
             if key not in _SETTINGS:
                 raise ValueError(f"unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"duplicate key {key!r}")
             try:
                 values[key] = _SETTINGS[key](value)
             except ValueError as exc:
@@ -88,26 +68,31 @@ def load_config_file(path) -> dict:
     return values
 
 
-def _resolve_config(args) -> RunConfig:
-    """Each setting from its flag, else the config file, else the default."""
-    file_values = load_config_file(args.config) if args.config else {}
-    flags = {key: getattr(args, key, None) for key in _SETTINGS}
-    settings = {**file_values, **{k: v for k, v in flags.items() if v is not None}}
-    config = RunConfig({k: settings.pop(k) for k in resources.FILES if k in settings},
-                       **settings)
-    config.validate()
-    return config
+def _resolve_config(args) -> dict:
+    """The settings that a flag or the config file gives, the flag winning.
+    A setting given by neither keeps the default of the type or function
+    that takes it."""
+    settings = load_config_file(args.config) if args.config else {}
+    for key in _SETTINGS:
+        if getattr(args, key, None) is not None:
+            settings[key] = getattr(args, key)
+    if settings.get("seed", 0) < 0:
+        raise ArasentError(f"seed must be a non-negative integer, got {settings['seed']}")
+    return settings
+
+
+def _given(settings: dict, *keys: str) -> dict:
+    """The values ``settings`` holds for ``keys``."""
+    return {key: settings[key] for key in keys if key in settings}
 
 
 class _Pipeline:
     """Shared resource loading for the feature-based subcommands."""
 
-    def __init__(self, config: RunConfig):
-        self.config = config
-        self.resources = resources.load(config.paths)
+    def __init__(self, settings: dict):
+        self.resources = resources.load(settings)
         self.analyzer = self.resources.analyzer(
-            negation_window=config.negation_window,
-            intensifier_window=config.intensifier_window)
+            **_given(settings, "negation_window", "intensifier_window"))
 
     def vector(self, topic) -> tuple[float, ...]:
         return self.analyzer.vector(topic.text)
@@ -139,29 +124,33 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    from .expansion import (CachingProvider, FixtureProvider, ReviewItem, SynsetResult,
+    from .expansion import (ANSWERS, CachingProvider, FixtureProvider, SynsetResult,
                             expand_lexicon)
 
-    config = _resolve_config(args)
-    pipe = _Pipeline(config)
+    settings = _resolve_config(args)
+    pipe = _Pipeline(settings)
     corpus = load_corpus(args.corpus)
     provider = FixtureProvider.from_file(args.provider)
     if args.cache:
         provider = CachingProvider(provider, args.cache)
-    out_path = Path(args.out) if args.out else resources.locate("lexicon", config.paths)
+    out_path = Path(args.out) if args.out else resources.locate("lexicon", settings)
     pending = Path(args.pending) if args.pending else out_path.with_suffix(".pending.tsv")
 
     ask = None
     if args.interactive:
-        def ask(item: ReviewItem, syn: SynsetResult) -> str:
-            print(f"word: {item.word}")
+        def ask(word: str, syn: SynsetResult) -> str:
+            print(f"word: {word}")
             if syn.translation:
                 print(f"  translation: {syn.translation}")
             if syn.synonyms:
                 print(f"  synonyms: {', '.join(syn.synonyms)}")
             while True:
-                answer = input("  polarity? [p]ositive / [n]egative / [r]eject / [s]kip: ")
-                if answer.strip().lower() in ("p", "po", "n", "ng", "r", "reject", "s", "skip"):
+                try:
+                    answer = input("  polarity? [p]ositive / [n]egative / [r]eject / [s]kip: ")
+                except EOFError:  # no reviewer left: the word waits in the pending file
+                    print()
+                    return "skip"
+                if answer.strip().lower() in ANSWERS:
                     return answer
                 print("  please answer p, n, r or s")
 
@@ -180,8 +169,8 @@ def _cmd_expand(args) -> int:
 def _cmd_extract(args) -> int:
     from . import classifier
 
-    config = _resolve_config(args)
-    pipe = _Pipeline(config)
+    settings = _resolve_config(args)
+    pipe = _Pipeline(settings)
     corpus = load_corpus(args.corpus)
     data, skipped = pipe.labeled_vectors(corpus)
     classifier.write_svmlight(data, args.out)
@@ -191,19 +180,21 @@ def _cmd_extract(args) -> int:
     return 0
 
 
-def _train_config(config: RunConfig):
+def _train_config(settings: dict):
     from .classifier import TrainConfig
 
-    return TrainConfig(regularization=config.regularization,
-                       epochs=config.epochs, seed=config.seed, scale_max=config.scale)
+    given = _given(settings, "regularization", "epochs", "seed")
+    if "scale" in settings:  # the config key of TrainConfig.scale_max
+        given["scale_max"] = settings["scale"]
+    return TrainConfig(**given)
 
 
 def _cmd_train(args) -> int:
     from . import classifier
 
-    config = _resolve_config(args)
+    settings = _resolve_config(args)
     data = classifier.read_svmlight(args.features)
-    model = classifier.train(data, _train_config(config))
+    model = classifier.train(data, _train_config(settings))
     classifier.save_model(model, args.model)
     if model.gap >= classifier.TOL:
         print(f"note: stopped by the epochs cap after {model.passes} passes, before the gap "
@@ -216,8 +207,8 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     from . import classifier
 
-    config = _resolve_config(args)
-    pipe = _Pipeline(config)
+    settings = _resolve_config(args)
+    pipe = _Pipeline(settings)
     model = classifier.load_model(args.model)
     corpus = load_corpus(args.corpus)
     with atomic_write(args.out) if args.out else nullcontext(sys.stdout) as out:
@@ -234,26 +225,25 @@ def _cmd_evaluate(args) -> int:
     if args.grid and args.regularization is not None:
         print("error: --grid picks the regularization; drop --reg", file=sys.stderr)
         return 1
-    config = _resolve_config(args)
-    if args.grid and args.config and "regularization" in load_config_file(args.config):
+    settings = _resolve_config(args)
+    if args.grid and "regularization" in settings:  # --reg is refused, so from the file
         print(f"note: --grid picks the regularization; the one in {args.config} is not used",
               file=sys.stderr)
-    pipe = _Pipeline(config)
+    pipe = _Pipeline(settings)
     corpus = load_corpus(args.corpus)
-    spec = SplitSpec(config.train_frac, config.dev_frac, config.test_frac,
-                     seed=config.seed)
-    train_t, dev_t, test_t = split_corpus(corpus, spec, stratify=config.stratify)
+    spec = SplitSpec(**_given(settings, *SplitSpec._fields))
+    train_t, dev_t, test_t = split_corpus(corpus, spec, **_given(settings, "stratify"))
     train_data, skipped = pipe.labeled_vectors(train_t)
     if skipped:
         print(f"skipped {skipped} unlabeled training topics", file=sys.stderr)
     if args.grid:
         dev_data, _ = pipe.labeled_vectors(dev_t)
         train_cfg, model, dev_acc = classifier.grid_search(
-            train_data, dev_data, config=_train_config(config))
+            train_data, dev_data, config=_train_config(settings))
         print(f"grid pick: reg={train_cfg.regularization} "
               f"(dev accuracy {100 * dev_acc:.2f}%)")
     else:
-        model = classifier.train(train_data, _train_config(config))
+        model = classifier.train(train_data, _train_config(settings))
     if args.model_out:
         classifier.save_model(model, args.model_out)
     predictions = []
@@ -278,8 +268,8 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    config = _resolve_config(args)
-    pipe = _Pipeline(config)
+    settings = _resolve_config(args)
+    pipe = _Pipeline(settings)
     corpus = load_corpus(args.corpus)
     agree = labeled = 0
     for topic in corpus:

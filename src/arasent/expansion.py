@@ -27,9 +27,10 @@ from .preprocess import PosTag, normalize_word, preprocess
 
 CANDIDATE_TAGS = frozenset({PosTag.JJ, PosTag.NN, PosTag.VB})
 
-PENDING = "PENDING"
-ACCEPTED = "ACCEPTED"
-REJECTED = "REJECTED"
+# Each answer a reviewer may give, and its verdict: a polarity, "reject"
+# (onto the prevent list) or "skip" (into the pending file).
+ANSWERS = {"p": Polarity.PO, "po": Polarity.PO, "n": Polarity.NG, "ng": Polarity.NG,
+           "r": "reject", "reject": "reject", "s": "skip", "skip": "skip"}
 
 
 class SynsetResult(NamedTuple):
@@ -162,13 +163,6 @@ class OrientationDecision(NamedTuple):
     evidence: tuple[tuple[str, Polarity], ...] = ()
 
 
-class ReviewItem:
-    """An out-of-vocabulary word; ``resolve_oov`` sets its status and polarity."""
-
-    def __init__(self, word: str, status: str = PENDING, polarity: Polarity | None = None):
-        self.word, self.status, self.polarity = word, status, polarity
-
-
 class ExpansionReport(NamedTuple):
     """The words of each outcome, in the order they were decided."""
 
@@ -180,14 +174,8 @@ class ExpansionReport(NamedTuple):
     errors: list[tuple[str, str]]
 
     def counts(self) -> dict[str, int]:
-        return {
-            "adopted": len(self.adopted),
-            "cos": len(self.cos),
-            "oov_pending": len(self.oov_pending),
-            "oov_accepted": len(self.oov_accepted),
-            "oov_rejected": len(self.oov_rejected),
-            "errors": len(self.errors),
-        }
+        """How many words each outcome holds, by field name."""
+        return {name: len(words) for name, words in zip(self._fields, self)}
 
 
 def detect_orientation(syn: SynsetResult, lex: SentimentLexicon) -> OrientationDecision:
@@ -216,31 +204,24 @@ def detect_orientation(syn: SynsetResult, lex: SentimentLexicon) -> OrientationD
     return OrientationDecision(Outcome.COS, None, tuple(evidence))
 
 
-def resolve_oov(lex: SentimentLexicon, item: ReviewItem, answer: str,
+def resolve_oov(lex: SentimentLexicon, word: str, answer: str,
                 tf: int = 0) -> SentimentLexicon:
-    """Apply an operator's verdict on a pending review item.
+    """Apply a reviewer's verdict on an out-of-vocabulary word.
 
-    ``p``/``po`` and ``n``/``ng`` insert the word with that polarity and an
-    empty gloss; ``r``/``reject`` appends it to the prevent list. Returns a
-    new lexicon and updates the item's status in place.
+    An answer with a polarity in ``ANSWERS`` inserts the word with that
+    polarity and an empty gloss; a reject appends it to the prevent list.
+    Returns a new lexicon, which holds the word exactly when it was accepted.
+    ``add``/``add_prevent`` refuse with ``ValueError`` an accept of a word
+    the lexicon holds or prevents, and a reject of a word it holds.
     """
-    if item.status != PENDING:
-        raise ValueError(f"review item {item.word!r} is already {item.status}")
-    verdict = answer.strip().lower()
-    fresh = lex.copy()
-    if verdict in ("p", "po"):
-        polarity = Polarity.PO
-    elif verdict in ("n", "ng"):
-        polarity = Polarity.NG
-    elif verdict in ("r", "reject"):
-        fresh.add_prevent(item.word)
-        item.status = REJECTED
-        return fresh
-    else:
+    verdict = ANSWERS.get(answer.strip().lower())
+    if verdict in (None, "skip"):
         raise ArasentError(f"expected p, n or r, got {answer!r}")
-    fresh.add(LexiconEntry(item.word, polarity, tf=tf))
-    item.status = ACCEPTED
-    item.polarity = polarity
+    fresh = lex.copy()
+    if verdict == "reject":
+        fresh.add_prevent(word)
+    else:
+        fresh.add(LexiconEntry(word, verdict, tf=tf))
     return fresh
 
 
@@ -257,16 +238,16 @@ def _load_pending_words(path) -> set[str]:
     return words
 
 
-def _append_pending(path, item: ReviewItem) -> None:
+def _append_pending(path, word: str) -> None:
     with open(path, "a", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{item.word}\t{item.status}\n")
+        fh.write(f"{word}\tPENDING\n")
 
 
 def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
                    tags: Mapping[str, PosTag] = {},
                    stopwords: Iterable[str] = frozenset(),
                    pending_path=None,
-                   ask: Callable[[ReviewItem, SynsetResult], str] | None = None,
+                   ask: Callable[[str, SynsetResult], str] | None = None,
                    ) -> tuple[SentimentLexicon, ExpansionReport]:
     """Run the four expansion steps over a corpus.
 
@@ -276,7 +257,7 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
     Provider errors skip the candidate (they are transient, not evidence
     that the word carries no sentiment). Out-of-vocabulary words go to
     ``pending_path``, unless an ``ask`` callback is given: then it supplies
-    the operator's answer (``s`` skips to pending).
+    the reviewer's answer, one of ``ANSWERS`` (a skip goes to pending).
     """
     stop = set(stopwords)
 
@@ -297,11 +278,11 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
                         and working.lookup(word) is None and not working.is_prevented(word)):
                     candidates[word] = None
 
-    def to_pending(item: ReviewItem) -> None:
-        report.oov_pending.append(item.word)
-        if pending_path and item.word not in already_pending:
-            _append_pending(pending_path, item)
-            already_pending.add(item.word)
+    def to_pending(word: str) -> None:
+        report.oov_pending.append(word)
+        if pending_path and word not in already_pending:
+            _append_pending(pending_path, word)
+            already_pending.add(word)
 
     for word in candidates:
         try:
@@ -317,16 +298,12 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
         elif decision.outcome is Outcome.COS:
             report.cos.append(word)
         else:
-            item = ReviewItem(word)
-            if ask is None:
-                to_pending(item)
+            answer = ask(word, syn) if ask else "skip"
+            if ANSWERS.get(answer.strip().lower()) == "skip":
+                to_pending(word)
                 continue
-            answer = ask(item, syn)
-            if answer.strip().lower() in ("s", "skip"):
-                to_pending(item)
-                continue
-            working = resolve_oov(working, item, answer, tf=tf_counts.get(word, 0))
-            if item.status == ACCEPTED:
+            working = resolve_oov(working, word, answer, tf=tf_counts.get(word, 0))
+            if word in working:
                 report.oov_accepted.append(word)
             else:
                 report.oov_rejected.append(word)

@@ -66,15 +66,15 @@ class SentimentLexicon:
         if word != entry.word:
             entry = entry._replace(word=word)
         if word in self._entries:
-            raise ValueError(f"duplicate word {word}")
+            raise ValueError(f"duplicate word {word!r}")
         if word in self._prevent:
-            raise ValueError(f"{word} is on the prevent list")
+            raise ValueError(f"{word!r} is on the prevent list")
         self._entries[word] = entry
 
     def add_prevent(self, word: str) -> None:
         w = normalize_word(word, "prevent-list word")
         if w in self._entries:
-            raise ValueError(f"{w} is already a lexicon entry")
+            raise ValueError(f"{w!r} is already a lexicon entry")
         self._prevent.add(w)
 
     def lookup(self, word: str) -> LexiconEntry | None:

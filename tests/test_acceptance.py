@@ -106,7 +106,7 @@ def test_criterion_02_expansion_walkthrough(tmp_path):
     assert rep.oov_pending == ["هايف"]
 
     grown2, rep2 = expansion.expand_lexicon(corpus, lex, provider, tags=tags,
-                                            ask=lambda item, syn: "n")
+                                            ask=lambda word, syn: "n")
     assert rep2.oov_accepted == ["هايف"]
     assert grown2.lookup("هايف").polarity is NG
     report(2, "three-case walkthrough: adopt PO, conflict unchanged, review NG")

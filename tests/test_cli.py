@@ -205,6 +205,19 @@ def test_evaluate_grid_notes_a_config_file_regularization(tmp_path, corpus_path,
     assert load_model(model).config.regularization in (1e-3, 1e-2, 1e-1)
 
 
+def test_evaluate_grid_reads_the_config_file_once(tmp_path, corpus_path, capsys, monkeypatch):
+    from arasent import cli
+
+    conf = tmp_path / "run.conf"
+    conf.write_text("regularization = 0.5\n", encoding="utf-8")
+    reads = []
+    load = cli.load_config_file
+    monkeypatch.setattr(cli, "load_config_file", lambda path: reads.append(path) or load(path))
+    assert run(["evaluate", "--corpus", corpus_path, "--grid", "--config", str(conf)]) == 0
+    assert reads == [str(conf)]
+    assert "is not used" in capsys.readouterr().err
+
+
 def test_predict_to_stdout(tmp_path, corpus_path, capsys):
     features = tmp_path / "f.svml"
     model = tmp_path / "m.txt"
@@ -260,6 +273,43 @@ def test_expand_interactive_prompt(tmp_path, capsys, monkeypatch):
     assert "هايف" in out and "oov_accepted: 1" in out
     from arasent.lexicon import load_sentiment_lexicon
     assert load_sentiment_lexicon(lexicon).lookup("هايف").polarity is Polarity.NG
+
+
+def test_expand_interactive_at_end_of_input_skips_to_pending(tmp_path, capsys, monkeypatch):
+    """With no reviewer left the word waits in the pending file, and the run
+    still writes the lexicon and exits 0."""
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_bytes(data_path("lexicon_seed.tsv").read_bytes())
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus([Topic("t1", "الفيلم هايف", None, "tv")], corpus)
+    pending = tmp_path / "review.tsv"
+
+    def no_input(prompt=""):
+        raise EOFError
+
+    monkeypatch.setattr("builtins.input", no_input)
+    out = tmp_path / "grown.tsv"
+    assert run(["expand", "--corpus", str(corpus), "--provider", str(data_path("synsets.tsv")),
+                "--lexicon", str(lexicon), "--out", str(out), "--pending", str(pending),
+                "--interactive"]) == 0
+    assert "oov_pending: 1" in capsys.readouterr().out.splitlines()
+    assert pending.read_text(encoding="utf-8") == "هايف\tPENDING\n"
+    assert out.read_bytes() == lexicon.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_help_states_the_train_config_defaults(capsys, command):
+    # the help texts are the only other copy of these defaults
+    from arasent.classifier import TrainConfig
+
+    assert run([command, "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    defaults = TrainConfig()
+    for flag, value in (("--seed SEED", defaults.seed),
+                        ("--reg REGULARIZATION", defaults.regularization),
+                        ("--epochs EPOCHS", defaults.epochs)):
+        stated = re.search(re.escape(flag) + r" [a-zA-Z0-9 ]*\(default ([^)]+)\)", help_text)
+        assert stated and float(stated.group(1)) == value, flag
 
 
 def test_extract_byte_identical_across_runs(tmp_path, corpus_path, capsys):
@@ -356,7 +406,7 @@ def test_no_arasent_module_loads_dataclasses_inspect_or_fractions():
         "-S") == "[]"
 
 
-@pytest.mark.parametrize("module", ["cli", "classifier", "evaluation", "expansion", "features",
+@pytest.mark.parametrize("module", ["classifier", "evaluation", "expansion", "features",
                                     "lexicon", "resources"])
 def test_no_named_tuple_shares_a_mutable_default(module):
     mod = importlib.import_module(f"arasent.{module}")

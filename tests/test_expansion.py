@@ -4,13 +4,9 @@ from hypothesis import assume, given, strategies as st
 from arasent.errors import ArasentError, ParseError, ProviderError
 from arasent.evaluation import Topic
 from arasent.expansion import (
-    ACCEPTED,
     CachingProvider,
     FixtureProvider,
     Outcome,
-    PENDING,
-    REJECTED,
-    ReviewItem,
     SynsetResult,
     detect_orientation,
     expand_lexicon,
@@ -171,31 +167,28 @@ def test_antonym_flip_equivalence(syn_words, ant_words):
 # OOV resolution
 
 def test_resolve_oov_accept_negative(lex):
-    item = ReviewItem("هايف")
-    grown = resolve_oov(lex, item, "n", tf=4)
-    assert item.status == ACCEPTED and item.polarity is NG
+    grown = resolve_oov(lex, "هايف", "n", tf=4)
     entry = grown.lookup("هايف")
     assert entry.polarity is NG and entry.gloss == "" and entry.tf == 4
     assert lex.lookup("هايف") is None  # input lexicon untouched
 
 
 def test_resolve_oov_reject_goes_to_prevent_list(lex):
-    item = ReviewItem("هايف")
-    grown = resolve_oov(lex, item, "reject")
-    assert item.status == REJECTED
+    grown = resolve_oov(lex, "هايف", "reject")
     assert "هايف" in grown.prevent_list
     assert grown.lookup("هايف") is None
 
 
 def test_resolve_oov_invalid_answer(lex):
     with pytest.raises(ArasentError):
-        resolve_oov(lex, ReviewItem("هايف"), "maybe")
+        resolve_oov(lex, "هايف", "maybe")
 
 
 def test_resolve_oov_rejects_already_resolved(lex):
-    item = ReviewItem("هايف", status=ACCEPTED)
-    with pytest.raises(ValueError):
-        resolve_oov(lex, item, "p")
+    accepted = resolve_oov(lex, "هايف", "p")
+    for answer in ("p", "r"):
+        with pytest.raises(ValueError):
+            resolve_oov(accepted, "هايف", answer)
 
 
 # fixture provider and cache
@@ -358,7 +351,7 @@ def test_expand_interactive_accepts_ng(provider, tags):
     answers = {"هايف": "n"}
     grown, report = expand_lexicon(
         walkthrough_corpus(), base, provider, tags=tags,
-        ask=lambda item, syn: answers[item.word])
+        ask=lambda word, syn: answers[word])
     assert report.oov_accepted == ["هايف"]
     assert grown.lookup("هايف").polarity is NG
 
@@ -369,7 +362,7 @@ def test_expand_interactive_reject_and_skip(provider, tags, tmp_path):
     grown, report = expand_lexicon(
         walkthrough_corpus() + [Topic("t4", "الجو هادي")], base, provider,
         tags=tags, pending_path=pending,
-        ask=lambda item, syn: {"هايف": "r", "هادي": "s"}[item.word])
+        ask=lambda word, syn: {"هايف": "r", "هادي": "s"}[word])
     assert report.oov_rejected == ["هايف"]
     assert report.oov_pending == ["هادي"]
     assert "هايف" in grown.prevent_list

@@ -42,8 +42,12 @@ CASES = {
     "svmlight": (read_svmlight, "f.svml", "+1 1:1\n+2 1:1\n", "label must be +1 or -1, got '+2'"),
     "config": (load_config_file, "run.conf", "seed = 7\nepochs = many\n",
                "epochs: invalid literal for int() with base 10: 'many'"),
+    "config-duplicate": (load_config_file, "run.conf", "seed = 1\nseed = 2\n",
+                         "duplicate key 'seed'"),
     "model": (load_model, "model.txt", "schema_version: 1\nregularization 0.01\n",
               "expected key: value, got 'regularization 0.01'"),
+    "model-duplicate": (load_model, "model.txt", "bias: 0.5\nbias: 5.0\n",
+                        "duplicate model field 'bias'"),
 }
 
 
@@ -64,7 +68,7 @@ def test_prevent_sidecar_names_its_own_file_and_line(tmp_path):
     sidecar.write_text("كلام\nرائع\n", encoding="utf-8")
     with pytest.raises(ParseError) as err:
         load_sentiment_lexicon(path)
-    assert str(err.value) == f"{sidecar}:2: رائع is already a lexicon entry"
+    assert str(err.value) == f"{sidecar}:2: 'رائع' is already a lexicon entry"
 
 
 def test_score_with_a_repeated_idiom_row_is_a_data_error_at_its_line(tmp_path, capsys):

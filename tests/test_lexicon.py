@@ -83,13 +83,13 @@ def test_load_rejects_wrong_column_count(tmp_path):
 def test_load_rejects_duplicate_word(tmp_path):
     path = tmp_path / "lex.tsv"
     write_lexicon_file(path, [("رائع", "", "", "PO", 0), ("رائِع", "", "", "NG", 0)])
-    with pytest.raises(ParseError, match="lex.tsv:3: duplicate word رائع$"):
+    with pytest.raises(ParseError, match="lex.tsv:3: duplicate word 'رائع'$"):
         load_sentiment_lexicon(path)  # duplicate after normalization too
 
 
 @pytest.mark.parametrize("word, reason", [
     ("hello", "prevent-list word is empty after normalization"),
-    ("رائِع", "رائع is already a lexicon entry"),
+    ("رائِع", "'رائع' is already a lexicon entry"),
     ("?", "prevent-list word is empty after normalization"),
     ("مش كده", "prevent-list word is several words after normalization")],
     ids=["empty", "lexicon-entry", "delimiter", "several-words"])
