@@ -54,6 +54,12 @@ class Model(NamedTuple):
     # how the fit ended; not part of the model file, so a loaded model has None
     passes: int | None = None
     gap: float | None = None
+    peak: float | None = None  # the largest alpha_i the fit reached
+
+
+def _box(regularization: float, n: int) -> float:
+    """The upper bound C = 1/(λn) on each dual variable of an n-row fit."""
+    return 1.0 / (regularization * n)
 
 
 def train(data: Sequence[LabeledVector],
@@ -63,8 +69,9 @@ def train(data: Sequence[LabeledVector],
     Each pass visits the rows in a seeded shuffled order and moves one dual
     variable at a time to its box-clipped optimum. Training stops when the
     projected-gradient gap of a pass falls under ``TOL`` or after
-    ``config.epochs`` passes; the model records both. Deterministic: the
-    same (data order, seed, config) reproduces the model bit for bit.
+    ``config.epochs`` passes; the model records both, and ``peak``, the
+    largest dual variable the fit reached. Deterministic: the same (data
+    order, seed, config) reproduces the model bit for bit.
     Refuses a regularization that is not positive and finite, fewer than one
     pass, and data without both labels.
     """
@@ -91,31 +98,52 @@ def train(data: Sequence[LabeledVector],
             + [(s, lv.label * v / factors[s]) for s, v in enumerate(lv.vector, 1) if v]
             for lv in data]
 
-    c = 1.0 / (config.regularization * len(rows))  # the dual box 0 <= alpha_i <= C
+    c = _box(config.regularization, len(rows))  # the dual box 0 <= alpha_i <= C
     q = [math.fsum(x * x for _, x in row) for row in rows]  # Q_ii >= 1, rounded alike everywhere
     w, alpha = [0.0] * (N_SLOTS + 1), [0.0] * len(rows)
     order, rng = list(range(len(rows))), random.Random(config.seed)
-    passes, gap = 0, math.inf
+    passes, gap, peak = 0, math.inf, 0.0
+    # The comparisons below pick what min/max would: each keeps its first
+    # operand on a tie, as min/max do, and no value in the loop is ever -0.0
+    # (g starts at -1.0 and alpha at 0.0, and a sum that cancels is +0.0).
+    # So the fit is bit for bit the one written with min/max.
     while passes < config.epochs and gap >= TOL:
         passes += 1
         rng.shuffle(order)
         hi, lo = -math.inf, math.inf
         for i in order:
+            row = rows[i]
             g = -1.0  # G = y_i (w . x_i) - 1; not sum(), which compensates on 3.12
-            for j, x in rows[i]:
+            for j, x in row:
                 g += w[j] * x
             a = alpha[i]
-            pg = min(g, 0.0) if a == 0.0 else max(g, 0.0) if a == c else g
-            hi, lo = max(hi, pg), min(lo, pg)
+            if a == 0.0:
+                pg = 0.0 if g > 0.0 else g  # the projected gradient
+            elif a == c:
+                pg = 0.0 if g < 0.0 else g
+            else:
+                pg = g
+            if pg > hi:
+                hi = pg
+            if pg < lo:
+                lo = pg
             if pg:
-                alpha[i] = min(max(a - g / q[i], 0.0), c)
-                for j, x in rows[i]:
-                    w[j] += (alpha[i] - a) * x
+                b = a - g / q[i]  # the optimum along alpha_i, clipped to [0, C]
+                if b < 0.0:
+                    b = 0.0
+                elif b > c:
+                    b = c
+                alpha[i] = b
+                if b > peak:
+                    peak = b
+                d = b - a
+                for j, x in row:
+                    w[j] += d * x
         gap = hi - lo
 
     # fold scaling back so predict takes raw vectors
     weights = tuple(v / f for v, f in zip(w[1:], factors[1:]))
-    return Model(weights=weights, bias=w[0], config=config, passes=passes, gap=gap)
+    return Model(weights=weights, bias=w[0], config=config, passes=passes, gap=gap, peak=peak)
 
 
 def predict(model: Model, v: tuple[float, ...]) -> tuple[int, float]:
@@ -151,18 +179,27 @@ def grid_search(train_data: Sequence[LabeledVector],
                 dev_data: Sequence[LabeledVector],
                 regularizations: Iterable[float] = (1e-3, 1e-2, 1e-1),
                 config: TrainConfig = TrainConfig()) -> tuple[TrainConfig, Model, float]:
-    """Pick the regularization with the best dev accuracy, one fit each.
+    """Pick the regularization with the best dev accuracy.
 
     Every fit keeps the other settings of ``config``. Ties keep the first
-    candidate in iteration order, so the search is deterministic.
+    candidate in iteration order, so the search is deterministic. A
+    regularization is not fitted when its fit would provably take the last
+    fit's path: that fit's dual variables stayed under both boxes, so its
+    clip at C never engaged and would not engage at the new C either. The
+    model and dev accuracy would be the last fit's, which a tie never picks.
     """
+    n = len(train_data)
     best: tuple[TrainConfig, Model, float] | None = None
+    fit: Model | None = None  # the last model fitted
     for reg in regularizations:
+        if (fit is not None and reg > 0  # train refuses any other
+                and fit.peak < min(_box(fit.config.regularization, n), _box(reg, n))):
+            continue
         candidate = config._replace(regularization=reg)
-        model = train(train_data, candidate)
-        acc = accuracy(model, dev_data)
+        fit = train(train_data, candidate)
+        acc = accuracy(fit, dev_data)
         if best is None or acc > best[2]:
-            best = (candidate, model, acc)
+            best = (candidate, fit, acc)
     assert best is not None
     return best
 

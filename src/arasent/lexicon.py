@@ -75,6 +75,8 @@ class SentimentLexicon:
         w = normalize_word(word, "prevent-list word")
         if w in self._entries:
             raise ValueError(f"{w!r} is already a lexicon entry")
+        if w in self._prevent:
+            raise ValueError(f"{w!r} is already on the prevent list")
         self._prevent.add(w)
 
     def lookup(self, word: str) -> LexiconEntry | None:

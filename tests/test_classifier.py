@@ -1,8 +1,11 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import reference_classifier
 
 from arasent import classifier
 from arasent.classifier import (
@@ -133,6 +136,32 @@ def test_stops_early_only_once_converged(n, seed, reg):
     assert model.passes < model.config.epochs and model.gap < TOL
 
 
+@st.composite
+def solver_inputs(draw):
+    """Rows of ±1, 0 and other values with both labels, some of them repeated,
+    in any order, and a config over the settings the solver reads."""
+    value = st.one_of(st.sampled_from([0.0, 0.0, 1.0, -1.0]), st.floats(-4, 4))
+    rows = draw(st.lists(st.tuples(st.lists(value, min_size=N_SLOTS, max_size=N_SLOTS),
+                                   st.sampled_from([1, -1])), min_size=2, max_size=24))
+    rows[:2] = [(rows[0][0], 1), (rows[1][0], -1)]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=8))
+    data = [LabeledVector(tuple(v), label) for v, label in draw(st.permutations(rows))]
+    config = TrainConfig(regularization=10 ** draw(st.floats(-4, 0)),
+                         epochs=draw(st.integers(1, 300)), seed=draw(st.integers(0, 2**32)),
+                         scale_max=draw(st.booleans()))
+    return data, config
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(solver_inputs())
+def test_train_computes_the_floats_of_the_reference_solver(inputs):
+    data, config = inputs
+    model = train(data, config)
+    assert (model.weights, model.bias, model.passes, model.gap) == \
+        reference_classifier.train(data, config)
+
+
 def test_one_pass_cap_returns_a_finite_model():
     _, data = hidden_separator_data(120, seed=5)
     model = train(data, TrainConfig(epochs=1))
@@ -216,6 +245,72 @@ def test_grid_search_picks_best_deterministically(monkeypatch):
     assert [c.regularization for c in fits] == [1e-2, 1e-1]
     config2, _, dev_acc2 = grid_search(data[:80], data[80:], regularizations=(1e-2, 1e-1))
     assert config == config2 and dev_acc == dev_acc2
+
+
+def every_fit_grid(train_data, dev_data, regularizations, config=TrainConfig()):
+    """``grid_search`` as it was: one fit per regularization."""
+    best = None
+    for reg in regularizations:
+        candidate = config._replace(regularization=reg)
+        model = train(train_data, candidate)
+        acc = accuracy(model, dev_data)
+        if best is None or acc > best[2]:
+            best = (candidate, model, acc)
+    return best
+
+
+def test_grid_search_skips_a_fit_that_would_repeat_the_last(monkeypatch):
+    _, data = hidden_separator_data(120, seed=10, margin=1.5)
+    fits = []
+    monkeypatch.setattr(classifier, "train",
+                        lambda data, config: fits.append(config) or train(data, config))
+    config, model, dev_acc = grid_search(data[:80], data[80:])
+    # the 1e-3 fit peaks under the 1e-2 box, which 1e-1 clips
+    assert [c.regularization for c in fits] == [1e-3, 1e-1]
+    assert (config, model, dev_acc) == every_fit_grid(data[:80], data[80:], (1e-3, 1e-2, 1e-1))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1e-2, math.inf, math.nan])
+def test_grid_search_refuses_a_regularization_after_a_fit(bad):
+    _, data = hidden_separator_data(120, seed=10, margin=1.5)
+    with pytest.raises(ArasentError, match="regularization must be a positive finite number"):
+        grid_search(data[:80], data[80:], regularizations=(1e-3, bad))
+
+
+def noisy_separator_data(n, seed, flip):
+    """Oracle data with a ``flip`` share of labels turned, so that the clip engages."""
+    rng = random.Random(seed)
+    _, data = hidden_separator_data(n, seed)
+    return [LabeledVector(p.vector, -p.label if rng.random() < flip else p.label)
+            for p in data]
+
+
+GRID_SETS = {"separable": hidden_separator_data(160, 4)[1],
+             "wide margin": hidden_separator_data(160, 10, margin=1.5)[1],
+             "noisy": noisy_separator_data(160, 6, 0.1)}
+REGULARIZATION_ORDERS = [(1e-3, 1e-2, 1e-1), (1e-1, 1e-2, 1e-3), (1e-4, 3e-4, 1e-3, 1e-2, 1.0),
+                         (1.0, 1e-2, 1e-3, 3e-4, 1e-4)]
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SETS))
+@pytest.mark.parametrize("regularizations", REGULARIZATION_ORDERS)
+def test_grid_search_equals_fitting_every_regularization(name, regularizations):
+    data = GRID_SETS[name]
+    config = TrainConfig(epochs=300)
+    assert grid_search(data[:120], data[120:], regularizations, config) == \
+        every_fit_grid(data[:120], data[120:], regularizations, config)
+
+
+def test_a_fit_under_both_boxes_repeats_at_the_other_box():
+    repeats = 0
+    for data in GRID_SETS.values():
+        fits = {reg: train(data, TrainConfig(regularization=reg))
+                for reg in (1e-4, 3e-4, 1e-3, 1e-2, 1e-1, 1.0)}
+        for (reg, model), (other, again) in permutations(fits.items(), 2):
+            if model.peak < min(1 / (reg * len(data)), 1 / (other * len(data))):
+                repeats += 1
+                assert again == model._replace(config=again.config)
+    assert repeats >= 10
 
 
 # SVM-light format
@@ -338,7 +433,7 @@ def test_model_save_load_round_trip(tmp_path):
     path = tmp_path / "model.txt"
     save_model(model, path)
     # weights, bias and config come back; how the fit ended is not kept
-    assert load_model(path) == model._replace(passes=None, gap=None)
+    assert load_model(path) == model._replace(passes=None, gap=None, peak=None)
 
 
 # the shipped-corpus model as the vectorised trainer wrote it

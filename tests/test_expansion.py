@@ -189,6 +189,9 @@ def test_resolve_oov_rejects_already_resolved(lex):
     for answer in ("p", "r"):
         with pytest.raises(ValueError):
             resolve_oov(accepted, "هايف", answer)
+    rejected = resolve_oov(lex, "هايف", "r")
+    with pytest.raises(ValueError, match="'هايف' is already on the prevent list"):
+        resolve_oov(rejected, "هايف", "r")
 
 
 # fixture provider and cache

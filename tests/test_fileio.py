@@ -17,6 +17,14 @@ from arasent.preprocess import load_stopwords, load_tag_table
 
 IDIOM = "تسليم القط مفتاح الكرار\tNG\n"
 
+
+def _lexicon_of(sidecar):
+    """Load the header-only lexicon whose prevent-list sidecar is ``sidecar``."""
+    lexicon = sidecar.with_suffix(".tsv")
+    lexicon.write_text(f"{LEXICON_HEADER}\n", encoding="utf-8")
+    return load_sentiment_lexicon(lexicon)
+
+
 # id -> (loader, file name, file text, the reason after "<path>:2: ")
 CASES = {
     "tag-table": (load_tag_table, "tags.tsv", "جميل\tJJ\nرائع\tXX\n", "unknown tag 'XX'"),
@@ -28,6 +36,8 @@ CASES = {
                   "word is several words after normalization"),
     "lexicon": (load_sentiment_lexicon, "lexicon.tsv", f"{LEXICON_HEADER}\nرائع\tg\tt\tXX\t1\n",
                 "polarity must be PO, NG or NU, got 'XX'"),
+    "prevent-duplicate": (_lexicon_of, "lexicon.prevent", "كلام\nكلام\n",
+                          "'كلام' is already on the prevent list"),
     "idioms": (load_idiom_lexicon, "idioms.tsv", IDIOM + "دموع التماسيح\tNU\n",
                "idiom polarity must be PO or NG"),
     "idioms-duplicate": (load_idiom_lexicon, "idioms.tsv", IDIOM * 2,
