@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ArasentError, ParseError
@@ -41,9 +42,10 @@ class LabeledVector:
             raise ValueError(f"label must be +1 or -1, got {label}")
         if len(vector) != N_SLOTS:
             raise ValueError(f"vector must hold {N_SLOTS} slots, got {len(vector)}")
-        for slot, value in enumerate(vector, 1):
-            if not math.isfinite(value):
-                raise ValueError(f"slot {slot} value {value} is not finite")
+        if not all(map(math.isfinite, vector)):
+            slot, value = next((slot, value) for slot, value in enumerate(vector, 1)
+                               if not math.isfinite(value))
+            raise ValueError(f"slot {slot} value {value} is not finite")
         self.vector, self.label, self.comment = vector, label, comment
 
 
@@ -151,9 +153,8 @@ def predict(model: Model, v: tuple[float, ...]) -> tuple[int, float]:
     margin = model.bias
     # the nonzero slots in slot order, so a margin of zero keeps its sign;
     # not sum(), which compensates on 3.12
-    for weight, value in zip(model.weights, v, strict=True):
-        if value:
-            margin += weight * value
+    for weight, value in compress(zip(model.weights, v, strict=True), v):
+        margin += weight * value
     return (1 if margin >= 0 else -1), float(margin)
 
 
@@ -187,7 +188,11 @@ def grid_search(train_data: Sequence[LabeledVector],
     fit's path: that fit's dual variables stayed under both boxes, so its
     clip at C never engaged and would not engage at the new C either. The
     model and dev accuracy would be the last fit's, which a tie never picks.
+    Refuses an empty ``regularizations`` before any fit.
     """
+    regularizations = tuple(regularizations)
+    if not regularizations:
+        raise ArasentError("no regularizations to search")
     n = len(train_data)
     best: tuple[TrainConfig, Model, float] | None = None
     fit: Model | None = None  # the last model fitted
@@ -200,7 +205,6 @@ def grid_search(train_data: Sequence[LabeledVector],
         acc = accuracy(fit, dev_data)
         if best is None or acc > best[2]:
             best = (candidate, fit, acc)
-    assert best is not None
     return best
 
 
@@ -217,18 +221,32 @@ def _check_schema(version: int) -> None:
                          f"(only schema {SCHEMA_VERSION} exists)")
 
 
+class _Formatted(dict):
+    """``_format_value`` of each float looked up, computed once."""
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = _format_value(value)
+        return text
+
+
 def write_svmlight(data: Sequence[LabeledVector], path) -> None:
     """Write ``<label> <index>:<value> ... # <comment>`` lines.
 
     Values carry up to 6 significant digits; integers drop the decimal
     point. The schema version goes in a leading comment line.
     """
+    # Each distinct float is formatted once per file: equal floats format
+    # alike (0.0 and -0.0 are never written). A value of another type, such
+    # as an int or a Decimal from a library caller, is formatted each time:
+    # Decimal("1.50") equals 1.5 but formats as "1.50".
+    formatted = _Formatted()
     with atomic_write(path) as fh:
         if data:
             fh.write(f"# schema_version: {SCHEMA_VERSION}\n")
         for lv in data:
-            body = " ".join(f"{i}:{_format_value(val)}"
-                            for i, val in enumerate(lv.vector, 1) if val)
+            body = " ".join([
+                f"{i}:{formatted[val] if type(val) is float else _format_value(val)}"
+                for i, val in enumerate(lv.vector, 1) if val])
             line = f"{lv.label:+d}"
             if body:
                 line += " " + body

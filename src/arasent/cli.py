@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
+from itertools import islice
 from pathlib import Path
 
 from . import resources
@@ -118,6 +119,14 @@ def _read_text(source: str) -> str:
     return "".join(read_lines(source))
 
 
+def _write_rows(out, rows, chunk: int = 1000) -> None:
+    """Write the lines ``rows`` yields to ``out``, ``chunk`` lines per write:
+    where stdout is unbuffered, each write is a system call."""
+    rows = iter(rows)
+    while text := "".join(islice(rows, chunk)):
+        out.write(text)
+
+
 def _cmd_normalize(args) -> int:
     print(normalize_text(_read_text(args.input)))
     return 0
@@ -211,11 +220,15 @@ def _cmd_predict(args) -> int:
     pipe = _Pipeline(settings)
     model = classifier.load_model(args.model)
     corpus = load_corpus(args.corpus)
-    with atomic_write(args.out) if args.out else nullcontext(sys.stdout) as out:
+
+    def rows():
         for topic in corpus:
             label, margin = classifier.predict(model, pipe.vector(topic))
             polarity = Polarity.PO if label > 0 else Polarity.NG
-            out.write(f"{topic.id}\t{polarity.value}\t{margin:.6f}\n")
+            yield f"{topic.id}\t{polarity.value}\t{margin:.6f}\n"
+
+    with atomic_write(args.out) if args.out else nullcontext(sys.stdout) as out:
+        _write_rows(out, rows())
     return 0
 
 
@@ -272,13 +285,18 @@ def _cmd_score(args) -> int:
     pipe = _Pipeline(settings)
     corpus = load_corpus(args.corpus)
     agree = labeled = 0
-    for topic in corpus:
-        net, label = pipe.analyzer.rule_score(topic.text)
-        print(f"{topic.id}\t{net:+g}\t{label.value}")
-        if topic.label is not None:
-            labeled += 1
-            if label is topic.label:
-                agree += 1
+
+    def rows():
+        nonlocal agree, labeled
+        for topic in corpus:
+            net, label = pipe.analyzer.rule_score(topic.text)
+            if topic.label is not None:
+                labeled += 1
+                if label is topic.label:
+                    agree += 1
+            yield f"{topic.id}\t{net:+g}\t{label.value}\n"
+
+    _write_rows(sys.stdout, rows())
     if labeled:
         print(f"# agreement with gold: {agree}/{labeled} "
               f"({100 * agree / labeled:.2f}%)", file=sys.stderr)

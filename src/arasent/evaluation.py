@@ -29,6 +29,38 @@ class Topic(NamedTuple):
     genre: str | None = None
 
 
+_GOLD_LABELS = {"PO": Polarity.PO, "NG": Polarity.NG}
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _parse_json(line: str):
+    """``json.loads(line)`` for a stripped line, without its wrapper frames
+    on a line that parses; a line it refuses goes to ``json.loads``, which
+    raises its own error."""
+    try:
+        value, end = _raw_decode(line)
+    except (json.JSONDecodeError, RecursionError):
+        pass
+    else:
+        if end == len(line):
+            return value
+    return json.loads(line)
+
+
+def _check_text_fields(record: dict) -> None:
+    """Refuse the first of ``id``, ``text`` and ``genre`` that is not text."""
+    for key in ("id", "text", "genre"):
+        value = record.get(key)
+        if key == "genre" and value is None:
+            continue
+        if not isinstance(value, str):
+            raise ValueError(f"{key!r} must be a string, got {type(value).__name__}")
+        try:
+            value.encode("utf-8")  # a JSON \u escape can give a lone surrogate
+        except UnicodeEncodeError:
+            raise ValueError(f"{key!r} is not valid utf-8 text") from None
+
+
 def load_corpus(path) -> list[Topic]:
     """Read a JSON-lines corpus; topic ids must be unique."""
     topics: list[Topic] = []
@@ -39,37 +71,31 @@ def load_corpus(path) -> list[Topic]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record = _parse_json(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"bad JSON: {exc.msg}") from None
             except RecursionError:
                 raise ValueError("bad JSON: nested too deeply") from None
             if not isinstance(record, dict) or "id" not in record or "text" not in record:
                 raise ValueError("record needs 'id' and 'text' fields")
-            for key in ("id", "text", "genre"):
-                value = record.get(key)
-                if key == "genre" and value is None:
-                    continue
-                if not isinstance(value, str):
-                    raise ValueError(f"{key!r} must be a string, got {type(value).__name__}")
-                try:
-                    value.encode("utf-8")  # a JSON escape can give a lone surrogate
-                except UnicodeEncodeError:
-                    raise ValueError(f"{key!r} is not valid utf-8 text") from None
-            topic_id = record["id"]
+            topic_id, text, genre = record["id"], record["text"], record.get("genre")
+            # read_lines refused undecodable bytes, so only an escape, and so a
+            # line with a backslash, can hold a lone surrogate
+            if not (type(topic_id) is str and type(text) is str
+                    and (genre is None or type(genre) is str)) or "\\" in line:
+                _check_text_fields(record)
             if topic_id in seen:
                 raise ValueError(f"duplicate topic id {topic_id!r}")
             seen.add(topic_id)
+            raw = record.get("label")
             label = None
-            if record.get("label") is not None:
-                try:
-                    label = Polarity(record["label"])
-                except ValueError:
-                    raise ValueError(
-                        f"label must be PO or NG, got {record['label']!r}") from None
-                if label is Polarity.NU:
-                    raise ValueError("topic labels are PO or NG only")
-            topics.append(Topic(topic_id, record["text"], label, record.get("genre")))
+            if raw is not None:
+                label = _GOLD_LABELS.get(raw) if isinstance(raw, str) else None
+                if label is None:
+                    if raw == "NU":
+                        raise ValueError("topic labels are PO or NG only")
+                    raise ValueError(f"label must be PO or NG, got {raw!r}")
+            topics.append(Topic(topic_id, text, label, genre))
     return topics
 
 

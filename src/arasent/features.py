@@ -157,6 +157,10 @@ class Analyzer:
         self.windows = (negation_window, intensifier_window)
         self._values = {entry.word: _SIGN[entry.polarity] for entry in lex}
         self._idiom_starts = frozenset(entry.phrase[0] for entry in idioms)
+        # a sentence that holds none of these words has nothing to mask, count
+        # or shift: its shifted values are its lexicon values
+        self._cue_words = (cues.negators | cues.intensifiers | cues.question_terms
+                           | cues.wishful_terms | self._idiom_starts)
 
     def _walk(self, text: str, sink: list | None = None):
         """The feature vector and net score of a topic; ``sink`` also gets
@@ -164,11 +168,13 @@ class Analyzer:
         cues, values, tag_of, other = self.cues, self._values, self.tags.get, PosTag.OTHER
         negators, intensifiers = cues.negators, cues.intensifiers
         negation_window, intensifier_window = self.windows
+        cue_words, idiom_starts = self._cue_words, self._idiom_starts
         w_po = w_ng = w_nu = n_words = po_ph = ng_ph = conflicts = net = 0
         negations = questions = wishes = 0
         po_pos = ng_pos = 0.0
         for words in preprocess(text, self.stopwords):
-            if not self._idiom_starts.isdisjoint(words):
+            cued = not cue_words.isdisjoint(words)
+            if cued and not idiom_starts.isdisjoint(words):
                 words, po, ng = _mask_phrases(words, self.idioms)
                 po_ph += po
                 ng_ph += ng
@@ -177,22 +183,25 @@ class Analyzer:
             bases = list(map(values.get, words))
             w_nu += bases.count(0)  # NU words always keep a 0 value
             hits = [i for i, base in enumerate(bases) if base]
-            negated = None
-            if not negators.isdisjoint(words):
-                negated = list(map(negators.__contains__, words))
-                negations += sum(negated)
-            questions += sum(map(cues.question_terms.__contains__, words))
-            wishes += sum(map(cues.wishful_terms.__contains__, words))
-            has_intensifier = not intensifiers.isdisjoint(words)
-            shifted = []
-            for i in hits:
-                value = bases[i]
-                if negated and sum(negated[max(0, i - negation_window):i]) % 2:
-                    value = -value
-                if has_intensifier and not intensifiers.isdisjoint(
-                        words[i + 1:i + 1 + intensifier_window]):
-                    value *= 2
-                shifted.append(value)
+            if cued:  # the cue tests see the words as masked
+                negated = None
+                if not negators.isdisjoint(words):
+                    negated = list(map(negators.__contains__, words))
+                    negations += sum(negated)
+                questions += sum(map(cues.question_terms.__contains__, words))
+                wishes += sum(map(cues.wishful_terms.__contains__, words))
+                has_intensifier = not intensifiers.isdisjoint(words)
+                shifted = []
+                for i in hits:
+                    value = bases[i]
+                    if negated and sum(negated[max(0, i - negation_window):i]) % 2:
+                        value = -value
+                    if has_intensifier and not intensifiers.isdisjoint(
+                            words[i + 1:i + 1 + intensifier_window]):
+                        value *= 2
+                    shifted.append(value)
+            else:
+                shifted = [bases[i] for i in hits]
             net += sum(shifted)
             unresolved = shifted[:] if sink is not None else None
             if len(hits) > 1:

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from itertools import permutations
 
 import pytest
@@ -277,6 +278,17 @@ def test_grid_search_refuses_a_regularization_after_a_fit(bad):
         grid_search(data[:80], data[80:], regularizations=(1e-3, bad))
 
 
+@pytest.mark.parametrize("regularizations", [(), iter(())], ids=["tuple", "iterator"])
+def test_grid_search_refuses_no_regularizations_before_any_fit(monkeypatch, regularizations):
+    _, data = hidden_separator_data(120, seed=10, margin=1.5)
+    fits = []
+    monkeypatch.setattr(classifier, "train",
+                        lambda data, config: fits.append(config) or train(data, config))
+    with pytest.raises(ArasentError, match="^no regularizations to search$"):
+        grid_search(data[:80], data[80:], regularizations)
+    assert fits == []
+
+
 def noisy_separator_data(n, seed, flip):
     """Oracle data with a ``flip`` share of labels turned, so that the clip engages."""
     rng = random.Random(seed)
@@ -517,6 +529,11 @@ def test_feature_vector_rejects_non_finite_values(value):
         LabeledVector(vec({3: 1.0, 6: value}), 1)
 
 
+def test_feature_vector_names_the_first_non_finite_slot():
+    with pytest.raises(ValueError, match="^slot 2 value nan is not finite$"):
+        LabeledVector(vec({2: math.nan, 5: 1.0, 9: math.inf}), 1)
+
+
 @pytest.mark.parametrize("pair", ["1:nan", "6:inf", "6:-inf", "2:1e999"])
 def test_read_svmlight_rejects_non_finite_values(tmp_path, pair):
     path = tmp_path / "f.svml"
@@ -542,3 +559,45 @@ def test_write_svmlight_writes_only_nonzero_slots(tmp_path):
     assert path.read_text(encoding="utf-8").splitlines()[1:] == ["+1 1:1 10:9", "-1",
                                                                  "+1 17:-0.5"]
     assert read_svmlight(path)[0].vector == vec({1: 1.0, 10: 9.0})
+
+
+def _lines_formatted_per_value(data):
+    """The SVM-light body lines of ``data``, each value formatted on its own."""
+    lines = []
+    for row in data:
+        pairs = [f"{slot}:{classifier._format_value(value)}"
+                 for slot, value in enumerate(row.vector, 1) if value]
+        lines.append(" ".join([f"{row.label:+d}", *pairs]))
+    return lines
+
+
+# 1e15 is the first magnitude written in exponent form, so its neighbours
+# format in both ways
+BELOW_1E15 = math.nextafter(1e15, 0)
+
+
+@pytest.mark.parametrize("rows", [
+    # one value repeated across rows and slots, among others
+    [vec({1: 0.1, 2: 1 / 3, 5: 0.1, 8: 2.5}), vec({2: 0.1, 3: 1 / 3, 17: 0.1}),
+     vec({1: 2.5, 9: 1 / 3, 10: 0.1})],
+    # ints from a library caller next to the equal floats
+    [(3, 0, 1, 0, 0, 2, 0, 0, 0, 10**15, 0, 7, 0, 0, 0, 0, -4),
+     vec({1: 3.0, 3: 1.0, 10: 1e15, 17: -4.0}),
+     (1,) * N_SLOTS],
+    # at and just under the 1e15 boundary, either sign
+    [vec({1: 1e15, 2: BELOW_1E15, 3: 999999999999999.0, 4: -1e15, 5: -BELOW_1E15}),
+     vec({1: BELOW_1E15, 2: 1e15, 3: -999999999999999.0, 4: 1e16, 5: 999999999999999.5})],
+    # a Decimal equal to a float it does not format like
+    [vec({1: 1.5, 2: 0.1}), (Decimal("1.50"), Decimal(0.1)) + (0,) * (N_SLOTS - 2)],
+], ids=["repeated", "ints", "1e15", "decimal"])
+def test_write_svmlight_formats_as_each_value_alone(tmp_path, rows):
+    data = [LabeledVector(row, 1 if i % 2 else -1) for i, row in enumerate(rows)]
+    path = tmp_path / "f.svml"
+    write_svmlight(data, path)
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == _lines_formatted_per_value(data)
+
+
+def test_format_value_around_1e15():
+    assert [classifier._format_value(v) for v in (
+        1e15, BELOW_1E15, 999999999999999.0, 10**15, 999999999999999.5)] == [
+        "1e+15", "1e+15", "999999999999999", "1e+15", "1e+15"]

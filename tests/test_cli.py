@@ -406,6 +406,18 @@ def test_no_arasent_module_loads_dataclasses_inspect_or_fractions():
         "-S") == "[]"
 
 
+def test_grid_search_refuses_no_regularizations_under_optimization():
+    # python -O strips assert statements, so the refusal must not be one
+    assert _fresh_python(
+        "from arasent.classifier import LabeledVector, grid_search\n"
+        "from arasent.errors import ArasentError\n"
+        "data = [LabeledVector((1.0,) * 17, 1), LabeledVector((-1.0,) * 17, -1)]\n"
+        "try:\n"
+        "    print(grid_search(data, data, ()))\n"
+        "except ArasentError as exc:\n"
+        "    print('refused:', exc)\n", "-O") == "refused: no regularizations to search"
+
+
 @pytest.mark.parametrize("module", ["classifier", "evaluation", "expansion", "features",
                                     "lexicon", "resources"])
 def test_no_named_tuple_shares_a_mutable_default(module):

@@ -69,7 +69,7 @@ def test_corpus_rejects_duplicate_ids(tmp_path):
 def test_corpus_rejects_bad_label(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"id": "a", "text": "x", "label": "GOOD"}\n', encoding="utf-8")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^.*corpus.jsonl:1: label must be PO or NG, got 'GOOD'$"):
         load_corpus(path)
 
 
@@ -77,8 +77,33 @@ def test_corpus_rejects_neutral_label(tmp_path):
     # gold topic labels are positive or negative only
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"id": "a", "text": "x", "label": "NU"}\n', encoding="utf-8")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^.*corpus.jsonl:1: topic labels are PO or NG only$"):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("label, shown", [
+    ("1", "1"), ('["PO"]', r"\['PO'\]"), ('{"PO": 1}', r"\{'PO': 1\}"), ('"po"', "'po'"),
+    ('"PO "', "'PO '"), ('""', "''"), ("true", "True"), ("1.5", "1.5")],
+    ids=["int", "list", "object", "lowercase", "padded", "empty", "bool", "float"])
+def test_corpus_refuses_a_label_at_its_line(tmp_path, label, shown):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "text": "x", "label": "PO"}\n\n'
+                    f'{{"id": "b", "text": "y", "label": {label}}}\n', encoding="utf-8")
+    with pytest.raises(ParseError,
+                       match=f"^.*corpus.jsonl:3: label must be PO or NG, got {shown}$"):
+        load_corpus(path)
+
+
+def test_corpus_reads_escapes_and_backslashes(tmp_path):
+    # only a line with a backslash can hold an escape; these give valid text
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "text": "\\u0627\\u0644", "label": "PO"}\n'
+                    '{"id": "b\\\\c", "text": "x \\\\ y \\" z", "genre": "tv\\t"}\n'
+                    '{"id": "\\ud83d\\ude00", "text": "\\n", "label": null}\n',
+                    encoding="utf-8")
+    assert load_corpus(path) == [Topic("a", "\u0627\u0644", PO),
+                                 Topic("b\\c", 'x \\ y " z', None, "tv\t"),
+                                 Topic("\U0001f600", "\n")]
 
 
 def test_corpus_rejects_bad_json(tmp_path):
@@ -87,6 +112,23 @@ def test_corpus_rejects_bad_json(tmp_path):
     with pytest.raises(ParseError) as err:
         load_corpus(path)
     assert err.value.line_no == 1
+
+
+@pytest.mark.parametrize("line, reason", [
+    ('{"id": "b", "text": "y"} {"id": "c"}', "Extra data"),
+    ('{"id": "b", "text": "y"}]', "Extra data"),
+    ('{"id": "b", "text": "y",}', "Expecting property name enclosed in double quotes"),
+    ("{'id': 'b'}", "Expecting property name enclosed in double quotes"),
+    ('{"id": "b", "text": "\\x"}', r"Invalid \\escape"),
+    ('{"id": "b", "text": "y}', "Unterminated string starting at"),
+    ("nul", "Expecting value"), ("\ufeff{}", r"Unexpected UTF-8 BOM \(decode using utf-8-sig\)")],
+    ids=["extra-value", "extra-bracket", "trailing-comma", "single-quotes", "bad-escape",
+         "unterminated", "bad-literal", "bom"])
+def test_corpus_names_the_json_error_at_its_line(tmp_path, line, reason):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "text": "x"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^.*corpus.jsonl:2: bad JSON: {reason}$"):
+        load_corpus(path)
 
 
 def test_corpus_rejects_deeply_nested_json(tmp_path):
