@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-from itertools import islice
 from pathlib import Path
 
 from . import resources
@@ -119,14 +118,6 @@ def _read_text(source: str) -> str:
     return "".join(read_lines(source))
 
 
-def _write_rows(out, rows, chunk: int = 1000) -> None:
-    """Write the lines ``rows`` yields to ``out``, ``chunk`` lines per write:
-    where stdout is unbuffered, each write is a system call."""
-    rows = iter(rows)
-    while text := "".join(islice(rows, chunk)):
-        out.write(text)
-
-
 def _cmd_normalize(args) -> int:
     print(normalize_text(_read_text(args.input)))
     return 0
@@ -220,15 +211,16 @@ def _cmd_predict(args) -> int:
     pipe = _Pipeline(settings)
     model = classifier.load_model(args.model)
     corpus = load_corpus(args.corpus)
-
-    def rows():
+    with atomic_write(args.out) if args.out else nullcontext(sys.stdout) as out:
+        rows = []  # written 1000 at a time: each write to an unbuffered stdout is a system call
         for topic in corpus:
             label, margin = classifier.predict(model, pipe.vector(topic))
             polarity = Polarity.PO if label > 0 else Polarity.NG
-            yield f"{topic.id}\t{polarity.value}\t{margin:.6f}\n"
-
-    with atomic_write(args.out) if args.out else nullcontext(sys.stdout) as out:
-        _write_rows(out, rows())
+            rows.append(f"{topic.id}\t{polarity.value}\t{margin:.6f}\n")
+            if len(rows) == 1000:
+                out.write("".join(rows))
+                rows.clear()
+        out.write("".join(rows))
     return 0
 
 
@@ -285,18 +277,18 @@ def _cmd_score(args) -> int:
     pipe = _Pipeline(settings)
     corpus = load_corpus(args.corpus)
     agree = labeled = 0
-
-    def rows():
-        nonlocal agree, labeled
-        for topic in corpus:
-            net, label = pipe.analyzer.rule_score(topic.text)
-            if topic.label is not None:
-                labeled += 1
-                if label is topic.label:
-                    agree += 1
-            yield f"{topic.id}\t{net:+g}\t{label.value}\n"
-
-    _write_rows(sys.stdout, rows())
+    rows = []  # written 1000 at a time, as in predict
+    for topic in corpus:
+        net, label = pipe.analyzer.rule_score(topic.text)
+        rows.append(f"{topic.id}\t{net:+g}\t{label.value}\n")
+        if len(rows) == 1000:
+            sys.stdout.write("".join(rows))
+            rows.clear()
+        if topic.label is not None:
+            labeled += 1
+            if label is topic.label:
+                agree += 1
+    sys.stdout.write("".join(rows))
     if labeled:
         print(f"# agreement with gold: {agree}/{labeled} "
               f"({100 * agree / labeled:.2f}%)", file=sys.stderr)

@@ -30,35 +30,6 @@ class Topic(NamedTuple):
 
 
 _GOLD_LABELS = {"PO": Polarity.PO, "NG": Polarity.NG}
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def _parse_json(line: str):
-    """``json.loads(line)`` for a stripped line, without its wrapper frames
-    on a line that parses; a line it refuses goes to ``json.loads``, which
-    raises its own error."""
-    try:
-        value, end = _raw_decode(line)
-    except (json.JSONDecodeError, RecursionError):
-        pass
-    else:
-        if end == len(line):
-            return value
-    return json.loads(line)
-
-
-def _check_text_fields(record: dict) -> None:
-    """Refuse the first of ``id``, ``text`` and ``genre`` that is not text."""
-    for key in ("id", "text", "genre"):
-        value = record.get(key)
-        if key == "genre" and value is None:
-            continue
-        if not isinstance(value, str):
-            raise ValueError(f"{key!r} must be a string, got {type(value).__name__}")
-        try:
-            value.encode("utf-8")  # a JSON \u escape can give a lone surrogate
-        except UnicodeEncodeError:
-            raise ValueError(f"{key!r} is not valid utf-8 text") from None
 
 
 def load_corpus(path) -> list[Topic]:
@@ -71,19 +42,28 @@ def load_corpus(path) -> list[Topic]:
             if not line:
                 continue
             try:
-                record = _parse_json(line)
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"bad JSON: {exc.msg}") from None
             except RecursionError:
                 raise ValueError("bad JSON: nested too deeply") from None
             if not isinstance(record, dict) or "id" not in record or "text" not in record:
                 raise ValueError("record needs 'id' and 'text' fields")
-            topic_id, text, genre = record["id"], record["text"], record.get("genre")
-            # read_lines refused undecodable bytes, so only an escape, and so a
-            # line with a backslash, can hold a lone surrogate
-            if not (type(topic_id) is str and type(text) is str
-                    and (genre is None or type(genre) is str)) or "\\" in line:
-                _check_text_fields(record)
+            # read_lines refused undecodable bytes, so only a JSON \u escape,
+            # and so a line with a backslash, can give a lone surrogate
+            escaped = "\\" in line
+            for key in ("id", "text", "genre"):
+                value = record.get(key)
+                if key == "genre" and value is None:
+                    continue
+                if not isinstance(value, str):
+                    raise ValueError(f"{key!r} must be a string, got {type(value).__name__}")
+                if escaped:
+                    try:
+                        value.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise ValueError(f"{key!r} is not valid utf-8 text") from None
+            topic_id = record["id"]
             if topic_id in seen:
                 raise ValueError(f"duplicate topic id {topic_id!r}")
             seen.add(topic_id)
@@ -95,7 +75,7 @@ def load_corpus(path) -> list[Topic]:
                     if raw == "NU":
                         raise ValueError("topic labels are PO or NG only")
                     raise ValueError(f"label must be PO or NG, got {raw!r}")
-            topics.append(Topic(topic_id, text, label, genre))
+            topics.append(Topic(topic_id, record["text"], label, record.get("genre")))
     return topics
 
 

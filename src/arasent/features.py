@@ -163,8 +163,8 @@ class Analyzer:
                            | cues.wishful_terms | self._idiom_starts)
 
     def _walk(self, text: str, sink: list | None = None):
-        """The feature vector and net score of a topic; ``sink`` also gets
-        each sentence's trace."""
+        """The feature slots (bools, ints and floats) and net score of a
+        topic; ``sink`` also gets each sentence's trace."""
         cues, values, tag_of, other = self.cues, self._values, self.tags.get, PosTag.OTHER
         negators, intensifiers = cues.negators, cues.intensifiers
         negation_window, intensifier_window = self.windows
@@ -216,15 +216,15 @@ class Analyzer:
             if sink is not None:
                 sink.append(SentenceTrace(words, [tag_of(w, other) for w in words], bases,
                                           _placed(hits, unresolved, n), _placed(hits, shifted, n)))
-        vector = tuple(map(float, (  # in slot order, HAS_PO_SENTI to N_O_CONFLICT
+        slots = (  # in slot order, HAS_PO_SENTI to N_O_CONFLICT
             w_po > 0, w_ng > 0, po_ph > 0, ng_ph > 0, w_po, w_ng, w_nu, po_pos, ng_pos,
             n_words, negations > 0, negations, questions > 0, questions, wishes > 0, wishes,
-            conflicts)))
-        return vector, net + 3 * po_ph - 3 * ng_ph
+            conflicts)
+        return slots, net + 3 * po_ph - 3 * ng_ph
 
     def vector(self, text: str) -> tuple[float, ...]:
         """The feature vector of one topic: slot ``s`` at index ``s - 1``."""
-        return self._walk(text)[0]
+        return tuple(map(float, self._walk(text)[0]))
 
     def rule_score(self, text: str) -> tuple[float, Polarity]:
         """Rule-based net score: shifted word values in [-2, +2] plus +-3 per

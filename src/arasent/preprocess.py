@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import AbstractSet
+from typing import Collection
 
 from .fileio import read_lines
 
@@ -79,19 +79,17 @@ def normalize_word(word: str, name: str = "word") -> str:
     return words[0]
 
 
-def preprocess(text: str, stopwords: AbstractSet[str] = frozenset()) -> list[list[str]]:
+def preprocess(text: str, stopwords: Collection[str] = frozenset()) -> list[list[str]]:
     """Normalized, split and tokenized text minus stopwords: one word list
     per sentence, the sentences ending at { . ! ? ؟ ؛ newline }. A sentence
     made only of stopwords stays, as an empty list."""
     # Only Arabic letters form words, so the characters normalize_text drops
     # or folds into spaces never change a sentence's words, and a piece
     # between delimiters that holds no word is exactly one it strips away.
-    sentences = list(filter(None, map(_WORD_RE.findall, _SENTENCE_RE.split(_fold(text)))))
+    pieces = map(_WORD_RE.findall, _SENTENCE_RE.split(_fold(text)))
     if stopwords:
-        for i, words in enumerate(sentences):
-            if not stopwords.isdisjoint(words):
-                sentences[i] = [w for w in words if w not in stopwords]
-    return sentences
+        return [[w for w in words if w not in stopwords] for words in pieces if words]
+    return [words for words in pieces if words]
 
 
 def load_tag_table(path) -> dict[str, PosTag]:

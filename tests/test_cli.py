@@ -10,6 +10,7 @@ import pytest
 
 import arasent
 
+from arasent import resources
 from arasent.cli import run
 from arasent.classifier import load_model
 from arasent.evaluation import SplitSpec, Topic, load_corpus, save_corpus, split_corpus
@@ -227,6 +228,41 @@ def test_predict_to_stdout(tmp_path, corpus_path, capsys):
     assert run(["predict", "--model", str(model), "--corpus", corpus_path]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 200 and lines[0].count("\t") == 2
+
+
+class _Writes:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_score_and_predict_write_stdout_1000_rows_at_a_time(tmp_path, corpus_path,
+                                                            monkeypatch):
+    topics = [t._replace(id=f"{k}-{t.id}") for k in range(11)
+              for t in load_corpus(corpus_path)][:2001]  # two full chunks and one row
+    corpus, features = tmp_path / "big.jsonl", tmp_path / "f.svml"
+    model, predicted = tmp_path / "m.txt", tmp_path / "predicted.tsv"
+    save_corpus(topics, corpus)
+    assert run(["extract", "--corpus", corpus_path, "--out", str(features)]) == 0
+    assert run(["train", "--features", str(features), "--model", str(model)]) == 0
+    assert run(["predict", "--model", str(model), "--corpus", str(corpus),
+                "--out", str(predicted)]) == 0
+    analyzer = resources.load().analyzer()
+    scored = "".join(f"{t.id}\t{net:+g}\t{label.value}\n"
+                     for t in topics for net, label in [analyzer.rule_score(t.text)])
+    for argv, want in ((["score", "--corpus", str(corpus)], scored),
+                       (["predict", "--model", str(model), "--corpus", str(corpus)],
+                        predicted.read_text(encoding="utf-8"))):
+        out = _Writes()
+        monkeypatch.setattr("sys.stdout", out)
+        assert run(argv) == 0
+        monkeypatch.undo()
+        assert [w.count("\n") for w in out.writes] == [1000, 1000, 1]
+        assert "".join(out.writes) == want
 
 
 def test_expand_twice_second_run_adopts_zero(tmp_path, capsys):
