@@ -89,11 +89,13 @@ def train(data: Sequence[LabeledVector],
     if labels != {1, -1}:
         raise ArasentError(f"need both labels, got {sorted(labels)}")
 
-    factors = [0.0] * (N_SLOTS + 1)  # column max |x| per slot, when scaling
-    for lv in data:
-        for slot, value in enumerate(lv.vector, 1):
-            factors[slot] = max(factors[slot], abs(value))
-    factors = [f if config.scale_max and f > 0 else 1.0 for f in factors]
+    factors = [1.0] * (N_SLOTS + 1)  # column max |x| per slot when scaling; x / 1.0 is x
+    if config.scale_max:
+        maxima = [0.0] * (N_SLOTS + 1)
+        for lv in data:
+            for slot, value in enumerate(lv.vector, 1):
+                maxima[slot] = max(maxima[slot], abs(value))
+        factors = [f if f > 0 else 1.0 for f in maxima]
     # label-signed (index, value) rows y_i x_i over the augmented weights:
     # index 0 is the bias riding on a constant 1, index s is slot s
     rows = [[(0, float(lv.label))]

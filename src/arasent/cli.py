@@ -212,11 +212,11 @@ def _cmd_predict(args) -> int:
     model = classifier.load_model(args.model)
     corpus = load_corpus(args.corpus)
     with atomic_write(args.out) if args.out else nullcontext(sys.stdout) as out:
+        po, ng = Polarity.PO.value, Polarity.NG.value
         rows = []  # written 1000 at a time: each write to an unbuffered stdout is a system call
         for topic in corpus:
             label, margin = classifier.predict(model, pipe.vector(topic))
-            polarity = Polarity.PO if label > 0 else Polarity.NG
-            rows.append(f"{topic.id}\t{polarity.value}\t{margin:.6f}\n")
+            rows.append(f"{topic.id}\t{po if label > 0 else ng}\t{margin:.6f}\n")
             if len(rows) == 1000:
                 out.write("".join(rows))
                 rows.clear()
@@ -277,10 +277,12 @@ def _cmd_score(args) -> int:
     pipe = _Pipeline(settings)
     corpus = load_corpus(args.corpus)
     agree = labeled = 0
+    po, ng, nu = Polarity.PO.value, Polarity.NG.value, Polarity.NU.value
     rows = []  # written 1000 at a time, as in predict
     for topic in corpus:
         net, label = pipe.analyzer.rule_score(topic.text)
-        rows.append(f"{topic.id}\t{net:+g}\t{label.value}\n")
+        name = po if label is Polarity.PO else ng if label is Polarity.NG else nu
+        rows.append(f"{topic.id}\t{net:+g}\t{name}\n")
         if len(rows) == 1000:
             sys.stdout.write("".join(rows))
             rows.clear()

@@ -11,7 +11,9 @@ word to human review or, non-interactively, to a pending file.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import ExitStack
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Protocol
 
@@ -23,9 +25,10 @@ from .lexicon import (
     SentimentLexicon,
     clean_field,
 )
-from .preprocess import PosTag, normalize_word, preprocess
+from .preprocess import PosTag, normalize_word, words
 
 CANDIDATE_TAGS = frozenset({PosTag.JJ, PosTag.NN, PosTag.VB})
+_BLOCK_TOPICS = 64  # topics whose texts one bulk word count joins
 
 # Each answer a reviewer may give, and its verdict: a polarity, "reject"
 # (onto the prevent list) or "skip" (into the pending file).
@@ -228,19 +231,20 @@ def resolve_oov(lex: SentimentLexicon, word: str, answer: str,
 def _load_pending_words(path) -> set[str]:
     """The words of a pending file's rows, normalized; a row whose first
     column is not one word is a ParseError at its line."""
-    words = set()
+    held = set()
     if not Path(path).exists():
-        return words
+        return held
     with read_lines(path) as lines:
         for line in lines:
             if line.strip():
-                words.add(normalize_word(line.split("\t", 1)[0], "pending word"))
-    return words
+                held.add(normalize_word(line.split("\t", 1)[0], "pending word"))
+    return held
 
 
-def _append_pending(path, word: str) -> None:
-    with open(path, "a", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{word}\tPENDING\n")
+def _append_pending(pending, word: str) -> None:
+    """Write one pending-review row to the open pending file; the traced
+    benchmark counts these calls as ``expansion.pending_writes``."""
+    pending.write(f"{word}\tPENDING\n")
 
 
 def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
@@ -251,61 +255,70 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
                    ) -> tuple[SentimentLexicon, ExpansionReport]:
     """Run the four expansion steps over a corpus.
 
-    ``tags`` maps words to their tag; a word it lacks is no candidate.
+    The candidates are the distinct words of the corpus that are no
+    stopword, that ``tags`` tags JJ, NN or VB (a word it lacks is no
+    candidate) and that the lexicon neither holds nor prevents; each is
+    looked up once, in order of first occurrence, and an adopted word
+    carries its count over the corpus as ``tf``.
     Adopted words are inserted immediately, so later candidates can use
-    them as evidence; processing order is first occurrence in the corpus.
-    Provider errors skip the candidate (they are transient, not evidence
-    that the word carries no sentiment). Out-of-vocabulary words go to
-    ``pending_path``, unless an ``ask`` callback is given: then it supplies
-    the reviewer's answer, one of ``ANSWERS`` (a skip goes to pending).
+    them as evidence. Provider errors skip the candidate (they are
+    transient, not evidence that the word carries no sentiment).
+    Out-of-vocabulary words go to ``pending_path``, unless an ``ask``
+    callback is given: then it supplies the reviewer's answer, one of
+    ``ANSWERS`` (a skip goes to pending). The pending file gets one row per
+    word it does not hold yet, in decision order; it is opened at the first
+    such word and closed on every way out, an exception from ``ask``
+    included, so the rows decided before an interrupted review are kept.
     """
-    stop = set(stopwords)
-
     working = lex.copy()
     report = ExpansionReport([], [], [], [], [], [])
-    # candidates are never stopwords, so counting after their removal keeps every tf
+    # Sentence breaks never split or join a word, so the words of a block of
+    # topic texts joined by newlines are the words of its topics in order;
+    # a bounded block keeps the joined text small. Counter keeps the order
+    # of first occurrence, and deleting the stopwords leaves it as it is.
     tf_counts: Counter = Counter()
+    topics = iter(corpus)
+    while block := list(islice(topics, _BLOCK_TOPICS)):
+        tf_counts.update(words("\n".join(topic.text for topic in block)))
+    for word in set(stopwords).intersection(tf_counts):
+        del tf_counts[word]
+    candidates = [word for word in tf_counts
+                  if word not in working and not working.is_prevented(word)
+                  and tags.get(word) in CANDIDATE_TAGS]
     already_pending = _load_pending_words(pending_path) if pending_path else set()
 
-    # distinct JJ/NN/VB words unknown to the lexicon and the prevent list,
-    # in first-occurrence order
-    candidates: dict[str, None] = {}
-    for topic in corpus:
-        for words in preprocess(topic.text, stop):
-            tf_counts.update(words)
-            for word in words:
-                if (tags.get(word) in CANDIDATE_TAGS and word not in candidates
-                        and working.lookup(word) is None and not working.is_prevented(word)):
-                    candidates[word] = None
-
-    def to_pending(word: str) -> None:
-        report.oov_pending.append(word)
-        if pending_path and word not in already_pending:
-            _append_pending(pending_path, word)
-            already_pending.add(word)
-
-    for word in candidates:
-        try:
-            syn = provider.fetch(word)
-        except ProviderError as exc:
-            report.errors.append((word, str(exc)))
-            continue
-        decision = detect_orientation(syn, working)
-        if decision.outcome is Outcome.ADOPT:
-            working.add(LexiconEntry(word, decision.polarity, gloss=syn.translation or "",
-                                     tf=tf_counts.get(word, 0)))
-            report.adopted.append(word)
-        elif decision.outcome is Outcome.COS:
-            report.cos.append(word)
-        else:
-            answer = ask(word, syn) if ask else "skip"
-            if ANSWERS.get(answer.strip().lower()) == "skip":
-                to_pending(word)
+    with ExitStack() as stack:
+        pending = None
+        for word in candidates:
+            try:
+                syn = provider.fetch(word)
+            except ProviderError as exc:
+                report.errors.append((word, str(exc)))
                 continue
-            working = resolve_oov(working, word, answer, tf=tf_counts.get(word, 0))
-            if word in working:
-                report.oov_accepted.append(word)
+            decision = detect_orientation(syn, working)
+            if decision.outcome is Outcome.ADOPT:
+                working.add(LexiconEntry(word, decision.polarity, gloss=syn.translation or "",
+                                         tf=tf_counts[word]))
+                report.adopted.append(word)
+            elif decision.outcome is Outcome.COS:
+                report.cos.append(word)
             else:
-                report.oov_rejected.append(word)
+                answer = ask(word, syn) if ask else "skip"
+                if ANSWERS.get(answer.strip().lower()) == "skip":
+                    report.oov_pending.append(word)
+                    if pending_path and word not in already_pending:
+                        if pending is None:
+                            # under review, line buffering puts each row on disk as decided
+                            pending = stack.enter_context(open(
+                                pending_path, "a", encoding="utf-8", newline="\n",
+                                buffering=1 if ask else -1))
+                        _append_pending(pending, word)
+                        already_pending.add(word)
+                    continue
+                working = resolve_oov(working, word, answer, tf=tf_counts[word])
+                if word in working:
+                    report.oov_accepted.append(word)
+                else:
+                    report.oov_rejected.append(word)
 
     return working, report

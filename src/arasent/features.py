@@ -76,13 +76,14 @@ class CueLists(NamedTuple):
 # positions of the words with a nonzero value: only those can be shifted,
 # resolved or weighted.
 _SIGN = {Polarity.PO: 1, Polarity.NG: -1, Polarity.NU: 0}
-_CONFLICT_TAGS = {PosTag.NN, PosTag.JJ}
+# Tuples of members compare by identity first, so this test hashes no enum.
+_CONFLICT_PAIRS = ((PosTag.NN, PosTag.JJ), (PosTag.JJ, PosTag.NN))
 
 
 def _mask_phrases(words, idioms: IdiomLexicon):
     """Collapse each leftmost-longest idiom match into one mask word; returns
     the new words and the (PO, NG) phrase counts."""
-    out, counts = [], {Polarity.PO: 0, Polarity.NG: 0}
+    out, po, ng = [], 0, 0
     i = 0
     while i < len(words):
         hit = idioms.match_at(words, i)
@@ -90,10 +91,14 @@ def _mask_phrases(words, idioms: IdiomLexicon):
             out.append(words[i])
             i += 1
         else:
-            counts[hit.polarity] += 1
-            out.append(PO_MASK if hit.polarity is Polarity.PO else NG_MASK)
+            if hit.polarity is Polarity.PO:
+                po += 1
+                out.append(PO_MASK)
+            else:
+                ng += 1
+                out.append(NG_MASK)
             i += len(hit.phrase)
-    return out, counts[Polarity.PO], counts[Polarity.NG]
+    return out, po, ng
 
 
 def _resolve_conflicts(words, hits, shifted, tag_of) -> int:
@@ -104,7 +109,7 @@ def _resolve_conflicts(words, hits, shifted, tag_of) -> int:
     while k < len(hits) - 1:
         i = hits[k]
         if (hits[k + 1] == i + 1 and shifted[k] * shifted[k + 1] < 0
-                and {tag_of(words[i]), tag_of(words[i + 1])} == _CONFLICT_TAGS):
+                and (tag_of(words[i]), tag_of(words[i + 1])) in _CONFLICT_PAIRS):
             count += 1
             shifted[k], shifted[k + 1] = -1, 0
             k += 2

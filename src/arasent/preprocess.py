@@ -41,6 +41,9 @@ _DROP_RE = re.compile(f"[^{_ARABIC_LETTERS}{re.escape(_DELIMITERS)}\\n]+")
 _NEWLINE_RE = re.compile(r"\s*\n\s*")
 _SENTENCE_RE = re.compile(f"[{re.escape(_DELIMITERS)}\n]")
 _WORD_RE = re.compile(f"[{_ARABIC_LETTERS}]+")
+# A run of the letters that folding keeps (the alef variants and maqsura
+# left out): a word already in its canonical form.
+_FOLDED_WORD_RE = re.compile("[ءؤئ-غف-وي]+")
 
 
 class PosTag(Enum):
@@ -48,6 +51,9 @@ class PosTag(Enum):
     NN = "NN"
     VB = "VB"
     OTHER = "OTHER"
+
+
+_TAG_OF = {tag.value: tag for tag in PosTag}  # a dict lookup, not PosTag(value)
 
 
 def _fold(text: str) -> str:
@@ -67,16 +73,23 @@ def normalize_text(raw: str) -> str:
     return _NEWLINE_RE.sub("\n", text).strip()
 
 
+def words(text: str) -> list[str]:
+    """The normalized words of ``text``, in order, sentence breaks ignored."""
+    return _WORD_RE.findall(_fold(text))
+
+
 def normalize_word(word: str, name: str = "word") -> str:
     """The one normalized word that ``word`` holds, as the walk would see it.
 
     A ValueError, its message led by ``name``, says that it holds no word
     or several words: such an entry could never match."""
-    words = _WORD_RE.findall(_fold(word))
-    if len(words) != 1:
-        raise ValueError(f"{name} is {'several words' if words else 'empty'} "
+    if _FOLDED_WORD_RE.fullmatch(word):  # most table rows: nothing to fold or drop
+        return word
+    found = words(word)
+    if len(found) != 1:
+        raise ValueError(f"{name} is {'several words' if found else 'empty'} "
                          "after normalization")
-    return words[0]
+    return found[0]
 
 
 def preprocess(text: str, stopwords: Collection[str] = frozenset()) -> list[list[str]]:
@@ -103,14 +116,13 @@ def load_tag_table(path) -> dict[str, PosTag]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ValueError("expected 2 tab-separated columns")
-            tag = parts[1].strip()
             word = normalize_word(parts[0])
             if word in table:
                 raise ValueError(f"duplicate word {word!r}")
-            try:
-                table[word] = PosTag(tag)
-            except ValueError:
-                raise ValueError(f"unknown tag {tag!r}") from None
+            tag = parts[1].strip()
+            if tag not in _TAG_OF:
+                raise ValueError(f"unknown tag {tag!r}")
+            table[word] = _TAG_OF[tag]
     return table
 
 

@@ -6,11 +6,14 @@ the one-pass ``features.Analyzer``: every stage builds fresh
 object, and normalization runs one regular expression per step. It stays
 here, unoptimized and with its own copies of the token types and of the
 table tagger, so that differential tests can check the analyzer against it.
+``expansion_scan`` is the sentence-by-sentence count and candidate test
+that lexicon expansion made before it counted words in bulk.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -290,3 +293,22 @@ def lexicon_rule_score(text, lex, idioms, cues, **kw):
     else:
         label = Polarity.NU
     return net, label
+
+
+def expansion_scan(texts, lex, tags, stopwords=frozenset()):
+    """The term frequency of every word of ``texts`` that is no stopword,
+    and the candidates of expansion: the distinct words tagged JJ, NN or VB
+    that ``lex`` neither holds nor prevents, in order of first occurrence.
+    Counted sentence by sentence and token by token."""
+    tf = Counter()
+    candidates = []
+    for text in texts:
+        for raw_sentence in split_sentences(normalize_text(text)):
+            for token in remove_stopwords(tokenize(raw_sentence), stopwords).tokens:
+                word = token.surface
+                tf[word] += 1
+                if (tags.get(word) in (PosTag.JJ, PosTag.NN, PosTag.VB)
+                        and word not in candidates and lex.lookup(word) is None
+                        and not lex.is_prevented(word)):
+                    candidates.append(word)
+    return tf, candidates

@@ -1,5 +1,7 @@
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+import reference_pipeline as ref
 
 from arasent.errors import ArasentError, ParseError, ProviderError
 from arasent.evaluation import Topic
@@ -93,6 +95,71 @@ def test_filter_excludes_prevent_listed(lex):
 
 def test_filter_accepts_nn_and_vb(lex, tags):
     assert candidates(["ضجة يفرح"], lex, tags) == ["ضجة", "يفرح"]
+
+
+# the bulk count against the sentence-by-sentence reference
+
+# Normalized words: "في" is a stopword that the tag table tags JJ, "امل" a
+# stopword tagged NN, "كلام" is prevented, "جميل" known, "غامض" untagged.
+_WORDS = ["مسرور", "شديد", "هايف", "ضجة", "يفرح", "في", "امل", "كلام", "جميل", "غامض",
+          "ذكي"]
+_SCAN_TAGS = {"مسرور": PosTag.JJ, "شديد": PosTag.JJ, "هايف": PosTag.JJ, "ضجة": PosTag.NN,
+              "يفرح": PosTag.VB, "في": PosTag.JJ, "امل": PosTag.NN, "كلام": PosTag.NN,
+              "جميل": PosTag.JJ, "ذكي": PosTag.OTHER}
+_SCAN_STOPWORDS = frozenset({"في", "امل"})
+# each letter as written in a text: alef and ya variants that fold into it,
+# each maybe followed by a mark or a tatweel that normalization deletes
+_VARIANTS = {"ا": "اأإآٱ", "ي": "يى"}
+_MARKS = ["", "", "", "\u064b", "\u0651", "\u0670", "\u0640", "\u06d6"]
+# "" glues two words into one, and lets a text end in a letter
+_SEPARATORS = ["", " ", " ", "  ", "\n", " \n ", ".", " . ", "!", "؟", "؛", "،", " x1 ",
+               "\t", "\u00a0"]
+
+
+@st.composite
+def _written_word(draw):
+    return "".join(draw(st.sampled_from(_VARIANTS.get(letter, letter)))
+                   + draw(st.sampled_from(_MARKS))
+                   for letter in draw(st.sampled_from(_WORDS)))
+
+
+_text = st.lists(st.tuples(_written_word(), st.sampled_from(_SEPARATORS)), max_size=8).map(
+    lambda pairs: "".join(word + sep for word, sep in pairs))
+
+
+class _Adopting:
+    """Adopts every word it is asked (a PO synonym), recording the order."""
+
+    def __init__(self):
+        self.asked = []
+
+    def fetch(self, word):
+        self.asked.append(word)
+        return SynsetResult("x", ("سعيد",))
+
+
+@settings(max_examples=60, deadline=None)
+@given(head=st.lists(_text, min_size=1, max_size=6), filler=_text,
+       n_fill=st.integers(256, 270), tail=st.lists(_text, max_size=6))
+def test_bulk_count_asks_and_counts_as_the_sentence_scan(head, filler, n_fill, tail):
+    """Over more than 256 topics, several blocks of the bulk count, so that
+    the words of the tail first occur past a block boundary."""
+    texts = head + [filler] * n_fill + tail
+    lex = SentimentLexicon([LexiconEntry("جميل", PO), LexiconEntry("سعيد", PO)],
+                           prevent=["كلام"])
+    tf, want = ref.expansion_scan(texts, lex, _SCAN_TAGS, _SCAN_STOPWORDS)
+    provider = _Adopting()
+    grown, report = expand_lexicon([Topic(f"t{i}", text) for i, text in enumerate(texts)],
+                                   lex, provider, tags=_SCAN_TAGS,
+                                   stopwords=_SCAN_STOPWORDS)
+    assert provider.asked == report.adopted == want
+    assert {word: grown.lookup(word).tf for word in want} == {word: tf[word] for word in want}
+
+
+def test_bulk_count_keeps_words_apart_across_topics_and_sentences(lex, tags):
+    """Topics are joined by a newline: the last word of one topic and the
+    first of the next stay two words, as do words around a delimiter."""
+    assert candidates(["هاي", "ف شديد.مسرور", "هايِـف"], lex, tags) == ["شديد", "هايف"]
 
 
 # orientation detection
@@ -373,6 +440,41 @@ def test_expand_interactive_reject_and_skip(provider, tags, tmp_path):
     _, report2 = expand_lexicon(walkthrough_corpus(), grown, provider,
                                 tags=tags)
     assert report2.counts()["oov_pending"] == 0
+
+
+def test_an_interrupted_review_keeps_the_pending_rows_written_so_far(provider, tags,
+                                                                    tmp_path):
+    pending = tmp_path / "review.tsv"
+    answers = iter(["s"])
+
+    def ask(word, syn):
+        for answer in answers:
+            return answer
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        expand_lexicon(walkthrough_corpus() + [Topic("t4", "الجو هادي")], seed_lexicon(),
+                       provider, tags=tags, pending_path=pending, ask=ask)
+    assert pending.read_text(encoding="utf-8") == "هايف\tPENDING\n"
+
+
+def test_a_failing_provider_leaves_the_pending_rows_written_so_far(provider, tags, tmp_path):
+    """Without a reviewer the rows are buffered; the file is closed, and so
+    written, on the way out of an error too."""
+    class Failing:
+        def fetch(self, word):
+            if word == "هادي":
+                raise RuntimeError("broken provider")
+            return provider.fetch(word)
+
+    pending = tmp_path / "review.tsv"
+    # ``raised`` keeps the failed call's frame alive, and with it any file
+    # object the call left open and unflushed
+    with pytest.raises(RuntimeError) as raised:
+        expand_lexicon(walkthrough_corpus() + [Topic("t4", "الجو هادي")], seed_lexicon(),
+                       Failing(), tags=tags, pending_path=pending)
+    assert pending.read_text(encoding="utf-8") == "هايف\tPENDING\n"
+    assert raised.value.args == ("broken provider",)
 
 
 def test_expand_provider_error_skips_without_prevent_listing(tags):

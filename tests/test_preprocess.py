@@ -8,12 +8,15 @@ from arasent.errors import ParseError
 from arasent.features import Analyzer, CueLists
 from arasent.lexicon import IdiomEntry, IdiomLexicon, Polarity, SentimentLexicon
 from arasent.preprocess import (
+    _WORD_RE,
     NG_MASK,
     PO_MASK,
     PosTag,
+    _fold,
     load_stopwords,
     load_tag_table,
     normalize_text,
+    normalize_word,
     preprocess,
 )
 
@@ -95,6 +98,17 @@ def test_normalize_output_clean(text):
 @given(_mixed_text)
 def test_normalize_matches_oracle(text):
     assert normalize_text(text) == oracle_normalize(text)
+
+
+@given(st.one_of(_mixed_text, st.text()))
+def test_normalize_word_is_the_one_word_that_folding_leaves(text):
+    found = _WORD_RE.findall(_fold(text))
+    if len(found) == 1:
+        assert normalize_word(text) == found[0]
+    else:
+        problem = "several words" if found else "empty"
+        with pytest.raises(ValueError, match=f"^entry is {problem} after normalization$"):
+            normalize_word(text, "entry")
 
 
 def test_split_sentences_period():
