@@ -235,7 +235,8 @@ def write_svmlight(data: Sequence[LabeledVector], path) -> None:
     """Write ``<label> <index>:<value> ... # <comment>`` lines.
 
     Values carry up to 6 significant digits; integers drop the decimal
-    point. The schema version goes in a leading comment line.
+    point. The schema version goes in a leading comment line. A comment that
+    holds a line break is a ValueError naming its row, and no file is written.
     """
     # Each distinct float is formatted once per file: equal floats format
     # alike (0.0 and -0.0 are never written). A value of another type, such
@@ -245,7 +246,7 @@ def write_svmlight(data: Sequence[LabeledVector], path) -> None:
     with atomic_write(path) as fh:
         if data:
             fh.write(f"# schema_version: {SCHEMA_VERSION}\n")
-        for lv in data:
+        for row, lv in enumerate(data, 1):
             body = " ".join([
                 f"{i}:{formatted[val] if type(val) is float else _format_value(val)}"
                 for i, val in enumerate(lv.vector, 1) if val])
@@ -253,6 +254,8 @@ def write_svmlight(data: Sequence[LabeledVector], path) -> None:
             if body:
                 line += " " + body
             if lv.comment:
+                if "\n" in lv.comment or "\r" in lv.comment:
+                    raise ValueError(f"row {row}: comment {lv.comment!r} holds a line break")
                 line += f" # {lv.comment}"
             fh.write(line + "\n")
 

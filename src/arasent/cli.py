@@ -124,15 +124,12 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    from .expansion import (ANSWERS, CachingProvider, FixtureProvider, SynsetResult,
-                            expand_lexicon)
+    from .expansion import ANSWERS, FixtureProvider, SynsetResult, expand_lexicon
 
     settings = _resolve_config(args)
     pipe = _Pipeline(settings)
     corpus = load_corpus(args.corpus)
     provider = FixtureProvider.from_file(args.provider)
-    if args.cache:
-        provider = CachingProvider(provider, args.cache)
     out_path = Path(args.out) if args.out else resources.locate("lexicon", settings)
     pending = Path(args.pending) if args.pending else out_path.with_suffix(".pending.tsv")
 
@@ -326,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="grow the lexicon from a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--provider", required=True, help="synset fixture TSV")
-    p.add_argument("--cache", help="file-backed provider cache")
     p.add_argument("--out", help="output lexicon (default: overwrite input lexicon)")
     p.add_argument("--pending", help="pending-review file")
     p.add_argument("--interactive", action="store_true",

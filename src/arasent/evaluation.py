@@ -19,8 +19,6 @@ from .errors import ArasentError
 from .fileio import atomic_write, read_lines
 from .lexicon import Polarity
 
-GENRES = ("tweet", "hotel", "product", "tv")
-
 
 class Topic(NamedTuple):
     id: str
@@ -32,8 +30,16 @@ class Topic(NamedTuple):
 _GOLD_LABELS = {"PO": Polarity.PO, "NG": Polarity.NG}
 
 
+def _check_id(topic_id: str) -> None:
+    """Refuse an id with a tab, CR or LF: it is one field of the rows that
+    extract, predict and score write, and cleaning it could merge two ids."""
+    if "\t" in topic_id or "\r" in topic_id or "\n" in topic_id:
+        raise ValueError(f"id {topic_id!r} holds a tab or a line break")
+
+
 def load_corpus(path) -> list[Topic]:
-    """Read a JSON-lines corpus; topic ids must be unique."""
+    """Read a JSON-lines corpus; topic ids must be unique and hold no tab, CR
+    or LF."""
     topics: list[Topic] = []
     seen: set[str] = set()
     with read_lines(path) as lines:
@@ -49,8 +55,10 @@ def load_corpus(path) -> list[Topic]:
                 raise ValueError("bad JSON: nested too deeply") from None
             if not isinstance(record, dict) or "id" not in record or "text" not in record:
                 raise ValueError("record needs 'id' and 'text' fields")
-            # read_lines refused undecodable bytes, so only a JSON \u escape,
-            # and so a line with a backslash, can give a lone surrogate
+            # read_lines refused undecodable bytes and json.loads refuses raw
+            # control characters in a string, so only a JSON escape, and so a
+            # line with a backslash, can give a lone surrogate or an id that
+            # holds a tab or a line break
             escaped = "\\" in line
             for key in ("id", "text", "genre"):
                 value = record.get(key)
@@ -63,6 +71,8 @@ def load_corpus(path) -> list[Topic]:
                         value.encode("utf-8")
                     except UnicodeEncodeError:
                         raise ValueError(f"{key!r} is not valid utf-8 text") from None
+                    if key == "id":
+                        _check_id(value)
             topic_id = record["id"]
             if topic_id in seen:
                 raise ValueError(f"duplicate topic id {topic_id!r}")
@@ -80,8 +90,11 @@ def load_corpus(path) -> list[Topic]:
 
 
 def save_corpus(topics: Iterable[Topic], path) -> None:
+    """Write a JSON-lines corpus that ``load_corpus`` reads back; an id that
+    it would refuse is a ValueError, and no file is written."""
     with atomic_write(path) as fh:
         for t in topics:
+            _check_id(t.id)
             record = {"id": t.id, "text": t.text}
             if t.label is not None:
                 record["label"] = t.label.value

@@ -10,25 +10,17 @@ word to human review or, non-interactively, to a pending file.
 
 from __future__ import annotations
 
-from collections import Counter
 from contextlib import ExitStack
 from enum import Enum
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Protocol
 
 from .errors import ArasentError, ProviderError
 from .fileio import read_lines
-from .lexicon import (
-    LexiconEntry,
-    Polarity,
-    SentimentLexicon,
-    clean_field,
-)
-from .preprocess import PosTag, normalize_word, words
+from .lexicon import LexiconEntry, Polarity, SentimentLexicon, count_corpus_tokens
+from .preprocess import PosTag, normalize_word
 
 CANDIDATE_TAGS = frozenset({PosTag.JJ, PosTag.NN, PosTag.VB})
-_BLOCK_TOPICS = 64  # topics whose texts one bulk word count joins
 
 # Each answer a reviewer may give, and its verdict: a polarity, "reject"
 # (onto the prevent list) or "skip" (into the pending file).
@@ -78,7 +70,9 @@ class FixtureProvider:
                 if not 1 <= len(parts) <= 4:
                     raise ValueError(f"expected 1-4 columns, got {len(parts)}")
                 parts += [""] * (4 - len(parts))
-                word, result = normalize_word(parts[0]), _parse_row(parts)
+                word = normalize_word(parts[0])
+                result = SynsetResult(parts[1].strip() or None, _parse_word_list(parts[2]),
+                                      _parse_word_list(parts[3]))
                 if word in table:
                     raise ValueError(f"duplicate word {word!r}")
                 table[word] = result
@@ -88,70 +82,10 @@ class FixtureProvider:
         return self._table.get(word, SynsetResult())
 
 
-def _parse_row(parts: list[str]) -> SynsetResult:
-    """The answer held by a four-column fixture row; a ValueError names a
-    synonym or antonym that is not one word when normalized."""
-    return SynsetResult(translation=parts[1].strip() or None,
-                        synonyms=_parse_word_list(parts[2]),
-                        antonyms=_parse_word_list(parts[3]))
-
-
 def _parse_word_list(text: str) -> tuple[str, ...]:
     """The normalized words of a comma-separated field; blank items are skipped."""
     items = (item.strip() for item in text.split(","))
     return tuple(normalize_word(item, f"word {item!r}") for item in items if item)
-
-
-def _is_word(text: str) -> bool:
-    try:
-        normalize_word(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _word_field(words) -> str:
-    """``words`` as one comma-separated field, without the items that
-    ``_parse_word_list`` would refuse."""
-    items = clean_field(",".join(words)).split(",")
-    return ",".join(filter(_is_word, items))
-
-
-class CachingProvider:
-    """File-backed cache around a live provider.
-
-    Answers already in the cache file never hit the inner provider, so an
-    online thesaurus client can be plugged in without refetching across
-    runs. Cache rows use the fixture TSV format, with tabs and line breaks
-    in the fields replaced by spaces and without the synonyms or antonyms
-    that are not one word when normalized. A fetch answers what a later load
-    of the cache reads back; a word that is not one word when normalized has
-    no row, so its answer is not kept.
-    """
-
-    def __init__(self, inner: SynsetProvider, cache_path):
-        self._inner = inner
-        self._path = Path(cache_path)
-        self._cache: dict[str, SynsetResult] = {}
-        if self._path.exists():
-            self._cache = dict(FixtureProvider.from_file(self._path)._table)
-
-    def fetch(self, word: str) -> SynsetResult:
-        try:
-            key = normalize_word(word)
-        except ValueError:  # no cache row can hold it
-            key = None
-        if key in self._cache:
-            return self._cache[key]
-        result = self._inner.fetch(word if key is None else key)
-        row = [key or "", clean_field(result.translation or ""),
-               _word_field(result.synonyms), _word_field(result.antonyms)]
-        result = _parse_row(row)
-        if key is not None:
-            self._cache[key] = result
-            with open(self._path, "a", encoding="utf-8", newline="\n") as fh:
-                fh.write("\t".join(row) + "\n")
-        return result
 
 
 class Outcome(Enum):
@@ -272,14 +206,9 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
     """
     working = lex.copy()
     report = ExpansionReport([], [], [], [], [], [])
-    # Sentence breaks never split or join a word, so the words of a block of
-    # topic texts joined by newlines are the words of its topics in order;
-    # a bounded block keeps the joined text small. Counter keeps the order
-    # of first occurrence, and deleting the stopwords leaves it as it is.
-    tf_counts: Counter = Counter()
-    topics = iter(corpus)
-    while block := list(islice(topics, _BLOCK_TOPICS)):
-        tf_counts.update(words("\n".join(topic.text for topic in block)))
+    # count_corpus_tokens keeps the order of first occurrence, and deleting
+    # the stopwords leaves it as it is
+    tf_counts = count_corpus_tokens(corpus)
     for word in set(stopwords).intersection(tf_counts):
         del tf_counts[word]
     candidates = [word for word in tf_counts

@@ -42,11 +42,6 @@ IS_WISHFUL = 15
 N_O_WISHFUL = 16
 N_O_CONFLICT = 17
 
-SLOT_NAMES = dict(enumerate((
-    "has_PO_senti", "has_NG_senti", "has_PO_ph", "has_NG_ph", "W_PO", "W_NG", "W_NU",
-    "PO_W_Position", "NG_W_Position", "No_of_words", "Is_Negation", "N_O_Negation",
-    "Is_Question", "N_O_Question", "Is_wishful", "N_O_wishful", "N_O_Conflict"), start=1))
-
 DEFAULT_NEGATION_WINDOW = 3
 DEFAULT_INTENSIFIER_WINDOW = 2
 

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .fileio import atomic_write, read_lines
-from .preprocess import normalize_word, preprocess
+from .preprocess import normalize_word, words
 
 LEXICON_HEADER = "word\tgloss\ttranslit\tpolarity\ttf"
+_BLOCK_TOPICS = 64  # topics whose texts one bulk word count joins
 
 
 class Polarity(Enum):
@@ -246,7 +248,7 @@ def load_idiom_lexicon(path) -> IdiomLexicon:
             parts = line.split("\t")
             if len(parts) not in (2, 3):
                 raise ValueError(f"expected 2 or 3 columns, got {len(parts)}")
-            phrase = tuple(word for words in preprocess(parts[0]) for word in words)
+            phrase = tuple(words(parts[0]))
             try:
                 polarity = Polarity(parts[1].strip())
             except ValueError:
@@ -268,9 +270,13 @@ def update_term_frequencies(lex: SentimentLexicon, corpus) -> SentimentLexicon:
 
 
 def count_corpus_tokens(corpus) -> Counter:
-    """Word occurrence counts over normalized corpus topics."""
+    """Word occurrence counts over normalized corpus topics, keyed in the
+    order in which each word first occurs."""
+    # Sentence breaks never split or join a word, so the words of a block of
+    # topic texts joined by newlines are the words of its topics in order;
+    # a bounded block keeps the joined text small.
     counts: Counter = Counter()
-    for topic in corpus:
-        for words in preprocess(topic.text):
-            counts.update(words)
+    topics = iter(corpus)
+    while block := list(islice(topics, _BLOCK_TOPICS)):
+        counts.update(words("\n".join(topic.text for topic in block)))
     return counts

@@ -335,6 +335,30 @@ def test_write_svmlight_line_format(tmp_path):
     assert lines[1] == "+1 1:1 5:2 8:3 # t42"
 
 
+@pytest.mark.parametrize("comment", ["a\nb", "a\rb", "a\r\n"])
+def test_write_svmlight_refuses_a_comment_with_a_line_break(tmp_path, comment):
+    path = tmp_path / "f.svml"
+    with pytest.raises(ValueError, match="^row 2: comment .* holds a line break$"):
+        write_svmlight([lv({1: 1}, 1, "t1"), lv({1: 1}, -1, comment)], path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=60)
+@given(st.lists(st.text(st.characters(blacklist_categories=("Cs",))
+                        | st.sampled_from("#\t\u2028\x85 \n\r"), max_size=8), max_size=4))
+def test_svmlight_comments_round_trip(tmp_path_factory, comments):
+    """Every comment that write_svmlight accepts reads back, stripped, on
+    one row per vector."""
+    data = [lv({1: 1}, 1, comment) for comment in comments]
+    path = tmp_path_factory.mktemp("svml") / "f.svml"
+    try:
+        write_svmlight(data, path)
+    except ValueError:
+        assert any("\n" in comment or "\r" in comment for comment in comments)
+        return
+    assert [v.comment for v in read_svmlight(path)] == [c.strip() for c in comments]
+
+
 def test_svmlight_empty_round_trip(tmp_path):
     path = tmp_path / "f.svml"
     write_svmlight([], path)

@@ -559,6 +559,21 @@ def test_corpus_field_that_is_not_a_string_is_a_data_error(tmp_path, capsys, lin
     assert out == ""
 
 
+@pytest.mark.parametrize("escape", ["\\t", "\\r", "\\n"], ids=["tab", "cr", "lf"])
+def test_an_id_that_would_break_a_row_is_a_data_error(tmp_path, capsys, escape):
+    """The id is the comment of an SVM-light row and the first column of a
+    score or predict row: a line break in it would write a row of its own."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "ok", "text": "المكان رائع", "label": "PO"}\n'
+                      f'{{"id": "a{escape}-1 1:99", "text": "المكان رائع", "label": "PO"}}\n',
+                      encoding="utf-8")
+    out = tmp_path / "features.svml"
+    assert run(["extract", "--corpus", str(corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus}:2: id ") and "tab or a line break" in err
+    assert not out.exists()
+
+
 def test_resource_that_is_not_utf8_is_reported_at_its_line(tmp_path, corpus_path, capsys):
     stopwords = tmp_path / "stopwords.txt"
     stopwords.write_bytes("في\nمن\n".encode("utf-8") + b"\xff\n")

@@ -43,6 +43,14 @@ def test_corpus_round_trip(tmp_path):
     assert load_corpus(path) == corpus
 
 
+@pytest.mark.parametrize("topic_id", ["a\tb", "a\rb", "a\n"])
+def test_corpus_save_refuses_an_id_that_load_refuses(tmp_path, topic_id):
+    path = tmp_path / "corpus.jsonl"
+    with pytest.raises(ValueError, match="holds a tab or a line break"):
+        save_corpus([Topic("ok", "x"), Topic(topic_id, "y")], path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_corpus_save_leaves_the_old_file(tmp_path):
     path = tmp_path / "corpus.jsonl"
     save_corpus([Topic("a", "المكان رائع", PO, "hotel")], path)
@@ -159,6 +167,14 @@ def test_corpus_rejects_a_lone_surrogate(tmp_path, record, field):
     path.write_text(record + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match=f"corpus.jsonl:1: {field} is not valid utf-8 text"):
         load_corpus(path)
+
+
+def test_corpus_loads_an_id_with_a_line_separator(tmp_path):
+    # file reading splits lines on CR and LF only, so U+2028 stays in one row
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a\\u2028b", "text": "x"}\n{"id": "c\u2029", "text": "y"}\n',
+                    encoding="utf-8")
+    assert [t.id for t in load_corpus(path)] == ["a\u2028b", "c\u2029"]
 
 
 def test_corpus_names_the_line_that_is_not_utf8(tmp_path):

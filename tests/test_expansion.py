@@ -1,12 +1,11 @@
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference_pipeline as ref
 
 from arasent.errors import ArasentError, ParseError, ProviderError
 from arasent.evaluation import Topic
 from arasent.expansion import (
-    CachingProvider,
     FixtureProvider,
     Outcome,
     SynsetResult,
@@ -14,8 +13,8 @@ from arasent.expansion import (
     expand_lexicon,
     resolve_oov,
 )
-from arasent.lexicon import LexiconEntry, Polarity, SentimentLexicon
-from arasent.preprocess import PosTag, _WORD_RE, normalize_text
+from arasent.lexicon import LexiconEntry, Polarity, SentimentLexicon, count_corpus_tokens
+from arasent.preprocess import PosTag
 
 PO, NG, NU = Polarity.PO, Polarity.NG, Polarity.NU
 
@@ -156,6 +155,18 @@ def test_bulk_count_asks_and_counts_as_the_sentence_scan(head, filler, n_fill, t
     assert {word: grown.lookup(word).tf for word in want} == {word: tf[word] for word in want}
 
 
+@settings(max_examples=30, deadline=None)
+@given(head=st.lists(_text, min_size=1, max_size=6), filler=_text,
+       n_fill=st.integers(60, 140), tail=st.lists(_text, max_size=6))
+def test_count_corpus_tokens_counts_as_the_sentence_scan(head, filler, n_fill, tail):
+    """Over one to three blocks, every word's count, keyed in the order in
+    which the words first occur."""
+    texts = head + [filler] * n_fill + tail
+    tf, _ = ref.expansion_scan(texts, SentimentLexicon(), {})
+    counts = count_corpus_tokens(Topic(f"t{i}", text) for i, text in enumerate(texts))
+    assert list(counts.items()) == list(tf.items())
+
+
 def test_bulk_count_keeps_words_apart_across_topics_and_sentences(lex, tags):
     """Topics are joined by a newline: the last word of one topic and the
     first of the next stay two words, as do words around a delimiter."""
@@ -261,7 +272,7 @@ def test_resolve_oov_rejects_already_resolved(lex):
         resolve_oov(rejected, "هايف", "r")
 
 
-# fixture provider and cache
+# fixture provider
 
 def test_fixture_provider_from_file(tmp_path):
     path = tmp_path / "syn.tsv"
@@ -311,25 +322,6 @@ def test_fixture_provider_rejects_duplicates(tmp_path):
     path.write_text("مسرور\tx\t\t\nمسرور\ty\t\t\n", encoding="utf-8")
     with pytest.raises(ParseError):
         FixtureProvider.from_file(path)
-
-
-def test_caching_provider_persists_answers(tmp_path):
-    calls = []
-
-    class Counting:
-        def fetch(self, word):
-            calls.append(word)
-            return SynsetResult("Happy", ("سعيد",))
-
-    cache = tmp_path / "cache.tsv"
-    p1 = CachingProvider(Counting(), cache)
-    assert p1.fetch("مبسوط").translation == "Happy"
-    assert p1.fetch("مبسوط").translation == "Happy"
-    assert calls == ["مبسوط"]
-    # a fresh wrapper reads the file, no inner calls at all
-    p2 = CachingProvider(Counting(), cache)
-    assert p2.fetch("مبسوط").synonyms == ("سعيد",)
-    assert calls == ["مبسوط"]
 
 
 # the full expansion flow
@@ -501,52 +493,3 @@ def test_expand_insert_immediately_feeds_later_candidates(tags):
     grown, report = expand_lexicon(corpus, lex, provider, tags=tags)
     assert report.adopted == ["مسرور", "هادي"]
     assert grown.lookup("هادي").polarity is PO
-
-
-class _Fixed:
-    """Inner provider that always gives one answer and counts its calls."""
-
-    def __init__(self, result):
-        self.result = result
-        self.calls = 0
-
-    def fetch(self, word):
-        self.calls += 1
-        return self.result
-
-
-def test_caching_provider_survives_tabs_and_newlines_in_answers(tmp_path):
-    cache = tmp_path / "cache.tsv"
-    answer = SynsetResult("happy\tglad\nhi", ("سعيد\t", "فرحان\nمبسوط", "\nمبسوط"))
-    first = CachingProvider(_Fixed(answer), cache).fetch("مبسوط")
-    assert first.translation == "happy glad hi"
-    assert first.synonyms == ("سعيد", "مبسوط")  # "فرحان مبسوط" is two words
-    reload = _Fixed(SynsetResult())
-    assert CachingProvider(reload, cache).fetch("مبسوط") == first
-    assert reload.calls == 0
-
-
-_field = st.text(st.one_of(st.characters(min_codepoint=0x0621, max_codepoint=0x064A),
-                           st.sampled_from(" \t\n\r,#.x1")), max_size=12)
-
-
-@given(word=_field, translation=st.none() | _field,
-       synonyms=st.lists(_field, max_size=3), antonyms=st.lists(_field, max_size=3))
-def test_caching_provider_round_trip(tmp_path_factory, word, translation, synonyms,
-                                     antonyms):
-    """fetch, then a fresh provider over the same cache file: same answer,
-    without asking the inner provider again."""
-    assume(len(_WORD_RE.findall(normalize_text(word))) == 1)  # only a word has a row
-    answer = SynsetResult(translation, tuple(synonyms), tuple(antonyms))
-    cache = tmp_path_factory.mktemp("cache") / "cache.tsv"
-    first = CachingProvider(_Fixed(answer), cache).fetch(word)
-    reload = _Fixed(SynsetResult("other"))
-    assert CachingProvider(reload, cache).fetch(word) == first
-    assert reload.calls == 0
-
-
-def test_caching_provider_does_not_persist_a_word_that_normalizes_away(tmp_path):
-    cache = tmp_path / "cache.tsv"
-    for word in ("123", "!", "مش كده", "مش.كده"):
-        assert CachingProvider(_Fixed(SynsetResult("x")), cache).fetch(word).translation == "x"
-    assert not cache.exists()
