@@ -27,7 +27,7 @@ class TrainConfig(NamedTuple):
     regularization: float = 1e-2
     epochs: int = 200
     seed: int = 42
-    scale_max: bool = False
+    scale: bool = False  # divide each slot by its largest |value| in the training data
 
 
 class LabeledVector:
@@ -90,7 +90,7 @@ def train(data: Sequence[LabeledVector],
         raise ArasentError(f"need both labels, got {sorted(labels)}")
 
     factors = [1.0] * (N_SLOTS + 1)  # column max |x| per slot when scaling; x / 1.0 is x
-    if config.scale_max:
+    if config.scale:
         maxima = [0.0] * (N_SLOTS + 1)
         for lv in data:
             for slot, value in enumerate(lv.vector, 1):
@@ -324,13 +324,19 @@ def save_model(model: Model, path) -> None:
         fh.write(f"regularization: {model.config.regularization!r}\n")
         fh.write(f"epochs: {model.config.epochs}\n")
         fh.write(f"seed: {model.config.seed}\n")
-        fh.write(f"scaling: {'max' if model.config.scale_max else 'none'}\n")
+        fh.write(f"scaling: {'max' if model.config.scale else 'none'}\n")
         for slot in range(1, N_SLOTS + 1):
             fh.write(f"{slot}: {float(model.weights[slot - 1])!r}\n")
         fh.write(f"bias: {float(model.bias)!r}\n")
 
 
+_MODEL_FIELDS = frozenset(["schema_version", "regularization", "epochs", "seed", "scaling",
+                           "bias", *map(str, range(1, N_SLOTS + 1))])
+
+
 def load_model(path) -> Model:
+    """Read a model file; an unknown field, a scaling other than max or none
+    and a field a line above already holds are each a ParseError at its line."""
     fields: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     with read_lines(path) as lines:
         for line in lines:
@@ -360,8 +366,13 @@ def load_model(path) -> Model:
         return value
 
     number("schema_version", int)  # first: no other field is read from another schema
+    for key, (line_no, _) in fields.items():
+        if key not in _MODEL_FIELDS:
+            raise ParseError(path, line_no, f"unknown model field {key!r}")
+    line_no, scaling = fields.get("scaling", (None, "none"))
+    if scaling not in ("max", "none"):
+        raise ParseError(path, line_no, f"scaling must be max or none, got {scaling!r}")
     config = TrainConfig(regularization=number("regularization"), epochs=number("epochs", int),
-                         seed=number("seed", int),
-                         scale_max=fields.get("scaling", (0, "none"))[1] == "max")
+                         seed=number("seed", int), scale=scaling == "max")
     return Model(weights=tuple(number(str(slot)) for slot in range(1, N_SLOTS + 1)),
                  bias=number("bias"), config=config)

@@ -94,9 +94,6 @@ class _Pipeline:
         self.analyzer = self.resources.analyzer(
             **_given(settings, "negation_window", "intensifier_window"))
 
-    def vector(self, topic) -> tuple[float, ...]:
-        return self.analyzer.vector(topic.text)
-
     def labeled_vectors(self, topics) -> tuple[list, int]:
         """The labeled vectors of the labeled topics, and how many were not."""
         from . import classifier
@@ -108,7 +105,7 @@ class _Pipeline:
                 skipped += 1
                 continue
             label = 1 if t.label is Polarity.PO else -1
-            out.append(classifier.LabeledVector(self.vector(t), label, t.id))
+            out.append(classifier.LabeledVector(self.analyzer.vector(t.text), label, t.id))
         return out, skipped
 
 
@@ -180,10 +177,7 @@ def _cmd_extract(args) -> int:
 def _train_config(settings: dict):
     from .classifier import TrainConfig
 
-    given = _given(settings, "regularization", "epochs", "seed")
-    if "scale" in settings:  # the config key of TrainConfig.scale_max
-        given["scale_max"] = settings["scale"]
-    return TrainConfig(**given)
+    return TrainConfig(**_given(settings, *TrainConfig._fields))
 
 
 def _cmd_train(args) -> int:
@@ -212,7 +206,7 @@ def _cmd_predict(args) -> int:
         po, ng = Polarity.PO.value, Polarity.NG.value
         rows = []  # written 1000 at a time: each write to an unbuffered stdout is a system call
         for topic in corpus:
-            label, margin = classifier.predict(model, pipe.vector(topic))
+            label, margin = classifier.predict(model, pipe.analyzer.vector(topic.text))
             rows.append(f"{topic.id}\t{po if label > 0 else ng}\t{margin:.6f}\n")
             if len(rows) == 1000:
                 out.write("".join(rows))
@@ -250,7 +244,7 @@ def _cmd_evaluate(args) -> int:
         classifier.save_model(model, args.model_out)
     predictions = []
     for topic in test_t:
-        label, _ = classifier.predict(model, pipe.vector(topic))
+        label, _ = classifier.predict(model, pipe.analyzer.vector(topic.text))
         predictions.append(Polarity.PO if label > 0 else Polarity.NG)
     rows = genre_report(test_t, predictions)
     if args.json:

@@ -30,16 +30,48 @@ class Topic(NamedTuple):
 _GOLD_LABELS = {"PO": Polarity.PO, "NG": Polarity.NG}
 
 
-def _check_id(topic_id: str) -> None:
-    """Refuse an id with a tab, CR or LF: it is one field of the rows that
-    extract, predict and score write, and cleaning it could merge two ids."""
-    if "\t" in topic_id or "\r" in topic_id or "\n" in topic_id:
-        raise ValueError(f"id {topic_id!r} holds a tab or a line break")
+def _topic(record, seen: set[str], escaped: bool = True) -> Topic:
+    """The topic of one corpus record, its id added to ``seen``; a record
+    that ``load_corpus`` refuses, a repeated id included, is a ValueError.
+    With ``escaped`` false the strings are known to hold no control
+    character or surrogate, and are not searched for one."""
+    if not isinstance(record, dict) or "id" not in record or "text" not in record:
+        raise ValueError("record needs 'id' and 'text' fields")
+    for key in ("id", "text", "genre"):
+        value = record.get(key)
+        if key == "genre" and value is None:
+            continue
+        if not isinstance(value, str):
+            raise ValueError(f"{key!r} must be a string, got {type(value).__name__}")
+        if escaped:
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{key!r} is not valid utf-8 text") from None
+            # an id is one field of the rows that extract, predict and score
+            # write, and a genre names one row of the evaluate report; cleaning
+            # either could merge two of them
+            if key != "text" and ("\r" in value or "\n" in value or key == "id" and "\t" in value):
+                breaks = "a tab or a line break" if key == "id" else "a line break"
+                raise ValueError(f"{key} {value!r} holds {breaks}")
+    topic_id = record["id"]
+    if topic_id in seen:
+        raise ValueError(f"duplicate topic id {topic_id!r}")
+    seen.add(topic_id)
+    raw = record.get("label")
+    label = None
+    if raw is not None:
+        label = _GOLD_LABELS.get(raw) if isinstance(raw, str) else None
+        if label is None:
+            if raw == "NU":
+                raise ValueError("topic labels are PO or NG only")
+            raise ValueError(f"label must be PO or NG, got {raw!r}")
+    return Topic(topic_id, record["text"], label, record.get("genre"))
 
 
 def load_corpus(path) -> list[Topic]:
     """Read a JSON-lines corpus; topic ids must be unique and hold no tab, CR
-    or LF."""
+    or LF, and a genre holds no CR or LF."""
     topics: list[Topic] = []
     seen: set[str] = set()
     with read_lines(path) as lines:
@@ -53,53 +85,27 @@ def load_corpus(path) -> list[Topic]:
                 raise ValueError(f"bad JSON: {exc.msg}") from None
             except RecursionError:
                 raise ValueError("bad JSON: nested too deeply") from None
-            if not isinstance(record, dict) or "id" not in record or "text" not in record:
-                raise ValueError("record needs 'id' and 'text' fields")
             # read_lines refused undecodable bytes and json.loads refuses raw
             # control characters in a string, so only a JSON escape, and so a
-            # line with a backslash, can give a lone surrogate or an id that
-            # holds a tab or a line break
-            escaped = "\\" in line
-            for key in ("id", "text", "genre"):
-                value = record.get(key)
-                if key == "genre" and value is None:
-                    continue
-                if not isinstance(value, str):
-                    raise ValueError(f"{key!r} must be a string, got {type(value).__name__}")
-                if escaped:
-                    try:
-                        value.encode("utf-8")
-                    except UnicodeEncodeError:
-                        raise ValueError(f"{key!r} is not valid utf-8 text") from None
-                    if key == "id":
-                        _check_id(value)
-            topic_id = record["id"]
-            if topic_id in seen:
-                raise ValueError(f"duplicate topic id {topic_id!r}")
-            seen.add(topic_id)
-            raw = record.get("label")
-            label = None
-            if raw is not None:
-                label = _GOLD_LABELS.get(raw) if isinstance(raw, str) else None
-                if label is None:
-                    if raw == "NU":
-                        raise ValueError("topic labels are PO or NG only")
-                    raise ValueError(f"label must be PO or NG, got {raw!r}")
-            topics.append(Topic(topic_id, record["text"], label, record.get("genre")))
+            # line with a backslash, can give a lone surrogate, a tab or a
+            # line break
+            topics.append(_topic(record, seen, escaped="\\" in line))
     return topics
 
 
 def save_corpus(topics: Iterable[Topic], path) -> None:
-    """Write a JSON-lines corpus that ``load_corpus`` reads back; an id that
-    it would refuse is a ValueError, and no file is written."""
+    """Write a JSON-lines corpus that ``load_corpus`` reads back equal. A topic
+    list it would refuse (a repeated id, an NU label, a lone surrogate, an id
+    or genre with a line break) is a ValueError, and no file is written."""
+    seen: set[str] = set()
     with atomic_write(path) as fh:
         for t in topics:
-            _check_id(t.id)
             record = {"id": t.id, "text": t.text}
             if t.label is not None:
                 record["label"] = t.label.value
             if t.genre is not None:
                 record["genre"] = t.genre
+            _topic(record, seen)
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
@@ -167,18 +173,17 @@ class ConfusionCounts(NamedTuple):
         return self.tp + self.fp + self.fn + self.tn
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Polarity, Polarity]],
-                   positive: Polarity = Polarity.PO) -> "ConfusionCounts":
-        """Build counts from (gold, predicted) label pairs."""
+    def from_pairs(cls, pairs: Iterable[tuple[Polarity, Polarity]]) -> "ConfusionCounts":
+        """Build counts from (gold, predicted) label pairs, PO the positive class."""
         tp = fp = fn = tn = 0
         for gold, pred in pairs:
-            if pred is positive:
-                if gold is positive:
+            if pred is Polarity.PO:
+                if gold is Polarity.PO:
                     tp += 1
                 else:
                     fp += 1
             else:
-                if gold is positive:
+                if gold is Polarity.PO:
                     fn += 1
                 else:
                     tn += 1

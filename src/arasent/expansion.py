@@ -141,27 +141,6 @@ def detect_orientation(syn: SynsetResult, lex: SentimentLexicon) -> OrientationD
     return OrientationDecision(Outcome.COS, None, tuple(evidence))
 
 
-def resolve_oov(lex: SentimentLexicon, word: str, answer: str,
-                tf: int = 0) -> SentimentLexicon:
-    """Apply a reviewer's verdict on an out-of-vocabulary word.
-
-    An answer with a polarity in ``ANSWERS`` inserts the word with that
-    polarity and an empty gloss; a reject appends it to the prevent list.
-    Returns a new lexicon, which holds the word exactly when it was accepted.
-    ``add``/``add_prevent`` refuse with ``ValueError`` an accept of a word
-    the lexicon holds or prevents, and a reject of a word it holds.
-    """
-    verdict = ANSWERS.get(answer.strip().lower())
-    if verdict in (None, "skip"):
-        raise ArasentError(f"expected p, n or r, got {answer!r}")
-    fresh = lex.copy()
-    if verdict == "reject":
-        fresh.add_prevent(word)
-    else:
-        fresh.add(LexiconEntry(word, verdict, tf=tf))
-    return fresh
-
-
 def _load_pending_words(path) -> set[str]:
     """The words of a pending file's rows, normalized; a row whose first
     column is not one word is a ParseError at its line."""
@@ -199,7 +178,10 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
     transient, not evidence that the word carries no sentiment).
     Out-of-vocabulary words go to ``pending_path``, unless an ``ask``
     callback is given: then it supplies the reviewer's answer, one of
-    ``ANSWERS`` (a skip goes to pending). The pending file gets one row per
+    ``ANSWERS``. A polarity adds the word with an empty gloss and its corpus
+    ``tf``, a reject puts it on the prevent list, a skip sends it to pending,
+    and any other answer is an ``ArasentError``. ``lex`` itself is never
+    changed: the grown copy is returned. The pending file gets one row per
     word it does not hold yet, in decision order; it is opened at the first
     such word and closed on every way out, an exception from ``ask``
     included, so the rows decided before an interrupted review are kept.
@@ -233,7 +215,10 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
                 report.cos.append(word)
             else:
                 answer = ask(word, syn) if ask else "skip"
-                if ANSWERS.get(answer.strip().lower()) == "skip":
+                verdict = ANSWERS.get(answer.strip().lower())
+                if verdict is None:
+                    raise ArasentError(f"expected p, n or r, got {answer!r}")
+                if verdict == "skip":
                     report.oov_pending.append(word)
                     if pending_path and word not in already_pending:
                         if pending is None:
@@ -244,10 +229,11 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
                         _append_pending(pending, word)
                         already_pending.add(word)
                     continue
-                working = resolve_oov(working, word, answer, tf=tf_counts[word])
-                if word in working:
-                    report.oov_accepted.append(word)
-                else:
+                if verdict == "reject":
+                    working.add_prevent(word)
                     report.oov_rejected.append(word)
+                else:
+                    working.add(LexiconEntry(word, verdict, tf=tf_counts[word]))
+                    report.oov_accepted.append(word)
 
     return working, report

@@ -85,13 +85,6 @@ class SentimentLexicon:
         """Entry for the normalized word ``word``, or None."""
         return self._entries.get(word)
 
-    def words(self) -> list[str]:
-        return list(self._entries)
-
-    @property
-    def entries(self) -> dict[str, LexiconEntry]:
-        return dict(self._entries)
-
     @property
     def prevent_list(self) -> frozenset[str]:
         """A snapshot of the prevent list; see ``is_prevented`` for lookups."""
@@ -114,6 +107,8 @@ class SentimentLexicon:
         return word in self._entries
 
     def __iter__(self) -> Iterator[LexiconEntry]:
+        """The entries in the order they were added; each ``.word`` is the
+        normalized word it is held under."""
         return iter(self._entries.values())
 
     def __eq__(self, other) -> bool:
@@ -202,7 +197,6 @@ class IdiomLexicon:
     def __init__(self, entries: Iterable[IdiomEntry] = ()):
         self._entries: list[IdiomEntry] = []
         self._by_first: dict[str, list[IdiomEntry]] = {}
-        self._seen: set[tuple[str, ...]] = set()
         for entry in entries:
             self.add(entry)
 
@@ -214,11 +208,10 @@ class IdiomLexicon:
             raise ValueError("idiom polarity must be PO or NG")
         if phrase != entry.phrase:
             entry = entry._replace(phrase=phrase)
-        if entry.phrase in self._seen:
-            raise ValueError(f"duplicate idiom {' '.join(entry.phrase)!r}")
-        self._seen.add(entry.phrase)
-        self._entries.append(entry)
         bucket = self._by_first.setdefault(entry.phrase[0], [])
+        if any(held.phrase == entry.phrase for held in bucket):
+            raise ValueError(f"duplicate idiom {' '.join(entry.phrase)!r}")
+        self._entries.append(entry)
         bucket.append(entry)
         bucket.sort(key=lambda e: -len(e.phrase))
 
@@ -265,7 +258,7 @@ def update_term_frequencies(lex: SentimentLexicon, corpus) -> SentimentLexicon:
     input is untouched.
     """
     counts = count_corpus_tokens(corpus)
-    fresh = [e._replace(tf=counts.get(word, 0)) for word, e in lex.entries.items()]
+    fresh = [e._replace(tf=counts.get(e.word, 0)) for e in lex]
     return SentimentLexicon(fresh, lex.prevent_list)
 
 

@@ -56,7 +56,7 @@ class Resources(NamedTuple):
     @property
     def word_tags(self) -> dict[str, PosTag]:
         """The tag table, with the other words of ``lexicon`` tagged JJ."""
-        return {**dict.fromkeys(self.lexicon.words(), PosTag.JJ), **self.tags}
+        return {**dict.fromkeys((e.word for e in self.lexicon), PosTag.JJ), **self.tags}
 
     def analyzer(self, **windows) -> Analyzer:
         return Analyzer(self.lexicon, self.idioms, self.cues, stopwords=self.stopwords,

@@ -24,7 +24,7 @@ def train(data: Sequence[LabeledVector],
     for lv in data:
         for slot, value in enumerate(lv.vector, 1):
             factors[slot] = max(factors[slot], abs(value))
-    factors = [f if config.scale_max and f > 0 else 1.0 for f in factors]
+    factors = [f if config.scale and f > 0 else 1.0 for f in factors]
     rows = [[(0, float(lv.label))]
             + [(s, lv.label * v / factors[s]) for s, v in enumerate(lv.vector, 1) if v]
             for lv in data]

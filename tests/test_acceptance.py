@@ -266,7 +266,7 @@ def test_criterion_09_expansion_effect_direction(shipped):
     seed_lex = resources.seed_lexicon()
     full_lex = shipped["lexicon"]
     counts = count_corpus_tokens(corpus)
-    used = [w for w in full_lex.words() if counts.get(w, 0) > 0]
+    used = [e.word for e in full_lex if counts.get(e.word, 0) > 0]
     held = [w for w in heldout_words() if counts.get(w, 0) > 0]
     assert all(seed_lex.lookup(w) is None for w in held)
     assert len(held) / len(used) == pytest.approx(0.20, abs=0.02)

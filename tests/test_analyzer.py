@@ -17,7 +17,7 @@ TAGGER = ref.TableTagger(TAGS)
 
 
 def _pool():
-    words = sorted(LEX.words())
+    words = sorted(e.word for e in LEX)
     words += sorted(CUES.negators | CUES.intensifiers | CUES.question_terms
                     | CUES.wishful_terms | STOPWORDS)
     for idiom in IDIOMS:

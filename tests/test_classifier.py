@@ -149,7 +149,7 @@ def solver_inputs(draw):
     data = [LabeledVector(tuple(v), label) for v, label in draw(st.permutations(rows))]
     config = TrainConfig(regularization=10 ** draw(st.floats(-4, 0)),
                          epochs=draw(st.integers(1, 300)), seed=draw(st.integers(0, 2**32)),
-                         scale_max=draw(st.booleans()))
+                         scale=draw(st.booleans()))
     return data, config
 
 
@@ -196,9 +196,9 @@ def test_separable_data_reaches_full_training_accuracy():
 
 def test_max_scaling_still_separates():
     data = [lv({5: 1000}, 1) for _ in range(30)] + [lv({6: 900}, -1) for _ in range(30)]
-    model = train(data, TrainConfig(scale_max=True))
+    model = train(data, TrainConfig(scale=True))
     assert accuracy(model, data) == 1.0
-    assert model.config.scale_max
+    assert model.config.scale
 
 
 # prediction
@@ -472,6 +472,20 @@ def test_model_save_load_round_trip(tmp_path):
     assert load_model(path) == model._replace(passes=None, gap=None, peak=None)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60)
+@given(st.builds(Model, st.tuples(*[_FINITE] * N_SLOTS), _FINITE,
+                 st.builds(TrainConfig, _FINITE, st.integers(), st.integers(), st.booleans()),
+                 st.none() | st.integers(), st.none() | _FINITE, st.none() | _FINITE))
+def test_every_model_reads_back_from_its_file(tmp_path_factory, model):
+    """load_model(save_model(m)) is m, but for how the fit ended."""
+    path = tmp_path_factory.mktemp("model") / "model.txt"
+    save_model(model, path)
+    assert load_model(path) == model._replace(passes=None, gap=None, peak=None)
+
+
 # the shipped-corpus model as the vectorised trainer wrote it
 EARLIER_MODEL = """\
 schema_version: 1
@@ -533,6 +547,19 @@ def test_load_model_reads_an_integer_too_long_for_a_float(tmp_path):
     path.write_text(EARLIER_MODEL.replace("epochs: 200", "epochs: " + "9" * 400),
                     encoding="utf-8")
     assert load_model(path).config.epochs == int("9" * 400)
+
+
+@pytest.mark.parametrize("old, new, line_no, reason", [
+    ("scaling: none", "scaling: Max", 5, "scaling must be max or none, got 'Max'"),
+    ("bias:", "18: 5.0\nbias:", 23, "unknown model field '18'"),
+    ("bias:", "bais: 3.0\nbias:", 23, "unknown model field 'bais'")],
+    ids=["scaling-case", "slot-18", "misspelt-bias"])
+def test_load_model_refuses_an_unknown_field_or_scaling_at_its_line(tmp_path, old, new,
+                                                                    line_no, reason):
+    path = tmp_path / "model.txt"
+    path.write_text(EARLIER_MODEL.replace(old, new), encoding="utf-8")
+    with pytest.raises(ParseError, match=f"model.txt:{line_no}: {reason}$"):
+        load_model(path)
 
 
 @pytest.mark.parametrize("field, value, line_no", [

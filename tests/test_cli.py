@@ -182,7 +182,7 @@ def test_evaluate_grid_keeps_the_other_train_settings(tmp_path, corpus_path):
     assert run(["evaluate", "--corpus", corpus_path, "--grid", "--scale", "--epochs", "3",
                 "--seed", "7", "--model-out", str(model)]) == 0
     config = load_model(model).config
-    assert (config.epochs, config.seed, config.scale_max) == (3, 7, True)
+    assert (config.epochs, config.seed, config.scale) == (3, 7, True)
     assert config.regularization in (1e-3, 1e-2, 1e-1)
 
 
@@ -572,6 +572,19 @@ def test_an_id_that_would_break_a_row_is_a_data_error(tmp_path, capsys, escape):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {corpus}:2: id ") and "tab or a line break" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("escape", ["\\r", "\\n"], ids=["cr", "lf"])
+def test_a_genre_that_would_forge_a_report_row_is_a_data_error(tmp_path, capsys, escape):
+    """A genre names one row of the evaluate report: a line break in it would
+    print a row of its own."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "ok", "text": "المكان رائع", "label": "PO", "genre": "tv"}\n'
+                      f'{{"id": "b", "text": "المكان رائع", "label": "PO", '
+                      f'"genre": "tv{escape}  99  100.0000%"}}\n', encoding="utf-8")
+    assert run(["evaluate", "--corpus", str(corpus)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {corpus}:2: genre 'tv{escape}  99  100.0000%' holds a line break\n")
 
 
 def test_resource_that_is_not_utf8_is_reported_at_its_line(tmp_path, corpus_path, capsys):

@@ -1,9 +1,10 @@
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from arasent.errors import ArasentError, ParseError
 from arasent.evaluation import (
@@ -49,6 +50,52 @@ def test_corpus_save_refuses_an_id_that_load_refuses(tmp_path, topic_id):
     with pytest.raises(ValueError, match="holds a tab or a line break"):
         save_corpus([Topic("ok", "x"), Topic(topic_id, "y")], path)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad, error", [
+    (Topic("ok", "y"), "duplicate topic id 'ok'"),
+    (Topic("b", "y", Polarity.NU), "topic labels are PO or NG only"),
+    (Topic("b", "y", PO, "tv\n  99  100.0000%"), "genre 'tv\\n  99  100.0000%' holds a line break"),
+    (Topic("b", "\ud800"), "'text' is not valid utf-8 text")],
+    ids=["repeated-id", "nu-label", "genre-line-break", "lone-surrogate"])
+def test_corpus_save_refuses_a_topic_that_load_refuses(tmp_path, bad, error):
+    path = tmp_path / "corpus.jsonl"
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        save_corpus([Topic("ok", "x"), bad], path)
+    assert list(tmp_path.iterdir()) == []
+
+
+_TEXT = st.text(st.characters(codec="utf-8") | st.sampled_from('\t\r\n\\"\u2028\x85\ud800'),
+                max_size=6)
+
+
+def _loadable(topics) -> bool:
+    """Whether a corpus file can hold ``topics`` so that load_corpus reads
+    them back: ids unique and free of tabs and line breaks, labels PO or NG,
+    genres free of line breaks, and no lone surrogate anywhere."""
+    ids = [t.id for t in topics]
+    strings = [s for t in topics for s in (t.id, t.text, t.genre or "")]
+    return (len(set(ids)) == len(ids) and all(t.label is not Polarity.NU for t in topics)
+            and not any(c in t.id for t in topics for c in "\t\r\n")
+            and not any(c in (t.genre or "") for t in topics for c in "\r\n")
+            and not any("\ud800" <= c <= "\udfff" for s in strings for c in s))
+
+
+@settings(max_examples=100)
+@given(st.lists(st.builds(Topic, st.sampled_from(["a", "b"]) | _TEXT, _TEXT,
+                          st.sampled_from([None, PO, NG, Polarity.NU]), st.none() | _TEXT),
+                max_size=4))
+def test_corpus_save_writes_exactly_what_load_reads_back(tmp_path_factory, topics):
+    """Every topic list a corpus file can hold reads back equal; any other
+    is a ValueError, and no file is written."""
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    if _loadable(topics):
+        save_corpus(topics, path)
+        assert load_corpus(path) == topics
+    else:
+        with pytest.raises(ValueError):
+            save_corpus(topics, path)
+        assert not path.exists()
 
 
 def test_failed_corpus_save_leaves_the_old_file(tmp_path):

@@ -11,7 +11,6 @@ from arasent.expansion import (
     SynsetResult,
     detect_orientation,
     expand_lexicon,
-    resolve_oov,
 )
 from arasent.lexicon import LexiconEntry, Polarity, SentimentLexicon, count_corpus_tokens
 from arasent.preprocess import PosTag
@@ -242,36 +241,6 @@ def test_antonym_flip_equivalence(syn_words, ant_words):
     assert d1.polarity is d2.polarity
 
 
-# OOV resolution
-
-def test_resolve_oov_accept_negative(lex):
-    grown = resolve_oov(lex, "هايف", "n", tf=4)
-    entry = grown.lookup("هايف")
-    assert entry.polarity is NG and entry.gloss == "" and entry.tf == 4
-    assert lex.lookup("هايف") is None  # input lexicon untouched
-
-
-def test_resolve_oov_reject_goes_to_prevent_list(lex):
-    grown = resolve_oov(lex, "هايف", "reject")
-    assert "هايف" in grown.prevent_list
-    assert grown.lookup("هايف") is None
-
-
-def test_resolve_oov_invalid_answer(lex):
-    with pytest.raises(ArasentError):
-        resolve_oov(lex, "هايف", "maybe")
-
-
-def test_resolve_oov_rejects_already_resolved(lex):
-    accepted = resolve_oov(lex, "هايف", "p")
-    for answer in ("p", "r"):
-        with pytest.raises(ValueError):
-            resolve_oov(accepted, "هايف", answer)
-    rejected = resolve_oov(lex, "هايف", "r")
-    with pytest.raises(ValueError, match="'هايف' is already on the prevent list"):
-        resolve_oov(rejected, "هايف", "r")
-
-
 # fixture provider
 
 def test_fixture_provider_from_file(tmp_path):
@@ -418,6 +387,23 @@ def test_expand_interactive_accepts_ng(provider, tags):
     assert grown.lookup("هايف").polarity is NG
 
 
+def test_expand_accept_adds_the_word_with_an_empty_gloss_and_its_corpus_tf(provider, tags):
+    base = seed_lexicon()
+    grown, report = expand_lexicon(
+        walkthrough_corpus() + [Topic("t4", "هايف هايف")], base, provider, tags=tags,
+        ask=lambda word, syn: " N ")
+    assert report.oov_accepted == ["هايف"]
+    assert grown.lookup("هايف") == LexiconEntry("هايف", NG, "", "", 3)
+    assert base == seed_lexicon()  # the input lexicon is untouched
+
+
+@pytest.mark.parametrize("answer", ["maybe", ""])
+def test_expand_refuses_an_answer_outside_answers(provider, tags, answer):
+    with pytest.raises(ArasentError, match=f"^expected p, n or r, got {answer!r}$"):
+        expand_lexicon(walkthrough_corpus(), seed_lexicon(), provider, tags=tags,
+                       ask=lambda word, syn: answer)
+
+
 def test_expand_interactive_reject_and_skip(provider, tags, tmp_path):
     base = seed_lexicon()
     pending = tmp_path / "review.tsv"
@@ -427,7 +413,8 @@ def test_expand_interactive_reject_and_skip(provider, tags, tmp_path):
         ask=lambda word, syn: {"هايف": "r", "هادي": "s"}[word])
     assert report.oov_rejected == ["هايف"]
     assert report.oov_pending == ["هادي"]
-    assert "هايف" in grown.prevent_list
+    assert "هايف" in grown.prevent_list and grown.lookup("هايف") is None
+    assert base == seed_lexicon()
     # rejected words never come back as candidates
     _, report2 = expand_lexicon(walkthrough_corpus(), grown, provider,
                                 tags=tags)

@@ -361,7 +361,7 @@ def test_rule_score_antisymmetric_under_polarity_flip(cues, idioms):
     lex = SentimentLexicon([LexiconEntry(w, PO) for w in POS_WORDS]
                            + [LexiconEntry(w, NG) for w in NEG_WORDS])
     flipped_lex = SentimentLexicon(
-        [LexiconEntry(w, e.polarity.flipped()) for w, e in lex.entries.items()])
+        [e._replace(polarity=e.polarity.flipped()) for e in lex])
     flipped_idioms = IdiomLexicon(
         [IdiomEntry(e.phrase, e.polarity.flipped()) for e in idioms])
     vocab = POS_WORDS + NEG_WORDS + FILLERS + NEGATORS + INTENSIFIERS + \

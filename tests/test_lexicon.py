@@ -115,7 +115,7 @@ def test_load_rejects_a_lexicon_word_that_is_not_one_word(tmp_path, word, proble
 def test_a_lexicon_word_next_to_a_delimiter_still_matches(tmp_path):
     path = tmp_path / "lex.tsv"
     write_lexicon_file(path, [("رائع!", "", "", "PO", 0)])
-    assert load_sentiment_lexicon(path).words() == ["رائع"]
+    assert [e.word for e in load_sentiment_lexicon(path)] == ["رائع"]
     analyzer = resources.load({"lexicon": path}).analyzer()
     assert analyzer.rule_score("المكان رائع") == (1.0, PO)
 
@@ -163,7 +163,11 @@ def test_prevent_list_stays_disjoint():
         lex.add_prevent("رائع")
     with pytest.raises(ValueError):
         lex.add(LexiconEntry("كلام", NG))
-    assert lex.prevent_list & set(lex.words()) == set()
+    with pytest.raises(ValueError, match="'كلام' is already on the prevent list"):
+        lex.add_prevent("كلام")
+    with pytest.raises(ValueError, match="duplicate word 'رائع'"):
+        lex.add(LexiconEntry("رائع", NG))
+    assert lex.prevent_list.isdisjoint(e.word for e in lex)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -227,7 +231,7 @@ def test_add_refuses_a_negative_tf():
         lex.add(LexiconEntry("ملل", NG, tf=-1))
     with pytest.raises(ValueError, match="negative term frequency"):
         SentimentLexicon([LexiconEntry("ملل", NG, tf=-1)])
-    assert lex.words() == ["رائع"]
+    assert [e.word for e in lex] == ["رائع"]
 
 
 def test_load_idiom_lexicon(tmp_path):

@@ -95,5 +95,5 @@ def test_every_heldout_word_occurs_in_the_corpus():
 def test_shipped_lexicon_tf_matches_corpus():
     lex = resources.load().lexicon
     counts = count_corpus_tokens(load_corpus(resources.data_path("corpus.jsonl")))
-    for word, entry in lex.entries.items():
-        assert entry.tf == counts.get(word, 0), word
+    for entry in lex:
+        assert entry.tf == counts.get(entry.word, 0), entry.word
