@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ArasentError, ParseError
 from .features import N_SLOTS, SCHEMA_VERSION
-from .fileio import atomic_write, read_lines
+from .fileio import atomic_write, read_data
 
 # The solver stops once max PG - min PG over a pass falls under this.
 TOL = 1e-3
@@ -268,11 +268,8 @@ def read_svmlight(path) -> list[LabeledVector]:
     file without one, as the original tool writes, is read as that schema.
     """
     out: list[LabeledVector] = []
-    with read_lines(path) as lines:
+    with read_data(path) as lines:
         for line in lines:
-            line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 head = line.lstrip("#").strip()
                 if head.startswith("schema_version:"):
@@ -318,16 +315,21 @@ def read_svmlight(path) -> list[LabeledVector]:
 
 
 def save_model(model: Model, path) -> None:
-    """Persist a model as a small text file (full float precision)."""
+    """Persist a model as a small text file (full float precision). A
+    non-finite weight, bias or regularization, which ``load_model`` refuses,
+    is a ValueError naming the field, and no file is written."""
+    values = {str(slot): float(model.weights[slot - 1]) for slot in range(1, N_SLOTS + 1)}
+    values["bias"] = float(model.bias)
+    for key, value in {"regularization": model.config.regularization, **values}.items():
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {key}: {value!r}")
     with atomic_write(path) as fh:
         fh.write(f"schema_version: {SCHEMA_VERSION}\n")
         fh.write(f"regularization: {model.config.regularization!r}\n")
         fh.write(f"epochs: {model.config.epochs}\n")
         fh.write(f"seed: {model.config.seed}\n")
         fh.write(f"scaling: {'max' if model.config.scale else 'none'}\n")
-        for slot in range(1, N_SLOTS + 1):
-            fh.write(f"{slot}: {float(model.weights[slot - 1])!r}\n")
-        fh.write(f"bias: {float(model.bias)!r}\n")
+        fh.writelines(f"{key}: {value!r}\n" for key, value in values.items())
 
 
 _MODEL_FIELDS = frozenset(["schema_version", "regularization", "epochs", "seed", "scaling",
@@ -338,11 +340,8 @@ def load_model(path) -> Model:
     """Read a model file; an unknown field, a scaling other than max or none
     and a field a line above already holds are each a ParseError at its line."""
     fields: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
-    with read_lines(path) as lines:
+    with read_data(path) as lines:
         for line in lines:
-            line = line.strip()
-            if not line:
-                continue
             key, sep, value = line.partition(":")
             if not sep:
                 raise ValueError(f"expected key: value, got {line!r}")

@@ -24,7 +24,7 @@ from .evaluation import (
     load_ratings,
     split_corpus,
 )
-from .fileio import atomic_write, read_lines
+from .fileio import atomic_write, read_lines, read_terms
 from .lexicon import Polarity, save_sentiment_lexicon
 from .preprocess import normalize_text
 
@@ -49,11 +49,8 @@ _SETTINGS = {
 def load_config_file(path) -> dict:
     """Parse ``key = value`` lines into typed values; ``#`` starts a comment."""
     values: dict = {}
-    with read_lines(path) as lines:
+    with read_terms(path) as lines:
         for line in lines:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
             key, sep, value = (part.strip() for part in line.partition("="))
             if not sep:
                 raise ValueError("expected key = value")

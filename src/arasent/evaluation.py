@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ArasentError
-from .fileio import atomic_write, read_lines
+from .fileio import atomic_write, read_data, read_rows
 from .lexicon import Polarity
 
 
@@ -74,11 +74,8 @@ def load_corpus(path) -> list[Topic]:
     or LF, and a genre holds no CR or LF."""
     topics: list[Topic] = []
     seen: set[str] = set()
-    with read_lines(path) as lines:
+    with read_data(path) as lines:
         for line in lines:
-            line = line.strip()
-            if not line:
-                continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -258,12 +255,9 @@ def cohen_kappa(ratings: Sequence[Sequence]) -> float:
 def load_ratings(path) -> list[tuple[str, ...]]:
     """TSV ratings file: one item per line, one column per rater."""
     items: list[tuple[str, ...]] = []
-    with read_lines(path) as lines:
-        for line in lines:
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            labels = tuple(part.strip() for part in line.split("\t"))
+    with read_rows(path) as rows:
+        for parts in rows:
+            labels = tuple(part.strip() for part in parts)
             if any(not label for label in labels):
                 raise ValueError("empty rating column")
             items.append(labels)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Protocol
 
 from .errors import ArasentError, ProviderError
-from .fileio import read_lines
+from .fileio import read_lines, read_rows
 from .lexicon import LexiconEntry, Polarity, SentimentLexicon, count_corpus_tokens
 from .preprocess import PosTag, normalize_word
 
@@ -61,12 +61,8 @@ class FixtureProvider:
     @classmethod
     def from_file(cls, path) -> "FixtureProvider":
         table: dict[str, SynsetResult] = {}
-        with read_lines(path) as lines:
-            for line in lines:
-                line = line.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                parts = line.split("\t")
+        with read_rows(path) as rows:
+            for parts in rows:
                 if not 1 <= len(parts) <= 4:
                     raise ValueError(f"expected 1-4 columns, got {len(parts)}")
                 parts += [""] * (4 - len(parts))

@@ -9,7 +9,7 @@ from .errors import ParseError
 
 class read_lines:
     """The lines of the UTF-8 text file at ``path`` (universal newlines);
-    ``line_no`` counts the lines yielded so far. A line that is not valid
+    ``line_no`` is the number of the last line read. A line that is not valid
     UTF-8 is a ``ParseError`` at its line. As a context manager around the
     loop over its lines, it turns a ``ValueError`` raised in the block into
     a ``ParseError`` at the line being handled, so loaders raise plain
@@ -33,6 +33,36 @@ class read_lines:
     def __exit__(self, exc_type, exc, tb):
         if isinstance(exc, ValueError):
             raise ParseError(self.path, self.line_no, str(exc)) from None
+
+
+class read_data(read_lines):
+    """``read_lines``, each line stripped and blank lines skipped."""
+
+    def __iter__(self):
+        for line in super().__iter__():
+            if line := line.strip():
+                yield line
+
+
+class read_rows(read_lines):
+    """``read_lines`` as the tab-separated fields of each line; blank lines
+    and lines led by ``#`` are skipped."""
+
+    def __iter__(self):
+        for line in super().__iter__():
+            line = line.rstrip("\n")
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield line.split("\t")
+
+
+class read_terms(read_lines):
+    """``read_lines`` as the text of each line before its first ``#``,
+    stripped; lines that leave nothing are skipped."""
+
+    def __iter__(self):
+        for line in super().__iter__():
+            if term := line.split("#", 1)[0].strip():
+                yield term
 
 
 @contextmanager

@@ -16,7 +16,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .fileio import atomic_write, read_lines
+from .fileio import atomic_write, read_lines, read_rows, read_terms
 from .preprocess import normalize_word, words
 
 LEXICON_HEADER = "word\tgloss\ttranslit\tpolarity\ttf"
@@ -151,11 +151,9 @@ def load_sentiment_lexicon(path) -> SentimentLexicon:
             lex.add(LexiconEntry(word, polarity, gloss, translit, freq))
     sidecar = _prevent_path(path)
     if sidecar.exists():
-        with read_lines(sidecar) as lines:
-            for line in lines:
-                word = line.split("#", 1)[0].strip()
-                if word:
-                    lex.add_prevent(word)
+        with read_terms(sidecar) as terms:
+            for word in terms:
+                lex.add_prevent(word)
     return lex
 
 
@@ -233,12 +231,8 @@ class IdiomLexicon:
 def load_idiom_lexicon(path) -> IdiomLexicon:
     """Load a 2-3 column TSV: ``phrase<TAB>polarity[<TAB>gloss]``."""
     idioms = IdiomLexicon()
-    with read_lines(path) as lines:
-        for line in lines:
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
+    with read_rows(path) as rows:
+        for parts in rows:
             if len(parts) not in (2, 3):
                 raise ValueError(f"expected 2 or 3 columns, got {len(parts)}")
             phrase = tuple(words(parts[0]))

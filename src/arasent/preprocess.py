@@ -16,7 +16,7 @@ import re
 from enum import Enum
 from typing import Collection
 
-from .fileio import read_lines
+from .fileio import read_rows, read_terms
 
 # Idiom mask words are the only non-Arabic words a masked sentence holds.
 PO_MASK = "PO_Phrase"
@@ -108,12 +108,8 @@ def preprocess(text: str, stopwords: Collection[str] = frozenset()) -> list[list
 def load_tag_table(path) -> dict[str, PosTag]:
     """Load a TSV tag table: ``word<TAB>tag``, one row per word, tag in {JJ, NN, VB, OTHER}."""
     table: dict[str, PosTag] = {}
-    with read_lines(path) as lines:
-        for line in lines:
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
+    with read_rows(path) as rows:
+        for parts in rows:
             if len(parts) != 2:
                 raise ValueError("expected 2 tab-separated columns")
             word = normalize_word(parts[0])
@@ -128,10 +124,5 @@ def load_tag_table(path) -> dict[str, PosTag]:
 
 def load_stopwords(path) -> frozenset[str]:
     """One word per line, normalized on load; ``#`` starts a comment."""
-    words = set()
-    with read_lines(path) as lines:
-        for line in lines:
-            word = line.split("#", 1)[0].strip()
-            if word:
-                words.add(normalize_word(word))
-    return frozenset(words)
+    with read_terms(path) as terms:
+        return frozenset(map(normalize_word, terms))

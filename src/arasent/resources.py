@@ -30,11 +30,6 @@ def data_path(name: str) -> Path:
     return Path(__file__).with_name("data") / name
 
 
-def seed_lexicon() -> SentimentLexicon:
-    """The shipped lexicon minus the words recoverable through expansion."""
-    return load_sentiment_lexicon(data_path("lexicon_seed.tsv"))
-
-
 def locate(key: str, paths: Mapping[str, str | Path] = {}) -> Path:
     """The file resource ``key`` is read from: ``paths[key]`` when given,
     else the packaged file."""

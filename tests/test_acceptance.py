@@ -260,10 +260,10 @@ def test_criterion_09_expansion_effect_direction(shipped):
     start = time.perf_counter()
     corpus = shipped["corpus"]
     idioms, cues, stop = shipped["idioms"], shipped["cues"], shipped["stopwords"]
-    from arasent.lexicon import count_corpus_tokens
+    from arasent.lexicon import count_corpus_tokens, load_sentiment_lexicon
     from arasent.synthetic import heldout_words
 
-    seed_lex = resources.seed_lexicon()
+    seed_lex = load_sentiment_lexicon(resources.data_path("lexicon_seed.tsv"))
     full_lex = shipped["lexicon"]
     counts = count_corpus_tokens(corpus)
     used = [e.word for e in full_lex if counts.get(e.word, 0) > 0]

@@ -573,6 +573,18 @@ def test_load_model_rejects_non_finite_values(tmp_path, field, value, line_no):
         load_model(path)
 
 
+@pytest.mark.parametrize("model, reason", [
+    (Model((math.nan,) + (0.0,) * 16, 0.0), "non-finite 1: nan"),
+    (Model((0.0,) * 16 + (-math.inf,), 0.0), "non-finite 17: -inf"),
+    (Model((0.0,) * 17, math.inf), "non-finite bias: inf"),
+    (Model((0.0,) * 17, 0.0, TrainConfig(regularization=math.nan)),
+     "non-finite regularization: nan")], ids=["slot-1", "slot-17", "bias", "regularization"])
+def test_save_model_refuses_what_load_model_refuses(tmp_path, model, reason):
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        save_model(model, tmp_path / "model.txt")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_feature_vector_rejects_non_finite_values(value):
     # a non-finite value cannot reach train or write_svmlight

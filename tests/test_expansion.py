@@ -9,6 +9,7 @@ from arasent.expansion import (
     FixtureProvider,
     Outcome,
     SynsetResult,
+    _load_pending_words,
     detect_orientation,
     expand_lexicon,
 )
@@ -480,3 +481,34 @@ def test_expand_insert_immediately_feeds_later_candidates(tags):
     grown, report = expand_lexicon(corpus, lex, provider, tags=tags)
     assert report.adopted == ["مسرور", "هادي"]
     assert grown.lookup("هادي").polarity is PO
+
+
+_SEEDS = {"فرحان": PO, "سعيد": PO, "عنيف": NG, "حزين": NG}
+_CANDIDATES = ["مسرور", "هادي", "هايف", "قبيح", "شديد", "ضجة"]
+_POOL = [*_SEEDS, *_CANDIDATES]
+_word_lists = st.lists(st.sampled_from(_POOL), max_size=3).map(tuple)
+_fixtures = st.dictionaries(st.sampled_from(_CANDIDATES),
+                            st.builds(SynsetResult, st.none() | st.just("gloss"),
+                                      _word_lists, _word_lists))
+_corpora = st.lists(st.lists(st.sampled_from(_POOL), min_size=1, max_size=4).map(" ".join),
+                    max_size=4).map(lambda texts: [Topic(f"t{i}", t) for i, t in enumerate(texts)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_corpora, _corpora, _fixtures)
+def test_two_runs_write_each_pending_word_once_in_decision_order(tmp_path_factory, first,
+                                                                 second, table):
+    """Two runs into one pending file, the second on the lexicon the first
+    grew: the file holds each word either run left pending once, in the order
+    decided, and reads back as exactly those words."""
+    pending = tmp_path_factory.mktemp("pending") / "review.tsv"
+    lex = SentimentLexicon(LexiconEntry(word, polarity) for word, polarity in _SEEDS.items())
+    provider, tags = FixtureProvider(table), dict.fromkeys(_POOL, PosTag.JJ)
+    decided = []
+    for corpus in (first, second):
+        lex, report = expand_lexicon(corpus, lex, provider, tags=tags, pending_path=pending)
+        decided += report.oov_pending
+    words = list(dict.fromkeys(decided))
+    text = pending.read_text(encoding="utf-8") if pending.exists() else ""
+    assert text == "".join(f"{word}\tPENDING\n" for word in words)
+    assert _load_pending_words(pending) == set(words)

@@ -12,6 +12,7 @@ from arasent.errors import ParseError
 from arasent.evaluation import load_corpus, load_ratings
 from arasent.expansion import FixtureProvider, _load_pending_words
 from arasent.features import CueLists
+from arasent.fileio import read_data, read_rows, read_terms
 from arasent.lexicon import LEXICON_HEADER, load_idiom_lexicon, load_sentiment_lexicon
 from arasent.preprocess import load_stopwords, load_tag_table
 
@@ -90,3 +91,23 @@ def test_score_with_a_repeated_idiom_row_is_a_data_error_at_its_line(tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {idioms}:2: duplicate idiom 'تسليم القط مفتاح الكرار'\n"
+
+
+READER_TEXT = "a\tb\n\n  # note\n c # tail \n\t\n#x\td\n"
+
+
+@pytest.mark.parametrize("reader, items, last_line", [
+    (read_data, ["a\tb", "# note", "c # tail", "#x\td"], 6),
+    (read_rows, [["a", "b"], [" c # tail "]], 4),
+    (read_terms, ["a\tb", "c"], 4)], ids=["data", "rows", "terms"])
+def test_each_line_reader_skips_its_own_lines_and_counts_every_line(tmp_path, reader, items,
+                                                                    last_line):
+    path = tmp_path / "input.txt"
+    path.write_text(READER_TEXT, encoding="utf-8")
+    assert list(reader(path)) == items
+    with pytest.raises(ParseError) as err:
+        with reader(path) as lines:
+            for item in lines:
+                if item == items[-1]:
+                    raise ValueError("refused")
+    assert str(err.value) == f"{path}:{last_line}: refused"

@@ -1,5 +1,5 @@
 """Fuzz gate: whatever a file input holds, the CLI ends with exit code 0, 1
-or 2 and raises nothing.
+or 2 and raises nothing, and what a run that exits 0 wrote reads back.
 
 Each input kind starts from a small valid file. An example is that file
 with random bytes or one token spliced in, random bytes, or lines assembled
@@ -18,7 +18,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from arasent import resources
+from arasent.classifier import load_model
 from arasent.cli import run
+from arasent.evaluation import load_corpus
+from arasent.lexicon import load_sentiment_lexicon
 
 DATA = resources.data_path("corpus.jsonl").parent
 CORPUS = "".join((DATA / "corpus.jsonl").read_text(encoding="utf-8").splitlines(True)[:3])
@@ -83,6 +86,24 @@ def test_cli_survives_malformed_input(kind, data):
         f.write_bytes(data.draw(_contents(valid.replace("{d}", tmp)), label="contents"))
         args = [a.format(f=f, d=d) for a in argv]
         # UTF-8 streams like a terminal's: printing text that cannot be encoded raises
-        with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO(), encoding="utf-8")), \
-                contextlib.redirect_stderr(io.StringIO()):
-            assert run(args) in (0, 1, 2)
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = run(args)
+        assert code in (0, 1, 2)
+        if code == 0:
+            stdout.flush()
+            _check_what_it_wrote(args, stdout.buffer.getvalue().decode("utf-8"))
+
+
+def _check_what_it_wrote(args, stdout):
+    """The model ``train`` wrote and the lexicon ``expand`` wrote load, and
+    ``score`` printed one row per topic of its corpus, in corpus order."""
+    command, flags = args[0], dict(zip(args[1::2], args[2::2]))
+    if command == "train":
+        load_model(flags["--model"])
+    elif command == "expand":
+        load_sentiment_lexicon(flags["--out"])
+    elif command == "score":
+        rows = stdout.split("\n")[:-1]
+        assert [row.split("\t")[0] for row in rows] == [
+            topic.id for topic in load_corpus(flags["--corpus"])]

@@ -13,6 +13,7 @@ from arasent.lexicon import (
     LexiconEntry,
     Polarity,
     SentimentLexicon,
+    clean_field,
     load_idiom_lexicon,
     load_sentiment_lexicon,
     save_sentiment_lexicon,
@@ -214,6 +215,44 @@ def test_round_trip_property(tmp_path_factory, entries):
     path = tmp_path_factory.mktemp("lex") / "lex.tsv"
     save_sentiment_lexicon(lex, path)
     assert load_sentiment_lexicon(path) == lex
+
+
+_arabic_words = st.text(st.characters(min_codepoint=0x621, max_codepoint=0x64A),
+                        min_size=1, max_size=6)
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+@given(st.lists(st.tuples(_arabic_words, st.sampled_from([PO, NG, NU]), _text, _text,
+                          st.integers(min_value=0, max_value=10**6)), max_size=8),
+       st.lists(_arabic_words, max_size=6))
+def test_every_lexicon_reads_back_from_its_files(tmp_path_factory, rows, prevent):
+    """load(save(lex)) is lex, with gloss and translit as clean_field leaves
+    them, for any lexicon built through add and add_prevent."""
+    lex, cleaned = SentimentLexicon(), SentimentLexicon()
+    for word, polarity, gloss, translit, tf in rows:
+        try:
+            lex.add(LexiconEntry(word, polarity, gloss, translit, tf))
+        except ValueError:  # a duplicate, or a word normalization empties
+            continue
+        cleaned.add(LexiconEntry(word, polarity, clean_field(gloss), clean_field(translit), tf))
+    for word in prevent:
+        try:
+            lex.add_prevent(word)
+        except ValueError:
+            continue
+        cleaned.add_prevent(word)
+    path = tmp_path_factory.mktemp("lex") / "lex.tsv"
+    save_sentiment_lexicon(lex, path)
+    loaded = load_sentiment_lexicon(path)
+    assert list(loaded) == list(cleaned)
+    assert loaded.prevent_list == lex.prevent_list
+
+
+def test_a_lexicon_that_cannot_be_written_leaves_no_file(tmp_path):
+    lex = SentimentLexicon([LexiconEntry("رائع", PO, gloss="lone \ud800")], prevent=["كلام"])
+    with pytest.raises(UnicodeEncodeError):
+        save_sentiment_lexicon(lex, tmp_path / "lex.tsv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_idiom_entry_validation():

@@ -4,7 +4,7 @@ from collections import Counter
 
 from arasent import resources
 from arasent.evaluation import load_corpus
-from arasent.lexicon import Polarity, count_corpus_tokens
+from arasent.lexicon import Polarity, count_corpus_tokens, load_sentiment_lexicon
 from arasent.synthetic import (
     CORPUS_NG,
     CORPUS_PO,
@@ -67,7 +67,7 @@ def test_corpus_pools_live_in_the_full_lexicon():
 
 
 def test_heldout_words_absent_from_seed_lexicon():
-    seed = resources.seed_lexicon()
+    seed = load_sentiment_lexicon(resources.data_path("lexicon_seed.tsv"))
     full = resources.load().lexicon
     for word in heldout_words():
         assert seed.lookup(word) is None
