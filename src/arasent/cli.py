@@ -1,14 +1,15 @@
 """Command-line entry point wiring the whole pipeline.
 
 Subcommands: normalize, expand, extract, train, predict, evaluate, kappa,
-score. Exit codes: 0 success, 1 usage error, 2 data or parse error.
-Resource paths resolve as flags > config file > packaged defaults; the
-config file is plain ``key = value`` text with ``#`` comments.
+score. Exit codes: 0 success (a closed stdout too), 1 usage error, 2 data
+or parse error. Resource paths resolve as flags > config file > packaged
+defaults; the config file is plain ``key = value`` text with ``#`` comments.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -25,8 +26,8 @@ from .evaluation import (
     split_corpus,
 )
 from .fileio import atomic_write, read_lines, read_terms
-from .lexicon import Polarity, save_sentiment_lexicon
-from .preprocess import normalize_text
+from .lexicon import Polarity, load_sentiment_lexicon, save_sentiment_lexicon
+from .preprocess import load_stopwords, load_tag_table, normalize_text
 
 
 def _parse_bool(text: str) -> bool:
@@ -84,11 +85,10 @@ def _given(settings: dict, *keys: str) -> dict:
 
 
 class _Pipeline:
-    """Shared resource loading for the feature-based subcommands."""
+    """The Analyzer of the feature-based subcommands, built from every resource."""
 
     def __init__(self, settings: dict):
-        self.resources = resources.load(settings)
-        self.analyzer = self.resources.analyzer(
+        self.analyzer = resources.load(settings).analyzer(
             **_given(settings, "negation_window", "intensifier_window"))
 
     def labeled_vectors(self, topics) -> tuple[list, int]:
@@ -121,10 +121,13 @@ def _cmd_expand(args) -> int:
     from .expansion import ANSWERS, FixtureProvider, SynsetResult, expand_lexicon
 
     settings = _resolve_config(args)
-    pipe = _Pipeline(settings)
+    lexicon_path = resources.locate("lexicon", settings)
+    lexicon = load_sentiment_lexicon(lexicon_path)
+    stopwords = load_stopwords(resources.locate("stopwords", settings))
+    tags = load_tag_table(resources.locate("tagtable", settings))
     corpus = load_corpus(args.corpus)
     provider = FixtureProvider.from_file(args.provider)
-    out_path = Path(args.out) if args.out else resources.locate("lexicon", settings)
+    out_path = Path(args.out) if args.out else lexicon_path
     pending = Path(args.pending) if args.pending else out_path.with_suffix(".pending.tsv")
 
     ask = None
@@ -145,9 +148,8 @@ def _cmd_expand(args) -> int:
                     return answer
                 print("  please answer p, n, r or s")
 
-    grown, report = expand_lexicon(
-        corpus, pipe.resources.lexicon, provider, tags=pipe.resources.word_tags,
-        stopwords=pipe.resources.stopwords, pending_path=pending, ask=ask)
+    grown, report = expand_lexicon(corpus, lexicon, provider, tags=tags, stopwords=stopwords,
+                                   pending_path=pending, ask=ask)
     save_sentiment_lexicon(grown, out_path)
     for key, value in report.counts().items():
         print(f"{key}: {value}")
@@ -285,11 +287,11 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _add_config_flags(parser, resource_flags=True, hyper=False):
+def _add_config_flags(parser, files=resources.FILES, hyper=False):
     parser.add_argument("--config", help="key = value config file")
-    if resource_flags:
-        for key in resources.FILES:
-            parser.add_argument(f"--{key}", help=f"{key} file (default: packaged)")
+    for key in files:
+        parser.add_argument(f"--{key}", help=f"{key} file (default: packaged)")
+    if files == resources.FILES:  # only an Analyzer reads every file, and only it the windows
         parser.add_argument("--negation-window", dest="negation_window", type=int)
         parser.add_argument("--intensifier-window", dest="intensifier_window", type=int)
     if hyper:
@@ -318,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pending", help="pending-review file")
     p.add_argument("--interactive", action="store_true",
                    help="review out-of-vocabulary words on the terminal")
-    _add_config_flags(p)
+    _add_config_flags(p, files=("lexicon", "stopwords", "tagtable"))
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("extract", help="write SVM-light features for a corpus")
@@ -330,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a linear model from SVM-light features")
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True)
-    _add_config_flags(p, resource_flags=False, hyper=True)
+    _add_config_flags(p, files=(), hyper=True)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="label a corpus with a trained model")
@@ -379,13 +381,21 @@ def run(argv) -> int:
         return 1
     try:
         return args.func(args)
+    except BrokenPipeError:  # a closed stdout is no data error: main ends the run
+        raise
     except (ArasentError, OSError, UnicodeError) as exc:  # text that is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # no one reads stdout now: let the exit's own flush go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

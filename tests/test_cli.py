@@ -265,6 +265,30 @@ def test_score_and_predict_write_stdout_1000_rows_at_a_time(tmp_path, corpus_pat
         assert "".join(out.writes) == want
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_the_run_quietly(tmp_path, corpus_path, unbuffered):
+    """``score | head -1``: once the reader is gone the run exits 0, and stderr
+    holds no error. The 1200 rows outgrow the stdout buffer, so the writes
+    meet the closed pipe before score prints its agreement line."""
+    corpus = tmp_path / "big.jsonl"
+    save_corpus([t._replace(id=f"{k}-{t.id}") for k in range(6)
+                 for t in load_corpus(corpus_path)], corpus)
+    src = str(Path(arasent.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "arasent.cli", "score", "--corpus",
+                               str(corpus)], stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
 def test_expand_twice_second_run_adopts_zero(tmp_path, capsys):
     lexicon = tmp_path / "lexicon.tsv"
     lexicon.write_bytes(data_path("lexicon_seed.tsv").read_bytes())
@@ -533,6 +557,45 @@ def test_train_takes_no_resource_flags(capsys):
              if word.startswith(("--", "[--"))}
     assert flags == {"--help", "--features", "--model", "--config", "--seed", "--reg",
                      "--epochs", "--scale"}
+
+
+def test_expand_takes_only_the_files_it_reads(capsys):
+    assert run(["expand", "--help"]) == 0
+    flags = {word.strip("[],") for word in capsys.readouterr().out.split()
+             if word.startswith(("--", "[--"))}
+    assert flags == {"--help", "--corpus", "--provider", "--out", "--pending", "--interactive",
+                     "--config", "--lexicon", "--stopwords", "--tagtable"}
+    assert run(["expand", "--corpus", "c.jsonl", "--provider", "s.tsv",
+                "--idioms", "idioms.tsv"]) == 1
+
+
+@pytest.mark.parametrize("line", ["idioms = {d}/absent.tsv", "idioms = {d}/one-word.tsv",
+                                  "negation_window = -1"],
+                         ids=["missing-idioms", "one-word-idiom", "negative-window"])
+def test_expand_ignores_config_keys_for_what_it_does_not_read(tmp_path, corpus_path, capsys,
+                                                              line):
+    """A config file that names a missing idiom file, an idiom file that no
+    Analyzer would take, or a negative window grows the lexicon as a run
+    without it does: the same report, lexicon, prevent and pending bytes."""
+    (tmp_path / "one-word.tsv").write_text("رائع\tPO\n", encoding="utf-8")
+    corpus = tmp_path / "corpus.jsonl"  # one out-of-vocabulary word fills the pending file
+    save_corpus(load_corpus(corpus_path) + [Topic("oov", "الفيلم هايف")], corpus)
+
+    def expand(name, config=None):
+        out = tmp_path / name
+        out.mkdir()
+        argv = ["expand", "--corpus", str(corpus), "--provider", str(data_path("synsets.tsv")),
+                "--lexicon", str(data_path("lexicon_seed.tsv")), "--out", str(out / "grown.tsv")]
+        if config:
+            (tmp_path / "run.conf").write_text(config.format(d=tmp_path) + "\n", encoding="utf-8")
+            argv += ["--config", str(tmp_path / "run.conf")]
+        assert run(argv) == 0
+        report = capsys.readouterr().out.replace(str(out), "<out>")
+        return report, {f.name: f.read_bytes() for f in out.iterdir()}
+
+    plain = expand("plain")
+    assert sorted(plain[1]) == ["grown.pending.tsv", "grown.prevent", "grown.tsv"]
+    assert expand("configured", line) == plain
 
 
 @pytest.mark.parametrize("line", [b'{"id": "a", "text": "\xff"}',

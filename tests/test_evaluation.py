@@ -206,6 +206,15 @@ def test_corpus_rejects_a_field_that_is_not_a_string(tmp_path, record, field):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("record", ['[]', '"x"', '5', '{"id": "b"}', '{"text": "y"}'],
+                         ids=["list", "string", "number", "no-text", "no-id"])
+def test_corpus_refuses_a_record_without_id_and_text(tmp_path, record):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "text": "x"}\n' + record + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="corpus.jsonl:2: record needs 'id' and 'text' fields$"):
+        load_corpus(path)
+
+
 @pytest.mark.parametrize("record, field", [
     ('{"id": "\\ud800", "text": "x"}', "'id'"), ('{"id": "a", "text": "x\\udfff"}', "'text'"),
     ('{"id": "a", "text": "x", "genre": "\\udc80"}', "'genre'")], ids=["id", "text", "genre"])
@@ -284,6 +293,16 @@ def test_split_rejects_bad_spec():
         split_corpus(topics(10), SplitSpec(float("nan"), 0.1, 0.1))
 
 
+def test_split_hands_the_remainder_to_train_then_dev_then_test():
+    train, dev, test = split_corpus(topics(7, "tv"), SplitSpec(0.5, 0.25, 0.25))
+    assert (len(train), len(dev), len(test)) == (4, 2, 1)
+
+
+def test_split_refuses_a_zero_fraction():
+    with pytest.raises(ArasentError, match="fractions must be positive"):
+        split_corpus(topics(10), SplitSpec(0.9, 0.1, 0.0))
+
+
 @given(st.integers(1, 200), st.integers(0, 10_000))
 def test_split_partition_property(n, seed):
     corpus = topics(n)
@@ -313,6 +332,11 @@ def test_precision_undefined():
 
 def test_recall_undefined():
     assert recall(ConfusionCounts(tp=0, fp=1, fn=0, tn=3)) is None
+
+
+def test_precision_and_recall_at_one_half():
+    assert precision(ConfusionCounts(tp=2, fp=2)) == 0.5
+    assert recall(ConfusionCounts(tp=3, fn=3)) == 0.5
 
 
 def test_accuracy_needs_observations():
@@ -476,6 +500,20 @@ def test_genre_report_absent_metric_rendered_as_dash():
     rows = genre_report(corpus, [NG])
     assert rows[0]["precision"] is None  # no positive predictions
     assert "-" in format_report(rows)
+
+
+def test_genre_report_without_a_po_prediction():
+    """Gold PO topics and no PO prediction: precision is undefined, recall is
+    0, and so F is undefined."""
+    [row, _] = genre_report([Topic("1", "x", PO, "tv"), Topic("2", "x", NG, "tv")], [NG, NG])
+    assert (row["precision"], row["recall"], row["f_measure"]) == (None, 0.0, None)
+
+
+def test_format_report_puts_each_metric_in_its_column():
+    row = {"data": "tv", "count": 5, "accuracy": 0.6, "precision": 0.5, "recall": 0.25,
+           "f_measure": 1 / 3}
+    assert format_report([row]).splitlines()[2].split() == [
+        "tv", "5", "60.0000%", "50.0000%", "25.0000%", "33.3333%"]
 
 
 def test_genre_report_is_json_serializable():

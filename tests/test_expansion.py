@@ -294,6 +294,21 @@ def test_fixture_provider_rejects_duplicates(tmp_path):
         FixtureProvider.from_file(path)
 
 
+def test_fixture_provider_reads_a_one_column_row_as_no_answer(tmp_path, lex):
+    path = tmp_path / "syn.tsv"
+    path.write_text("قبيح\tUgly\t\tجميل\nهايف\n", encoding="utf-8")
+    answer = FixtureProvider.from_file(path).fetch("هايف")
+    assert answer == SynsetResult()
+    assert detect_orientation(answer, lex).outcome is Outcome.OOV
+
+
+def test_fixture_provider_refuses_a_five_column_row(tmp_path):
+    path = tmp_path / "syn.tsv"
+    path.write_text("قبيح\tUgly\t\tجميل\nمسرور\tx\t\t\textra\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"syn\.tsv:2: expected 1-4 columns, got 5$"):
+        FixtureProvider.from_file(path)
+
+
 # the full expansion flow
 
 def walkthrough_corpus():

@@ -134,6 +134,15 @@ def test_negation_window_is_three_tokens(lex, cues):
     assert adjusted_of("مش المكان كلام اليوم رائع", "رائع", lex, cues) == 1
 
 
+@pytest.mark.parametrize("n_negators, sign", [(1, -1), (2, 1), (3, -1)])
+def test_each_negator_in_the_window_flips_again(lex, cues, idioms, n_negators, sign):
+    """Two negators before a sentiment word cancel; one or three flip it."""
+    text = " ".join(NEGATORS[:n_negators] + ["رائع"])
+    assert rule_score(text, lex, idioms, cues) == (sign, PO if sign > 0 else NG)
+    vector = features(text, lex, idioms, cues)
+    assert (vector[W_PO - 1], vector[W_NG - 1]) == (max(sign, 0), max(-sign, 0))
+
+
 def test_intensifier_window_is_two_tokens(lex, cues):
     assert adjusted_of("رائع المكان جدا", "رائع", lex, cues) == 2
     assert adjusted_of("رائع المكان كلام جدا", "رائع", lex, cues) == 1
