@@ -121,13 +121,12 @@ def _cmd_expand(args) -> int:
     from .expansion import ANSWERS, FixtureProvider, SynsetResult, expand_lexicon
 
     settings = _resolve_config(args)
-    lexicon_path = resources.locate("lexicon", settings)
-    lexicon = load_sentiment_lexicon(lexicon_path)
+    lexicon = load_sentiment_lexicon(resources.locate("lexicon", settings))
     stopwords = load_stopwords(resources.locate("stopwords", settings))
     tags = load_tag_table(resources.locate("tagtable", settings))
     corpus = load_corpus(args.corpus)
     provider = FixtureProvider.from_file(args.provider)
-    out_path = Path(args.out) if args.out else lexicon_path
+    out_path = Path(args.out)
     pending = Path(args.pending) if args.pending else out_path.with_suffix(".pending.tsv")
 
     ask = None
@@ -316,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="grow the lexicon from a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--provider", required=True, help="synset fixture TSV")
-    p.add_argument("--out", help="output lexicon (default: overwrite input lexicon)")
+    p.add_argument("--out", required=True, help="grown lexicon; .prevent and pending go beside it")
     p.add_argument("--pending", help="pending-review file")
     p.add_argument("--interactive", action="store_true",
                    help="review out-of-vocabulary words on the terminal")

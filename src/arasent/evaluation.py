@@ -253,13 +253,17 @@ def cohen_kappa(ratings: Sequence[Sequence]) -> float:
 
 
 def load_ratings(path) -> list[tuple[str, ...]]:
-    """TSV ratings file: one item per line, one column per rater."""
+    """TSV ratings file: one item per line, one column per rater on every line."""
     items: list[tuple[str, ...]] = []
     with read_rows(path) as rows:
         for parts in rows:
             labels = tuple(part.strip() for part in parts)
             if any(not label for label in labels):
                 raise ValueError("empty rating column")
+            if items and len(labels) != len(items[0]):
+                raise ValueError(f"expected {len(items[0])} rater columns, got {len(labels)}")
+            if len(labels) < 2:
+                raise ValueError(f"need at least 2 raters, got {len(labels)}")
             items.append(labels)
     return items
 

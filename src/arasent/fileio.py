@@ -12,8 +12,9 @@ class read_lines:
     ``line_no`` is the number of the last line read. A line that is not valid
     UTF-8 is a ``ParseError`` at its line. As a context manager around the
     loop over its lines, it turns a ``ValueError`` raised in the block into
-    a ``ParseError`` at the line being handled, so loaders raise plain
-    ``ValueError`` and the error names the file and line at fault."""
+    a ``ParseError`` at the line being handled (or at the whole file, before
+    its first line), so loaders raise plain ``ValueError`` and the error
+    names the file and line at fault."""
 
     def __init__(self, path):
         self.path, self.line_no = path, 0
@@ -32,7 +33,7 @@ class read_lines:
 
     def __exit__(self, exc_type, exc, tb):
         if isinstance(exc, ValueError):
-            raise ParseError(self.path, self.line_no, str(exc)) from None
+            raise ParseError(self.path, self.line_no or None, str(exc)) from None
 
 
 class read_data(read_lines):

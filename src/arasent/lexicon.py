@@ -125,12 +125,11 @@ def load_sentiment_lexicon(path) -> SentimentLexicon:
     """Load a five-column TSV lexicon plus its prevent-list sidecar."""
     lex = SentimentLexicon()
     with read_lines(path) as lines:
-        for line in lines:
+        rows = iter(lines)
+        if next(rows, "").rstrip("\n") != LEXICON_HEADER:
+            raise ValueError("missing lexicon header line")
+        for line in rows:
             line = line.rstrip("\n")
-            if lines.line_no == 1:
-                if line != LEXICON_HEADER:
-                    raise ValueError("missing lexicon header line")
-                continue
             if not line.strip():
                 continue
             parts = line.split("\t")

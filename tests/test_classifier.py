@@ -177,6 +177,12 @@ def test_seeds_reach_the_same_optimum():
     assert max(objectives) <= min(objectives) * (1 + 1e-3)
 
 
+def test_objective_is_half_lambda_times_the_squared_norm_plus_the_mean_hinge():
+    model = Model(vec({1: 1.0, 2: -2.0}), 0.5, TrainConfig(regularization=0.1))
+    data = [lv({1: 1}, 1), lv({2: 1}, 1)]  # margins 1.5 and -1.5: hinges 0 and 2.5
+    assert objective(model, data) == pytest.approx(0.5 * 0.1 * (1 + 4 + 0.25) + 2.5 / 2)
+
+
 def test_objective_no_worse_than_zero_model():
     _, data = hidden_separator_data(120, seed=5)
     config = TrainConfig()
@@ -414,6 +420,28 @@ def test_read_svmlight_rejects_another_schema(tmp_path, text, error):
         read_svmlight(path)
 
 
+def test_read_svmlight_refuses_a_schema_version_with_a_second_colon(tmp_path):
+    path = tmp_path / "f.svml"
+    path.write_text("# schema_version: 1:2\n+1 1:1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"f\.svml:1: bad schema_version header$"):
+        read_svmlight(path)
+
+
+def test_read_svmlight_quotes_a_bad_label(tmp_path):
+    path = tmp_path / "f.svml"
+    path.write_text("+1 1:1\n+2 1:1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"f\.svml:2: label must be \+1 or -1, got '\+2'$"):
+        read_svmlight(path)
+
+
+def test_read_svmlight_skips_qid_tokens(tmp_path):
+    path = tmp_path / "f.svml"
+    path.write_text("+1 qid:3 1:1 4:2 # a\n-1 qid 2:1\n", encoding="utf-8")
+    data = read_svmlight(path)
+    assert [(d.vector, d.label, d.comment) for d in data] == [
+        (vec({1: 1, 4: 2}), 1, "a"), (vec({2: 1}), -1, "")]
+
+
 def test_svmlight_without_a_schema_header_trains(tmp_path):
     path = tmp_path / "f.svml"
     path.write_text("+1 5:1\n+1 5:2\n-1 6:1\n-1 6:2\n", encoding="utf-8")
@@ -470,6 +498,15 @@ def test_model_save_load_round_trip(tmp_path):
     save_model(model, path)
     # weights, bias and config come back; how the fit ended is not kept
     assert load_model(path) == model._replace(passes=None, gap=None, peak=None)
+
+
+def test_a_default_fit_records_the_documented_settings(tmp_path):
+    _, data = hidden_separator_data(20, seed=1)
+    path = tmp_path / "model.txt"
+    save_model(train(data), path)
+    assert path.read_text(encoding="utf-8").splitlines()[:5] == [
+        "schema_version: 1", "regularization: 0.01", "epochs: 200", "seed: 42",
+        "scaling: none"]
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -658,6 +695,13 @@ def test_write_svmlight_formats_as_each_value_alone(tmp_path, rows):
     path = tmp_path / "f.svml"
     write_svmlight(data, path)
     assert path.read_text(encoding="utf-8").splitlines()[1:] == _lines_formatted_per_value(data)
+
+
+def test_write_svmlight_formats_equal_decimals_each_as_itself(tmp_path):
+    path = tmp_path / "f.svml"
+    write_svmlight([LabeledVector((Decimal("1.5"),) + (0,) * (N_SLOTS - 1), 1),
+                    LabeledVector((Decimal("1.50"),) + (0,) * (N_SLOTS - 1), -1)], path)
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == ["+1 1:1.5", "-1 1:1.50"]
 
 
 def test_format_value_around_1e15():

@@ -177,6 +177,17 @@ def test_evaluate_grid_search_path(corpus_path, capsys):
     assert re.match(r"grid pick: reg=\S+ \(dev accuracy \S+%\)\n", out) and "Total" in out
 
 
+def test_evaluate_grid_prints_the_dev_accuracy_as_a_percentage(corpus_path, capsys,
+                                                              monkeypatch):
+    from arasent import classifier
+
+    grid_search = classifier.grid_search
+    monkeypatch.setattr(classifier, "grid_search",
+                        lambda *args, **kwargs: (*grid_search(*args, **kwargs)[:2], 0.75))
+    assert run(["evaluate", "--corpus", corpus_path, "--grid"]) == 0
+    assert capsys.readouterr().out.startswith("grid pick: reg=0.001 (dev accuracy 75.00%)\n")
+
+
 def test_evaluate_grid_keeps_the_other_train_settings(tmp_path, corpus_path):
     model = tmp_path / "m.txt"
     assert run(["evaluate", "--corpus", corpus_path, "--grid", "--scale", "--epochs", "3",
@@ -295,7 +306,7 @@ def test_expand_twice_second_run_adopts_zero(tmp_path, capsys):
     args = ["expand",
             "--corpus", str(data_path("corpus.jsonl")),
             "--provider", str(data_path("synsets.tsv")),
-            "--lexicon", str(lexicon)]
+            "--lexicon", str(lexicon), "--out", str(lexicon)]
     assert run(args) == 0
     first = capsys.readouterr().out
     assert "adopted: 10" in first
@@ -318,6 +329,18 @@ def test_expand_writes_to_out_path(tmp_path, capsys):
     assert grown.lookup("مدهش") is not None
 
 
+def test_expand_without_out_is_a_usage_error_that_writes_nothing(tmp_path, capsys):
+    """With no --out, expand has nowhere to write: it does not fall back to
+    writing over the lexicon it read."""
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_bytes(data_path("lexicon_seed.tsv").read_bytes())
+    assert run(["expand", "--corpus", str(data_path("corpus.jsonl")),
+                "--provider", str(data_path("synsets.tsv")), "--lexicon", str(lexicon)]) == 1
+    assert "--out" in capsys.readouterr().err
+    assert lexicon.read_bytes() == data_path("lexicon_seed.tsv").read_bytes()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["lexicon.tsv"]
+
+
 def test_expand_interactive_prompt(tmp_path, capsys, monkeypatch):
     """The terminal review loop shows evidence and applies the verdict."""
     lexicon = tmp_path / "lex.tsv"
@@ -328,7 +351,7 @@ def test_expand_interactive_prompt(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("builtins.input", lambda prompt="": next(answers))
     assert run(["expand", "--corpus", str(corpus),
                 "--provider", str(data_path("synsets.tsv")),
-                "--lexicon", str(lexicon), "--interactive"]) == 0
+                "--lexicon", str(lexicon), "--out", str(lexicon), "--interactive"]) == 0
     out = capsys.readouterr().out
     assert "هايف" in out and "oov_accepted: 1" in out
     from arasent.lexicon import load_sentiment_lexicon
@@ -397,6 +420,32 @@ def test_score_subcommand(tmp_path, capsys):
     assert lines[0].startswith("a\t+1\tPO")
     assert lines[1].startswith("b\t-1\tNG")
     assert "agreement with gold: 2/2" in captured.err
+
+
+def test_score_prints_the_agreement_with_gold_as_a_percentage(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus([Topic("a", "المكان رائع", Polarity.PO), Topic("b", "المكان رائع"),
+                 Topic("c", "المكان مش نظيف", Polarity.NG),
+                 Topic("d", "المكان مش نظيف", Polarity.PO)], corpus)
+    assert run(["score", "--corpus", str(corpus)]) == 0
+    assert capsys.readouterr().err == "# agreement with gold: 2/3 (66.67%)\n"
+
+
+def test_extract_counts_every_unlabeled_topic_it_skips(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus([Topic("a", "المكان رائع", Polarity.PO), Topic("b", "المكان رائع"),
+                 Topic("c", "المكان مش نظيف")], corpus)
+    assert run(["extract", "--corpus", str(corpus), "--out", str(tmp_path / "f.svml")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "skipped 2 unlabeled topics\n"
+    assert captured.out == f"wrote 1 vectors to {tmp_path / 'f.svml'}\n"
+
+
+def test_kappa_refuses_a_ragged_ratings_file_at_the_line_at_fault(tmp_path, capsys):
+    ratings = tmp_path / "r.tsv"
+    ratings.write_text("PO\tPO\nNG\nNG\tNG\n", encoding="utf-8")
+    assert run(["kappa", "--ratings", str(ratings)]) == 2
+    assert capsys.readouterr().err == f"error: {ratings}:2: expected 2 rater columns, got 1\n"
 
 
 def test_config_file_overridden_by_flags(tmp_path, capsys):

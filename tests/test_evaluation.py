@@ -263,6 +263,12 @@ def test_split_deterministic():
     assert a != c
 
 
+def test_split_seed_defaults_to_42():
+    corpus = topics(40)
+    assert split_corpus(corpus, SplitSpec()) == split_corpus(corpus, SplitSpec(seed=42))
+    assert split_corpus(corpus, SplitSpec()) != split_corpus(corpus, SplitSpec(seed=43))
+
+
 def test_split_partitions_exactly():
     corpus = topics(41, "tweet") + topics(17, "hotel") + topics(29, "tv")
     train, dev, test = split_corpus(corpus, SplitSpec())
@@ -480,6 +486,18 @@ def test_load_ratings(tmp_path):
         load_ratings(bad)
 
 
+@pytest.mark.parametrize("text, error", [
+    ("PO\tPO\nNG\nNG\tNG\n", "2: expected 2 rater columns, got 1"),
+    ("PO\tPO\n# comment\nNG\tNG\tPO\n", "3: expected 2 rater columns, got 3"),
+    ("PO\nNG\n", "1: need at least 2 raters, got 1")],
+    ids=["short-row", "long-row", "one-rater"])
+def test_load_ratings_refuses_a_row_with_another_column_count_at_its_line(tmp_path, text, error):
+    path = tmp_path / "ratings.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"ratings\.tsv:{error}$"):
+        load_ratings(path)
+
+
 # report
 
 def test_genre_report_rows():
@@ -507,6 +525,12 @@ def test_genre_report_without_a_po_prediction():
     0, and so F is undefined."""
     [row, _] = genre_report([Topic("1", "x", PO, "tv"), Topic("2", "x", NG, "tv")], [NG, NG])
     assert (row["precision"], row["recall"], row["f_measure"]) == (None, 0.0, None)
+
+
+def test_genre_report_gives_f_when_precision_and_recall_are_defined():
+    [row, _] = genre_report([Topic("1", "x", PO, "tv"), Topic("2", "x", PO, "tv"),
+                             Topic("3", "x", NG, "tv")], [PO, NG, PO])
+    assert (row["precision"], row["recall"], row["f_measure"]) == (0.5, 0.5, 0.5)
 
 
 def test_format_report_puts_each_metric_in_its_column():

@@ -453,6 +453,20 @@ def test_an_interrupted_review_keeps_the_pending_rows_written_so_far(provider, t
     assert pending.read_text(encoding="utf-8") == "هايف\tPENDING\n"
 
 
+def test_under_review_each_pending_row_is_on_disk_before_the_next_question(provider, tags,
+                                                                          tmp_path):
+    pending = tmp_path / "review.tsv"
+    seen = []
+
+    def ask(word, syn):
+        seen.append(pending.read_text(encoding="utf-8") if pending.exists() else None)
+        return "s"
+
+    expand_lexicon(walkthrough_corpus() + [Topic("t4", "الجو هادي")], seed_lexicon(),
+                   provider, tags=tags, pending_path=pending, ask=ask)
+    assert seen == [None, "هايف\tPENDING\n"]
+
+
 def test_a_failing_provider_leaves_the_pending_rows_written_so_far(provider, tags, tmp_path):
     """Without a reviewer the rows are buffered; the file is closed, and so
     written, on the way out of an error too."""

@@ -429,3 +429,12 @@ def test_feature_vector_get_set_consistent(tmp_path_factory, values):
     assert len(loaded.vector) == N_SLOTS
     for slot in range(1, N_SLOTS + 1):
         assert loaded.vector[slot - 1] == values.get(slot, 0.0)
+
+
+def test_a_file_of_schema_version_1_reads_as_this_schema(tmp_path):
+    """Every SVM-light and model file written so far names schema 1, the 17
+    slots in the order above."""
+    path = tmp_path / "f.svml"
+    path.write_text("# schema_version: 1\n+1 1:1 17:2\n", encoding="utf-8")
+    (row,) = read_svmlight(path)
+    assert (N_SLOTS, row.vector[HAS_PO_SENTI - 1], row.vector[N_O_CONFLICT - 1]) == (17, 1, 2)

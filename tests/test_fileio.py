@@ -12,7 +12,7 @@ from arasent.errors import ParseError
 from arasent.evaluation import load_corpus, load_ratings
 from arasent.expansion import FixtureProvider, _load_pending_words
 from arasent.features import CueLists
-from arasent.fileio import read_data, read_rows, read_terms
+from arasent.fileio import read_data, read_lines, read_rows, read_terms
 from arasent.lexicon import LEXICON_HEADER, load_idiom_lexicon, load_sentiment_lexicon
 from arasent.preprocess import load_stopwords, load_tag_table
 
@@ -111,3 +111,13 @@ def test_each_line_reader_skips_its_own_lines_and_counts_every_line(tmp_path, re
                 if item == items[-1]:
                     raise ValueError("refused")
     assert str(err.value) == f"{path}:{last_line}: refused"
+
+
+def test_a_refusal_before_the_first_line_names_the_whole_file(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_bytes(b"")
+    with pytest.raises(ParseError) as err:
+        with read_lines(path) as lines:
+            assert list(lines) == []
+            raise ValueError("refused")
+    assert (str(err.value), err.value.line_no) == (f"{path}: refused", None)

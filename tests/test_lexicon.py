@@ -128,6 +128,38 @@ def test_load_rejects_missing_header(tmp_path):
         load_sentiment_lexicon(path)
 
 
+def test_load_refuses_a_file_without_its_header_line_whatever_its_size(tmp_path):
+    empty = tmp_path / "empty.tsv"
+    empty.write_bytes(b"")
+    with pytest.raises(ParseError, match=r"empty\.tsv: missing lexicon header line$") as err:
+        load_sentiment_lexicon(empty)
+    assert err.value.line_no is None
+    blank = tmp_path / "blank.tsv"
+    blank.write_text("\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"blank\.tsv:1: missing lexicon header line$"):
+        load_sentiment_lexicon(blank)
+
+
+def test_a_header_only_file_with_an_empty_prevent_sidecar_is_the_empty_lexicon(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_text(LEXICON_HEADER + "\n", encoding="utf-8")
+    (tmp_path / "lex.prevent").write_bytes(b"")
+    assert load_sentiment_lexicon(path) == SentimentLexicon()
+
+
+def test_lexicons_that_differ_only_in_prevent_list_or_only_in_entries_are_unequal():
+    lex = SentimentLexicon([LexiconEntry("رائع", PO)], prevent=["كلام"])
+    assert lex == SentimentLexicon([LexiconEntry("رائع", PO)], prevent=["كلام"])
+    assert lex != SentimentLexicon([LexiconEntry("رائع", PO)], prevent=["جدار"])
+    assert lex != SentimentLexicon([LexiconEntry("رائع", NG)], prevent=["كلام"])
+
+
+def test_an_entry_built_without_tf_is_saved_with_tf_0(tmp_path):
+    path = tmp_path / "lex.tsv"
+    save_sentiment_lexicon(SentimentLexicon([LexiconEntry("رائع", PO)]), path)
+    assert path.read_text(encoding="utf-8") == LEXICON_HEADER + "\nرائع\t\t\tPO\t0\n"
+
+
 def test_lookup_normalizes_before_lookup():
     # normalization happens when the entry comes in; lookup takes normalized words
     lex = SentimentLexicon([LexiconEntry("رائِع", PO)])
@@ -299,6 +331,13 @@ def test_load_idiom_rejects_single_token(tmp_path):
     path = tmp_path / "idioms.tsv"
     path.write_text("رائع\tNG\n", encoding="utf-8")
     with pytest.raises(ParseError):
+        load_idiom_lexicon(path)
+
+
+def test_load_idiom_rejects_a_bad_polarity_quoting_it(tmp_path):
+    path = tmp_path / "idioms.tsv"
+    path.write_text("زي العسل\tPO\nتسليم القط\tXX\tgiving up\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"idioms\.tsv:2: polarity must be PO or NG, got 'XX'$"):
         load_idiom_lexicon(path)
 
 
