@@ -280,9 +280,7 @@ def read_svmlight(path) -> list[LabeledVector]:
                     _check_schema(version)
                 continue
             body, _, comment = line.partition("#")
-            tokens = body.split()
-            if not tokens:
-                raise ValueError("missing label")
+            tokens = body.split()  # the line is stripped and not led by #: a label leads it
             if tokens[0] in ("+1", "1"):
                 label = 1
             elif tokens[0] == "-1":

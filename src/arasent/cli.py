@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
+from itertools import islice
 from pathlib import Path
 
 from . import resources
@@ -26,7 +27,7 @@ from .evaluation import (
     split_corpus,
 )
 from .fileio import atomic_write, read_lines, read_terms
-from .lexicon import Polarity, load_sentiment_lexicon, save_sentiment_lexicon
+from .lexicon import Polarity, load_sentiment_lexicon, prevent_path, save_sentiment_lexicon
 from .preprocess import load_stopwords, load_tag_table, normalize_text
 
 
@@ -91,19 +92,23 @@ class _Pipeline:
         self.analyzer = resources.load(settings).analyzer(
             **_given(settings, "negation_window", "intensifier_window"))
 
-    def labeled_vectors(self, topics) -> tuple[list, int]:
-        """The labeled vectors of the labeled topics, and how many were not."""
+    def labeled_vectors(self, topics) -> list:
+        """The labeled vectors of the labeled topics; the others are left out."""
         from . import classifier
 
-        out = []
-        skipped = 0
-        for t in topics:
-            if t.label is None:
-                skipped += 1
-                continue
-            label = 1 if t.label is Polarity.PO else -1
-            out.append(classifier.LabeledVector(self.analyzer.vector(t.text), label, t.id))
-        return out, skipped
+        return [classifier.LabeledVector(self.analyzer.vector(t.text),
+                                         1 if t.label is Polarity.PO else -1, t.id)
+                for t in topics if t.label is not None]
+
+
+def _write_rows(rows, path=None) -> None:
+    """Write the lines ``rows`` to ``path``, replaced atomically, or to stdout,
+    1000 rows per write: under ``PYTHONUNBUFFERED=1`` each write to stdout is
+    a system call."""
+    rows = iter(rows)
+    with atomic_write(path) if path else nullcontext(sys.stdout) as out:
+        while chunk := "".join(islice(rows, 1000)):
+            out.write(chunk)
 
 
 def _read_text(source: str) -> str:
@@ -117,17 +122,48 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
+# The grown lexicon may replace the lexicon it grows, and its sidecar with it.
+_IN_PLACE = {("the grown lexicon", "the lexicon"),
+             ("the grown lexicon's .prevent sidecar", "the lexicon's .prevent sidecar")}
+
+
+def _shared_file(read: dict, written: dict) -> str | None:
+    """Why a file that ``expand`` writes is another file of the run, or None
+    if none is; ``read`` and ``written`` map each file's role to its path,
+    or to None where the run has no such file."""
+    seen: dict = {}
+    for role, path in (*read.items(), *written.items()):
+        if path is None:
+            continue
+        other = seen.setdefault(Path(path).resolve(), role)
+        if other != role and role in written and (role, other) not in _IN_PLACE:
+            return f"{role} {path} is also {other}"
+    return None
+
+
 def _cmd_expand(args) -> int:
     from .expansion import ANSWERS, FixtureProvider, SynsetResult, expand_lexicon
 
     settings = _resolve_config(args)
-    lexicon = load_sentiment_lexicon(resources.locate("lexicon", settings))
-    stopwords = load_stopwords(resources.locate("stopwords", settings))
-    tags = load_tag_table(resources.locate("tagtable", settings))
-    corpus = load_corpus(args.corpus)
-    provider = FixtureProvider.from_file(args.provider)
+    where = {key: resources.locate(key, settings) for key in ("lexicon", "stopwords", "tagtable")}
     out_path = Path(args.out)
     pending = Path(args.pending) if args.pending else out_path.with_suffix(".pending.tsv")
+    shared = _shared_file(
+        {"the config file": args.config, "the corpus": args.corpus,
+         "the synset fixture": args.provider, "the stopword list": where["stopwords"],
+         "the tag table": where["tagtable"], "the lexicon": where["lexicon"],
+         "the lexicon's .prevent sidecar": prevent_path(where["lexicon"])},
+        {"the grown lexicon": out_path,
+         "the grown lexicon's .prevent sidecar": prevent_path(out_path),
+         "the pending file": pending})
+    if shared:
+        print(f"error: {shared}", file=sys.stderr)
+        return 1
+    lexicon = load_sentiment_lexicon(where["lexicon"])
+    stopwords = load_stopwords(where["stopwords"])
+    tags = load_tag_table(where["tagtable"])
+    corpus = load_corpus(args.corpus)
+    provider = FixtureProvider.from_file(args.provider)
 
     ask = None
     if args.interactive:
@@ -164,9 +200,9 @@ def _cmd_extract(args) -> int:
     settings = _resolve_config(args)
     pipe = _Pipeline(settings)
     corpus = load_corpus(args.corpus)
-    data, skipped = pipe.labeled_vectors(corpus)
+    data = pipe.labeled_vectors(corpus)
     classifier.write_svmlight(data, args.out)
-    if skipped:
+    if skipped := len(corpus) - len(data):
         print(f"skipped {skipped} unlabeled topics", file=sys.stderr)
     print(f"wrote {len(data)} vectors to {args.out}")
     return 0
@@ -200,16 +236,10 @@ def _cmd_predict(args) -> int:
     pipe = _Pipeline(settings)
     model = classifier.load_model(args.model)
     corpus = load_corpus(args.corpus)
-    with atomic_write(args.out) if args.out else nullcontext(sys.stdout) as out:
-        po, ng = Polarity.PO.value, Polarity.NG.value
-        rows = []  # written 1000 at a time: each write to an unbuffered stdout is a system call
-        for topic in corpus:
-            label, margin = classifier.predict(model, pipe.analyzer.vector(topic.text))
-            rows.append(f"{topic.id}\t{po if label > 0 else ng}\t{margin:.6f}\n")
-            if len(rows) == 1000:
-                out.write("".join(rows))
-                rows.clear()
-        out.write("".join(rows))
+    po, ng = Polarity.PO.value, Polarity.NG.value
+    predicted = (classifier.predict(model, pipe.analyzer.vector(topic.text)) for topic in corpus)
+    _write_rows((f"{topic.id}\t{po if label > 0 else ng}\t{margin:.6f}\n"
+                 for topic, (label, margin) in zip(corpus, predicted)), args.out)
     return 0
 
 
@@ -227,11 +257,11 @@ def _cmd_evaluate(args) -> int:
     corpus = load_corpus(args.corpus)
     spec = SplitSpec(**_given(settings, *SplitSpec._fields))
     train_t, dev_t, test_t = split_corpus(corpus, spec, **_given(settings, "stratify"))
-    train_data, skipped = pipe.labeled_vectors(train_t)
-    if skipped:
+    train_data = pipe.labeled_vectors(train_t)
+    if skipped := len(train_t) - len(train_data):
         print(f"skipped {skipped} unlabeled training topics", file=sys.stderr)
     if args.grid:
-        dev_data, _ = pipe.labeled_vectors(dev_t)
+        dev_data = pipe.labeled_vectors(dev_t)
         train_cfg, model, dev_acc = classifier.grid_search(
             train_data, dev_data, config=_train_config(settings))
         print(f"grid pick: reg={train_cfg.regularization} "
@@ -265,24 +295,14 @@ def _cmd_score(args) -> int:
     settings = _resolve_config(args)
     pipe = _Pipeline(settings)
     corpus = load_corpus(args.corpus)
-    agree = labeled = 0
-    po, ng, nu = Polarity.PO.value, Polarity.NG.value, Polarity.NU.value
-    rows = []  # written 1000 at a time, as in predict
-    for topic in corpus:
-        net, label = pipe.analyzer.rule_score(topic.text)
-        name = po if label is Polarity.PO else ng if label is Polarity.NG else nu
-        rows.append(f"{topic.id}\t{net:+g}\t{name}\n")
-        if len(rows) == 1000:
-            sys.stdout.write("".join(rows))
-            rows.clear()
-        if topic.label is not None:
-            labeled += 1
-            if label is topic.label:
-                agree += 1
-    sys.stdout.write("".join(rows))
-    if labeled:
-        print(f"# agreement with gold: {agree}/{labeled} "
-              f"({100 * agree / labeled:.2f}%)", file=sys.stderr)
+    scored = [pipe.analyzer.rule_score(topic.text) for topic in corpus]
+    _write_rows(f"{topic.id}\t{net:+g}\t{label.value}\n"
+                for topic, (net, label) in zip(corpus, scored))
+    agree = [label is topic.label for topic, (_, label) in zip(corpus, scored)
+             if topic.label is not None]
+    if agree:
+        print(f"# agreement with gold: {sum(agree)}/{len(agree)} "
+              f"({100 * sum(agree) / len(agree):.2f}%)", file=sys.stderr)
     return 0
 
 

@@ -8,19 +8,20 @@ from .errors import ParseError
 
 
 class read_lines:
-    """The lines of the UTF-8 text file at ``path`` (universal newlines);
-    ``line_no`` is the number of the last line read. A line that is not valid
-    UTF-8 is a ``ParseError`` at its line. As a context manager around the
-    loop over its lines, it turns a ``ValueError`` raised in the block into
-    a ``ParseError`` at the line being handled (or at the whole file, before
-    its first line), so loaders raise plain ``ValueError`` and the error
-    names the file and line at fault."""
+    """The lines of the UTF-8 text file at ``path`` (universal newlines), a
+    byte-order mark at its start dropped; ``line_no`` is the number of the
+    last line read. A line that is not valid UTF-8 is a ``ParseError`` at
+    its line. As a context manager around the loop over its lines, it turns
+    a ``ValueError`` raised in the block into a ``ParseError`` at the line
+    being handled (or at the whole file, before its first line), so loaders
+    raise plain ``ValueError`` and the error names the file and line at
+    fault."""
 
     def __init__(self, path):
         self.path, self.line_no = path, 0
 
     def __iter__(self):
-        with open(self.path, encoding="utf-8", errors="surrogateescape") as fh:
+        with open(self.path, encoding="utf-8-sig", errors="surrogateescape") as fh:
             for self.line_no, line in enumerate(fh, start=1):
                 try:
                     line.encode("utf-8")  # an undecodable byte became a lone surrogate

@@ -117,7 +117,8 @@ class SentimentLexicon:
         return self._entries == other._entries and self._prevent == other._prevent
 
 
-def _prevent_path(path) -> Path:
+def prevent_path(path) -> Path:
+    """The prevent-list sidecar of the lexicon file at ``path``."""
     return Path(path).with_suffix(".prevent")
 
 
@@ -148,7 +149,7 @@ def load_sentiment_lexicon(path) -> SentimentLexicon:
                 raise ValueError(
                     f"term frequency must be a non-negative integer, got {tf!r}") from None
             lex.add(LexiconEntry(word, polarity, gloss, translit, freq))
-    sidecar = _prevent_path(path)
+    sidecar = prevent_path(path)
     if sidecar.exists():
         with read_terms(sidecar) as terms:
             for word in terms:
@@ -167,9 +168,12 @@ def save_sentiment_lexicon(lex: SentimentLexicon, path) -> None:
     replaced atomically, and neither is replaced if writing either one fails.
 
     Tabs and line breaks inside gloss/translit are replaced by spaces so the
-    row stays parseable; load(save(lex)) is structurally equal otherwise.
+    row stays parseable; load(save(lex)) is structurally equal otherwise. A
+    ``path`` that is its own sidecar, ``*.prevent``, is a ``ValueError``.
     """
-    with atomic_write(path) as fh, atomic_write(_prevent_path(path)) as sidecar:
+    if prevent_path(path) == Path(path):
+        raise ValueError(f"{path}: a lexicon file cannot be its own .prevent sidecar")
+    with atomic_write(path) as fh, atomic_write(prevent_path(path)) as sidecar:
         fh.write(LEXICON_HEADER + "\n")
         for entry in lex:
             fh.write(f"{entry.word}\t{clean_field(entry.gloss)}\t{clean_field(entry.translit)}"

@@ -100,9 +100,7 @@ def preprocess(text: str, stopwords: Collection[str] = frozenset()) -> list[list
     # or folds into spaces never change a sentence's words, and a piece
     # between delimiters that holds no word is exactly one it strips away.
     pieces = map(_WORD_RE.findall, _SENTENCE_RE.split(_fold(text)))
-    if stopwords:
-        return [[w for w in words if w not in stopwords] for words in pieces if words]
-    return [words for words in pieces if words]
+    return [[w for w in words if w not in stopwords] for words in pieces if words]
 
 
 def load_tag_table(path) -> dict[str, PosTag]:

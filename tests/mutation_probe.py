@@ -45,6 +45,8 @@ MAPPED_TESTS = {
     "fileio.py": ["test_fileio.py"],
     "lexicon.py": ["test_lexicon.py"],
     "preprocess.py": ["test_preprocess.py"],
+    "resources.py": ["test_preprocess.py", "test_lexicon.py", "test_analyzer.py",
+                     "test_synthetic.py"],
 }
 
 # Surviving mutants that change no behaviour, by id (see ``_mutants``), each

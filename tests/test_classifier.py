@@ -242,6 +242,17 @@ def test_labeled_vector_and_predict_refuse_a_vector_not_17_long(length):
         predict(Model((0.0,) * N_SLOTS, 0.0), (1.0,) * length)
 
 
+@pytest.mark.parametrize("label", [0, 2, -2])
+def test_labeled_vector_refuses_a_label_other_than_plus_or_minus_one(label):
+    with pytest.raises(ValueError, match=f"^label must be \\+1 or -1, got {label}$"):
+        LabeledVector(vec({}), label)
+
+
+def test_accuracy_refuses_an_empty_set():
+    with pytest.raises(ArasentError, match="^no vectors to score$"):
+        accuracy(Model((0.0,) * N_SLOTS, 0.0), [])
+
+
 def test_grid_search_picks_best_deterministically(monkeypatch):
     _, data = hidden_separator_data(120, seed=8)
     fits = []

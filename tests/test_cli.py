@@ -111,6 +111,19 @@ def test_evaluate_reports_genres(corpus_path, capsys):
     assert "Accuracy" in out and "F-Measure" in out
 
 
+def test_evaluate_counts_the_unlabeled_training_topics_it_skips(tmp_path, corpus_path,
+                                                               capsys):
+    topics = load_corpus(corpus_path)
+    topics += [t._replace(id=f"u-{t.id}", label=None) for t in topics[::5]]
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(topics, corpus)
+    train, _, _ = split_corpus(topics, SplitSpec())
+    skipped = sum(t.label is None for t in train)
+    assert 0 < skipped < len(train)
+    assert run(["evaluate", "--corpus", str(corpus)]) == 0
+    assert capsys.readouterr().err == f"skipped {skipped} unlabeled training topics\n"
+
+
 def test_evaluate_json_output(corpus_path, capsys):
     assert run(["evaluate", "--corpus", corpus_path, "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
@@ -356,6 +369,84 @@ def test_expand_interactive_prompt(tmp_path, capsys, monkeypatch):
     assert "هايف" in out and "oov_accepted: 1" in out
     from arasent.lexicon import load_sentiment_lexicon
     assert load_sentiment_lexicon(lexicon).lookup("هايف").polarity is Polarity.NG
+
+
+def test_expand_interactive_shows_the_translation_and_synonyms(tmp_path, capsys, monkeypatch):
+    tags, corpus = tmp_path / "tags.tsv", tmp_path / "corpus.jsonl"
+    tags.write_text(data_path("tags.tsv").read_text(encoding="utf-8") + "كلمةجديدة\tJJ\n",
+                    encoding="utf-8")
+    save_corpus([Topic("a", "كلمةجديدة رائع")], corpus)
+    provider = tmp_path / "synsets.tsv"
+    provider.write_text("كلمةجديدة\tnew word\tكلمةغريبة,كلمةثانية\t\n", encoding="utf-8")
+    monkeypatch.setattr("builtins.input", lambda prompt="": "s")
+    assert run(["expand", "--corpus", str(corpus), "--provider", str(provider),
+                "--tagtable", str(tags), "--out", str(tmp_path / "grown.tsv"),
+                "--interactive"]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "word: كلمةجديدة", "  translation: new word", "  synonyms: كلمةغريبة, كلمةثانية"]
+
+
+@pytest.fixture
+def oov_run(tmp_path):
+    """A copy of the packaged lexicon with its sidecar, and the arguments of
+    an expand run over it whose one candidate, كلمةجديدة, goes to pending."""
+    for name in ("lexicon.tsv", "lexicon.prevent"):
+        (tmp_path / name).write_bytes(data_path(name).read_bytes())
+    tags, corpus = tmp_path / "tags.tsv", tmp_path / "corpus.jsonl"
+    tags.write_text(data_path("tags.tsv").read_text(encoding="utf-8") + "كلمةجديدة\tJJ\n",
+                    encoding="utf-8")
+    corpus.write_text('{"id":"a","text":"كلمةجديدة رائع"}\n', encoding="utf-8")
+    return ["expand", "--corpus", str(corpus), "--provider", str(data_path("synsets.tsv")),
+            "--lexicon", str(tmp_path / "lexicon.tsv"), "--tagtable", str(tags)]
+
+
+def test_expand_files_its_one_candidate_as_pending(tmp_path, oov_run, capsys):
+    out = tmp_path / "grown.tsv"
+    assert run(oov_run + ["--out", str(out)]) == 0
+    assert "oov_pending: 1" in capsys.readouterr().out.splitlines()
+    assert (tmp_path / "grown.pending.tsv").read_text(encoding="utf-8") == "كلمةجديدة\tPENDING\n"
+
+
+@pytest.mark.parametrize("out, pending", [
+    ("out.tsv", "out.tsv"), ("out.tsv", "out.prevent"), ("out.tsv", "lexicon.tsv"),
+    ("out.tsv", "lexicon.prevent"), ("out.tsv", "corpus.jsonl"), ("out.tsv", "tags.tsv"),
+    ("out.prevent", None), ("out.tsv", "sub/../out.tsv"), ("corpus.jsonl", None),
+    ("tags.tsv", None)],
+    ids=["pending-is-out", "pending-is-out-sidecar", "pending-is-lexicon",
+         "pending-is-lexicon-sidecar", "pending-is-corpus", "pending-is-tagtable",
+         "out-is-its-own-sidecar", "pending-is-out-by-another-name", "out-is-corpus",
+         "out-is-tagtable"])
+def test_expand_refuses_a_written_file_that_names_another_file_of_the_run(
+        tmp_path, oov_run, capsys, out, pending):
+    """Before it reads any input, expand refuses to write its lexicon, sidecar
+    or pending rows over another file of the run: exit 1, one error line, and
+    every file as it was."""
+    (tmp_path / "sub").mkdir()
+    before = {f: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()}
+    argv = oov_run + ["--out", str(tmp_path / out)]
+    if pending:
+        argv += ["--pending", str(tmp_path / pending)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert {f: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()} == before
+
+
+@pytest.mark.parametrize("flag, name, text", [
+    ("--provider", "synsets.tsv", data_path("synsets.tsv").read_bytes()),
+    ("--stopwords", "stopwords.txt", data_path("stopwords.txt").read_bytes()),
+    ("--config", "run.conf", b"seed = 1\n")], ids=["provider", "stopwords", "config"])
+def test_expand_refuses_a_pending_file_that_is_an_input_it_names(tmp_path, oov_run, capsys,
+                                                                 flag, name, text):
+    given = tmp_path / name
+    given.write_bytes(text)
+    argv = oov_run + [flag, str(given), "--out", str(tmp_path / "out.tsv"),
+                      "--pending", str(given)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert given.read_bytes() == text
+    assert not (tmp_path / "out.tsv").exists()
 
 
 def test_expand_interactive_at_end_of_input_skips_to_pending(tmp_path, capsys, monkeypatch):

@@ -513,6 +513,20 @@ def test_genre_report_rows():
     assert "Total" in text and "75.0000%" in text
 
 
+def test_genre_report_wants_one_prediction_per_topic():
+    corpus = [Topic("1", "x", PO, "tv"), Topic("2", "x", NG, "tv")]
+    with pytest.raises(ValueError, match="^one prediction per topic required$"):
+        genre_report(corpus, [PO])
+
+
+def test_genre_report_leaves_an_unlabeled_topic_out_of_every_row():
+    corpus = [Topic("1", "x", PO, "tv"), Topic("2", "x", None, "tv"),
+              Topic("3", "x", None, "hotel"), Topic("4", "x", NG, "tv")]
+    rows = genre_report(corpus, [PO, NG, PO, NG])
+    assert [(r["data"], r["count"], r["accuracy"]) for r in rows] == [
+        ("tv", 2, 1.0), ("Total", 2, 1.0)]
+
+
 def test_genre_report_absent_metric_rendered_as_dash():
     corpus = [Topic("1", "x", NG, "tv")]
     rows = genre_report(corpus, [NG])

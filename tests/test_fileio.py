@@ -37,12 +37,20 @@ CASES = {
                   "word is several words after normalization"),
     "lexicon": (load_sentiment_lexicon, "lexicon.tsv", f"{LEXICON_HEADER}\nرائع\tg\tt\tXX\t1\n",
                 "polarity must be PO, NG or NU, got 'XX'"),
+    "lexicon-negative-tf": (load_sentiment_lexicon, "lexicon.tsv",
+                            f"{LEXICON_HEADER}\nرائع\tg\tt\tPO\t-3\n",
+                            "term frequency must be a non-negative integer, got '-3'"),
+    "lexicon-tf-not-a-number": (load_sentiment_lexicon, "lexicon.tsv",
+                                f"{LEXICON_HEADER}\nرائع\tg\tt\tPO\tx\n",
+                                "term frequency must be a non-negative integer, got 'x'"),
     "prevent-duplicate": (_lexicon_of, "lexicon.prevent", "كلام\nكلام\n",
                           "'كلام' is already on the prevent list"),
     "idioms": (load_idiom_lexicon, "idioms.tsv", IDIOM + "دموع التماسيح\tNU\n",
                "idiom polarity must be PO or NG"),
     "idioms-duplicate": (load_idiom_lexicon, "idioms.tsv", IDIOM * 2,
                          "duplicate idiom 'تسليم القط مفتاح الكرار'"),
+    "idioms-columns": (load_idiom_lexicon, "idioms.tsv", IDIOM + "زي العسل\tPO\tg\textra\n",
+                       "expected 2 or 3 columns, got 4"),
     "synsets": (FixtureProvider.from_file, "synsets.tsv", "هايف\t\t\t\nهايف\t\t\t\n",
                 "duplicate word 'هايف'"),
     "pending": (_load_pending_words, "lexicon.pending.tsv", "هايف\tPENDING\nabc\tPENDING\n",
@@ -91,6 +99,42 @@ def test_score_with_a_repeated_idiom_row_is_a_data_error_at_its_line(tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {idioms}:2: duplicate idiom 'تسليم القط مفتاح الكرار'\n"
+
+
+MODEL = ("schema_version: 1\nregularization: 0.01\nepochs: 200\nseed: 42\nscaling: none\n"
+         + "".join(f"{slot}: {slot / 4}\n" for slot in range(1, 18)) + "bias: 0.5\n")
+
+
+def _vectors(path):
+    return [(v.vector, v.label, v.comment) for v in read_svmlight(path)]
+
+
+# id -> (loader, {file name: text}); the loader reads the first file, the
+# others sit beside it. A BOM read as part of the first rating would turn the
+# ratings' kappa 0.5 into 0.111111.
+BOM_CASES = {
+    "corpus": (load_corpus, {"corpus.jsonl": '{"id": "a", "text": "رائع", "label": "PO"}\n'}),
+    "lexicon": (load_sentiment_lexicon, {"lexicon.tsv": f"{LEXICON_HEADER}\nرائع\tg\tt\tPO\t1\n",
+                                         "lexicon.prevent": "كلام\n"}),
+    "model": (load_model, {"model.txt": MODEL}),
+    "svmlight": (_vectors, {"f.svml": "+1 1:1 3:0.5 # a\n-1 2:1\n"}),
+    "ratings": (load_ratings, {"ratings.tsv": "PO\tPO\nNG\tNG\nPO\tNG\nNG\tNG\n"}),
+    "config": (load_config_file, {"run.conf": "seed = 7\n"}),
+    "tag-table": (load_tag_table, {"tags.tsv": "جميل\tJJ\n"}),
+    "stopwords": (load_stopwords, {"stopwords.txt": "في\n"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOM_CASES))
+def test_a_file_that_starts_with_a_utf8_bom_loads_as_if_it_had_none(tmp_path, case):
+    loader, files = BOM_CASES[case]
+    loaded = []
+    for folder, head in ((tmp_path / "plain", b""), (tmp_path / "bom", b"\xef\xbb\xbf")):
+        folder.mkdir()
+        for name, text in files.items():
+            (folder / name).write_bytes(head + text.encode("utf-8"))
+        loaded.append(loader(folder / next(iter(files))))
+    assert loaded[0] == loaded[1]
 
 
 READER_TEXT = "a\tb\n\n  # note\n c # tail \n\t\n#x\td\n"

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -81,6 +82,13 @@ def test_load_rejects_wrong_column_count(tmp_path):
         load_sentiment_lexicon(path)
 
 
+def test_load_skips_a_blank_line_in_the_body(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_text(f"{LEXICON_HEADER}\nرائع\t\t\tPO\t3\n\n  \nملل\t\t\tNG\t1\n",
+                    encoding="utf-8")
+    assert [(e.word, e.tf) for e in load_sentiment_lexicon(path)] == [("رائع", 3), ("ملل", 1)]
+
+
 def test_load_rejects_duplicate_word(tmp_path):
     path = tmp_path / "lex.tsv"
     write_lexicon_file(path, [("رائع", "", "", "PO", 0), ("رائِع", "", "", "NG", 0)])
@@ -152,6 +160,11 @@ def test_lexicons_that_differ_only_in_prevent_list_or_only_in_entries_are_unequa
     assert lex == SentimentLexicon([LexiconEntry("رائع", PO)], prevent=["كلام"])
     assert lex != SentimentLexicon([LexiconEntry("رائع", PO)], prevent=["جدار"])
     assert lex != SentimentLexicon([LexiconEntry("رائع", NG)], prevent=["كلام"])
+
+
+def test_a_lexicon_is_unequal_to_what_is_no_lexicon():
+    assert (SentimentLexicon() == 5) is False
+    assert SentimentLexicon() != "lexicon"
 
 
 def test_an_entry_built_without_tf_is_saved_with_tf_0(tmp_path):
@@ -284,6 +297,14 @@ def test_a_lexicon_that_cannot_be_written_leaves_no_file(tmp_path):
     lex = SentimentLexicon([LexiconEntry("رائع", PO, gloss="lone \ud800")], prevent=["كلام"])
     with pytest.raises(UnicodeEncodeError):
         save_sentiment_lexicon(lex, tmp_path / "lex.tsv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_lexicon_cannot_be_saved_as_its_own_prevent_sidecar(tmp_path):
+    path = tmp_path / "grown.prevent"
+    lex = SentimentLexicon([LexiconEntry("رائع", PO)], prevent=["كلام"])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        save_sentiment_lexicon(lex, path)
     assert list(tmp_path.iterdir()) == []
 
 
