@@ -64,6 +64,16 @@ def _box(regularization: float, n: int) -> float:
     return 1.0 / (regularization * n)
 
 
+def _squared_norm(row) -> float:
+    """The sum of the squared values of a row, or inf where it overflows: fsum
+    returns inf for an inf square and raises for finite squares whose sum
+    overflows."""
+    try:
+        return math.fsum(x * x for _, x in row)
+    except OverflowError:
+        return math.inf
+
+
 def train(data: Sequence[LabeledVector],
           config: TrainConfig | None = None) -> Model:
     """Fit a linear SVM by dual coordinate descent with ``C = 1/(λn)``.
@@ -75,7 +85,8 @@ def train(data: Sequence[LabeledVector],
     largest dual variable the fit reached. Deterministic: the same (data
     order, seed, config) reproduces the model bit for bit.
     Refuses a regularization that is not positive and finite, fewer than one
-    pass, and data without both labels.
+    pass, data without both labels, and a vector whose squared norm overflows
+    a float (scaled, every value is within 1).
     """
     config = config or TrainConfig()
     if not 0 < config.regularization < math.inf:
@@ -103,7 +114,10 @@ def train(data: Sequence[LabeledVector],
             for lv in data]
 
     c = _box(config.regularization, len(rows))  # the dual box 0 <= alpha_i <= C
-    q = [math.fsum(x * x for _, x in row) for row in rows]  # Q_ii >= 1, rounded alike everywhere
+    q = [_squared_norm(row) for row in rows]  # Q_ii >= 1, rounded alike everywhere
+    if math.inf in q:
+        raise ArasentError(f"vector {q.index(math.inf) + 1}: its squared norm overflows a "
+                           "float; scale=True (--scale) trains it")
     w, alpha = [0.0] * (N_SLOTS + 1), [0.0] * len(rows)
     order, rng = list(range(len(rows))), random.Random(config.seed)
     passes, gap, peak = 0, math.inf, 0.0

@@ -75,7 +75,7 @@ def _resolve_config(args) -> dict:
     for key in _SETTINGS:
         if getattr(args, key, None) is not None:
             settings[key] = getattr(args, key)
-    if settings.get("seed", 0) < 0:
+    if "seed" in settings and settings["seed"] < 0:
         raise ArasentError(f"seed must be a non-negative integer, got {settings['seed']}")
     return settings
 
@@ -83,6 +83,9 @@ def _resolve_config(args) -> dict:
 def _given(settings: dict, *keys: str) -> dict:
     """The values ``settings`` holds for ``keys``."""
     return {key: settings[key] for key in keys if key in settings}
+
+
+_POLARITY = {1: Polarity.PO, -1: Polarity.NG}  # of each label classifier.predict returns
 
 
 class _Pipeline:
@@ -148,17 +151,24 @@ def _cmd_expand(args) -> int:
     where = {key: resources.locate(key, settings) for key in ("lexicon", "stopwords", "tagtable")}
     out_path = Path(args.out)
     pending = Path(args.pending) if args.pending else out_path.with_suffix(".pending.tsv")
+    written = {"the grown lexicon": out_path,
+               "the grown lexicon's .prevent sidecar": prevent_path(out_path),
+               "the pending file": pending}
     shared = _shared_file(
         {"the config file": args.config, "the corpus": args.corpus,
          "the synset fixture": args.provider, "the stopword list": where["stopwords"],
          "the tag table": where["tagtable"], "the lexicon": where["lexicon"],
-         "the lexicon's .prevent sidecar": prevent_path(where["lexicon"])},
-        {"the grown lexicon": out_path,
-         "the grown lexicon's .prevent sidecar": prevent_path(out_path),
-         "the pending file": pending})
+         "the lexicon's .prevent sidecar": prevent_path(where["lexicon"])}, written)
     if shared:
         print(f"error: {shared}", file=sys.stderr)
         return 1
+    for role, path in written.items():
+        if not path.parent.is_dir():
+            print(f"error: {role} {path} has no directory {path.parent}", file=sys.stderr)
+            return 2
+        if path.is_dir():
+            print(f"error: {role} {path} is a directory", file=sys.stderr)
+            return 2
     lexicon = load_sentiment_lexicon(where["lexicon"])
     stopwords = load_stopwords(where["stopwords"])
     tags = load_tag_table(where["tagtable"])
@@ -236,9 +246,9 @@ def _cmd_predict(args) -> int:
     pipe = _Pipeline(settings)
     model = classifier.load_model(args.model)
     corpus = load_corpus(args.corpus)
-    po, ng = Polarity.PO.value, Polarity.NG.value
+    names = {label: polarity.value for label, polarity in _POLARITY.items()}
     predicted = (classifier.predict(model, pipe.analyzer.vector(topic.text)) for topic in corpus)
-    _write_rows((f"{topic.id}\t{po if label > 0 else ng}\t{margin:.6f}\n"
+    _write_rows((f"{topic.id}\t{names[label]}\t{margin:.6f}\n"
                  for topic, (label, margin) in zip(corpus, predicted)), args.out)
     return 0
 
@@ -270,10 +280,8 @@ def _cmd_evaluate(args) -> int:
         model = classifier.train(train_data, _train_config(settings))
     if args.model_out:
         classifier.save_model(model, args.model_out)
-    predictions = []
-    for topic in test_t:
-        label, _ = classifier.predict(model, pipe.analyzer.vector(topic.text))
-        predictions.append(Polarity.PO if label > 0 else Polarity.NG)
+    predictions = [_POLARITY[classifier.predict(model, pipe.analyzer.vector(topic.text))[0]]
+                   for topic in test_t]
     rows = genre_report(test_t, predictions)
     if args.json:
         import json

@@ -123,10 +123,10 @@ class SplitSpec(NamedTuple):
 def _split_sizes(n: int, spec: SplitSpec) -> tuple[int, int, int]:
     # floor each fraction, then hand the remainder out in declaration order
     sizes = [int(n * spec.train_frac), int(n * spec.dev_frac), int(n * spec.test_frac)]
-    i = 0
-    while sum(sizes) < n:
-        sizes[i % 3] += 1
-        i += 1
+    # the floors lose under 3 topics and validate's 1e-9 slack under 1 more
+    # while n < 10**9, so i stays under 3
+    for i in range(n - sum(sizes)):
+        sizes[i] += 1
     return tuple(sizes)
 
 

@@ -65,10 +65,10 @@ class FixtureProvider:
             for parts in rows:
                 if not 1 <= len(parts) <= 4:
                     raise ValueError(f"expected 1-4 columns, got {len(parts)}")
-                parts += [""] * (4 - len(parts))
-                word = normalize_word(parts[0])
-                result = SynsetResult(parts[1].strip() or None, _parse_word_list(parts[2]),
-                                      _parse_word_list(parts[3]))
+                word, translation, synonyms, antonyms = parts + [""] * (4 - len(parts))
+                word = normalize_word(word)
+                result = SynsetResult(translation.strip() or None, _parse_word_list(synonyms),
+                                      _parse_word_list(antonyms))
                 if word in table:
                     raise ValueError(f"duplicate word {word!r}")
                 table[word] = result
@@ -146,7 +146,7 @@ def _load_pending_words(path) -> set[str]:
     with read_lines(path) as lines:
         for line in lines:
             if line.strip():
-                held.add(normalize_word(line.split("\t", 1)[0], "pending word"))
+                held.add(normalize_word(line.partition("\t")[0], "pending word"))
     return held
 
 

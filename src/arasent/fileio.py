@@ -63,22 +63,35 @@ class read_terms(read_lines):
 
     def __iter__(self):
         for line in super().__iter__():
-            if term := line.split("#", 1)[0].strip():
+            if term := line.partition("#")[0].strip():
                 yield term
+
+
+@contextmanager
+def _about(path):
+    """Re-raise an ``OSError`` of the block as one about ``path`` alone."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 @contextmanager
 def atomic_write(path):
     """Open a UTF-8 text file that replaces ``path`` once the block completes.
     If the block raises, ``path`` keeps its old content. There is no fsync:
-    the replace is atomic, not durable across a power loss."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    the replace is atomic, not durable across a power loss. An error in
+    creating or replacing the file names ``path``, never the temporary file
+    beside it."""
+    target = Path(path)
+    tmp = target.parent / f".{target.name}.{os.urandom(4).hex()}.tmp"
+    with _about(path):
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        with _about(path):
+            os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -47,6 +47,7 @@ MAPPED_TESTS = {
     "preprocess.py": ["test_preprocess.py"],
     "resources.py": ["test_preprocess.py", "test_lexicon.py", "test_analyzer.py",
                      "test_synthetic.py"],
+    "synthetic.py": ["test_synthetic.py"],
 }
 
 # Surviving mutants that change no behaviour, by id (see ``_mutants``), each
@@ -71,22 +72,10 @@ EQUIVALENT = {
         "no row indexes, and zip stops at the shorter list",
     "classifier.py train: N_SLOTS + 1 -> N_SLOTS + 2 #3": "a trailing weight that no row "
         "indexes, and zip stops at the shorter list",
-    "cli.py _resolve_config: settings.get('seed', 0) -> settings.get('seed', 1)": "the "
-        "stand-in for a missing seed is non-negative either way",
     "cli.py _cmd_train: model.gap >= classifier.TOL -> model.gap > classifier.TOL": "differs "
         "only when the gap is exactly 1e-3, as in classifier.train",
-    "cli.py _cmd_predict: label > 0 -> label >= 0": "a predicted label is +1 or -1",
-    "cli.py _cmd_evaluate: label > 0 -> label >= 0": "a predicted label is +1 or -1",
     "evaluation.py SplitSpec.validate: abs(sum(fracs) - 1.0) > 1e-09 -> abs(sum(fracs) - "
     "1.0) >= 1e-09": "differs only when the sum is off by exactly 1e-9",
-    "evaluation.py _split_sizes: i % 3 -> i % 4": "three floored shares leave a remainder "
-        "of at most 2, so i never reaches 3",
-    "expansion.py FixtureProvider.from_file: 4 - len(parts) -> 4 + len(parts)": "padding "
-        "past four fields adds empty fields that nothing reads",
-    "expansion.py FixtureProvider.from_file: 4 - len(parts) -> 5 - len(parts)": "padding "
-        "past four fields adds an empty field that nothing reads",
-    "expansion.py _load_pending_words: line.split('\\t', 1) -> line.split('\\t', 2)": "only "
-        "the first field is read",
     "expansion.py expand_lexicon: 1 if ask else -1 -> 1 if ask else -2": "any negative "
         "buffering selects the default buffer",
     "features.py _resolve_conflicts: shifted[k] * shifted[k + 1] < 0 -> shifted[k] * "
@@ -104,10 +93,10 @@ EQUIVALENT = {
         "neighbour to conflict with",
     "fileio.py atomic_write: os.urandom(4) -> os.urandom(5)": "only the temporary file's "
         "name gets longer",
-    "fileio.py read_terms.__iter__: line.split('#', 1) -> line.split('#', 2)": "only the "
-        "text before the first # is kept",
     "lexicon.py <module>: _BLOCK_TOPICS = 64 -> _BLOCK_TOPICS = 65": "the block size only "
         "bounds how many topic texts one count joins",
+    "synthetic.py _finish: rng.random() < 0.2 -> rng.random() <= 0.2": "random() returns "
+        "a multiple of 2**-53, and the float 0.2 is an odd multiple of 2**-54",
 }
 
 _SWAP = {

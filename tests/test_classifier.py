@@ -89,6 +89,18 @@ def test_train_refuses_a_setting_without_a_usable_model(setting, message):
         train([lv({1: 1}, 1), lv({2: 1}, -1)], TrainConfig(**setting))
 
 
+@pytest.mark.parametrize("data, name", [
+    ([lv({1: 1e300}, 1), lv({2: 1e300}, -1)], "vector 1"),
+    ([lv({3: 1}, -1), lv({1: 1e154, 2: 1e154}, 1)], "vector 2")],
+    ids=["square-overflows", "sum-of-squares-overflows"])
+def test_train_refuses_a_vector_whose_squared_norm_overflows(data, name):
+    """Unscaled, such a vector once gave an all-zero model or an OverflowError;
+    scaled, every value is within 1 and the fit goes ahead."""
+    with pytest.raises(ArasentError, match=f"^{name}: its squared norm overflows a float; "):
+        train(data)
+    assert train(data, TrainConfig(scale=True)).passes >= 1
+
+
 def test_train_recovers_hidden_separator():
     w_star, data = hidden_separator_data(200, seed=1)
     model = train(data)

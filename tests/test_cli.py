@@ -433,6 +433,28 @@ def test_expand_refuses_a_written_file_that_names_another_file_of_the_run(
     assert {f: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()} == before
 
 
+@pytest.mark.parametrize("out, pending, message", [
+    ("nodir/grown.tsv", "p.tsv", "the grown lexicon nodir/grown.tsv has no directory nodir"),
+    ("grown.tsv", "nodir/p.tsv", "the pending file nodir/p.tsv has no directory nodir"),
+    ("afile/grown.tsv", None, "the grown lexicon afile/grown.tsv has no directory afile"),
+    ("adir", None, "the grown lexicon adir is a directory"),
+    ("grown.tsv", "adir", "the pending file adir is a directory")],
+    ids=["out", "pending", "out-under-a-file", "out-is-a-directory", "pending-is-a-directory"])
+def test_expand_checks_the_directory_of_every_file_it_writes_before_it_reads(
+        tmp_path, oov_run, capsys, monkeypatch, out, pending, message):
+    """A written file whose directory is missing, or that is a directory, is
+    a data error before any input is read: exit 2, one error line naming
+    the directory, and no file written or appended."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    before = {f: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()}
+    argv = oov_run + ["--out", out] + (["--pending", pending] if pending else [])
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert {f: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()} == before
+
+
 @pytest.mark.parametrize("flag, name, text", [
     ("--provider", "synsets.tsv", data_path("synsets.tsv").read_bytes()),
     ("--stopwords", "stopwords.txt", data_path("stopwords.txt").read_bytes()),
@@ -657,6 +679,17 @@ def test_negative_seed_is_a_data_error(tmp_path, corpus_path, capsys, how):
         assert not model.exists()
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_seed_zero_trains(tmp_path, capsys, how):
+    features, model = tmp_path / "f.svml", tmp_path / "m.txt"
+    features.write_text("+1 1:1\n-1 2:1\n", encoding="utf-8")
+    config = tmp_path / "run.conf"
+    config.write_text("seed = 0\n", encoding="utf-8")
+    setting = ["--seed", "0"] if how == "flag" else ["--config", str(config)]
+    assert run(["train", "--features", str(features), "--model", str(model), *setting]) == 0
+    assert load_model(model).config.seed == 0
+
+
 @pytest.mark.parametrize("flag", ["--negation-window", "--intensifier-window"])
 def test_negative_window_is_a_data_error(corpus_path, capsys, flag):
     assert run(["score", "--corpus", corpus_path, flag, "-1"]) == 2
@@ -689,6 +722,36 @@ def test_config_file_may_name_settings_of_other_subcommands(tmp_path, corpus_pat
     assert load_model(model).config.epochs == 3
     assert run(["score", "--corpus", corpus_path, "--config", str(config)]) == 2
     assert "lexicon file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["nodir/x.svm", "adir", "", "."],
+                         ids=["missing-directory", "directory", "empty", "working-directory"])
+def test_a_written_file_that_cannot_be_made_is_named_as_given(tmp_path, corpus_path, capsys,
+                                                              monkeypatch, out):
+    """An error about the file names it as given, never its temporary file,
+    and leaves no file behind; an empty name or "." once ended in a
+    traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    assert run(["extract", "--corpus", corpus_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: \[Errno \d+\] [^\n]*: '{re.escape(out)}'\n", err), err
+    assert ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir"]
+
+
+@pytest.mark.parametrize("text", ["+1 1:1e300\n-1 2:1e300\n", "+1 1:1e154 2:1e154\n-1 3:1\n"],
+                         ids=["square-overflows", "sum-of-squares-overflows"])
+def test_train_refuses_a_vector_whose_squared_norm_overflows_unless_scaled(tmp_path, capsys,
+                                                                           text):
+    features, model = tmp_path / "f.svml", tmp_path / "m.txt"
+    features.write_text(text, encoding="utf-8")
+    assert run(["train", "--features", str(features), "--model", str(model)]) == 2
+    assert capsys.readouterr().err == ("error: vector 1: its squared norm overflows a float; "
+                                       "scale=True (--scale) trains it\n")
+    assert not model.exists()
+    assert run(["train", "--features", str(features), "--model", str(model), "--scale"]) == 0
+    assert load_model(model).config.scale
 
 
 def test_train_takes_no_resource_flags(capsys):

@@ -304,6 +304,15 @@ def test_split_hands_the_remainder_to_train_then_dev_then_test():
     assert (len(train), len(dev), len(test)) == (4, 2, 1)
 
 
+def test_split_hands_out_a_remainder_of_three():
+    """Fractions inside validate's 1e-9 of summing to 1 floor 10 topics to
+    7/0/0; the remainder of 3 goes to train, then dev, then test."""
+    spec = SplitSpec(0.7999999999, 0.0999999999, 0.0999999999)
+    assert [int(10 * f) for f in spec[:3]] == [7, 0, 0]
+    train, dev, test = split_corpus(topics(10), spec)
+    assert (len(train), len(dev), len(test)) == (8, 1, 1)
+
+
 def test_split_refuses_a_zero_fraction():
     with pytest.raises(ArasentError, match="fractions must be positive"):
         split_corpus(topics(10), SplitSpec(0.9, 0.1, 0.0))

@@ -12,7 +12,7 @@ from arasent.errors import ParseError
 from arasent.evaluation import load_corpus, load_ratings
 from arasent.expansion import FixtureProvider, _load_pending_words
 from arasent.features import CueLists
-from arasent.fileio import read_data, read_lines, read_rows, read_terms
+from arasent.fileio import atomic_write, read_data, read_lines, read_rows, read_terms
 from arasent.lexicon import LEXICON_HEADER, load_idiom_lexicon, load_sentiment_lexicon
 from arasent.preprocess import load_stopwords, load_tag_table
 
@@ -165,3 +165,23 @@ def test_a_refusal_before_the_first_line_names_the_whole_file(tmp_path):
             assert list(lines) == []
             raise ValueError("refused")
     assert (str(err.value), err.value.line_no) == (f"{path}: refused", None)
+
+
+def test_atomic_write_names_a_missing_directory_by_the_path_it_was_given(tmp_path):
+    path = str(tmp_path / "nodir" / "x.svm")
+    with pytest.raises(FileNotFoundError) as err:
+        with atomic_write(path) as fh:
+            fh.write("x")
+    assert (err.value.filename, err.value.filename2) == (path, None)
+    assert ".tmp" not in str(err.value)
+
+
+def test_atomic_write_names_a_directory_it_cannot_replace_by_the_path_it_was_given(tmp_path):
+    path = tmp_path / "adir"
+    path.mkdir()
+    with pytest.raises(IsADirectoryError) as err:
+        with atomic_write(path) as fh:
+            fh.write("x")
+    assert (err.value.filename, err.value.filename2) == (str(path), None)
+    assert ".tmp" not in str(err.value)
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]  # no temporary file is left
