@@ -28,6 +28,9 @@ class Topic(NamedTuple):
 
 
 _GOLD_LABELS = {"PO": Polarity.PO, "NG": Polarity.NG}
+# the rows of the evaluate report that no genre names: all topics, and those
+# without a genre
+_TOTAL, _NO_GENRE = "Total", "unlabeled"
 
 
 def _topic(record, seen: set[str], escaped: bool = True) -> Topic:
@@ -54,6 +57,9 @@ def _topic(record, seen: set[str], escaped: bool = True) -> Topic:
             if key != "text" and ("\r" in value or "\n" in value or key == "id" and "\t" in value):
                 breaks = "a tab or a line break" if key == "id" else "a line break"
                 raise ValueError(f"{key} {value!r} holds {breaks}")
+    genre = record.get("genre")
+    if genre in (_TOTAL, _NO_GENRE):
+        raise ValueError(f"genre {genre!r} names a row the report writes itself")
     topic_id = record["id"]
     if topic_id in seen:
         raise ValueError(f"duplicate topic id {topic_id!r}")
@@ -66,12 +72,13 @@ def _topic(record, seen: set[str], escaped: bool = True) -> Topic:
             if raw == "NU":
                 raise ValueError("topic labels are PO or NG only")
             raise ValueError(f"label must be PO or NG, got {raw!r}")
-    return Topic(topic_id, record["text"], label, record.get("genre"))
+    return Topic(topic_id, record["text"], label, genre)
 
 
 def load_corpus(path) -> list[Topic]:
     """Read a JSON-lines corpus; topic ids must be unique and hold no tab, CR
-    or LF, and a genre holds no CR or LF."""
+    or LF, and a genre holds no CR or LF and is neither ``Total`` nor
+    ``unlabeled``, the rows that ``genre_report`` writes itself."""
     topics: list[Topic] = []
     seen: set[str] = set()
     with read_data(path) as lines:
@@ -93,7 +100,8 @@ def load_corpus(path) -> list[Topic]:
 def save_corpus(topics: Iterable[Topic], path) -> None:
     """Write a JSON-lines corpus that ``load_corpus`` reads back equal. A topic
     list it would refuse (a repeated id, an NU label, a lone surrogate, an id
-    or genre with a line break) is a ValueError, and no file is written."""
+    or genre with a line break, a reserved genre) is a ValueError, and no file
+    is written."""
     seen: set[str] = set()
     with atomic_write(path) as fh:
         for t in topics:
@@ -283,7 +291,7 @@ def genre_report(topics: Sequence[Topic],
             continue
         pair = (topic.label, pred)
         all_pairs.append(pair)
-        by_genre.setdefault(topic.genre or "unlabeled", []).append(pair)
+        by_genre.setdefault(topic.genre or _NO_GENRE, []).append(pair)
 
     def row(name: str, pairs: list[tuple[Polarity, Polarity]]) -> dict:
         c = ConfusionCounts.from_pairs(pairs)
@@ -293,7 +301,7 @@ def genre_report(topics: Sequence[Topic],
                 "precision": p, "recall": r, "f_measure": f}
 
     rows = [row(genre, pairs) for genre, pairs in by_genre.items()]
-    rows.append(row("Total", all_pairs))
+    rows.append(row(_TOTAL, all_pairs))
     return rows
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Protocol
 
 from .errors import ArasentError, ProviderError
-from .fileio import read_lines, read_rows
+from .fileio import read_rows
 from .lexicon import LexiconEntry, Polarity, SentimentLexicon, count_corpus_tokens
 from .preprocess import PosTag, normalize_word
 
@@ -140,14 +140,10 @@ def detect_orientation(syn: SynsetResult, lex: SentimentLexicon) -> OrientationD
 def _load_pending_words(path) -> set[str]:
     """The words of a pending file's rows, normalized; a row whose first
     column is not one word is a ParseError at its line."""
-    held = set()
     if not Path(path).exists():
-        return held
-    with read_lines(path) as lines:
-        for line in lines:
-            if line.strip():
-                held.add(normalize_word(line.partition("\t")[0], "pending word"))
-    return held
+        return set()
+    with read_rows(path) as rows:
+        return {normalize_word(parts[0], "pending word") for parts in rows}
 
 
 def _append_pending(pending, word: str) -> None:

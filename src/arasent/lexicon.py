@@ -16,7 +16,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .fileio import atomic_write, read_lines, read_rows, read_terms
+from .fileio import atomic_write, read_rows, read_terms
 from .preprocess import normalize_word, words
 
 LEXICON_HEADER = "word\tgloss\ttranslit\tpolarity\ttf"
@@ -125,15 +125,11 @@ def prevent_path(path) -> Path:
 def load_sentiment_lexicon(path) -> SentimentLexicon:
     """Load a five-column TSV lexicon plus its prevent-list sidecar."""
     lex = SentimentLexicon()
-    with read_lines(path) as lines:
-        rows = iter(lines)
-        if next(rows, "").rstrip("\n") != LEXICON_HEADER:
+    with read_rows(path) as reader:
+        rows = iter(reader)
+        if next(rows, None) != LEXICON_HEADER.split("\t"):
             raise ValueError("missing lexicon header line")
-        for line in rows:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
+        for parts in rows:
             if len(parts) != 5:
                 raise ValueError(f"expected 5 columns, got {len(parts)}")
             word, gloss, translit, pol, tf = parts

@@ -8,8 +8,9 @@ Each mutant changes one site of the module: a comparison flipped (``<`` and
 ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``is`` and ``is not``, ``in``
 and ``not in``), ``+`` and ``-`` or ``*`` and ``/`` swapped (in augmented
 assignments too), an integer constant raised by 1, or ``and`` and ``or``
-swapped. One mutant at a time is written into a copy of the package, and the
-module's test files (``MAPPED_TESTS``) run against the copy with ``-x``. A
+swapped. The package and ``tests/`` are copied side by side once per module,
+one mutant at a time is written into the package copy, and the copies of the
+module's test files (``MAPPED_TESTS``) run against it with ``-x``. A
 run that fails kills the mutant, and so does a run that takes 30 s more
 than five times the unmutated run, since a hang is a failure the suite
 shows too. A surviving mutant that ``EQUIVALENT`` does not list, with the
@@ -160,11 +161,17 @@ def _mutants(module: str):
         yield (key if seen[key] == 1 else f"{key} #{seen[key]}"), source
 
 
+def _test_paths(copy: Path, module: str) -> list[Path]:
+    """The copies in ``copy`` of the module's test files."""
+    return [(copy / "tests" / name).resolve() for name in MAPPED_TESTS[module]]
+
+
 def _run_tests(copy: Path, module: str, timeout: float) -> bool:
-    """True when the module's test files pass against the package in
-    ``copy``; a run past ``timeout`` seconds is killed and counts as failed."""
+    """True when the copies of the module's test files pass against the
+    package in ``copy``; a run past ``timeout`` seconds is killed and counts
+    as failed."""
     env = {**os.environ, "PYTHONPATH": str(copy), "PYTHONDONTWRITEBYTECODE": "1"}
-    tests = [str(ROOT / "tests" / name) for name in MAPPED_TESTS[module]]
+    tests = [str(path) for path in _test_paths(copy, module)]
     with tempfile.TemporaryDirectory() as cwd:  # hypothesis keeps its examples here
         proc = subprocess.Popen(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
@@ -182,8 +189,14 @@ def _run_tests(copy: Path, module: str, timeout: float) -> bool:
 def probe(module: str) -> tuple[list[str], int]:
     """The ids of the mutants of ``module`` that survive, and how many there were."""
     with tempfile.TemporaryDirectory() as tmp:
-        copy = Path(tmp)
-        shutil.copytree(PACKAGE, copy / "arasent", ignore=shutil.ignore_patterns("__pycache__"))
+        copy = Path(tmp).resolve()
+        # the tests and the code they judge come from one moment of the tree
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        shutil.copytree(PACKAGE, copy / "arasent", ignore=skip)
+        shutil.copytree(ROOT / "tests", copy / "tests", ignore=skip)
+        outside = [path for path in _test_paths(copy, module) if not path.is_relative_to(copy)]
+        if outside:
+            sys.exit(f"{module}: the test file {outside[0]} is not in the copy")
         found = subprocess.run(
             [sys.executable, "-c", "import arasent; print(arasent.__file__)"],
             env={**os.environ, "PYTHONPATH": str(copy)}, capture_output=True, text=True,

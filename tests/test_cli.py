@@ -124,6 +124,17 @@ def test_evaluate_counts_the_unlabeled_training_topics_it_skips(tmp_path, corpus
     assert capsys.readouterr().err == f"skipped {skipped} unlabeled training topics\n"
 
 
+@pytest.mark.parametrize("genre", ["Total", "unlabeled"])
+def test_evaluate_refuses_a_genre_that_names_a_row_of_its_own_report(tmp_path, genre, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "a", "text": "المكان رائع", "label": "PO", "genre": "tv"}\n'
+                      f'{{"id": "b", "text": "المكان رائع", "label": "PO", "genre": "{genre}"}}\n',
+                      encoding="utf-8")
+    assert run(["evaluate", "--corpus", str(corpus)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {corpus}:2: genre {genre!r} names a row the report writes itself\n")
+
+
 def test_evaluate_json_output(corpus_path, capsys):
     assert run(["evaluate", "--corpus", corpus_path, "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
@@ -533,6 +544,15 @@ def test_score_subcommand(tmp_path, capsys):
     assert lines[0].startswith("a\t+1\tPO")
     assert lines[1].startswith("b\t-1\tNG")
     assert "agreement with gold: 2/2" in captured.err
+
+
+def test_score_leaves_out_a_lexicon_row_led_by_a_hash(tmp_path, capsys):
+    lexicon, corpus = tmp_path / "lex.tsv", tmp_path / "corpus.jsonl"
+    lexicon.write_text("word\tgloss\ttranslit\tpolarity\ttf\n# رائع\tgreat\t\tPO\t0\n"
+                       "سيء\t\t\tNG\t0\n", encoding="utf-8")
+    corpus.write_text('{"id":"a","text":"المكان رائع"}\n', encoding="utf-8")
+    assert run(["score", "--lexicon", str(lexicon), "--corpus", str(corpus)]) == 0
+    assert capsys.readouterr().out == "a\t+0\tNU\n"
 
 
 def test_score_prints_the_agreement_with_gold_as_a_percentage(tmp_path, capsys):

@@ -380,6 +380,16 @@ def test_expand_dedupes_a_hand_edited_pending_row(provider, tags, tmp_path, row)
     assert pending.read_text(encoding="utf-8") == f"{row}\n\n"
 
 
+def test_expand_takes_a_pending_row_led_by_a_hash_for_a_comment(provider, tags, tmp_path):
+    pending = tmp_path / "review.tsv"
+    pending.write_text("# هايف\tPENDING\n", encoding="utf-8")
+    assert _load_pending_words(pending) == set()
+    _, report = expand_lexicon(walkthrough_corpus(), seed_lexicon(), provider,
+                               tags=tags, pending_path=pending)
+    assert report.oov_pending == ["هايف"]
+    assert pending.read_text(encoding="utf-8") == "# هايف\tPENDING\nهايف\tPENDING\n"
+
+
 @pytest.mark.parametrize("row, problem", [("!\tPENDING", "empty"),
                                           ("هايف جدا\tPENDING", "several words"),
                                           ("هايف.جدا", "several words")])

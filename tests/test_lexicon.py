@@ -89,6 +89,19 @@ def test_load_skips_a_blank_line_in_the_body(tmp_path):
     assert [(e.word, e.tf) for e in load_sentiment_lexicon(path)] == [("رائع", 3), ("ملل", 1)]
 
 
+def test_load_skips_a_row_led_by_a_hash(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_text(f"{LEXICON_HEADER}\n# رائع\tgreat\t\tPO\t0\n  #ملل\t\t\tNG\t1\n"
+                    "سيء\t\t\tNG\t0\n", encoding="utf-8")
+    assert [e.word for e in load_sentiment_lexicon(path)] == ["سيء"]
+
+
+def test_load_reads_a_header_after_a_blank_and_a_comment_line(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_text(f"\n# note\n{LEXICON_HEADER}\nرائع\t\t\tPO\t3\n", encoding="utf-8")
+    assert list(load_sentiment_lexicon(path)) == [LexiconEntry("رائع", PO, tf=3)]
+
+
 def test_load_rejects_duplicate_word(tmp_path):
     path = tmp_path / "lex.tsv"
     write_lexicon_file(path, [("رائع", "", "", "PO", 0), ("رائِع", "", "", "NG", 0)])
