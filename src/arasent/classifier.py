@@ -5,7 +5,8 @@ solves, exactly: dual coordinate descent for the L1-loss linear SVM
 (Hsieh et al., ICML 2008, the LIBLINEAR method), seeded and deterministic,
 stopping once the projected-gradient gap falls under ``TOL``. The bias
 rides along as a regularized constant feature. The sparse SVM-light file
-format is supported for interchange with the original external tool.
+format is supported for interchange with the original external tool. The
+schema comes from ``arasent.schema``: this module loads no text pipeline.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ArasentError, ParseError
-from .features import N_SLOTS, SCHEMA_VERSION
 from .fileio import atomic_write, read_data
+from .schema import N_SLOTS, SCHEMA_VERSION
 
 # The solver stops once max PG - min PG over a pass falls under this.
 TOL = 1e-3

@@ -17,18 +17,7 @@ from pathlib import Path
 
 from . import resources
 from .errors import ArasentError
-from .evaluation import (
-    SplitSpec,
-    cohen_kappa,
-    format_report,
-    genre_report,
-    load_corpus,
-    load_ratings,
-    split_corpus,
-)
 from .fileio import atomic_write, read_lines, read_terms
-from .lexicon import Polarity, load_sentiment_lexicon, prevent_path, save_sentiment_lexicon
-from .preprocess import load_stopwords, load_tag_table, normalize_text
 
 
 def _parse_bool(text: str) -> bool:
@@ -85,9 +74,6 @@ def _given(settings: dict, *keys: str) -> dict:
     return {key: settings[key] for key in keys if key in settings}
 
 
-_POLARITY = {1: Polarity.PO, -1: Polarity.NG}  # of each label classifier.predict returns
-
-
 class _Pipeline:
     """The Analyzer of the feature-based subcommands, built from every resource."""
 
@@ -98,6 +84,7 @@ class _Pipeline:
     def labeled_vectors(self, topics) -> list:
         """The labeled vectors of the labeled topics; the others are left out."""
         from . import classifier
+        from .lexicon import Polarity
 
         return [classifier.LabeledVector(self.analyzer.vector(t.text),
                                          1 if t.label is Polarity.PO else -1, t.id)
@@ -121,6 +108,8 @@ def _read_text(source: str) -> str:
 
 
 def _cmd_normalize(args) -> int:
+    from .preprocess import normalize_text
+
     print(normalize_text(_read_text(args.input)))
     return 0
 
@@ -145,7 +134,10 @@ def _shared_file(read: dict, written: dict) -> str | None:
 
 
 def _cmd_expand(args) -> int:
+    from .evaluation import load_corpus
     from .expansion import ANSWERS, FixtureProvider, SynsetResult, expand_lexicon
+    from .lexicon import load_sentiment_lexicon, prevent_path, save_sentiment_lexicon
+    from .preprocess import load_stopwords, load_tag_table
 
     settings = _resolve_config(args)
     where = {key: resources.locate(key, settings) for key in ("lexicon", "stopwords", "tagtable")}
@@ -206,6 +198,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_extract(args) -> int:
     from . import classifier
+    from .evaluation import load_corpus
 
     settings = _resolve_config(args)
     pipe = _Pipeline(settings)
@@ -241,12 +234,13 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     from . import classifier
+    from .evaluation import load_corpus
 
     settings = _resolve_config(args)
     pipe = _Pipeline(settings)
     model = classifier.load_model(args.model)
     corpus = load_corpus(args.corpus)
-    names = {label: polarity.value for label, polarity in _POLARITY.items()}
+    names = {1: "PO", -1: "NG"}  # of each label classifier.predict returns
     predicted = (classifier.predict(model, pipe.analyzer.vector(topic.text)) for topic in corpus)
     _write_rows((f"{topic.id}\t{names[label]}\t{margin:.6f}\n"
                  for topic, (label, margin) in zip(corpus, predicted)), args.out)
@@ -255,6 +249,8 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     from . import classifier
+    from .evaluation import SplitSpec, format_report, genre_report, load_corpus, split_corpus
+    from .lexicon import Polarity
 
     if args.grid and args.regularization is not None:
         print("error: --grid picks the regularization; drop --reg", file=sys.stderr)
@@ -280,9 +276,8 @@ def _cmd_evaluate(args) -> int:
         model = classifier.train(train_data, _train_config(settings))
     if args.model_out:
         classifier.save_model(model, args.model_out)
-    predictions = [_POLARITY[classifier.predict(model, pipe.analyzer.vector(topic.text))[0]]
-                   for topic in test_t]
-    rows = genre_report(test_t, predictions)
+    labels = (classifier.predict(model, pipe.analyzer.vector(topic.text))[0] for topic in test_t)
+    rows = genre_report(test_t, [Polarity.PO if label == 1 else Polarity.NG for label in labels])
     if args.json:
         import json
         print(json.dumps(rows, ensure_ascii=False, indent=2))
@@ -293,13 +288,15 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_kappa(args) -> int:
-    ratings = load_ratings(args.ratings)
-    value = cohen_kappa(ratings)
-    print(f"kappa: {value:.6f}")
+    from .evaluation import cohen_kappa, load_ratings
+
+    print(f"kappa: {cohen_kappa(load_ratings(args.ratings)):.6f}")
     return 0
 
 
 def _cmd_score(args) -> int:
+    from .evaluation import load_corpus
+
     settings = _resolve_config(args)
     pipe = _Pipeline(settings)
     corpus = load_corpus(args.corpus)

@@ -58,7 +58,7 @@ def _topic(record, seen: set[str], escaped: bool = True) -> Topic:
                 breaks = "a tab or a line break" if key == "id" else "a line break"
                 raise ValueError(f"{key} {value!r} holds {breaks}")
     genre = record.get("genre")
-    if genre in (_TOTAL, _NO_GENRE):
+    if genre in ("", _TOTAL, _NO_GENRE):  # genre_report would file "" under unlabeled
         raise ValueError(f"genre {genre!r} names a row the report writes itself")
     topic_id = record["id"]
     if topic_id in seen:
@@ -77,7 +77,7 @@ def _topic(record, seen: set[str], escaped: bool = True) -> Topic:
 
 def load_corpus(path) -> list[Topic]:
     """Read a JSON-lines corpus; topic ids must be unique and hold no tab, CR
-    or LF, and a genre holds no CR or LF and is neither ``Total`` nor
+    or LF, and a genre holds no CR or LF and is neither empty, ``Total`` nor
     ``unlabeled``, the rows that ``genre_report`` writes itself."""
     topics: list[Topic] = []
     seen: set[str] = set()
@@ -100,8 +100,8 @@ def load_corpus(path) -> list[Topic]:
 def save_corpus(topics: Iterable[Topic], path) -> None:
     """Write a JSON-lines corpus that ``load_corpus`` reads back equal. A topic
     list it would refuse (a repeated id, an NU label, a lone surrogate, an id
-    or genre with a line break, a reserved genre) is a ValueError, and no file
-    is written."""
+    or genre with a line break, an empty or reserved genre) is a ValueError,
+    and no file is written."""
     seen: set[str] = set()
     with atomic_write(path) as fh:
         for t in topics:

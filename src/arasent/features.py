@@ -4,7 +4,9 @@ cue detection, conflict phrases, and the rule-based net-score baseline.
 The feature schema is fixed at 17 slots; slot indices are frozen for the
 lifetime of any trained model. A feature vector is a plain tuple of the 17
 slot values as floats, slot ``s`` at index ``s - 1``; the SVM-light file
-holds only its nonzero slots.
+holds only its nonzero slots. ``N_SLOTS`` and ``SCHEMA_VERSION`` live in
+``arasent.schema``, which the model layer imports without this module;
+they are re-exported here.
 """
 
 from __future__ import annotations
@@ -13,16 +15,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ArasentError
 from .lexicon import IdiomLexicon, Polarity, SentimentLexicon
-from .preprocess import (
-    NG_MASK,
-    PO_MASK,
-    PosTag,
-    load_stopwords,
-    preprocess,
-)
-
-SCHEMA_VERSION = 1
-N_SLOTS = 17
+from .preprocess import NG_MASK, PO_MASK, PosTag, load_stopwords, preprocess
+from .schema import N_SLOTS, SCHEMA_VERSION  # re-exported
 
 HAS_PO_SENTI = 1
 HAS_NG_SENTI = 2
@@ -58,12 +52,7 @@ class CueLists(NamedTuple):
     def load(cls, negators, intensifiers, questions, wishful) -> "CueLists":
         """Each list in the stopword-list format: one term per line, ``#``
         comments."""
-        return cls(
-            negators=load_stopwords(negators),
-            intensifiers=load_stopwords(intensifiers),
-            question_terms=load_stopwords(questions),
-            wishful_terms=load_stopwords(wishful),
-        )
+        return cls(*map(load_stopwords, (negators, intensifiers, questions, wishful)))
 
 
 # The rules work on one sentence held as a list of words, the lexicon value

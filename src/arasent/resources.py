@@ -1,20 +1,18 @@
 """The resources a run reads (lexicons, cue lists, stopwords, tag table):
-which files they are, and how each one is loaded."""
+which files they are, and how each one is loaded. The loaders and the
+``Analyzer`` are imported where they run, not with the file table."""
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import ArasentError
-from .features import Analyzer, CueLists
-from .lexicon import (
-    IdiomLexicon,
-    SentimentLexicon,
-    load_idiom_lexicon,
-    load_sentiment_lexicon,
-)
-from .preprocess import PosTag, load_stopwords, load_tag_table
+
+if TYPE_CHECKING:
+    from .features import Analyzer, CueLists
+    from .lexicon import IdiomLexicon, SentimentLexicon
+    from .preprocess import PosTag
 
 # Resource key -> packaged file name. The keys are also the CLI flags and
 # the config-file keys that override a file.
@@ -51,15 +49,23 @@ class Resources(NamedTuple):
     @property
     def word_tags(self) -> dict[str, PosTag]:
         """The tag table, with the other words of ``lexicon`` tagged JJ."""
+        from .preprocess import PosTag
+
         return {**dict.fromkeys((e.word for e in self.lexicon), PosTag.JJ), **self.tags}
 
     def analyzer(self, **windows) -> Analyzer:
+        from .features import Analyzer
+
         return Analyzer(self.lexicon, self.idioms, self.cues, stopwords=self.stopwords,
                         tags=self.word_tags, **windows)
 
 
 def load(paths: Mapping[str, str | Path] = {}) -> Resources:
     """Every resource, each from ``paths[key]`` when given, else packaged."""
+    from .features import CueLists
+    from .lexicon import load_idiom_lexicon, load_sentiment_lexicon
+    from .preprocess import load_stopwords, load_tag_table
+
     where = {key: locate(key, paths) for key in FILES}
     return Resources(
         lexicon=load_sentiment_lexicon(where["lexicon"]),

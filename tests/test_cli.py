@@ -632,10 +632,37 @@ def test_cli_imports_only_the_standard_library():
 
 def test_cli_import_leaves_expansion_and_synthetic_unloaded():
     # only `expand` needs expansion, `score`, `normalize`, `kappa` and
-    # `expand` never need classifier, and no subcommand needs synthetic
+    # `expand` never need classifier, no subcommand needs synthetic, and each
+    # subcommand loads the corpus reader and the text pipeline itself
     assert _fresh_python(
         "import sys, arasent.cli; print(sorted({'arasent.expansion', 'arasent.synthetic', "
-        "'arasent.classifier'} & set(sys.modules)))") == "[]"
+        "'arasent.classifier', 'arasent.features', 'arasent.lexicon', 'arasent.preprocess', "
+        "'arasent.evaluation'} & set(sys.modules)))") == "[]"
+
+
+def test_classifier_import_loads_only_the_schema_of_the_feature_side():
+    # the model layer works on vectors: of the feature side it needs the
+    # schema's two constants, not the featurizer and its text pipeline
+    assert _fresh_python(
+        "import sys, arasent.classifier; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'arasent'))") == str(
+        ["arasent", "arasent.classifier", "arasent.errors", "arasent.fileio", "arasent.schema"])
+
+
+@pytest.mark.parametrize("command, unloaded", [
+    ("train", ["arasent.evaluation", "arasent.features", "arasent.lexicon",
+               "arasent.preprocess"]),
+    ("expand", ["arasent.classifier", "arasent.features"])])
+def test_a_run_loads_only_the_layers_it_runs(tmp_path, corpus_path, command, unloaded):
+    features = tmp_path / "f.svml"
+    features.write_text("+1 1:1\n-1 2:1\n", encoding="utf-8")
+    argv = {"train": ["train", "--features", str(features), "--model", str(tmp_path / "m.txt")],
+            "expand": ["expand", "--corpus", corpus_path, "--provider",
+                       str(data_path("synsets.tsv")), "--out", str(tmp_path / "grown.tsv")]}
+    last = _fresh_python(
+        f"import sys, arasent.cli; code = arasent.cli.run({argv[command]!r}); "
+        f"print(code, sorted(set({unloaded!r}) & set(sys.modules)))").splitlines()[-1]
+    assert last == "0 []"
 
 
 def test_no_arasent_module_loads_dataclasses_inspect_or_fractions():

@@ -59,9 +59,10 @@ def test_corpus_save_refuses_an_id_that_load_refuses(tmp_path, topic_id):
     (Topic("b", "\ud800"), "'text' is not valid utf-8 text"),
     (Topic("b", "y", PO, "Total"), "genre 'Total' names a row the report writes itself"),
     (Topic("b", "y", None, "unlabeled"),
-     "genre 'unlabeled' names a row the report writes itself")],
+     "genre 'unlabeled' names a row the report writes itself"),
+    (Topic("b", "y", PO, ""), "genre '' names a row the report writes itself")],
     ids=["repeated-id", "nu-label", "genre-line-break", "lone-surrogate", "total-genre",
-         "unlabeled-genre"])
+         "unlabeled-genre", "empty-genre"])
 def test_corpus_save_refuses_a_topic_that_load_refuses(tmp_path, bad, error):
     path = tmp_path / "corpus.jsonl"
     with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
@@ -76,21 +77,21 @@ _TEXT = st.text(st.characters(codec="utf-8") | st.sampled_from('\t\r\n\\"\u2028\
 def _loadable(topics) -> bool:
     """Whether a corpus file can hold ``topics`` so that load_corpus reads
     them back: ids unique and free of tabs and line breaks, labels PO or NG,
-    genres free of line breaks and not a row of the evaluate report, and no
-    lone surrogate anywhere."""
+    genres non-empty, free of line breaks and not a row of the evaluate report,
+    and no lone surrogate anywhere."""
     ids = [t.id for t in topics]
     strings = [s for t in topics for s in (t.id, t.text, t.genre or "")]
     return (len(set(ids)) == len(ids) and all(t.label is not Polarity.NU for t in topics)
             and not any(c in t.id for t in topics for c in "\t\r\n")
             and not any(c in (t.genre or "") for t in topics for c in "\r\n")
-            and not any(t.genre in ("Total", "unlabeled") for t in topics)
+            and not any(t.genre in ("", "Total", "unlabeled") for t in topics)
             and not any("\ud800" <= c <= "\udfff" for s in strings for c in s))
 
 
 @settings(max_examples=100)
 @given(st.lists(st.builds(Topic, st.sampled_from(["a", "b"]) | _TEXT, _TEXT,
                           st.sampled_from([None, PO, NG, Polarity.NU]),
-                          st.sampled_from([None, "Total", "unlabeled"]) | _TEXT),
+                          st.sampled_from([None, "", "Total", "unlabeled"]) | _TEXT),
                 max_size=4))
 def test_corpus_save_writes_exactly_what_load_reads_back(tmp_path_factory, topics):
     """Every topic list a corpus file can hold reads back equal; any other
@@ -233,11 +234,12 @@ def test_corpus_rejects_a_lone_surrogate(tmp_path, record, field):
 
 
 @pytest.mark.parametrize("genre, shown", [("Total", "Total"), ("unlabeled", "unlabeled"),
-                                          ("\\u0054otal", "Total")],
-                         ids=["total", "unlabeled", "escaped-total"])
+                                          ("\\u0054otal", "Total"), ("", "")],
+                         ids=["total", "unlabeled", "escaped-total", "empty"])
 def test_corpus_refuses_a_genre_that_names_a_report_row_at_its_line(tmp_path, genre, shown):
     """genre_report writes the Total and unlabeled rows itself: a genre of
-    either name would forge or merge one of them."""
+    either name would forge or merge one of them, and so would an empty one,
+    which it files under unlabeled."""
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"id": "a", "text": "x", "label": "PO", "genre": "tv"}\n'
                     f'{{"id": "b", "text": "y", "label": "PO", "genre": "{genre}"}}\n',
