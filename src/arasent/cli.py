@@ -84,10 +84,9 @@ class _Pipeline:
     def labeled_vectors(self, topics) -> list:
         """The labeled vectors of the labeled topics; the others are left out."""
         from . import classifier
-        from .lexicon import Polarity
+        from .schema import SIGN
 
-        return [classifier.LabeledVector(self.analyzer.vector(t.text),
-                                         1 if t.label is Polarity.PO else -1, t.id)
+        return [classifier.LabeledVector(self.analyzer.vector(t.text), SIGN[t.label], t.id)
                 for t in topics if t.label is not None]
 
 
@@ -235,12 +234,13 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     from . import classifier
     from .evaluation import load_corpus
+    from .schema import SIGN
 
     settings = _resolve_config(args)
     pipe = _Pipeline(settings)
     model = classifier.load_model(args.model)
     corpus = load_corpus(args.corpus)
-    names = {1: "PO", -1: "NG"}  # of each label classifier.predict returns
+    names = {sign: polarity.value for polarity, sign in SIGN.items()}  # of each predicted label
     predicted = (classifier.predict(model, pipe.analyzer.vector(topic.text)) for topic in corpus)
     _write_rows((f"{topic.id}\t{names[label]}\t{margin:.6f}\n"
                  for topic, (label, margin) in zip(corpus, predicted)), args.out)
@@ -250,7 +250,7 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     from . import classifier
     from .evaluation import SplitSpec, format_report, genre_report, load_corpus, split_corpus
-    from .lexicon import Polarity
+    from .schema import SIGN
 
     if args.grid and args.regularization is not None:
         print("error: --grid picks the regularization; drop --reg", file=sys.stderr)
@@ -277,7 +277,8 @@ def _cmd_evaluate(args) -> int:
     if args.model_out:
         classifier.save_model(model, args.model_out)
     labels = (classifier.predict(model, pipe.analyzer.vector(topic.text))[0] for topic in test_t)
-    rows = genre_report(test_t, [Polarity.PO if label == 1 else Polarity.NG for label in labels])
+    polarity_of = {sign: polarity for polarity, sign in SIGN.items()}
+    rows = genre_report(test_t, [polarity_of[label] for label in labels])
     if args.json:
         import json
         print(json.dumps(rows, ensure_ascii=False, indent=2))

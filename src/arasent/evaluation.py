@@ -4,7 +4,7 @@ Cohen's kappa inter-annotator agreement.
 Corpus files are UTF-8 JSON lines, one topic per line with fields ``id``,
 ``text`` and optional ``label`` (PO or NG) and ``genre``. With three or
 more raters, agreement is reported as the mean of all pairwise Cohen
-kappas.
+kappas. Its labels come from ``arasent.schema``, not the lexicon.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ArasentError
 from .fileio import atomic_write, read_data, read_rows
-from .lexicon import Polarity
+from .schema import Polarity
 
 
 class Topic(NamedTuple):

@@ -4,8 +4,8 @@ Candidates are the distinct adjective/noun/verb tokens not yet known to the
 lexicon. Each is looked up through a synset provider; synonyms vote with
 their lexicon polarity, antonyms vote flipped. A unanimous vote adopts the
 word immediately (so later candidates see it as evidence), a split vote is
-a conflict of synonyms and changes nothing, and an empty answer routes the
-word to human review or, non-interactively, to a pending file.
+a conflict of synonyms and changes nothing, and an answer with no vote
+routes the word to human review or, non-interactively, to a pending file.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Protocol
 
 from .errors import ArasentError, ProviderError
 from .fileio import read_rows
-from .lexicon import LexiconEntry, Polarity, SentimentLexicon, count_corpus_tokens
+from .lexicon import LexiconEntry, SentimentLexicon, count_corpus_tokens
 from .preprocess import PosTag, normalize_word
+from .schema import Polarity
 
 CANDIDATE_TAGS = frozenset({PosTag.JJ, PosTag.NN, PosTag.VB})
 
@@ -34,10 +35,6 @@ class SynsetResult(NamedTuple):
     translation: str | None = None
     synonyms: tuple[str, ...] = ()
     antonyms: tuple[str, ...] = ()
-
-    @property
-    def is_empty(self) -> bool:
-        return self.translation is None and not self.synonyms
 
 
 class SynsetProvider(Protocol):
@@ -115,11 +112,9 @@ def detect_orientation(syn: SynsetResult, lex: SentimentLexicon) -> OrientationD
     """Classify a candidate by its synonym/antonym votes.
 
     Synonyms vote with their lexicon polarity, antonyms vote flipped;
-    neutral or unknown words abstain. No translation and no synonyms is
-    out-of-vocabulary outright; so is an all-abstain vote.
+    neutral or unknown words abstain, and the translation never votes. An
+    answer with no vote, an empty one included, is out-of-vocabulary.
     """
-    if syn.is_empty:
-        return OrientationDecision(Outcome.OOV)
     evidence: list[tuple[str, Polarity]] = []
     for w in syn.synonyms:
         entry = lex.lookup(w)

@@ -14,9 +14,9 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ArasentError
-from .lexicon import IdiomLexicon, Polarity, SentimentLexicon
+from .lexicon import IdiomLexicon, SentimentLexicon
 from .preprocess import NG_MASK, PO_MASK, PosTag, load_stopwords, preprocess
-from .schema import N_SLOTS, SCHEMA_VERSION  # re-exported
+from .schema import N_SLOTS, SCHEMA_VERSION, SIGN, Polarity  # the first two re-exported
 
 HAS_PO_SENTI = 1
 HAS_NG_SENTI = 2
@@ -56,10 +56,10 @@ class CueLists(NamedTuple):
 
 
 # The rules work on one sentence held as a list of words, the lexicon value
-# of each (+1, -1, 0 for NU, None for unknown words and masks) and the
-# positions of the words with a nonzero value: only those can be shifted,
-# resolved or weighted.
-_SIGN = {Polarity.PO: 1, Polarity.NG: -1, Polarity.NU: 0}
+# of each (its ``SIGN``, None for unknown words and masks) and the positions
+# of the words with a nonzero value: only those can be shifted, resolved or
+# weighted.
+#
 # Tuples of members compare by identity first, so this test hashes no enum.
 _CONFLICT_PAIRS = ((PosTag.NN, PosTag.JJ), (PosTag.JJ, PosTag.NN))
 
@@ -144,7 +144,7 @@ class Analyzer:
                                    f"stopword {word!r}, so it can never match")
         self.tags = dict(tags)
         self.windows = (negation_window, intensifier_window)
-        self._values = {entry.word: _SIGN[entry.polarity] for entry in lex}
+        self._values = {entry.word: SIGN[entry.polarity] for entry in lex}
         self._idiom_starts = frozenset(entry.phrase[0] for entry in idioms)
         # a sentence that holds none of these words has nothing to mask, count
         # or shift: its shifted values are its lexicon values

@@ -5,35 +5,22 @@ Buckwalter transliteration, polarity, term frequency) stored as UTF-8 TSV
 with one header line. Words confirmed to carry no sentiment live in a
 prevent list persisted as a one-word-per-line sidecar next to the lexicon
 file. A loaded lexicon is treated as immutable by readers; growing
-operations copy first.
+operations copy first. ``Polarity`` is ``arasent.schema.Polarity``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from enum import Enum
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .fileio import atomic_write, read_rows, read_terms
 from .preprocess import normalize_word, words
+from .schema import Polarity
 
 LEXICON_HEADER = "word\tgloss\ttranslit\tpolarity\ttf"
 _BLOCK_TOPICS = 64  # topics whose texts one bulk word count joins
-
-
-class Polarity(Enum):
-    PO = "PO"
-    NG = "NG"
-    NU = "NU"
-
-    def flipped(self) -> "Polarity":
-        if self is Polarity.PO:
-            return Polarity.NG
-        if self is Polarity.NG:
-            return Polarity.PO
-        return Polarity.NU
 
 
 class LexiconEntry(NamedTuple):

@@ -48,7 +48,8 @@ MAPPED_TESTS = {
     "preprocess.py": ["test_preprocess.py"],
     "resources.py": ["test_preprocess.py", "test_lexicon.py", "test_analyzer.py",
                      "test_synthetic.py"],
-    "schema.py": ["test_classifier.py", "test_features.py"],
+    "schema.py": ["test_classifier.py", "test_features.py", "test_lexicon.py",
+                  "test_expansion.py"],
     "synthetic.py": ["test_synthetic.py"],
 }
 

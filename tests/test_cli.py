@@ -411,6 +411,23 @@ def oov_run(tmp_path):
             "--lexicon", str(tmp_path / "lexicon.tsv"), "--tagtable", str(tags)]
 
 
+def test_expand_adopts_a_word_whose_answer_holds_only_antonyms(tmp_path, capsys):
+    """No translation and no synonyms, but an antonym in the lexicon is a
+    vote: قبيح, the antonym of the PO word جميل, is adopted NG with its count
+    over the corpus, and no word waits in a pending file."""
+    provider, corpus = tmp_path / "synsets.tsv", tmp_path / "corpus.jsonl"
+    provider.write_text("قبيح\t\t\tجميل\n", encoding="utf-8")
+    save_corpus([Topic("a", "قبيح"), Topic("b", "جميل قبيح")], corpus)
+    out = tmp_path / "grown.tsv"
+    assert run(["expand", "--corpus", str(corpus), "--provider", str(provider),
+                "--lexicon", str(data_path("lexicon_seed.tsv")), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[:4] == [
+        "adopted: 1", "cos: 0", "oov_pending: 0", "oov_accepted: 0"]
+    from arasent.lexicon import LexiconEntry, load_sentiment_lexicon
+    assert load_sentiment_lexicon(out).lookup("قبيح") == LexiconEntry("قبيح", Polarity.NG, tf=2)
+    assert not (tmp_path / "grown.pending.tsv").exists()
+
+
 def test_expand_files_its_one_candidate_as_pending(tmp_path, oov_run, capsys):
     out = tmp_path / "grown.tsv"
     assert run(oov_run + ["--out", str(out)]) == 0
@@ -649,16 +666,29 @@ def test_classifier_import_loads_only_the_schema_of_the_feature_side():
         ["arasent", "arasent.classifier", "arasent.errors", "arasent.fileio", "arasent.schema"])
 
 
+def test_evaluation_import_loads_no_text_pipeline():
+    # the corpus reader and kappa need the labels, which live in the schema,
+    # not in the lexicon and its preprocessing
+    assert _fresh_python(
+        "import sys, arasent.evaluation; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'arasent'))") == str(
+        ["arasent", "arasent.errors", "arasent.evaluation", "arasent.fileio", "arasent.schema"])
+
+
 @pytest.mark.parametrize("command, unloaded", [
     ("train", ["arasent.evaluation", "arasent.features", "arasent.lexicon",
                "arasent.preprocess"]),
-    ("expand", ["arasent.classifier", "arasent.features"])])
+    ("expand", ["arasent.classifier", "arasent.features"]),
+    ("kappa", ["arasent.classifier", "arasent.features", "arasent.lexicon",
+               "arasent.preprocess"])])
 def test_a_run_loads_only_the_layers_it_runs(tmp_path, corpus_path, command, unloaded):
-    features = tmp_path / "f.svml"
+    features, ratings = tmp_path / "f.svml", tmp_path / "ratings.tsv"
     features.write_text("+1 1:1\n-1 2:1\n", encoding="utf-8")
+    ratings.write_text("PO\tPO\nNG\tNG\nPO\tNG\n", encoding="utf-8")
     argv = {"train": ["train", "--features", str(features), "--model", str(tmp_path / "m.txt")],
             "expand": ["expand", "--corpus", corpus_path, "--provider",
-                       str(data_path("synsets.tsv")), "--out", str(tmp_path / "grown.tsv")]}
+                       str(data_path("synsets.tsv")), "--out", str(tmp_path / "grown.tsv")],
+            "kappa": ["kappa", "--ratings", str(ratings)]}
     last = _fresh_python(
         f"import sys, arasent.cli; code = arasent.cli.run({argv[command]!r}); "
         f"print(code, sorted(set({unloaded!r}) & set(sys.modules)))").splitlines()[-1]

@@ -220,9 +220,11 @@ def test_never_adopt_neutral(lex):
 
 
 @given(st.lists(st.sampled_from(["فرحان", "سعيد", "عنيف", "قوي", "جميل"]), max_size=4),
-       st.lists(st.sampled_from(["فرحان", "سعيد", "عنيف", "قوي", "جميل"]), max_size=4))
-def test_antonym_flip_equivalence(syn_words, ant_words):
-    """An antonym votes exactly like a synonym of the flipped polarity."""
+       st.lists(st.sampled_from(["فرحان", "سعيد", "عنيف", "قوي", "جميل"]), max_size=4),
+       st.sampled_from([None, "x"]))
+def test_antonym_flip_equivalence(syn_words, ant_words, translation):
+    """An antonym votes exactly like a synonym of the flipped polarity, with
+    or without a translation: an answer of antonyms alone votes too."""
     lex = SentimentLexicon([
         LexiconEntry("فرحان", PO), LexiconEntry("سعيد", PO),
         LexiconEntry("عنيف", NG), LexiconEntry("قوي", PO),
@@ -232,10 +234,10 @@ def test_antonym_flip_equivalence(syn_words, ant_words):
     ])
     flip_map = {"فرحان": "حزين", "سعيد": "حزين", "عنيف": "مبسوط",
                 "قوي": "مرعب", "جميل": "حزين"}
-    as_given = SynsetResult("x", tuple(syn_words), tuple(ant_words))
+    as_given = SynsetResult(translation, tuple(syn_words), tuple(ant_words))
     # replace each antonym by a synonym with flipped polarity
     flipped_syns = tuple(syn_words) + tuple(flip_map[w] for w in ant_words)
-    as_synonyms = SynsetResult("x", flipped_syns, ())
+    as_synonyms = SynsetResult(translation, flipped_syns, ())
     d1 = detect_orientation(as_given, lex)
     d2 = detect_orientation(as_synonyms, lex)
     assert d1.outcome is d2.outcome
@@ -253,8 +255,8 @@ def test_fixture_provider_from_file(tmp_path):
     assert p.fetch("مسرور").translation == "Delighted"
     assert p.fetch("مسرور").synonyms == ("فرحان", "سعيد")
     assert p.fetch("قبيح").antonyms == ("جميل",)
-    assert p.fetch("هايف").is_empty
-    assert p.fetch("غيرموجود").is_empty
+    assert p.fetch("هايف") == SynsetResult()
+    assert p.fetch("غيرموجود") == SynsetResult()
 
 
 def test_fixture_provider_rejects_a_synonym_that_normalizes_to_nothing(tmp_path):

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from arasent import resources
+from arasent import lexicon, resources, schema
 from arasent.errors import ParseError
 from arasent.evaluation import Topic
 from arasent.lexicon import (
@@ -20,6 +20,7 @@ from arasent.lexicon import (
     save_sentiment_lexicon,
     update_term_frequencies,
 )
+from arasent.schema import SIGN
 
 PO, NG, NU = Polarity.PO, Polarity.NG, Polarity.NU
 
@@ -452,6 +453,14 @@ def test_polarity_flip():
     assert PO.flipped() is NG
     assert NG.flipped() is PO
     assert NU.flipped() is NU
+
+
+def test_the_lexicon_labels_are_the_schema_labels_and_flipping_one_negates_its_sign():
+    # one class under two names, so a label read from a lexicon is the label
+    # a gold topic carries; PO is the SVM's +1 class
+    assert lexicon.Polarity is schema.Polarity
+    assert [SIGN[p] for p in (PO, NG, NU)] == [1, -1, 0]
+    assert all(SIGN[p.flipped()] == -SIGN[p] for p in Polarity)
 
 
 @given(st.sampled_from(["كلام", "أخبار", "إعلان", "مبنى", "جـدار"]))
