@@ -117,11 +117,30 @@ def _cmd_normalize(args) -> int:
 _IN_PLACE = {("the grown lexicon", "the lexicon"),
              ("the grown lexicon's .prevent sidecar", "the lexicon's .prevent sidecar")}
 
+# The role of each resource file, as an overlap error names it.
+_ROLES = {"lexicon": "the lexicon", "idioms": "the idiom lexicon",
+          "stopwords": "the stopword list", "tagtable": "the tag table",
+          "negators": "the negator list", "intensifiers": "the intensifier list",
+          "questions": "the question term list", "wishful": "the wishful term list"}
+
+
+def _inputs(args, settings: dict, keys=resources.FILES) -> dict:
+    """Role -> path of the files a run reads whatever its other inputs: the
+    config file, the resource files ``keys`` and, with the lexicon, its
+    .prevent sidecar."""
+    files = {"the config file": args.config}
+    files.update((_ROLES[key], resources.locate(key, settings)) for key in keys)
+    if "lexicon" in keys:
+        from .lexicon import prevent_path
+
+        files["the lexicon's .prevent sidecar"] = prevent_path(files["the lexicon"])
+    return files
+
 
 def _shared_file(read: dict, written: dict) -> str | None:
-    """Why a file that ``expand`` writes is another file of the run, or None
-    if none is; ``read`` and ``written`` map each file's role to its path,
-    or to None where the run has no such file."""
+    """Why a file that a run writes is another file of the run, or None if
+    none is; ``read`` and ``written`` map each file's role to its path, or
+    to None where the run has no such file."""
     seen: dict = {}
     for role, path in (*read.items(), *written.items()):
         if path is None:
@@ -132,6 +151,11 @@ def _shared_file(read: dict, written: dict) -> str | None:
     return None
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
 def _cmd_expand(args) -> int:
     from .evaluation import load_corpus
     from .expansion import ANSWERS, FixtureProvider, SynsetResult, expand_lexicon
@@ -139,20 +163,15 @@ def _cmd_expand(args) -> int:
     from .preprocess import load_stopwords, load_tag_table
 
     settings = _resolve_config(args)
-    where = {key: resources.locate(key, settings) for key in ("lexicon", "stopwords", "tagtable")}
+    read = _inputs(args, settings, ("lexicon", "stopwords", "tagtable"))
     out_path = Path(args.out)
     pending = Path(args.pending) if args.pending else out_path.with_suffix(".pending.tsv")
     written = {"the grown lexicon": out_path,
                "the grown lexicon's .prevent sidecar": prevent_path(out_path),
                "the pending file": pending}
-    shared = _shared_file(
-        {"the config file": args.config, "the corpus": args.corpus,
-         "the synset fixture": args.provider, "the stopword list": where["stopwords"],
-         "the tag table": where["tagtable"], "the lexicon": where["lexicon"],
-         "the lexicon's .prevent sidecar": prevent_path(where["lexicon"])}, written)
-    if shared:
-        print(f"error: {shared}", file=sys.stderr)
-        return 1
+    if shared := _shared_file({**read, "the corpus": args.corpus,
+                               "the synset fixture": args.provider}, written):
+        return _usage_error(shared)
     for role, path in written.items():
         if not path.parent.is_dir():
             print(f"error: {role} {path} has no directory {path.parent}", file=sys.stderr)
@@ -160,9 +179,9 @@ def _cmd_expand(args) -> int:
         if path.is_dir():
             print(f"error: {role} {path} is a directory", file=sys.stderr)
             return 2
-    lexicon = load_sentiment_lexicon(where["lexicon"])
-    stopwords = load_stopwords(where["stopwords"])
-    tags = load_tag_table(where["tagtable"])
+    lexicon = load_sentiment_lexicon(read["the lexicon"])
+    stopwords = load_stopwords(read["the stopword list"])
+    tags = load_tag_table(read["the tag table"])
     corpus = load_corpus(args.corpus)
     provider = FixtureProvider.from_file(args.provider)
 
@@ -174,6 +193,8 @@ def _cmd_expand(args) -> int:
                 print(f"  translation: {syn.translation}")
             if syn.synonyms:
                 print(f"  synonyms: {', '.join(syn.synonyms)}")
+            if syn.antonyms:
+                print(f"  antonyms: {', '.join(syn.antonyms)}")
             while True:
                 try:
                     answer = input("  polarity? [p]ositive / [n]egative / [r]eject / [s]kip: ")
@@ -200,6 +221,9 @@ def _cmd_extract(args) -> int:
     from .evaluation import load_corpus
 
     settings = _resolve_config(args)
+    if shared := _shared_file({**_inputs(args, settings), "the corpus": args.corpus},
+                              {"the feature file": args.out}):
+        return _usage_error(shared)
     pipe = _Pipeline(settings)
     corpus = load_corpus(args.corpus)
     data = pipe.labeled_vectors(corpus)
@@ -220,6 +244,9 @@ def _cmd_train(args) -> int:
     from . import classifier
 
     settings = _resolve_config(args)
+    if shared := _shared_file({**_inputs(args, settings, ()), "the feature file": args.features},
+                              {"the model file": args.model}):
+        return _usage_error(shared)
     data = classifier.read_svmlight(args.features)
     model = classifier.train(data, _train_config(settings))
     classifier.save_model(model, args.model)
@@ -237,6 +264,9 @@ def _cmd_predict(args) -> int:
     from .schema import SIGN
 
     settings = _resolve_config(args)
+    if shared := _shared_file({**_inputs(args, settings), "the model file": args.model,
+                               "the corpus": args.corpus}, {"the prediction file": args.out}):
+        return _usage_error(shared)
     pipe = _Pipeline(settings)
     model = classifier.load_model(args.model)
     corpus = load_corpus(args.corpus)
@@ -253,9 +283,11 @@ def _cmd_evaluate(args) -> int:
     from .schema import SIGN
 
     if args.grid and args.regularization is not None:
-        print("error: --grid picks the regularization; drop --reg", file=sys.stderr)
-        return 1
+        return _usage_error("--grid picks the regularization; drop --reg")
     settings = _resolve_config(args)
+    if shared := _shared_file({**_inputs(args, settings), "the corpus": args.corpus},
+                              {"the model file": args.model_out}):
+        return _usage_error(shared)
     if args.grid and "regularization" in settings:  # --reg is refused, so from the file
         print(f"note: --grid picks the regularization; the one in {args.config} is not used",
               file=sys.stderr)

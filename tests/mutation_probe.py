@@ -89,9 +89,6 @@ EQUIVALENT = {
     "shifted[k + 1]": "a quotient of two nonzero values has the sign of their product",
     "features.py Analyzer.__init__: entry.phrase[0] -> entry.phrase[1]": "an idiom has at "
         "least two words, so a sentence holding one still passes the gate",
-    "features.py Analyzer._walk: cued and (not idiom_starts.isdisjoint(words)) -> cued or "
-    "not idiom_starts.isdisjoint(words)": "the idiom starts are cue words, and masking a "
-        "sentence with no idiom start changes nothing",
     "features.py Analyzer._walk: len(hits) > 1 -> len(hits) >= 1": "one hit has no "
         "neighbour to conflict with",
     "fileio.py atomic_write: os.urandom(4) -> os.urandom(5)": "only the temporary file's "

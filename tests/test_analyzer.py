@@ -69,10 +69,11 @@ def _cue_free(text):
     return all(CUE_WORDS.isdisjoint(words) for words in preprocess(text))
 
 
-# The walk skips the cue block of a sentence that holds no cue word or idiom
-# start. Beside topics of short, mixed sentences, these arms make long
-# sentences on either side of that gate, and sentences that only stopwords
-# fill, which stopword removal leaves empty.
+# Every sentence takes the one path through the walk. Beside topics of
+# short, mixed sentences, these arms make long sentences that hold cue words
+# or idioms, long ones that hold none, whose words the cue tests leave at
+# their lexicon values, and sentences that only stopwords fill, which
+# stopword removal leaves empty.
 CUED = st.one_of(st.sampled_from(sorted(CUE_WORDS) + [" ".join(i.phrase) for i in IDIOMS]),
                  WORDS)
 CUE_FREE = st.one_of(st.sampled_from([word for word in _pool() if _cue_free(word)]),

@@ -397,6 +397,20 @@ def test_expand_interactive_shows_the_translation_and_synonyms(tmp_path, capsys,
         "word: كلمةجديدة", "  translation: new word", "  synonyms: كلمةغريبة, كلمةثانية"]
 
 
+def test_expand_interactive_shows_the_antonyms(tmp_path, capsys, monkeypatch):
+    """An answer whose antonym the lexicon does not know casts no vote, so
+    the reviewer is asked, and sees the antonym as evidence."""
+    provider, corpus = tmp_path / "synsets.tsv", tmp_path / "corpus.jsonl"
+    provider.write_text("قبيح\tUgly\t\tكلمةغريبة\n", encoding="utf-8")
+    save_corpus([Topic("a", "قبيح")], corpus)
+    monkeypatch.setattr("builtins.input", lambda prompt="": "s")
+    assert run(["expand", "--corpus", str(corpus), "--provider", str(provider),
+                "--lexicon", str(data_path("lexicon_seed.tsv")),
+                "--out", str(tmp_path / "grown.tsv"), "--interactive"]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "word: قبيح", "  translation: Ugly", "  antonyms: كلمةغريبة"]
+
+
 @pytest.fixture
 def oov_run(tmp_path):
     """A copy of the packaged lexicon with its sidecar, and the arguments of
@@ -519,6 +533,47 @@ def test_expand_interactive_at_end_of_input_skips_to_pending(tmp_path, capsys, m
     assert "oov_pending: 1" in capsys.readouterr().out.splitlines()
     assert pending.read_text(encoding="utf-8") == "هايف\tPENDING\n"
     assert out.read_bytes() == lexicon.read_bytes()
+
+
+@pytest.mark.parametrize("argv, written, read", [
+    (["extract", "--corpus", "c.jsonl", "--out", "c.jsonl"], "the feature file", "the corpus"),
+    (["train", "--features", "f.svm", "--model", "f.svm"], "the model file", "the feature file"),
+    (["predict", "--model", "m.txt", "--corpus", "c.jsonl", "--out", "m.txt"],
+     "the prediction file", "the model file"),
+    (["evaluate", "--corpus", "c.jsonl", "--model-out", "c.jsonl"], "the model file",
+     "the corpus"),
+    (["train", "--features", "f.svm", "--config", "run.conf", "--model", "run.conf"],
+     "the model file", "the config file"),
+    (["predict", "--model", "m.txt", "--corpus", "c.jsonl", "--lexicon", "lexicon.tsv",
+      "--out", "lexicon.prevent"], "the prediction file", "the lexicon's .prevent sidecar"),
+    (["evaluate", "--corpus", "c.jsonl", "--idioms", "idioms.tsv", "--model-out",
+      "sub/../idioms.tsv"], "the model file", "the idiom lexicon")],
+    ids=["extract", "train", "predict", "evaluate", "train-config", "predict-sidecar",
+         "evaluate-idioms-by-another-name"])
+def test_a_writer_refuses_an_output_that_names_one_of_its_inputs(
+        tmp_path, capsys, monkeypatch, argv, written, read):
+    """Before it reads anything, a subcommand refuses to write over a file it
+    reads: exit 1, one error line naming both roles, every file as it was
+    and no temporary file left."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for name in ("lexicon.tsv", "lexicon.prevent", "idioms.tsv"):
+        (tmp_path / name).write_bytes(data_path(name).read_bytes())
+    save_corpus([Topic("a", "المكان رائع", Polarity.PO), Topic("b", "الخدمة سيئة", Polarity.NG)],
+                tmp_path / "c.jsonl")
+    (tmp_path / "run.conf").write_text("seed = 1\n", encoding="utf-8")
+    assert run(["extract", "--corpus", "c.jsonl", "--out", "f.svm"]) == 0
+    assert run(["train", "--features", "f.svm", "--model", "m.txt"]) == 0
+    capsys.readouterr()
+    before = {f: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()}
+    opened = []
+    real_open = open
+    monkeypatch.setattr("builtins.open", lambda file, *a, **k: opened.append(file)
+                        or real_open(file, *a, **k))
+    assert run(argv) == 1
+    assert opened == ["run.conf"] * ("--config" in argv)  # the settings, and nothing else
+    assert capsys.readouterr() == ("", f"error: {written} {argv[-1]} is also {read}\n")
+    assert {f: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()} == before
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
