@@ -2,11 +2,12 @@
 
 Training minimizes L2-regularized hinge loss, the problem SVM-light
 solves, exactly: dual coordinate descent for the L1-loss linear SVM
-(Hsieh et al., ICML 2008, the LIBLINEAR method), seeded and deterministic,
-stopping once the projected-gradient gap falls under ``TOL``. The bias
-rides along as a regularized constant feature. The sparse SVM-light file
-format is supported for interchange with the original external tool. The
-schema comes from ``arasent.schema``: this module loads no text pipeline.
+(Hsieh et al., ICML 2008, the LIBLINEAR method) with shrinking, seeded and
+deterministic, stopping once the projected-gradient gap of a pass over every
+row falls under ``TOL``. The bias rides along as a regularized constant
+feature. The sparse SVM-light file format is supported for interchange with
+the original external tool. The schema comes from ``arasent.schema``: this
+module loads no text pipeline.
 """
 
 from __future__ import annotations
@@ -79,12 +80,18 @@ def train(data: Sequence[LabeledVector],
           config: TrainConfig | None = None) -> Model:
     """Fit a linear SVM by dual coordinate descent with ``C = 1/(λn)``.
 
-    Each pass visits the rows in a seeded shuffled order and moves one dual
-    variable at a time to its box-clipped optimum. Training stops when the
-    projected-gradient gap of a pass falls under ``TOL`` or after
-    ``config.epochs`` passes; the model records both, and ``peak``, the
-    largest dual variable the fit reached. Deterministic: the same (data
-    order, seed, config) reproduces the model bit for bit.
+    Each pass visits the active rows in a seeded shuffled order and moves
+    one dual variable at a time to its box-clipped optimum. Shrinking
+    (LIBLINEAR's rule): a row at 0 whose gradient is above the last pass's
+    largest projected gradient, or at C with one below its smallest, leaves
+    the active rows. Once the active rows' projected-gradient gap falls under
+    ``TOL``, every row is re-opened, and training stops at a pass over every
+    row whose gap is under ``TOL``. ``config.epochs`` caps the work at
+    ``epochs * n`` row visits, what that many passes over every row make, so
+    the passes made may exceed it. The model records the passes, the last
+    pass's gap (inf when the cap stops the fit right after a re-open) and
+    ``peak``, the largest dual variable the fit reached. Deterministic: the
+    same (data order, seed, config) reproduces the model bit for bit.
     Refuses a regularization that is not positive and finite, fewer than one
     pass, data without both labels, and a vector whose squared norm overflows
     a float (scaled, every value is within 1).
@@ -119,26 +126,41 @@ def train(data: Sequence[LabeledVector],
     if math.inf in q:
         raise ArasentError(f"vector {q.index(math.inf) + 1}: its squared norm overflows a "
                            "float; scale=True (--scale) trains it")
-    w, alpha = [0.0] * (N_SLOTS + 1), [0.0] * len(rows)
-    order, rng = list(range(len(rows))), random.Random(config.seed)
-    passes, gap, peak = 0, math.inf, 0.0
+    n = len(rows)
+    w, alpha = [0.0] * (N_SLOTS + 1), [0.0] * n
+    index, k, rng = list(range(n)), n, random.Random(config.seed)  # index[:k] is active
+    budget, passes, gap, peak = config.epochs * n, 0, math.inf, 0.0  # budget: visits left
+    above, below = math.inf, -math.inf  # the shrink thresholds
     # The comparisons below pick what min/max would: each keeps its first
     # operand on a tie, as min/max do, and no value in the loop is ever -0.0
     # (g starts at -1.0 and alpha at 0.0, and a sum that cancels is +0.0).
     # So the fit is bit for bit the one written with min/max.
-    while passes < config.epochs and gap >= TOL:
+    while k <= budget:
         passes += 1
-        rng.shuffle(order)
+        budget -= k
+        active = index[:k]
+        rng.shuffle(active)
+        index[:k] = active
         hi, lo = -math.inf, math.inf
-        for i in order:
+        s = 0
+        while s < k:
+            i = index[s]
             row = rows[i]
             g = -1.0  # G = y_i (w . x_i) - 1; not sum(), which compensates on 3.12
             for j, x in row:
                 g += w[j] * x
             a = alpha[i]
             if a == 0.0:
+                if g > above:  # shrink: swap the row out, and visit the last active one
+                    k -= 1
+                    index[s], index[k] = index[k], i
+                    continue
                 pg = 0.0 if g > 0.0 else g  # the projected gradient
             elif a == c:
+                if g < below:
+                    k -= 1
+                    index[s], index[k] = index[k], i
+                    continue
                 pg = 0.0 if g < 0.0 else g
             else:
                 pg = g
@@ -158,7 +180,15 @@ def train(data: Sequence[LabeledVector],
                 d = b - a
                 for j, x in row:
                     w[j] += d * x
+            s += 1
         gap = hi - lo
+        if gap >= TOL:  # LIBLINEAR's thresholds: one not past 0 shrinks no row
+            above = hi if hi > 0.0 else math.inf
+            below = lo if lo < 0.0 else -math.inf
+        elif k == n:  # a pass over every row certifies the fit
+            break
+        else:  # the active rows are solved: re-open every row to check them all
+            k, above, below, gap = n, math.inf, -math.inf, math.inf
 
     # fold scaling back so predict takes raw vectors
     weights = tuple(v / f for v, f in zip(w[1:], factors[1:]))
@@ -203,13 +233,17 @@ def grid_search(train_data: Sequence[LabeledVector],
     candidate in iteration order, so the search is deterministic. A
     regularization is not fitted when its fit would provably take the last
     fit's path: that fit's dual variables stayed under both boxes, so its
-    clip at C never engaged and would not engage at the new C either. The
+    clip at C never engaged and would not engage at the new C either, and
+    shrinking read C only for a dual variable at C, which none reached. The
     model and dev accuracy would be the last fit's, which a tie never picks.
-    Refuses an empty ``regularizations`` before any fit.
+    Refuses an empty ``regularizations`` and an empty ``dev_data`` before any
+    fit.
     """
     regularizations = tuple(regularizations)
     if not regularizations:
         raise ArasentError("no regularizations to search")
+    if not dev_data:
+        raise ArasentError("no dev vectors: the dev split holds no labeled topic")
     n = len(train_data)
     best: tuple[TrainConfig, Model, float] | None = None
     fit: Model | None = None  # the last model fitted

@@ -355,7 +355,8 @@ def _add_config_flags(parser, files=resources.FILES, hyper=False):
         parser.add_argument("--seed", type=int, help="random seed (default 42)")
         parser.add_argument("--reg", dest="regularization", type=float,
                             help="L2 regularization strength (default 1e-2)")
-        parser.add_argument("--epochs", type=int, help="cap on solver passes (default 200)")
+        parser.add_argument("--epochs", type=int,
+                            help="cap on solver work in passes over all rows (default 200)")
         parser.add_argument("--scale", action="store_const", const=True,
                             help="per-slot max scaling during training")
 

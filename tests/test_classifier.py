@@ -1,10 +1,11 @@
+import functools
 import math
 import random
 from decimal import Decimal
 from itertools import permutations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import reference_classifier
 
@@ -165,14 +166,81 @@ def solver_inputs(draw):
     return data, config
 
 
+# Repeated rows: their gradients tie the last pass's largest or smallest
+# projected gradient, and a pass's largest or smallest can be exactly 0,
+# which few random draws reach. The solver takes LIBLINEAR's side of each tie.
+TIES = [lv(*row) for row in (
+    ({1: 2, 2: -1}, -1), ({1: 2, 2: -1}, -1), ({1: 1, 2: -1}, 1), ({1: -1, 2: -1}, -1),
+    ({1: 1}, -1), ({1: 1, 2: -1}, -1), ({1: 1, 2: 2}, 1), ({2: 1}, 1), ({1: 1, 2: -1}, -1),
+    ({2: 1}, 1), ({2: 1}, 1), ({1: 1, 2: -1}, -1))]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(solver_inputs())
+@example((TIES, TrainConfig(epochs=20, seed=39)))
 def test_train_computes_the_floats_of_the_reference_solver(inputs):
     data, config = inputs
     model = train(data, config)
     assert (model.weights, model.bias, model.passes, model.gap) == \
         reference_classifier.train(data, config)
+
+
+@functools.cache
+def full_pass_fit(n, seed, reg):
+    """The oracle set ``(n, seed)`` and the fit of the solver before shrinking,
+    which visits every row on every pass, as a model at ``reg``."""
+    _, data = hidden_separator_data(n, seed)
+    config = TrainConfig(regularization=reg)
+    weights, bias, passes, gap = reference_classifier.train_full_passes(data, config)
+    return data, Model(weights, bias, config, passes, gap)
+
+
+# the oracle sets whose default fit stopped at the 200-pass cap before shrinking
+DENSE_SETS = [(200, 1), (120, 5), (400, 3)]
+ORACLE_FITS = [(n, seed, reg) for n in (80, 120, 200, 400) for seed in range(1, 9)
+               for reg in (1e-3, 1e-2, 1e-1)]
+
+
+@pytest.mark.parametrize("n, seed", DENSE_SETS)
+def test_dense_sets_converge_within_the_default_budget(n, seed):
+    data, before = full_pass_fit(n, seed, TrainConfig().regularization)
+    model = train(data)
+    assert before.passes == 200 and before.gap >= TOL
+    assert model.gap < TOL and model.passes > model.config.epochs
+    assert objective(model, data) <= objective(before, data)
+
+
+def test_shrinking_optimizes_no_worse_where_full_passes_hit_the_cap():
+    capped = converged = 0
+    for n, seed, reg in ORACLE_FITS:
+        data, before = full_pass_fit(n, seed, reg)
+        if before.gap >= TOL:
+            capped += 1
+            model = train(data, before.config)
+            converged += model.gap < TOL
+            assert objective(model, data) <= objective(before, data), (n, seed, reg)
+    assert capped == 44 and converged >= 39
+
+
+def test_shrinking_reaches_the_full_pass_objective_where_both_converge():
+    differences = []
+    for n, seed, reg in ORACLE_FITS:
+        data, before = full_pass_fit(n, seed, reg)
+        model = train(data, before.config)
+        if before.gap < TOL and model.gap < TOL:
+            old = objective(before, data)
+            differences.append((objective(model, data) - old) / old)
+    assert len(differences) >= 40
+    assert max(map(abs, differences)) <= 0.01
+
+
+def test_the_epochs_cap_counts_row_visits_not_passes():
+    """Shrunk passes are cheaper, so the cap allows more of them, and the fit
+    may stop at the cap after more passes than ``epochs``."""
+    _, data = hidden_separator_data(200, seed=1)
+    model = train(data, TrainConfig(epochs=20))
+    assert model.gap >= TOL and model.passes > 20
 
 
 def test_one_pass_cap_returns_a_finite_model():
@@ -315,6 +383,17 @@ def test_grid_search_refuses_no_regularizations_before_any_fit(monkeypatch, regu
                         lambda data, config: fits.append(config) or train(data, config))
     with pytest.raises(ArasentError, match="^no regularizations to search$"):
         grid_search(data[:80], data[80:], regularizations)
+    assert fits == []
+
+
+def test_grid_search_refuses_no_dev_vectors_before_any_fit(monkeypatch):
+    _, data = hidden_separator_data(120, seed=10, margin=1.5)
+    fits = []
+    monkeypatch.setattr(classifier, "train",
+                        lambda data, config: fits.append(config) or train(data, config))
+    with pytest.raises(ArasentError,
+                       match="^no dev vectors: the dev split holds no labeled topic$"):
+        grid_search(data, [])
     assert fits == []
 
 

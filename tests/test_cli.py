@@ -9,13 +9,15 @@ from pathlib import Path
 import pytest
 
 import arasent
+import reference_classifier
 
 from arasent import resources
 from arasent.cli import run
-from arasent.classifier import load_model
+from arasent.classifier import LabeledVector, TrainConfig, load_model, read_svmlight
 from arasent.evaluation import SplitSpec, Topic, load_corpus, save_corpus, split_corpus
 from arasent.lexicon import Polarity
 from arasent.resources import data_path
+from arasent.schema import SIGN
 
 
 @pytest.fixture
@@ -173,12 +175,23 @@ def test_pipeline_composition_matches_evaluate(tmp_path, corpus_path, capsys):
     rows = json.loads(capsys.readouterr().out)
 
     # the svmlight interchange rounds values at 6 significant digits, so the
-    # two routes agree up to that rounding and exactly on predicted labels;
-    # even solved to a gap of 1e-12 the two optima differ by up to 9.83e-7
-    # absolute, hence abs=2e-6
-    m1, m2 = load_model(model), load_model(eval_model)
-    assert m1.weights == pytest.approx(m2.weights, rel=1e-5, abs=2e-6)
-    assert m1.bias == pytest.approx(m2.bias, rel=1e-5, abs=2e-6)
+    # two routes train on vectors that differ by that rounding. Solved to a
+    # gap of 1e-12 their optima differ by up to 9.83e-7 absolute, hence
+    # abs=2e-6. Each CLI model stops at the gap TOL, and shrinking visits the
+    # two routes' rows in orders of their own, so each model is bounded only
+    # against its own route's optimum (2.8e-4 from it; 6.3e-5 from the other).
+    analyzer = resources.load().analyzer()
+    direct = [LabeledVector(analyzer.vector(t.text), SIGN[t.label])
+              for t in train_topics if t.label is not None]
+    deep = TrainConfig(epochs=10**6)
+    optima = []
+    for data in (read_svmlight(features), direct):
+        weights, bias, _, gap = reference_classifier.train(data, deep, tol=1e-12)
+        assert gap < 1e-12
+        optima.append((*weights, bias))
+    assert optima[0] == pytest.approx(optima[1], rel=1e-5, abs=2e-6)
+    for fitted, optimum in zip(map(load_model, (model, eval_model)), optima):
+        assert (*fitted.weights, fitted.bias) == pytest.approx(optimum, abs=1e-3)
 
     preds2 = tmp_path / "pred-eval.tsv"
     assert run(["predict", "--model", str(eval_model), "--corpus", str(test_file),
@@ -226,6 +239,18 @@ def test_evaluate_grid_with_reg_is_a_usage_error(tmp_path, corpus_path, capsys):
     assert run(["evaluate", "--corpus", corpus_path, "--grid", "--reg", "0.5",
                 "--model-out", str(model)]) == 1
     assert capsys.readouterr().err == "error: --grid picks the regularization; drop --reg\n"
+    assert not model.exists()
+
+
+def test_evaluate_grid_names_a_dev_split_with_no_labeled_topic(tmp_path, corpus_path, capsys):
+    # four topics split 4/0/0: no dev topic is left to pick on
+    corpus = tmp_path / "four.jsonl"
+    corpus.write_text("".join(Path(corpus_path).read_text(encoding="utf-8")
+                              .splitlines(keepends=True)[:4]), encoding="utf-8")
+    model = tmp_path / "m.txt"
+    assert run(["evaluate", "--corpus", str(corpus), "--grid", "--model-out", str(model)]) == 2
+    assert capsys.readouterr().err == \
+        "error: no dev vectors: the dev split holds no labeled topic\n"
     assert not model.exists()
 
 
