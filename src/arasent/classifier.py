@@ -351,10 +351,10 @@ def read_svmlight(path) -> list[LabeledVector]:
                     raise ValueError(f"non-numeric pair {tok!r}") from None
                 if not math.isfinite(value):
                     raise ValueError(f"non-finite value {tok!r}")
+                if index < 1 or index > N_SLOTS:
+                    raise ValueError(f"feature index {index} outside schema 1..{N_SLOTS}")
                 if index <= last_index:
                     raise ValueError(f"indices must be strictly increasing at {tok!r}")
-                if index > N_SLOTS:
-                    raise ValueError(f"feature index {index} outside schema 1..{N_SLOTS}")
                 last_index = index
                 values[index - 1] = value
             out.append(LabeledVector(tuple(values), label, comment.strip()))

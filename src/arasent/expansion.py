@@ -204,7 +204,7 @@ def expand_lexicon(corpus, lex: SentimentLexicon, provider: SynsetProvider, *,
                 answer = ask(word, syn) if ask else "skip"
                 verdict = ANSWERS.get(answer.strip().lower())
                 if verdict is None:
-                    raise ArasentError(f"expected p, n or r, got {answer!r}")
+                    raise ArasentError(f"expected p, n, r or s, got {answer!r}")
                 if verdict == "skip":
                     report.oov_pending.append(word)
                     if pending_path and word not in already_pending:

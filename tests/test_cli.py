@@ -208,10 +208,17 @@ def test_pipeline_composition_matches_evaluate(tmp_path, corpus_path, capsys):
     assert hits / len(test_topics) == pytest.approx(rows[-1]["accuracy"])
 
 
-def test_evaluate_grid_search_path(corpus_path, capsys):
-    assert run(["evaluate", "--corpus", corpus_path, "--grid"]) == 0
+def test_evaluate_grid_search_path(tmp_path, corpus_path, capsys):
+    # the grid skips fits that would repeat the last one, so its model must
+    # still be the bytes a direct fit at its pick writes
+    grid, direct = tmp_path / "grid.txt", tmp_path / "direct.txt"
+    assert run(["evaluate", "--corpus", corpus_path, "--grid", "--model-out", str(grid)]) == 0
     out = capsys.readouterr().out
-    assert re.match(r"grid pick: reg=\S+ \(dev accuracy \S+%\)\n", out) and "Total" in out
+    pick = re.match(r"grid pick: reg=(\S+) \(dev accuracy \S+%\)\n", out)
+    assert pick and "Total" in out
+    assert run(["evaluate", "--corpus", corpus_path, "--reg", pick[1],
+                "--model-out", str(direct)]) == 0
+    assert grid.read_bytes() == direct.read_bytes()
 
 
 def test_evaluate_grid_prints_the_dev_accuracy_as_a_percentage(corpus_path, capsys,
@@ -552,12 +559,18 @@ def test_expand_interactive_at_end_of_input_skips_to_pending(tmp_path, capsys, m
 
     monkeypatch.setattr("builtins.input", no_input)
     out = tmp_path / "grown.tsv"
-    assert run(["expand", "--corpus", str(corpus), "--provider", str(data_path("synsets.tsv")),
-                "--lexicon", str(lexicon), "--out", str(out), "--pending", str(pending),
-                "--interactive"]) == 0
+    argv = ["expand", "--corpus", str(corpus), "--provider", str(data_path("synsets.tsv")),
+            "--lexicon", str(lexicon), "--out", str(out), "--pending", str(pending),
+            "--interactive"]
+    assert run(argv) == 0
     assert "oov_pending: 1" in capsys.readouterr().out.splitlines()
     assert pending.read_text(encoding="utf-8") == "هايف\tPENDING\n"
     assert out.read_bytes() == lexicon.read_bytes()
+    # a real stdin with nothing on it, not only a stand-in for input(), skips too
+    pending.unlink()
+    assert "oov_pending: 1" in _fresh_python(
+        f"import sys, arasent.cli; sys.exit(arasent.cli.run({argv!r}))").splitlines()
+    assert pending.read_text(encoding="utf-8") == "هايف\tPENDING\n"
 
 
 @pytest.mark.parametrize("argv, written, read", [
@@ -711,12 +724,13 @@ def test_train_on_non_finite_features_exits_2(tmp_path, capsys):
 
 
 def _fresh_python(code: str, *options: str) -> str:
-    """Standard output of ``code`` run in a new interpreter on this checkout."""
+    """Standard output of ``code`` run in a new interpreter, with nothing on
+    stdin, on the package this test imported."""
     src = str(Path(arasent.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, *options, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60, check=True)
+    done = subprocess.run([sys.executable, *options, "-c", code], stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
     return done.stdout.strip()
 
 

@@ -427,7 +427,7 @@ def test_expand_accept_adds_the_word_with_an_empty_gloss_and_its_corpus_tf(provi
 
 @pytest.mark.parametrize("answer", ["maybe", ""])
 def test_expand_refuses_an_answer_outside_answers(provider, tags, answer):
-    with pytest.raises(ArasentError, match=f"^expected p, n or r, got {answer!r}$"):
+    with pytest.raises(ArasentError, match=f"^expected p, n, r or s, got {answer!r}$"):
         expand_lexicon(walkthrough_corpus(), seed_lexicon(), provider, tags=tags,
                        ask=lambda word, syn: answer)
 
