@@ -5,8 +5,7 @@ The feature schema is fixed at 17 slots; slot indices are frozen for the
 lifetime of any trained model. A feature vector is a plain tuple of the 17
 slot values as floats, slot ``s`` at index ``s - 1``; the SVM-light file
 holds only its nonzero slots. ``N_SLOTS`` and ``SCHEMA_VERSION`` live in
-``arasent.schema``, which the model layer imports without this module;
-they are re-exported here.
+``arasent.schema``, which the model layer imports without this module.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .errors import ArasentError
 from .lexicon import IdiomLexicon, SentimentLexicon
 from .preprocess import NG_MASK, PO_MASK, PosTag, load_stopwords, preprocess
-from .schema import N_SLOTS, SCHEMA_VERSION, SIGN, Polarity  # the first two re-exported
+from .schema import SIGN, Polarity
 
 HAS_PO_SENTI = 1
 HAS_NG_SENTI = 2

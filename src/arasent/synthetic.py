@@ -1,11 +1,15 @@
-"""Deterministic synthetic corpus and fixture resources.
+"""Deterministic synthetic corpus over the packaged word lists.
 
-The generator builds short MSA/Egyptian-dialect topics whose gold labels
-are known by construction (plain, negated, intensified, idiom-bearing,
-conflict-bearing, question and supplication topics). The same word tables
-also produce the packaged lexicon, tag table, cue lists and synset fixture,
-so every shipped resource stays consistent. ``write_data_files`` regenerates
-the whole data directory byte for byte.
+The files under ``arasent/data`` are the one copy of the word lists: the
+seed and full lexicons, the tag table, the idioms, the stopword and cue
+lists and the synset fixture. This module reads them at import, through
+the package's own loaders, into the tables below, and builds from them
+short MSA/Egyptian-dialect topics whose gold labels are known by
+construction (plain, negated, intensified, idiom-bearing, conflict-bearing,
+question and supplication topics). ``write_data_files`` regenerates the
+corpus and the lexicons' ``tf`` columns from the generator and writes every
+other file back from the tables, so it reproduces the data directory byte
+for byte.
 """
 
 from __future__ import annotations
@@ -14,248 +18,67 @@ import random
 from itertools import cycle
 from pathlib import Path
 
+from .evaluation import Topic, save_corpus
+from .fileio import atomic_write, read_rows, read_terms
 from .lexicon import (
-    LexiconEntry,
-    Polarity,
-    SentimentLexicon,
+    load_idiom_lexicon,
+    load_sentiment_lexicon,
     save_sentiment_lexicon,
     update_term_frequencies,
 )
-from .evaluation import Topic, save_corpus
-from .fileio import atomic_write
+from .preprocess import load_tag_table
+from .resources import data_path
+from .schema import Polarity
 
 PO = Polarity.PO
 NG = Polarity.NG
 NU = Polarity.NU
 
-# (word, polarity, tag, gloss, buckwalter) -- words are already normalized
-VOCAB = [
-    # positive adjectives
-    ("رائع", PO, "JJ", "wonderful", ""),
-    ("رائعة", PO, "JJ", "wonderful", ""),
-    ("جميل", PO, "JJ", "beautiful", "jmyl"),
-    ("جميلة", PO, "JJ", "beautiful", ""),
-    ("ممتاز", PO, "JJ", "excellent", ""),
-    ("ممتازة", PO, "JJ", "excellent", ""),
-    ("لطيف", PO, "JJ", "nice", ""),
-    ("لطيفة", PO, "JJ", "nice", ""),
-    ("مريح", PO, "JJ", "comfortable", ""),
-    ("مريحة", PO, "JJ", "comfortable", ""),
-    ("نظيف", PO, "JJ", "clean", ""),
-    ("نظيفة", PO, "JJ", "clean", ""),
-    ("سريع", PO, "JJ", "fast", ""),
-    ("سريعة", PO, "JJ", "fast", ""),
-    ("طيب", PO, "JJ", "kind", ""),
-    ("مبهج", PO, "JJ", "cheerful", ""),
-    ("مبهجة", PO, "JJ", "cheerful", ""),
-    ("فاخر", PO, "JJ", "luxurious", ""),
-    ("ودود", PO, "JJ", "friendly", ""),
-    ("انيق", PO, "JJ", "elegant", ""),
-    ("حلو", PO, "JJ", "sweet", ""),
-    ("حلوة", PO, "JJ", "sweet", ""),
-    ("عظيم", PO, "JJ", "great", ""),
-    ("عظيمة", PO, "JJ", "great", ""),
-    ("مفيد", PO, "JJ", "useful", ""),
-    ("مفيدة", PO, "JJ", "useful", ""),
-    ("ممتع", PO, "JJ", "enjoyable", ""),
-    ("ممتعة", PO, "JJ", "enjoyable", ""),
-    ("محترم", PO, "JJ", "respectable", ""),
-    ("محترمة", PO, "JJ", "respectable", ""),
-    ("صادق", PO, "JJ", "honest", ""),
-    ("امين", PO, "JJ", "trustworthy", ""),
-    ("كريم", PO, "JJ", "generous", ""),
-    ("شجاع", PO, "JJ", "brave", ""),
-    ("ذكي", PO, "JJ", "smart", ""),
-    ("هايل", PO, "JJ", "", ""),   # dialect: terrific
-    ("هايلة", PO, "JJ", "", ""),
-    ("جامد", PO, "JJ", "", ""),   # dialect: awesome
-    ("جامدة", PO, "JJ", "", ""),
-    ("اخلاقي", PO, "JJ", "moral", ""),
-    # negative adjectives
-    ("سيء", NG, "JJ", "bad", ""),
-    ("سيئة", NG, "JJ", "bad", ""),
-    ("قذر", NG, "JJ", "dirty", ""),
-    ("قذرة", NG, "JJ", "dirty", ""),
-    ("بطيء", NG, "JJ", "slow", ""),
-    ("بطيئة", NG, "JJ", "slow", ""),
-    ("مزعج", NG, "JJ", "annoying", ""),
-    ("مزعجة", NG, "JJ", "annoying", ""),
-    ("مقرف", NG, "JJ", "disgusting", ""),
-    ("مقرفة", NG, "JJ", "disgusting", ""),
-    ("ممل", NG, "JJ", "boring", ""),
-    ("مملة", NG, "JJ", "boring", ""),
-    ("وسخ", NG, "JJ", "filthy", ""),
-    ("رديء", NG, "JJ", "lousy", ""),
-    ("رديئة", NG, "JJ", "lousy", ""),
-    ("كئيب", NG, "JJ", "gloomy", ""),
-    ("كئيبة", NG, "JJ", "gloomy", ""),
-    ("وقح", NG, "JJ", "rude", ""),
-    ("حزين", NG, "JJ", "sad", ""),
-    ("غالي", NG, "JJ", "overpriced", ""),
-    ("فاشل", NG, "JJ", "failing", ""),
-    ("فاشلة", NG, "JJ", "failing", ""),
-    ("غبي", NG, "JJ", "stupid", ""),
-    ("غبية", NG, "JJ", "stupid", ""),
-    ("بايظ", NG, "JJ", "", ""),   # dialect: broken
-    ("بايظة", NG, "JJ", "", ""),
-    ("مزيف", NG, "JJ", "fake", ""),
-    ("مزيفة", NG, "JJ", "fake", ""),
-    ("وهمية", NG, "JJ", "fake", ""),
-    ("مهين", NG, "JJ", "humiliating", ""),
-    ("مزري", NG, "JJ", "deplorable", ""),
-    ("بائس", NG, "JJ", "miserable", ""),
-    ("محبط", NG, "JJ", "frustrating", ""),
-    ("محبطة", NG, "JJ", "frustrating", ""),
-    ("مرعب", NG, "JJ", "terrifying", ""),
-    ("مرعبة", NG, "JJ", "terrifying", ""),
-    ("خايب", NG, "JJ", "", ""),   # dialect: disappointing
-    ("خايبة", NG, "JJ", "", ""),
-    ("وحش", NG, "JJ", "", ""),    # dialect: bad
-    ("وحشة", NG, "JJ", "", ""),
-    # positive nouns
-    ("نجاح", PO, "NN", "success", ""),
-    ("سعادة", PO, "NN", "happiness", ""),
-    ("راحة", PO, "NN", "comfort", ""),
-    ("امانة", PO, "NN", "honesty", ""),
-    ("جمال", PO, "NN", "beauty", ""),
-    ("كرم", PO, "NN", "generosity", ""),
-    ("خدمة", PO, "NN", "favor", ""),
-    ("حب", PO, "NN", "love", ""),
-    ("خير", PO, "NN", "goodness", ""),
-    ("متعة", PO, "NN", "pleasure", ""),
-    ("بهجة", PO, "NN", "delight", ""),
-    ("فرحة", PO, "NN", "joy", ""),
-    ("نظافة", PO, "NN", "cleanliness", ""),
-    ("سرعة", PO, "NN", "speed", ""),
-    ("ذوق", PO, "NN", "good taste", ""),
-    ("احترام", PO, "NN", "respect", ""),
-    ("اتقان", PO, "NN", "mastery", ""),
-    ("ابداع", PO, "NN", "creativity", ""),
-    ("روعة", PO, "NN", "magnificence", ""),
-    ("تحفة", PO, "NN", "", ""),   # dialect: masterpiece
-    # negative nouns
-    ("فشل", NG, "NN", "failure", ""),
-    ("ملل", NG, "NN", "boredom", ""),
-    ("ضجيج", NG, "NN", "noise", ""),
-    ("فساد", NG, "NN", "corruption", ""),
-    ("خيانة", NG, "NN", "betrayal", ""),
-    ("اهمال", NG, "NN", "negligence", ""),
-    ("زحمة", NG, "NN", "crowding", ""),
-    ("غش", NG, "NN", "cheating", ""),
-    ("قرف", NG, "NN", "disgust", ""),
-    ("وساخة", NG, "NN", "filth", ""),
-    ("تاخير", NG, "NN", "delay", ""),
-    ("غلاء", NG, "NN", "high prices", ""),
-    ("احتيال", NG, "NN", "fraud", ""),
-    ("نصب", NG, "NN", "swindling", ""),
-    ("خداع", NG, "NN", "deception", ""),
-    ("كذب", NG, "NN", "lying", ""),
-    ("بهدلة", NG, "NN", "", ""),  # dialect: shambles
-    ("وجع", NG, "NN", "pain", ""),
-    ("مصيبة", NG, "NN", "calamity", ""),
-    ("كارثة", NG, "NN", "disaster", ""),
-    ("عك", NG, "NN", "", ""),     # dialect: mess
-    # positive verbs
-    ("احب", PO, "VB", "to love", ""),
-    ("اعجب", PO, "VB", "to admire", ""),
-    ("استمتع", PO, "VB", "to enjoy", ""),
-    ("انصح", PO, "VB", "to recommend", ""),
-    ("عجبني", PO, "VB", "", ""),
-    ("بهرني", PO, "VB", "", ""),
-    ("اسعدني", PO, "VB", "", ""),
-    ("ريحني", PO, "VB", "", ""),
-    # negative verbs
-    ("اكره", NG, "VB", "to hate", ""),
-    ("ازعج", NG, "VB", "to disturb", ""),
-    ("زهق", NG, "VB", "", ""),
-    ("ندمت", NG, "VB", "to regret", ""),
-    ("ضايقني", NG, "VB", "", ""),
-    ("عصبني", NG, "VB", "", ""),
-    ("خنقني", NG, "VB", "", ""),
-    ("كرهت", NG, "VB", "to hate", ""),
-    ("مللت", NG, "VB", "to get bored", ""),
-    ("زهقت", NG, "VB", "", ""),
-    # neutral words
-    ("عادي", NU, "JJ", "ordinary", ""),
-    ("متوسط", NU, "JJ", "average", ""),
-    ("معقول", NU, "JJ", "reasonable", ""),
-    ("محايد", NU, "JJ", "neutral", ""),
-    # synonym vocabulary backing the synset fixture entries
-    ("فرحان", PO, "JJ", "Pleased", "frHAn"),
-    ("سعيد", PO, "JJ", "Happy", "sEyd"),
-    ("مبتهج", PO, "JJ", "Glad", "mbthj"),
-    ("قوي", PO, "JJ", "strong", "qwy"),
-    ("حاد", PO, "JJ", "keen", "HAd"),
-    ("عنيف", NG, "JJ", "violent", "Enyf"),
-    ("تافه", NG, "JJ", "Fiddling", "tAfh"),
-    ("ابله", NG, "JJ", "Idiot", "Ablh"),
-    ("مستهتر", NG, "JJ", "Playboy", "msthtr"),
-]
+_SEED = load_sentiment_lexicon(data_path("lexicon_seed.tsv"))
+_FULL = load_sentiment_lexicon(data_path("lexicon.tsv"))
+_TAGS = {word: tag.value for word, tag in load_tag_table(data_path("tags.tsv")).items()}
 
-# Withheld from lexicon_seed.tsv; the synset fixture recovers each one from
-# unanimous seed-word synonyms.
-HELDOUT = [
-    ("مدهش", PO, "JJ", "amazing"),
-    ("ساحر", PO, "JJ", "charming"),
-    ("فخم", PO, "JJ", "plush"),
-    ("مذهل", PO, "JJ", "stunning"),
-    ("عبقري", PO, "JJ", "brilliant"),
-    ("بشع", NG, "JJ", "hideous"),
-    ("شنيع", NG, "JJ", "atrocious"),
-    ("مروع", NG, "JJ", "horrific"),
-    ("مقزز", NG, "JJ", "revolting"),
-    ("سخيف", NG, "JJ", "silly"),
-]
+# (word, polarity, tag, gloss, buckwalter) of each seed-lexicon word
+VOCAB = [(e.word, e.polarity, _TAGS[e.word], e.gloss, e.translit) for e in _SEED]
 
-# word -> (translation, synonyms, antonyms)
-SYNSETS = {
-    "مسرور": ("Delighted", ["فرحان", "سعيد", "مبتهج"], []),
-    "شديد": ("Intense", ["قوي", "عنيف", "حاد"], []),
-    "هايف": ("", [], []),
-    "قبيح": ("Ugly", [], ["جميل", "رائع"]),
-    "مدهش": ("amazing", ["رائع", "جميل", "ممتاز"], []),
-    "ساحر": ("charming", ["جميل", "لطيف", "رائع"], []),
-    "فخم": ("plush", ["فاخر", "انيق", "ممتاز"], []),
-    "مذهل": ("stunning", ["رائع", "مبهج", "ممتاز"], []),
-    "عبقري": ("brilliant", ["ممتاز", "رائع", "طيب"], []),
-    "بشع": ("hideous", ["قذر", "مقرف", "رديء"], []),
-    "شنيع": ("atrocious", ["رديء", "مزعج", "سيء"], []),
-    "مروع": ("horrific", ["مزعج", "كئيب", "سيء"], []),
-    "مقزز": ("revolting", ["مقرف", "قذر", "وسخ"], []),
-    "سخيف": ("silly", ["ممل", "رديء", "تافه"], []),
-}
-
-# (phrase, polarity, gloss)
-IDIOMS = [
-    ("تسليم القط مفتاح الكرار", NG, "give the thief the key of the safe"),
-    ("دموع التماسيح", NG, "crocodile tears"),
-    ("قلبه ابيض", PO, "he bears no grudge"),
-    ("قلبه اسود", NG, "he is spiteful"),
-    ("دمه خفيف", PO, "he is funny"),
-    ("دمه تقيل", NG, "he is tiresome"),
-    ("زي العسل", PO, "like honey"),
-    ("زي الفل", PO, "like jasmine, perfect"),
-    ("فوق الوصف", PO, "beyond description"),
-    ("تحت الصفر", NG, "below zero"),
-]
-
-STOPWORDS = [
-    "في", "من", "الي", "علي", "عن", "مع", "بين", "بعد", "قبل", "عند",
-    "لدي", "حتي", "اذا", "كما", "بعض", "كل", "اي", "هذا", "هذه", "ذلك",
-    "تلك", "التي", "الذي", "ان", "او", "ثم", "قد", "لقد", "كان", "كانت",
-    "يكون", "هو", "هي", "هم", "نحن", "انا", "انت", "لكن", "لان", "حيث",
-    "منذ", "هنا", "هناك",
-]
-
-NEGATORS = ["لا", "ليس", "ليست", "لست", "لن", "لم", "مش", "بلا", "مو"]
-INTENSIFIERS = ["جدا", "اوي", "بشدة", "خالص", "للغاية", "تماما", "كتير"]
-QUESTIONS = ["هل", "اين", "متي", "لماذا", "كيف", "ماذا", "ليه", "ازاي",
-             "فين", "امتي", "مين"]
-WISHFUL = ["يارب", "اتمني", "ليت", "ياريت", "عسي", "اللهم"]
+# (word, polarity, tag, gloss) of each word the seed lexicon withholds; the
+# synset fixture recovers each one from unanimous seed-word synonyms.
+HELDOUT = [(e.word, e.polarity, _TAGS[e.word], e.gloss) for e in _FULL if e.word not in _SEED]
 
 # words that carry the walkthrough but belong to no lexicon; they still need
 # tags to become expansion candidates
-EXTRA_TAGGED = {"مسرور": "JJ", "شديد": "JJ", "هايف": "JJ", "قبيح": "JJ"}
+EXTRA_TAGGED = {word: tag for word, tag in _TAGS.items() if word not in _FULL}
+
+# (phrase, polarity, gloss)
+IDIOMS = [(" ".join(e.phrase), e.polarity, e.gloss)
+          for e in load_idiom_lexicon(data_path("idioms.tsv"))]
+
+
+def _terms(name: str) -> list[str]:
+    """The words of the word-per-line file ``name``, as stored and in order."""
+    with read_terms(data_path(name)) as terms:
+        return list(terms)
+
+
+STOPWORDS = _terms("stopwords.txt")
+NEGATORS = _terms("negators.txt")
+INTENSIFIERS = _terms("intensifiers.txt")
+QUESTIONS = _terms("questions.txt")
+WISHFUL = _terms("wishful.txt")
+
+
+def _synsets() -> dict[str, tuple[str, list[str], list[str]]]:
+    """The synset fixture, each row's word lists split as stored."""
+    def split(field):
+        return field.split(",") if field else []
+
+    with read_rows(data_path("synsets.tsv")) as rows:
+        return {word: (translation, split(syns), split(ants))
+                for word, translation, syns, ants in rows}
+
+
+# word -> (translation, synonyms, antonyms)
+SYNSETS = _synsets()
 
 GENRES = ("tweet", "hotel", "product", "tv")
 
@@ -393,24 +216,16 @@ def sample_corpus(seed: int = 42) -> list[Topic]:
     return topics
 
 
-def full_vocab_lexicon(include_heldout: bool = True) -> SentimentLexicon:
-    entries = [LexiconEntry(w, p, gloss, translit)
-               for w, p, _, gloss, translit in VOCAB]
-    if include_heldout:
-        entries += [LexiconEntry(w, p, gloss) for w, p, _, gloss in HELDOUT]
-    return SentimentLexicon(entries)
-
-
 def write_data_files(directory) -> None:
-    """Regenerate every packaged resource file deterministically."""
+    """Write the data directory: the corpus and the lexicons' ``tf`` columns
+    regenerated, every other file as read."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     corpus = sample_corpus()
     save_corpus(corpus, directory / "corpus.jsonl")
 
-    for name, include_heldout in (("lexicon.tsv", True), ("lexicon_seed.tsv", False)):
-        lex = update_term_frequencies(full_vocab_lexicon(include_heldout), corpus)
-        save_sentiment_lexicon(lex, directory / name)
+    for name, lex in (("lexicon.tsv", _FULL), ("lexicon_seed.tsv", _SEED)):
+        save_sentiment_lexicon(update_term_frequencies(lex, corpus), directory / name)
 
     tags = [(word, tag) for word, _, tag, *_ in VOCAB + HELDOUT] + list(EXTRA_TAGGED.items())
     files = {

@@ -9,6 +9,9 @@ floats in the same order.
 ``train_full_passes`` is the solver as it was before shrinking: every pass
 visits every row, for at most ``epochs`` passes. It is the oracle that the
 shrinking solver must optimize at least as well as.
+
+``separator_points`` draws the oracle data sets that the solver tests and
+the acceptance suite train on.
 """
 
 from __future__ import annotations
@@ -18,7 +21,23 @@ import random
 from typing import Sequence
 
 from arasent.classifier import TOL, LabeledVector, TrainConfig
-from arasent.features import N_SLOTS
+from arasent.schema import N_SLOTS
+
+
+def separator_points(w_star, n, seed, margin=0.5) -> list[LabeledVector]:
+    """``n`` points on five random slots each, labeled by the oracle
+    separator ``w_star`` and kept ``margin`` clear of its boundary."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < n:
+        values = {slot: rng.uniform(-2, 2)
+                  for slot in rng.sample(range(1, N_SLOTS + 1), 5)}
+        score = sum(w_star[slot - 1] * v for slot, v in values.items())
+        if abs(score) < margin:
+            continue
+        vector = tuple(values.get(slot, 0.0) for slot in range(1, N_SLOTS + 1))
+        points.append(LabeledVector(vector, 1 if score > 0 else -1))
+    return points
 
 
 def _rows(data: Sequence[LabeledVector], config: TrainConfig):

@@ -8,6 +8,7 @@ import random
 import time
 
 import pytest
+from reference_classifier import separator_points
 
 from arasent import classifier, expansion, features, resources
 from arasent.classifier import LabeledVector
@@ -24,7 +25,6 @@ from arasent.features import (
     Analyzer,
     HAS_NG_PH,
     N_O_CONFLICT,
-    N_SLOTS,
     NG_W_POSITION,
     PO_W_POSITION,
     W_NG,
@@ -39,6 +39,7 @@ from arasent.lexicon import (
     save_sentiment_lexicon,
 )
 from arasent.preprocess import PosTag
+from arasent.schema import N_SLOTS
 
 PO, NG, NU = Polarity.PO, Polarity.NG, Polarity.NU
 
@@ -193,28 +194,14 @@ def test_criterion_06_idiom_masking(shipped):
     report(6, "proverb masks to one NG_Phrase with no word-level double count")
 
 
-def _separator_points(w_star, n, seed, margin=0.5):
-    rng = random.Random(seed)
-    points = []
-    while len(points) < n:
-        values = {slot: rng.uniform(-2, 2)
-                  for slot in rng.sample(range(1, N_SLOTS + 1), 5)}
-        score = sum(w_star[slot - 1] * v for slot, v in values.items())
-        if abs(score) < margin:
-            continue
-        vector = tuple(values.get(slot, 0.0) for slot in range(1, N_SLOTS + 1))
-        points.append(LabeledVector(vector, 1 if score > 0 else -1))
-    return points
-
-
 def test_criterion_07_classifier_sanity(tmp_path):
     start = time.perf_counter()
     rng = random.Random(70)
     w_star = [rng.uniform(-1, 1) for _ in range(N_SLOTS)]
-    train_data = _separator_points(w_star, 200, seed=71)
+    train_data = separator_points(w_star, 200, seed=71)
     model = classifier.train(train_data)
     assert classifier.accuracy(model, train_data) >= 0.99
-    fresh = _separator_points(w_star, 100, seed=72)
+    fresh = separator_points(w_star, 100, seed=72)
     assert classifier.accuracy(model, fresh) >= 0.95
 
     again = classifier.train(train_data)

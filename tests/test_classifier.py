@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import reference_classifier
+from reference_classifier import separator_points
 
 from arasent import classifier
 from arasent.classifier import (
@@ -26,7 +27,7 @@ from arasent.classifier import (
     write_svmlight,
 )
 from arasent.errors import ArasentError, ParseError
-from arasent.features import N_SLOTS
+from arasent.schema import N_SLOTS
 
 
 def vec(values):
@@ -36,20 +37,6 @@ def vec(values):
 
 def lv(values, label, comment=""):
     return LabeledVector(vec(values), label, comment)
-
-
-def separator_points(w_star, n, seed, margin=0.5):
-    """Points labeled by the oracle separator, kept clear of its boundary."""
-    rng = random.Random(seed)
-    data = []
-    while len(data) < n:
-        values = {slot: rng.uniform(-2, 2)
-                  for slot in rng.sample(range(1, N_SLOTS + 1), 5)}
-        score = sum(w_star[slot - 1] * val for slot, val in values.items())
-        if abs(score) < margin:
-            continue
-        data.append(lv(values, 1 if score > 0 else -1))
-    return data
 
 
 def hidden_separator_data(n, seed, margin=0.5):

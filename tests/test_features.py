@@ -18,7 +18,6 @@ from arasent.features import (
     N_O_NEGATION,
     N_O_QUESTION,
     N_O_WISHFUL,
-    N_SLOTS,
     NG_W_POSITION,
     NO_OF_WORDS,
     PO_W_POSITION,
@@ -34,6 +33,7 @@ from arasent.lexicon import (
     SentimentLexicon,
 )
 from arasent.preprocess import PosTag
+from arasent.schema import N_SLOTS
 
 PO, NG, NU = Polarity.PO, Polarity.NG, Polarity.NU
 

@@ -4,7 +4,14 @@ from collections import Counter
 
 from arasent import resources
 from arasent.evaluation import load_corpus
-from arasent.lexicon import Polarity, count_corpus_tokens, load_sentiment_lexicon
+from arasent.fileio import read_rows, read_terms
+from arasent.lexicon import (
+    LEXICON_HEADER,
+    Polarity,
+    count_corpus_tokens,
+    load_sentiment_lexicon,
+)
+from arasent.preprocess import normalize_word
 from arasent.synthetic import (
     CORPUS_NG,
     CORPUS_PO,
@@ -14,7 +21,7 @@ from arasent.synthetic import (
     NEGATORS,
     QUESTIONS,
     STOPWORDS,
-    VOCAB,
+    SYNSETS,
     WISHFUL,
     heldout_words,
     sample_corpus,
@@ -47,15 +54,38 @@ def test_sample_corpus_deterministic():
     assert sample_corpus(7) != sample_corpus(8)
 
 
+def _stored_keys():
+    """Shipped word file name -> the key of each of its rows as stored: the
+    term of a word list, else the first field (a word, or an idiom's phrase)
+    of a table row other than the lexicon header."""
+    keys = {}
+    for path in sorted(resources.data_path("corpus.jsonl").parent.iterdir()):
+        if path.suffix in (".txt", ".prevent"):
+            with read_terms(path) as terms:
+                keys[path.name] = list(terms)
+        elif path.suffix == ".tsv":
+            with read_rows(path) as rows:
+                keys[path.name] = [row[0] for row in rows if row != LEXICON_HEADER.split("\t")]
+    return keys
+
+
 def test_vocab_has_no_duplicates():
-    words = [w for w, *_ in VOCAB] + [w for w, *_ in HELDOUT]
-    assert len(words) == len(set(words))
+    """Each row of a shipped word file holds a word (or phrase) of its own."""
+    for name, keys in _stored_keys().items():
+        repeated = [key for key, n in Counter(keys).items() if n > 1]
+        assert not repeated, (name, repeated)
 
 
 def test_vocab_words_are_normalization_fixpoints():
-    from arasent.preprocess import normalize_text
-    for word, *_ in VOCAB + [(w, None) for w, *_ in HELDOUT]:
-        assert normalize_text(word) == word, word
+    """Every word of every shipped word file is stored normalized. The
+    stopword and cue lists and the synset fixture reach the generator and
+    its users as stored, not as the loaders fold them."""
+    stored = [(name, word) for name, keys in _stored_keys().items()
+              for key in keys for word in key.split(" ")]
+    stored += [("synsets.tsv", word)
+               for _, syns, ants in SYNSETS.values() for word in syns + ants]
+    for name, word in stored:
+        assert normalize_word(word) == word, (name, word)
 
 
 def test_corpus_pools_live_in_the_full_lexicon():
