@@ -1,13 +1,15 @@
 """Linear max-margin classifier over the fixed feature schema.
 
 Training minimizes L2-regularized hinge loss, the problem SVM-light
-solves, exactly: dual coordinate descent for the L1-loss linear SVM
+solves, approximately: dual coordinate descent for the L1-loss linear SVM
 (Hsieh et al., ICML 2008, the LIBLINEAR method) with shrinking, seeded and
 deterministic, stopping once the projected-gradient gap of a pass over every
-row falls under ``TOL``. The bias rides along as a regularized constant
-feature. The sparse SVM-light file format is supported for interchange with
-the original external tool. The schema comes from ``arasent.schema``: this
-module loads no text pipeline.
+row falls under ``TOL``. That gap bounds no objective: two fits of one data
+set that both stop under it may differ in objective by a fraction of a
+percent. The bias rides along as a regularized constant feature. The sparse
+SVM-light file format is supported for interchange with the original
+external tool. The schema comes from ``arasent.schema``: this module loads
+no text pipeline.
 """
 
 from __future__ import annotations

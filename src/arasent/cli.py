@@ -1,9 +1,10 @@
 """Command-line entry point wiring the whole pipeline.
 
 Subcommands: normalize, expand, extract, train, predict, evaluate, kappa,
-score. Exit codes: 0 success (a closed stdout too), 1 usage error, 2 data
-or parse error. Resource paths resolve as flags > config file > packaged
-defaults; the config file is plain ``key = value`` text with ``#`` comments.
+score. Exit codes, which ``run`` alone sets: 0 success, 1 usage error, 2
+data or parse error; ``main`` ends a run whose stdout was closed with 0.
+Resource paths resolve as flags > config file > packaged defaults; the
+config file is plain ``key = value`` text with ``#`` comments.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _resolve_config(args) -> dict:
     """The settings that a flag or the config file gives, the flag winning.
     A setting given by neither keeps the default of the type or function
     that takes it."""
-    settings = load_config_file(args.config) if args.config else {}
+    settings = load_config_file(args.config) if args.config is not None else {}
     for key in _SETTINGS:
         if getattr(args, key, None) is not None:
             settings[key] = getattr(args, key)
@@ -95,22 +96,16 @@ def _write_rows(rows, path=None) -> None:
     1000 rows per write: under ``PYTHONUNBUFFERED=1`` each write to stdout is
     a system call."""
     rows = iter(rows)
-    with atomic_write(path) if path else nullcontext(sys.stdout) as out:
+    with atomic_write(path) if path is not None else nullcontext(sys.stdout) as out:
         while chunk := "".join(islice(rows, 1000)):
             out.write(chunk)
 
 
-def _read_text(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    return "".join(read_lines(source))
-
-
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> None:
     from .preprocess import normalize_text
 
-    print(normalize_text(_read_text(args.input)))
-    return 0
+    lines = read_lines("<stdin>", sys.stdin) if args.input == "-" else read_lines(args.input)
+    print(normalize_text("".join(lines)))
 
 
 # The grown lexicon may replace the lexicon it grows, and its sidecar with it.
@@ -137,26 +132,24 @@ def _inputs(args, settings: dict, keys=resources.FILES) -> dict:
     return files
 
 
-def _shared_file(read: dict, written: dict) -> str | None:
-    """Why a file that a run writes is another file of the run, or None if
-    none is; ``read`` and ``written`` map each file's role to its path, or
-    to None where the run has no such file."""
+class _UsageError(Exception):
+    """A refused combination of arguments, which ``run`` ends with exit code 1."""
+
+
+def _refuse_shared(read: dict, written: dict) -> None:
+    """Refuse, as a usage error, a file that a run writes and that is another
+    file of the run; ``read`` and ``written`` map each file's role to its
+    path, or to None where the run has no such file."""
     seen: dict = {}
     for role, path in (*read.items(), *written.items()):
         if path is None:
             continue
         other = seen.setdefault(Path(path).resolve(), role)
         if other != role and role in written and (role, other) not in _IN_PLACE:
-            return f"{role} {path} is also {other}"
-    return None
+            raise _UsageError(f"{role} {path} is also {other}")
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
-
-
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> None:
     from .evaluation import load_corpus
     from .expansion import ANSWERS, FixtureProvider, SynsetResult, expand_lexicon
     from .lexicon import load_sentiment_lexicon, prevent_path, save_sentiment_lexicon
@@ -165,20 +158,19 @@ def _cmd_expand(args) -> int:
     settings = _resolve_config(args)
     read = _inputs(args, settings, ("lexicon", "stopwords", "tagtable"))
     out_path = Path(args.out)
-    pending = Path(args.pending) if args.pending else out_path.with_suffix(".pending.tsv")
+    if not out_path.name:  # "", "." or "/": no name to put the sidecars beside
+        raise ArasentError(f"the grown lexicon {out_path} is a directory")
+    pending = Path(out_path.with_suffix(".pending.tsv") if args.pending is None else args.pending)
     written = {"the grown lexicon": out_path,
                "the grown lexicon's .prevent sidecar": prevent_path(out_path),
                "the pending file": pending}
-    if shared := _shared_file({**read, "the corpus": args.corpus,
-                               "the synset fixture": args.provider}, written):
-        return _usage_error(shared)
+    _refuse_shared({**read, "the corpus": args.corpus, "the synset fixture": args.provider},
+                   written)
     for role, path in written.items():
         if not path.parent.is_dir():
-            print(f"error: {role} {path} has no directory {path.parent}", file=sys.stderr)
-            return 2
+            raise ArasentError(f"{role} {path} has no directory {path.parent}")
         if path.is_dir():
-            print(f"error: {role} {path} is a directory", file=sys.stderr)
-            return 2
+            raise ArasentError(f"{role} {path} is a directory")
     lexicon = load_sentiment_lexicon(read["the lexicon"])
     stopwords = load_stopwords(read["the stopword list"])
     tags = load_tag_table(read["the tag table"])
@@ -213,17 +205,15 @@ def _cmd_expand(args) -> int:
     if report.adopted:
         print("adopted words: " + " ".join(report.adopted))
     print(f"lexicon written to {out_path}")
-    return 0
 
 
-def _cmd_extract(args) -> int:
+def _cmd_extract(args) -> None:
     from . import classifier
     from .evaluation import load_corpus
 
     settings = _resolve_config(args)
-    if shared := _shared_file({**_inputs(args, settings), "the corpus": args.corpus},
-                              {"the feature file": args.out}):
-        return _usage_error(shared)
+    _refuse_shared({**_inputs(args, settings), "the corpus": args.corpus},
+                   {"the feature file": args.out})
     pipe = _Pipeline(settings)
     corpus = load_corpus(args.corpus)
     data = pipe.labeled_vectors(corpus)
@@ -231,7 +221,6 @@ def _cmd_extract(args) -> int:
     if skipped := len(corpus) - len(data):
         print(f"skipped {skipped} unlabeled topics", file=sys.stderr)
     print(f"wrote {len(data)} vectors to {args.out}")
-    return 0
 
 
 def _train_config(settings: dict):
@@ -240,13 +229,12 @@ def _train_config(settings: dict):
     return TrainConfig(**_given(settings, *TrainConfig._fields))
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> None:
     from . import classifier
 
     settings = _resolve_config(args)
-    if shared := _shared_file({**_inputs(args, settings, ()), "the feature file": args.features},
-                              {"the model file": args.model}):
-        return _usage_error(shared)
+    _refuse_shared({**_inputs(args, settings, ()), "the feature file": args.features},
+                   {"the model file": args.model})
     data = classifier.read_svmlight(args.features)
     model = classifier.train(data, _train_config(settings))
     classifier.save_model(model, args.model)
@@ -255,18 +243,16 @@ def _cmd_train(args) -> int:
               f"{model.gap:.3g} fell under {classifier.TOL:g}", file=sys.stderr)
     print(f"trained on {len(data)} vectors in {model.passes} passes (gap {model.gap:.3g}); "
           f"model written to {args.model}")
-    return 0
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> None:
     from . import classifier
     from .evaluation import load_corpus
     from .schema import SIGN
 
     settings = _resolve_config(args)
-    if shared := _shared_file({**_inputs(args, settings), "the model file": args.model,
-                               "the corpus": args.corpus}, {"the prediction file": args.out}):
-        return _usage_error(shared)
+    _refuse_shared({**_inputs(args, settings), "the model file": args.model,
+                    "the corpus": args.corpus}, {"the prediction file": args.out})
     pipe = _Pipeline(settings)
     model = classifier.load_model(args.model)
     corpus = load_corpus(args.corpus)
@@ -274,20 +260,18 @@ def _cmd_predict(args) -> int:
     predicted = (classifier.predict(model, pipe.analyzer.vector(topic.text)) for topic in corpus)
     _write_rows((f"{topic.id}\t{names[label]}\t{margin:.6f}\n"
                  for topic, (label, margin) in zip(corpus, predicted)), args.out)
-    return 0
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> None:
     from . import classifier
     from .evaluation import SplitSpec, format_report, genre_report, load_corpus, split_corpus
     from .schema import SIGN
 
     if args.grid and args.regularization is not None:
-        return _usage_error("--grid picks the regularization; drop --reg")
+        raise _UsageError("--grid picks the regularization; drop --reg")
     settings = _resolve_config(args)
-    if shared := _shared_file({**_inputs(args, settings), "the corpus": args.corpus},
-                              {"the model file": args.model_out}):
-        return _usage_error(shared)
+    _refuse_shared({**_inputs(args, settings), "the corpus": args.corpus},
+                   {"the model file": args.model_out})
     if args.grid and "regularization" in settings:  # --reg is refused, so from the file
         print(f"note: --grid picks the regularization; the one in {args.config} is not used",
               file=sys.stderr)
@@ -306,7 +290,7 @@ def _cmd_evaluate(args) -> int:
               f"(dev accuracy {100 * dev_acc:.2f}%)")
     else:
         model = classifier.train(train_data, _train_config(settings))
-    if args.model_out:
+    if args.model_out is not None:
         classifier.save_model(model, args.model_out)
     labels = (classifier.predict(model, pipe.analyzer.vector(topic.text))[0] for topic in test_t)
     polarity_of = {sign: polarity for polarity, sign in SIGN.items()}
@@ -317,17 +301,15 @@ def _cmd_evaluate(args) -> int:
     else:
         print(f"train/dev/test sizes: {len(train_t)}/{len(dev_t)}/{len(test_t)}")
         print(format_report(rows))
-    return 0
 
 
-def _cmd_kappa(args) -> int:
+def _cmd_kappa(args) -> None:
     from .evaluation import cohen_kappa, load_ratings
 
     print(f"kappa: {cohen_kappa(load_ratings(args.ratings)):.6f}")
-    return 0
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args) -> None:
     from .evaluation import load_corpus
 
     settings = _resolve_config(args)
@@ -341,7 +323,6 @@ def _cmd_score(args) -> int:
     if agree:
         print(f"# agreement with gold: {sum(agree)}/{len(agree)} "
               f"({100 * sum(agree) / len(agree):.2f}%)", file=sys.stderr)
-    return 0
 
 
 def _add_config_flags(parser, files=resources.FILES, hyper=False):
@@ -438,12 +419,13 @@ def run(argv) -> int:
         parser.print_usage()
         return 1
     try:
-        return args.func(args)
+        args.func(args)
     except BrokenPipeError:  # a closed stdout is no data error: main ends the run
         raise
-    except (ArasentError, OSError, UnicodeError) as exc:  # text that is not UTF-8
+    except (_UsageError, ArasentError, OSError, UnicodeError) as exc:  # text that is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _UsageError) else 2
+    return 0
 
 
 def main() -> None:

@@ -1,7 +1,7 @@
 """Reading and atomic replacement of the text files the toolkit uses."""
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from .errors import ParseError
@@ -9,19 +9,21 @@ from .errors import ParseError
 
 class read_lines:
     """The lines of the UTF-8 text file at ``path`` (universal newlines), a
-    byte-order mark at its start dropped; ``line_no`` is the number of the
-    last line read. A line that is not valid UTF-8 is a ``ParseError`` at
+    byte-order mark at its start dropped, or, given ``stream``, of that open
+    text stream, which errors then name ``path``; ``line_no`` is the number of
+    the last line read. A line that is not valid UTF-8 is a ``ParseError`` at
     its line. As a context manager around the loop over its lines, it turns
     a ``ValueError`` raised in the block into a ``ParseError`` at the line
     being handled (or at the whole file, before its first line), so loaders
     raise plain ``ValueError`` and the error names the file and line at
     fault."""
 
-    def __init__(self, path):
-        self.path, self.line_no = path, 0
+    def __init__(self, path, stream=None):
+        self.path, self.stream, self.line_no = path, stream, 0
 
     def __iter__(self):
-        with open(self.path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        with (open(self.path, encoding="utf-8-sig", errors="surrogateescape")
+              if self.stream is None else nullcontext(self.stream)) as fh:
             for self.line_no, line in enumerate(fh, start=1):
                 try:
                     line.encode("utf-8")  # an undecodable byte became a lone surrogate

@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import os
 import re
@@ -909,6 +910,46 @@ def test_a_written_file_that_cannot_be_made_is_named_as_given(tmp_path, corpus_p
     assert re.fullmatch(rf"error: \[Errno \d+\] [^\n]*: '{re.escape(out)}'\n", err), err
     assert ".tmp" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir"]
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["predict", "--model", "m.txt", "--out", ""], "[Errno 2] No such file or directory: ''"),
+    (["evaluate", "--model-out", ""], "[Errno 2] No such file or directory: ''"),
+    (["score", "--config", ""], "[Errno 2] No such file or directory: ''"),
+    (["expand", "--provider", str(data_path("synsets.tsv")), "--out", "g.tsv", "--pending", ""],
+     "the pending file . is a directory"),
+    (["expand", "--provider", str(data_path("synsets.tsv")), "--out", ""],
+     "the grown lexicon . is a directory")],
+    ids=["predict-out", "evaluate-model-out", "config", "expand-pending", "expand-out"])
+def test_an_empty_file_name_is_refused_as_a_file_name(tmp_path, corpus_path, capsys,
+                                                      monkeypatch, argv, err):
+    """An empty name is a file name, not a missing flag: the run exits 2 with
+    one error line and writes no file, where each case once went on with
+    exit code 0 (``expand --out ''`` ended in a traceback)."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["extract", "--corpus", corpus_path, "--out", "f.svml"]) == 0
+    assert run(["train", "--features", "f.svml", "--model", "m.txt"]) == 0
+    capsys.readouterr()
+    before = sorted(tmp_path.iterdir())
+    assert run([*argv, "--corpus", corpus_path]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+def test_normalize_refuses_a_line_that_is_not_utf8_at_its_line(tmp_path, capsys, monkeypatch,
+                                                              stdin):
+    """Text read from stdin is checked as a file's is: stdin decodes with
+    surrogateescape under a POSIX locale, so its undecodable bytes once
+    passed through to stdout with exit code 0."""
+    data = "رائع\n".encode() + b"\xff\xfe" + "جميل\n".encode()
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                                      errors="surrogateescape"))
+    assert run(["normalize", "-" if stdin else str(bad)]) == 2
+    name = "<stdin>" if stdin else bad
+    assert capsys.readouterr() == ("", f"error: {name}:2: not valid utf-8 text\n")
 
 
 @pytest.mark.parametrize("text", ["+1 1:1e300\n-1 2:1e300\n", "+1 1:1e154 2:1e154\n-1 3:1\n"],
