@@ -136,10 +136,11 @@ class _UsageError(Exception):
     """A refused combination of arguments, which ``run`` ends with exit code 1."""
 
 
-def _refuse_shared(read: dict, written: dict) -> None:
-    """Refuse, as a usage error, a file that a run writes and that is another
-    file of the run; ``read`` and ``written`` map each file's role to its
-    path, or to None where the run has no such file."""
+def _check_outputs(read: dict, written: dict) -> None:
+    """Refuse, before the run opens any input, a file it would write that is
+    another file of the run, a usage error; after that, one that is a
+    directory or has no directory, a data error. ``read`` and ``written`` map
+    each file's role to its path, or to None where the run has no such file."""
     seen: dict = {}
     for role, path in (*read.items(), *written.items()):
         if path is None:
@@ -147,6 +148,11 @@ def _refuse_shared(read: dict, written: dict) -> None:
         other = seen.setdefault(Path(path).resolve(), role)
         if other != role and role in written and (role, other) not in _IN_PLACE:
             raise _UsageError(f"{role} {path} is also {other}")
+    for role, path in ((role, Path(path)) for role, path in written.items() if path is not None):
+        if not path.parent.is_dir():
+            raise ArasentError(f"{role} {path} has no directory {path.parent}")
+        if path.is_dir():
+            raise ArasentError(f"{role} {path} is a directory")
 
 
 def _cmd_expand(args) -> None:
@@ -161,16 +167,10 @@ def _cmd_expand(args) -> None:
     if not out_path.name:  # "", "." or "/": no name to put the sidecars beside
         raise ArasentError(f"the grown lexicon {out_path} is a directory")
     pending = Path(out_path.with_suffix(".pending.tsv") if args.pending is None else args.pending)
-    written = {"the grown lexicon": out_path,
-               "the grown lexicon's .prevent sidecar": prevent_path(out_path),
-               "the pending file": pending}
-    _refuse_shared({**read, "the corpus": args.corpus, "the synset fixture": args.provider},
-                   written)
-    for role, path in written.items():
-        if not path.parent.is_dir():
-            raise ArasentError(f"{role} {path} has no directory {path.parent}")
-        if path.is_dir():
-            raise ArasentError(f"{role} {path} is a directory")
+    _check_outputs({**read, "the corpus": args.corpus, "the synset fixture": args.provider},
+                   {"the grown lexicon": out_path,
+                    "the grown lexicon's .prevent sidecar": prevent_path(out_path),
+                    "the pending file": pending})
     lexicon = load_sentiment_lexicon(read["the lexicon"])
     stopwords = load_stopwords(read["the stopword list"])
     tags = load_tag_table(read["the tag table"])
@@ -212,7 +212,7 @@ def _cmd_extract(args) -> None:
     from .evaluation import load_corpus
 
     settings = _resolve_config(args)
-    _refuse_shared({**_inputs(args, settings), "the corpus": args.corpus},
+    _check_outputs({**_inputs(args, settings), "the corpus": args.corpus},
                    {"the feature file": args.out})
     pipe = _Pipeline(settings)
     corpus = load_corpus(args.corpus)
@@ -233,7 +233,7 @@ def _cmd_train(args) -> None:
     from . import classifier
 
     settings = _resolve_config(args)
-    _refuse_shared({**_inputs(args, settings, ()), "the feature file": args.features},
+    _check_outputs({**_inputs(args, settings, ()), "the feature file": args.features},
                    {"the model file": args.model})
     data = classifier.read_svmlight(args.features)
     model = classifier.train(data, _train_config(settings))
@@ -251,7 +251,7 @@ def _cmd_predict(args) -> None:
     from .schema import SIGN
 
     settings = _resolve_config(args)
-    _refuse_shared({**_inputs(args, settings), "the model file": args.model,
+    _check_outputs({**_inputs(args, settings), "the model file": args.model,
                     "the corpus": args.corpus}, {"the prediction file": args.out})
     pipe = _Pipeline(settings)
     model = classifier.load_model(args.model)
@@ -270,7 +270,7 @@ def _cmd_evaluate(args) -> None:
     if args.grid and args.regularization is not None:
         raise _UsageError("--grid picks the regularization; drop --reg")
     settings = _resolve_config(args)
-    _refuse_shared({**_inputs(args, settings), "the corpus": args.corpus},
+    _check_outputs({**_inputs(args, settings), "the corpus": args.corpus},
                    {"the model file": args.model_out})
     if args.grid and "regularization" in settings:  # --reg is refused, so from the file
         print(f"note: --grid picks the regularization; the one in {args.config} is not used",

@@ -1,5 +1,6 @@
 """Reading and atomic replacement of the text files the toolkit uses."""
 
+import io
 import os
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -11,9 +12,11 @@ class read_lines:
     """The lines of the UTF-8 text file at ``path`` (universal newlines), a
     byte-order mark at its start dropped, or, given ``stream``, of that open
     text stream, which errors then name ``path``; ``line_no`` is the number of
-    the last line read. A line that is not valid UTF-8 is a ``ParseError`` at
-    its line. As a context manager around the loop over its lines, it turns
-    a ``ValueError`` raised in the block into a ``ParseError`` at the line
+    the last line read. The bytes under a text stream, as under stdin, are
+    read to their end and decoded as a file's, whatever the stream's own
+    decoding. A line that is not valid UTF-8 is a ``ParseError`` at its line.
+    As a context manager around the loop over its lines, it turns a
+    ``ValueError`` raised in the block into a ``ParseError`` at the line
     being handled (or at the whole file, before its first line), so loaders
     raise plain ``ValueError`` and the error names the file and line at
     fault."""
@@ -22,8 +25,14 @@ class read_lines:
         self.path, self.stream, self.line_no = path, stream, 0
 
     def __iter__(self):
-        with (open(self.path, encoding="utf-8-sig", errors="surrogateescape")
-              if self.stream is None else nullcontext(self.stream)) as fh:
+        if self.stream is None:
+            data = open(self.path, "rb")
+        elif hasattr(self.stream, "buffer"):  # a strict decoding would not name the line
+            data = io.BytesIO(self.stream.buffer.read())
+        else:  # text with no bytes under it
+            data = None
+        with (nullcontext(self.stream) if data is None else
+              io.TextIOWrapper(data, encoding="utf-8-sig", errors="surrogateescape")) as fh:
             for self.line_no, line in enumerate(fh, start=1):
                 try:
                     line.encode("utf-8")  # an undecodable byte became a lone surrogate

@@ -30,10 +30,13 @@ def data_path(name: str) -> Path:
 
 def locate(key: str, paths: Mapping[str, str | Path] = {}) -> Path:
     """The file resource ``key`` is read from: ``paths[key]`` when given,
-    else the packaged file."""
+    else the packaged file. A path that is missing or is a directory is an
+    ``ArasentError``."""
     path = Path(paths[key]) if key in paths else data_path(FILES[key])
     if not path.exists():
         raise ArasentError(f"{key} file not found: {path}")
+    if path.is_dir():  # "", "." or "/" as well: a name with no file to read
+        raise ArasentError(f"{key} file {path} is a directory")
     return path
 
 

@@ -615,6 +615,40 @@ def test_a_writer_refuses_an_output_that_names_one_of_its_inputs(
     assert {f: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()} == before
 
 
+@pytest.mark.parametrize("out, message", [
+    ("nodir/out", "{role} nodir/out has no directory nodir"),
+    ("adir", "{role} adir is a directory"), ("", "{role} . is a directory")],
+    ids=["missing-directory", "directory", "empty"])
+@pytest.mark.parametrize("argv, role", [
+    (["extract", "--corpus", "c.jsonl", "--out"], "the feature file"),
+    (["train", "--features", "f.svm", "--model"], "the model file"),
+    (["predict", "--model", "m.txt", "--corpus", "c.jsonl", "--out"], "the prediction file"),
+    (["evaluate", "--corpus", "c.jsonl", "--model-out"], "the model file")],
+    ids=["extract", "train", "predict", "evaluate"])
+def test_a_writer_refuses_an_output_it_cannot_write_before_it_opens_an_input(
+        tmp_path, capsys, monkeypatch, argv, role, out, message):
+    """An output whose directory is missing, that is a directory or that has
+    no name is a data error before any input is opened, where it once failed
+    only after the work was done: exit 2, one error line naming the role,
+    and no file, directory or temporary file left."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    save_corpus([Topic("a", "المكان رائع", Polarity.PO), Topic("b", "الخدمة سيئة", Polarity.NG)],
+                tmp_path / "c.jsonl")
+    assert run(["extract", "--corpus", "c.jsonl", "--out", "f.svm"]) == 0
+    assert run(["train", "--features", "f.svm", "--model", "m.txt"]) == 0
+    capsys.readouterr()
+    before = {f: f.is_file() and f.read_bytes() for f in tmp_path.rglob("*")}
+    opened = []
+    real_open = open
+    monkeypatch.setattr("builtins.open", lambda file, *a, **k: opened.append(file)
+                        or real_open(file, *a, **k))
+    assert run([*argv, out]) == 2
+    assert opened == []
+    assert capsys.readouterr() == ("", f"error: {message.format(role=role)}\n")
+    assert {f: f.is_file() and f.read_bytes() for f in tmp_path.rglob("*")} == before
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_help_states_the_train_config_defaults(capsys, command):
     # the help texts are the only other copy of these defaults
@@ -711,6 +745,22 @@ def test_config_missing_resource_is_data_error(tmp_path, capsys):
     assert run(["evaluate", "--corpus", str(data_path("corpus.jsonl")),
                 "--lexicon", str(tmp_path / "nope.tsv")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lexicon", ["", ".", "/"], ids=["empty", "dot", "root"])
+@pytest.mark.parametrize("argv", [
+    ["extract", "--out", "f.svm"], ["predict", "--model", "m.txt"], ["evaluate"],
+    ["expand", "--provider", str(data_path("synsets.tsv")), "--out", "g.tsv"], ["score"]],
+    ids=["extract", "predict", "evaluate", "expand", "score"])
+def test_a_lexicon_path_that_is_a_directory_is_a_data_error(tmp_path, corpus_path, capsys,
+                                                            monkeypatch, argv, lexicon):
+    """A directory, an empty name included, is no lexicon file: exit 2 in one
+    line and nothing written, where deriving its .prevent sidecar once ended
+    in a traceback and ``score`` named the failed read."""
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--corpus", corpus_path, "--lexicon", lexicon]) == 2
+    assert capsys.readouterr() == ("", f"error: lexicon file {Path(lexicon)} is a directory\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_on_non_finite_features_exits_2(tmp_path, capsys):
@@ -896,10 +946,13 @@ def test_config_file_may_name_settings_of_other_subcommands(tmp_path, corpus_pat
     assert "lexicon file not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("out", ["nodir/x.svm", "adir", "", "."],
-                         ids=["missing-directory", "directory", "empty", "working-directory"])
+@pytest.mark.parametrize("out, message", [
+    ("nodir/x.svm", "the feature file nodir/x.svm has no directory nodir"),
+    ("adir", "the feature file adir is a directory"), ("", "the feature file . is a directory"),
+    (".", "the feature file . is a directory")],
+    ids=["missing-directory", "directory", "empty", "working-directory"])
 def test_a_written_file_that_cannot_be_made_is_named_as_given(tmp_path, corpus_path, capsys,
-                                                              monkeypatch, out):
+                                                              monkeypatch, out, message):
     """An error about the file names it as given, never its temporary file,
     and leaves no file behind; an empty name or "." once ended in a
     traceback."""
@@ -907,14 +960,14 @@ def test_a_written_file_that_cannot_be_made_is_named_as_given(tmp_path, corpus_p
     (tmp_path / "adir").mkdir()
     assert run(["extract", "--corpus", corpus_path, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(rf"error: \[Errno \d+\] [^\n]*: '{re.escape(out)}'\n", err), err
+    assert err == f"error: {message}\n"
     assert ".tmp" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir"]
 
 
 @pytest.mark.parametrize("argv, err", [
-    (["predict", "--model", "m.txt", "--out", ""], "[Errno 2] No such file or directory: ''"),
-    (["evaluate", "--model-out", ""], "[Errno 2] No such file or directory: ''"),
+    (["predict", "--model", "m.txt", "--out", ""], "the prediction file . is a directory"),
+    (["evaluate", "--model-out", ""], "the model file . is a directory"),
     (["score", "--config", ""], "[Errno 2] No such file or directory: ''"),
     (["expand", "--provider", str(data_path("synsets.tsv")), "--out", "g.tsv", "--pending", ""],
      "the pending file . is a directory"),
@@ -950,6 +1003,20 @@ def test_normalize_refuses_a_line_that_is_not_utf8_at_its_line(tmp_path, capsys,
     assert run(["normalize", "-" if stdin else str(bad)]) == 2
     name = "<stdin>" if stdin else bad
     assert capsys.readouterr() == ("", f"error: {name}:2: not valid utf-8 text\n")
+
+
+def test_normalize_names_the_line_of_stdin_under_a_strict_decoding():
+    """stdin's bytes are decoded as a file's: under ``PYTHONIOENCODING=utf-8:strict``
+    the codec's own message, which names neither stdin nor the line, once
+    came out instead."""
+    src = str(Path(arasent.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8:strict", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "arasent.cli", "normalize", "-"],
+                          input="رائع\n".encode() + b"\xff\xfe" + "جميل\n".encode(),
+                          capture_output=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, b"", b"error: <stdin>:2: not valid utf-8 text\n")
 
 
 @pytest.mark.parametrize("text", ["+1 1:1e300\n-1 2:1e300\n", "+1 1:1e154 2:1e154\n-1 3:1\n"],
