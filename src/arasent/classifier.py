@@ -35,9 +35,10 @@ class TrainConfig(NamedTuple):
 
 
 class LabeledVector:
-    """One training row: ``vector`` (length N_SLOTS, index slot-1), ``label``
-    +1 (PO) or -1 (NG) and a free ``comment``; refuses any other label,
-    length or a non-finite value."""
+    """One training row: ``vector`` (length N_SLOTS, index slot-1) of
+    floats, ``label`` +1 (PO) or -1 (NG) and a free ``comment``. Converts
+    each value with ``float()``, and refuses any other label, length or a
+    non-finite value."""
 
     __slots__ = ("vector", "label", "comment")
 
@@ -46,6 +47,9 @@ class LabeledVector:
             raise ValueError(f"label must be +1 or -1, got {label}")
         if len(vector) != N_SLOTS:
             raise ValueError(f"vector must hold {N_SLOTS} slots, got {len(vector)}")
+        # from a list, so the tuple is allocated at its final size and takes a
+        # freed 17-tuple (the caller's, say) rather than growing a new block
+        vector = tuple([float(v) for v in vector])
         if not all(map(math.isfinite, vector)):
             slot, value = next((slot, value) for slot, value in enumerate(vector, 1)
                                if not math.isfinite(value))
@@ -289,18 +293,12 @@ def write_svmlight(data: Sequence[LabeledVector], path) -> None:
     point. The schema version goes in a leading comment line. A comment that
     holds a line break is a ValueError naming its row, and no file is written.
     """
-    # Each distinct float is formatted once per file: equal floats format
-    # alike (0.0 and -0.0 are never written). A value of another type, such
-    # as an int or a Decimal from a library caller, is formatted each time:
-    # Decimal("1.50") equals 1.5 but formats as "1.50".
     formatted = _Formatted()
     with atomic_write(path) as fh:
         if data:
             fh.write(f"# schema_version: {SCHEMA_VERSION}\n")
         for row, lv in enumerate(data, 1):
-            body = " ".join([
-                f"{i}:{formatted[val] if type(val) is float else _format_value(val)}"
-                for i, val in enumerate(lv.vector, 1) if val])
+            body = " ".join([f"{i}:{formatted[val]}" for i, val in enumerate(lv.vector, 1) if val])
             line = f"{lv.label:+d}"
             if body:
                 line += " " + body

@@ -104,7 +104,10 @@ def _write_rows(rows, path=None) -> None:
 def _cmd_normalize(args) -> None:
     from .preprocess import normalize_text
 
-    lines = read_lines("<stdin>", sys.stdin) if args.input == "-" else read_lines(args.input)
+    if args.input == "-" and sys.stdin is None:  # the process started with fd 0 closed
+        raise ArasentError("<stdin> is closed")
+    lines = (read_lines("<stdin>", sys.stdin.buffer) if args.input == "-"
+             else read_lines(args.input))
     print(normalize_text("".join(lines)))
 
 
@@ -119,10 +122,11 @@ _ROLES = {"lexicon": "the lexicon", "idioms": "the idiom lexicon",
           "questions": "the question term list", "wishful": "the wishful term list"}
 
 
-def _inputs(args, settings: dict, keys=resources.FILES) -> dict:
+def _inputs(args, settings: dict) -> dict:
     """Role -> path of the files a run reads whatever its other inputs: the
-    config file, the resource files ``keys`` and, with the lexicon, its
-    .prevent sidecar."""
+    config file, each resource file its subcommand has a flag for and, with
+    the lexicon, its .prevent sidecar."""
+    keys = [key for key in resources.FILES if key in vars(args)]
     files = {"the config file": args.config}
     files.update((_ROLES[key], resources.locate(key, settings)) for key in keys)
     if "lexicon" in keys:
@@ -162,7 +166,7 @@ def _cmd_expand(args) -> None:
     from .preprocess import load_stopwords, load_tag_table
 
     settings = _resolve_config(args)
-    read = _inputs(args, settings, ("lexicon", "stopwords", "tagtable"))
+    read = _inputs(args, settings)
     out_path = Path(args.out)
     if not out_path.name:  # "", "." or "/": no name to put the sidecars beside
         raise ArasentError(f"the grown lexicon {out_path} is a directory")
@@ -233,7 +237,7 @@ def _cmd_train(args) -> None:
     from . import classifier
 
     settings = _resolve_config(args)
-    _check_outputs({**_inputs(args, settings, ()), "the feature file": args.features},
+    _check_outputs({**_inputs(args, settings), "the feature file": args.features},
                    {"the model file": args.model})
     data = classifier.read_svmlight(args.features)
     model = classifier.train(data, _train_config(settings))

@@ -157,8 +157,7 @@ def split_corpus(corpus: Sequence[Topic], spec: SplitSpec,
     train: list[Topic] = []
     dev: list[Topic] = []
     test: list[Topic] = []
-    for _, topics in groups.items():
-        topics = list(topics)
+    for topics in groups.values():  # each a list of its own
         rng.shuffle(topics)
         n_train, n_dev, _ = _split_sizes(len(topics), spec)
         train.extend(topics[:n_train])

@@ -2,7 +2,7 @@
 
 import io
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import ParseError
@@ -11,11 +11,10 @@ from .errors import ParseError
 class read_lines:
     """The lines of the UTF-8 text file at ``path`` (universal newlines), a
     byte-order mark at its start dropped, or, given ``stream``, of that open
-    text stream, which errors then name ``path``; ``line_no`` is the number of
-    the last line read. The bytes under a text stream, as under stdin, are
-    read to their end and decoded as a file's, whatever the stream's own
-    decoding. A line that is not valid UTF-8 is a ``ParseError`` at its line.
-    As a context manager around the loop over its lines, it turns a
+    binary stream (such as ``sys.stdin.buffer``), read to its end and decoded
+    as a file is, errors then naming ``path``; ``line_no`` is the number of
+    the last line read. A line that is not valid UTF-8 is a ``ParseError`` at
+    its line. As a context manager around the loop over its lines, it turns a
     ``ValueError`` raised in the block into a ``ParseError`` at the line
     being handled (or at the whole file, before its first line), so loaders
     raise plain ``ValueError`` and the error names the file and line at
@@ -25,14 +24,9 @@ class read_lines:
         self.path, self.stream, self.line_no = path, stream, 0
 
     def __iter__(self):
-        if self.stream is None:
-            data = open(self.path, "rb")
-        elif hasattr(self.stream, "buffer"):  # a strict decoding would not name the line
-            data = io.BytesIO(self.stream.buffer.read())
-        else:  # text with no bytes under it
-            data = None
-        with (nullcontext(self.stream) if data is None else
-              io.TextIOWrapper(data, encoding="utf-8-sig", errors="surrogateescape")) as fh:
+        # a stream is copied, so closing the wrapper leaves it open
+        data = open(self.path, "rb") if self.stream is None else io.BytesIO(self.stream.read())
+        with io.TextIOWrapper(data, encoding="utf-8-sig", errors="surrogateescape") as fh:
             for self.line_no, line in enumerate(fh, start=1):
                 try:
                     line.encode("utf-8")  # an undecodable byte became a lone surrogate

@@ -2,14 +2,14 @@
 
 The files under ``arasent/data`` are the one copy of the word lists: the
 seed and full lexicons, the tag table, the idioms, the stopword and cue
-lists and the synset fixture. This module reads them at import, through
-the package's own loaders, into the tables below, and builds from them
-short MSA/Egyptian-dialect topics whose gold labels are known by
-construction (plain, negated, intensified, idiom-bearing, conflict-bearing,
-question and supplication topics). ``write_data_files`` regenerates the
-corpus and the lexicons' ``tf`` columns from the generator and writes every
-other file back from the tables, so it reproduces the data directory byte
-for byte.
+lists and the synset fixture. This module reads all but the synset fixture
+at import, through the package's own loaders, into the tables below, and
+builds from them short MSA/Egyptian-dialect topics whose gold labels are
+known by construction (plain, negated, intensified, idiom-bearing,
+conflict-bearing, question and supplication topics). ``write_data_files``
+regenerates the files the generator decides: the corpus and the two
+lexicons, whose ``tf`` columns count the corpus. The other files are
+edited by hand.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import cycle
 from pathlib import Path
 
 from .evaluation import Topic, save_corpus
-from .fileio import atomic_write, read_rows, read_terms
+from .fileio import read_terms
 from .lexicon import (
     load_idiom_lexicon,
     load_sentiment_lexicon,
@@ -66,19 +66,6 @@ INTENSIFIERS = _terms("intensifiers.txt")
 QUESTIONS = _terms("questions.txt")
 WISHFUL = _terms("wishful.txt")
 
-
-def _synsets() -> dict[str, tuple[str, list[str], list[str]]]:
-    """The synset fixture, each row's word lists split as stored."""
-    def split(field):
-        return field.split(",") if field else []
-
-    with read_rows(data_path("synsets.tsv")) as rows:
-        return {word: (translation, split(syns), split(ants))
-                for word, translation, syns, ants in rows}
-
-
-# word -> (translation, synonyms, antonyms)
-SYNSETS = _synsets()
 
 GENRES = ("tweet", "hotel", "product", "tv")
 
@@ -217,8 +204,9 @@ def sample_corpus(seed: int = 42) -> list[Topic]:
 
 
 def write_data_files(directory) -> None:
-    """Write the data directory: the corpus and the lexicons' ``tf`` columns
-    regenerated, every other file as read."""
+    """Write ``corpus.jsonl``, ``lexicon.tsv`` and ``lexicon_seed.tsv`` into
+    ``directory``, each lexicon with its ``tf`` column counted on the corpus
+    and its ``.prevent`` sidecar."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     corpus = sample_corpus()
@@ -226,17 +214,3 @@ def write_data_files(directory) -> None:
 
     for name, lex in (("lexicon.tsv", _FULL), ("lexicon_seed.tsv", _SEED)):
         save_sentiment_lexicon(update_term_frequencies(lex, corpus), directory / name)
-
-    tags = [(word, tag) for word, _, tag, *_ in VOCAB + HELDOUT] + list(EXTRA_TAGGED.items())
-    files = {
-        "idioms.tsv": [f"{phrase}\t{polarity.value}\t{gloss}"
-                       for phrase, polarity, gloss in IDIOMS],
-        "stopwords.txt": STOPWORDS, "negators.txt": NEGATORS, "intensifiers.txt": INTENSIFIERS,
-        "questions.txt": QUESTIONS, "wishful.txt": WISHFUL,
-        "tags.tsv": [f"{word}\t{tag}" for word, tag in tags],
-        "synsets.tsv": [f"{word}\t{translation}\t{','.join(syns)}\t{','.join(ants)}"
-                        for word, (translation, syns, ants) in SYNSETS.items()],
-    }
-    for name, lines in files.items():
-        with atomic_write(directory / name) as fh:
-            fh.writelines(line + "\n" for line in lines)

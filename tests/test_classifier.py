@@ -2,6 +2,7 @@ import functools
 import math
 import random
 from decimal import Decimal
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -788,11 +789,34 @@ def test_write_svmlight_formats_as_each_value_alone(tmp_path, rows):
     assert path.read_text(encoding="utf-8").splitlines()[1:] == _lines_formatted_per_value(data)
 
 
-def test_write_svmlight_formats_equal_decimals_each_as_itself(tmp_path):
+def test_write_svmlight_formats_equal_decimals_alike(tmp_path):
     path = tmp_path / "f.svml"
     write_svmlight([LabeledVector((Decimal("1.5"),) + (0,) * (N_SLOTS - 1), 1),
                     LabeledVector((Decimal("1.50"),) + (0,) * (N_SLOTS - 1), -1)], path)
-    assert path.read_text(encoding="utf-8").splitlines()[1:] == ["+1 1:1.5", "-1 1:1.50"]
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == ["+1 1:1.5", "-1 1:1.5"]
+
+
+@pytest.mark.parametrize("values", [
+    {1: Decimal("1.50"), 4: Decimal(0.1), 9: Decimal(-2)},
+    {1: Fraction(1, 3), 4: Fraction(3, 2), 9: Fraction(-2)},
+    {1: 1, 4: 3, 9: -2}], ids=["decimal", "fraction", "int"])
+def test_a_vector_of_other_numbers_is_its_floats(tmp_path, values):
+    """A vector of numbers that are not floats trains, predicts and writes as
+    the equal float vector: a Decimal vector once crashed ``train``, and a
+    Fraction vector ``write_svmlight`` on Python 3.10 and 3.11."""
+    rows = [({slot: value * k for slot, value in values.items()}, 1 if k > 0 else -1)
+            for k in (1, 2, -1, -3)]
+    given = [LabeledVector(tuple(row.get(s, 0) for s in range(1, N_SLOTS + 1)), label)
+             for row, label in rows]
+    floats = [lv(row, label) for row, label in rows]
+    assert all(type(v) is float for row in given for v in row.vector)
+    model = train(given)
+    assert model == train(floats)
+    assert [predict(model, row.vector) for row in given] == \
+        [predict(model, row.vector) for row in floats]
+    write_svmlight(given, tmp_path / "given.svml")
+    write_svmlight(floats, tmp_path / "floats.svml")
+    assert (tmp_path / "given.svml").read_bytes() == (tmp_path / "floats.svml").read_bytes()
 
 
 def test_format_value_around_1e15():

@@ -51,8 +51,8 @@ def test_usage_error_exit_code_1(capsys):
 
 
 def test_normalize_stdin(capsys, monkeypatch):
-    import io
-    monkeypatch.setattr("sys.stdin", io.StringIO("أهلاً World 42"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO("أهلاً World 42".encode()),
+                                                      encoding="utf-8"))
     assert run(["normalize", "-"]) == 0
     assert capsys.readouterr().out.strip() == "اهلا"
 
@@ -1005,18 +1005,34 @@ def test_normalize_refuses_a_line_that_is_not_utf8_at_its_line(tmp_path, capsys,
     assert capsys.readouterr() == ("", f"error: {name}:2: not valid utf-8 text\n")
 
 
+def _normalize_stdin_in_a_new_process(env=(), **kwargs) -> tuple:
+    """Exit code, stdout and stderr of ``normalize -`` run in a new
+    interpreter on the package this test imported, with ``env`` added to the
+    environment and ``kwargs`` passed to ``subprocess.run``."""
+    src = str(Path(arasent.__file__).resolve().parents[1])
+    env = {**os.environ, **dict(env), "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "arasent.cli", "normalize", "-"],
+                          capture_output=True, env=env, timeout=60, **kwargs)
+    return done.returncode, done.stdout, done.stderr
+
+
 def test_normalize_names_the_line_of_stdin_under_a_strict_decoding():
     """stdin's bytes are decoded as a file's: under ``PYTHONIOENCODING=utf-8:strict``
     the codec's own message, which names neither stdin nor the line, once
     came out instead."""
-    src = str(Path(arasent.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONIOENCODING": "utf-8:strict", "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "arasent.cli", "normalize", "-"],
-                          input="رائع\n".encode() + b"\xff\xfe" + "جميل\n".encode(),
-                          capture_output=True, env=env, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (
+    assert _normalize_stdin_in_a_new_process(
+        {"PYTHONIOENCODING": "utf-8:strict"},
+        input="رائع\n".encode() + b"\xff\xfe" + "جميل\n".encode()) == (
         2, b"", b"error: <stdin>:2: not valid utf-8 text\n")
+
+
+def test_normalize_refuses_a_closed_stdin_and_reads_no_file_named_for_it(tmp_path):
+    """With fd 0 closed Python has no ``sys.stdin``, and ``normalize -`` once
+    read a file named ``<stdin>`` in the working directory instead."""
+    (tmp_path / "<stdin>").write_text("رائع\n", encoding="utf-8")
+    assert _normalize_stdin_in_a_new_process(preexec_fn=lambda: os.close(0), cwd=tmp_path) == (
+        2, b"", b"error: <stdin> is closed\n")
 
 
 @pytest.mark.parametrize("text", ["+1 1:1e300\n-1 2:1e300\n", "+1 1:1e154 2:1e154\n-1 3:1\n"],

@@ -11,17 +11,17 @@ from arasent.lexicon import (
     count_corpus_tokens,
     load_sentiment_lexicon,
 )
-from arasent.preprocess import normalize_word
+from arasent.preprocess import load_tag_table, normalize_word
 from arasent.synthetic import (
     CORPUS_NG,
     CORPUS_PO,
+    EXTRA_TAGGED,
     GENRES,
     HELDOUT,
     INTENSIFIERS,
     NEGATORS,
     QUESTIONS,
     STOPWORDS,
-    SYNSETS,
     WISHFUL,
     heldout_words,
     sample_corpus,
@@ -30,13 +30,14 @@ from arasent.synthetic import (
 
 
 def test_shipped_files_match_regeneration(tmp_path):
-    """Anyone can rebuild the data directory byte for byte."""
+    """Anyone can rebuild the generated files of the data directory byte for
+    byte: the corpus and the two lexicons with their sidecars."""
     write_data_files(tmp_path)
     data_dir = resources.data_path("corpus.jsonl").parent
-    shipped = sorted(p.name for p in data_dir.iterdir())
     rebuilt = sorted(p.name for p in tmp_path.iterdir())
-    assert shipped == rebuilt
-    for name in shipped:
+    assert rebuilt == ["corpus.jsonl", "lexicon.prevent", "lexicon.tsv",
+                       "lexicon_seed.prevent", "lexicon_seed.tsv"]
+    for name in rebuilt:
         assert (tmp_path / name).read_bytes() == (data_dir / name).read_bytes(), name
 
 
@@ -82,10 +83,21 @@ def test_vocab_words_are_normalization_fixpoints():
     its users as stored, not as the loaders fold them."""
     stored = [(name, word) for name, keys in _stored_keys().items()
               for key in keys for word in key.split(" ")]
-    stored += [("synsets.tsv", word)
-               for _, syns, ants in SYNSETS.values() for word in syns + ants]
+    with read_rows(resources.data_path("synsets.tsv")) as rows:
+        stored += [("synsets.tsv", word) for _, _, syns, ants in rows
+                   for word in f"{syns},{ants}".split(",") if word]
     for name, word in stored:
         assert normalize_word(word) == word, (name, word)
+
+
+def test_extra_tagged_words_are_the_tagged_words_outside_the_lexicon():
+    """The tag table tags every lexicon word, and ``EXTRA_TAGGED`` holds the
+    rest of it: the walkthrough words that belong to no lexicon."""
+    tags = load_tag_table(resources.data_path("tags.tsv"))
+    lexicon = {entry.word for entry in resources.load().lexicon}
+    assert lexicon <= set(tags)
+    assert EXTRA_TAGGED == {word: tag.value for word, tag in tags.items() if word not in lexicon}
+    assert EXTRA_TAGGED
 
 
 def test_corpus_pools_live_in_the_full_lexicon():
