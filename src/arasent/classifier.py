@@ -33,12 +33,23 @@ class TrainConfig(NamedTuple):
     seed: int = 42
     scale: bool = False  # divide each slot by its largest |value| in the training data
 
+    def validate(self) -> None:
+        """Refuse a regularization that is not positive and finite, fewer than
+        one pass and a negative seed."""
+        if not 0 < self.regularization < math.inf:
+            raise ArasentError("regularization must be a positive finite number, "
+                               f"got {self.regularization}")
+        if self.epochs < 1:
+            raise ArasentError(f"epochs must be a positive integer, got {self.epochs}")
+        if self.seed < 0:
+            raise ArasentError(f"seed must be a non-negative integer, got {self.seed}")
+
 
 class LabeledVector:
     """One training row: ``vector`` (length N_SLOTS, index slot-1) of
     floats, ``label`` +1 (PO) or -1 (NG) and a free ``comment``. Converts
     each value with ``float()``, and refuses any other label, length or a
-    non-finite value."""
+    value that is not finite."""
 
     __slots__ = ("vector", "label", "comment")
 
@@ -98,16 +109,12 @@ def train(data: Sequence[LabeledVector],
     pass's gap (inf when the cap stops the fit right after a re-open) and
     ``peak``, the largest dual variable the fit reached. Deterministic: the
     same (data order, seed, config) reproduces the model bit for bit.
-    Refuses a regularization that is not positive and finite, fewer than one
-    pass, data without both labels, and a vector whose squared norm overflows
-    a float (scaled, every value is within 1).
+    Refuses a config that ``TrainConfig.validate`` refuses, data without both
+    labels, and a vector whose squared norm overflows a float (scaled, every
+    value is within 1).
     """
     config = config or TrainConfig()
-    if not 0 < config.regularization < math.inf:
-        raise ArasentError("regularization must be a positive finite number, "
-                           f"got {config.regularization}")
-    if config.epochs < 1:
-        raise ArasentError(f"epochs must be a positive integer, got {config.epochs}")
+    config.validate()
     if not data:
         raise ArasentError("no training vectors")
     labels = {lv.label for lv in data}
@@ -242,22 +249,23 @@ def grid_search(train_data: Sequence[LabeledVector],
     clip at C never engaged and would not engage at the new C either, and
     shrinking read C only for a dual variable at C, which none reached. The
     model and dev accuracy would be the last fit's, which a tie never picks.
-    Refuses an empty ``regularizations`` and an empty ``dev_data`` before any
-    fit.
+    Refuses an empty ``regularizations``, an empty ``dev_data`` and a
+    candidate config that ``TrainConfig.validate`` refuses before any fit.
     """
-    regularizations = tuple(regularizations)
-    if not regularizations:
+    candidates = [config._replace(regularization=reg) for reg in regularizations]
+    if not candidates:
         raise ArasentError("no regularizations to search")
     if not dev_data:
         raise ArasentError("no dev vectors: the dev split holds no labeled topic")
+    for candidate in candidates:
+        candidate.validate()
     n = len(train_data)
     best: tuple[TrainConfig, Model, float] | None = None
     fit: Model | None = None  # the last model fitted
-    for reg in regularizations:
-        if (fit is not None and reg > 0  # train refuses any other
-                and fit.peak < min(_box(fit.config.regularization, n), _box(reg, n))):
+    for candidate in candidates:
+        if fit is not None and fit.peak < min(_box(fit.config.regularization, n),
+                                              _box(candidate.regularization, n)):
             continue
-        candidate = config._replace(regularization=reg)
         fit = train(train_data, candidate)
         acc = accuracy(fit, dev_data)
         if best is None or acc > best[2]:
@@ -349,8 +357,6 @@ def read_svmlight(path) -> list[LabeledVector]:
                     value = float(value_s)
                 except ValueError:
                     raise ValueError(f"non-numeric pair {tok!r}") from None
-                if not math.isfinite(value):
-                    raise ValueError(f"non-finite value {tok!r}")
                 if index < 1 or index > N_SLOTS:
                     raise ValueError(f"feature index {index} outside schema 1..{N_SLOTS}")
                 if index <= last_index:
@@ -385,7 +391,8 @@ _MODEL_FIELDS = frozenset(["schema_version", "regularization", "epochs", "seed",
 
 def load_model(path) -> Model:
     """Read a model file; an unknown field, a scaling other than max or none
-    and a field a line above already holds are each a ParseError at its line."""
+    and a field a line above already holds are each a ParseError at its line,
+    and a missing field one naming the file."""
     fields: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     with read_data(path) as lines:
         for line in lines:
@@ -397,10 +404,13 @@ def load_model(path) -> Model:
                 raise ValueError(f"duplicate model field {key!r}")
             fields[key] = (lines.line_no, value.strip())
 
-    def number(key, cast=float):
+    def field(key) -> tuple[int, str]:
         if key not in fields:
             raise ParseError(path, None, f"missing model field {key!r}")
-        line_no, text = fields[key]
+        return fields[key]
+
+    def number(key, cast=float):
+        line_no, text = field(key)
         try:
             value = cast(text)
             if cast is float and not math.isfinite(value):  # an int is finite, however long
@@ -415,10 +425,10 @@ def load_model(path) -> Model:
     for key, (line_no, _) in fields.items():
         if key not in _MODEL_FIELDS:
             raise ParseError(path, line_no, f"unknown model field {key!r}")
-    line_no, scaling = fields.get("scaling", (None, "none"))
+    settings = number("regularization"), number("epochs", int), number("seed", int)
+    line_no, scaling = field("scaling")
     if scaling not in ("max", "none"):
         raise ParseError(path, line_no, f"scaling must be max or none, got {scaling!r}")
-    config = TrainConfig(regularization=number("regularization"), epochs=number("epochs", int),
-                         seed=number("seed", int), scale=scaling == "max")
+    config = TrainConfig(*settings, scale=scaling == "max")
     return Model(weights=tuple(number(str(slot)) for slot in range(1, N_SLOTS + 1)),
                  bias=number("bias"), config=config)

@@ -65,8 +65,6 @@ def _resolve_config(args) -> dict:
     for key in _SETTINGS:
         if getattr(args, key, None) is not None:
             settings[key] = getattr(args, key)
-    if "seed" in settings and settings["seed"] < 0:
-        raise ArasentError(f"seed must be a non-negative integer, got {settings['seed']}")
     return settings
 
 
@@ -282,7 +280,7 @@ def _cmd_evaluate(args) -> None:
     pipe = _Pipeline(settings)
     corpus = load_corpus(args.corpus)
     spec = SplitSpec(**_given(settings, *SplitSpec._fields))
-    train_t, dev_t, test_t = split_corpus(corpus, spec, **_given(settings, "stratify"))
+    train_t, dev_t, test_t = split_corpus(corpus, spec)
     train_data = pipe.labeled_vectors(train_t)
     if skipped := len(train_t) - len(train_data):
         print(f"skipped {skipped} unlabeled training topics", file=sys.stderr)

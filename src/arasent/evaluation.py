@@ -119,6 +119,7 @@ class SplitSpec(NamedTuple):
     dev_frac: float = 0.1
     test_frac: float = 0.1
     seed: int = 42
+    stratify: bool = True
 
     def validate(self) -> None:
         fracs = (self.train_frac, self.dev_frac, self.test_frac)
@@ -126,6 +127,8 @@ class SplitSpec(NamedTuple):
             raise ArasentError(f"fractions must be positive: {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ArasentError(f"fractions must sum to 1: {fracs}")
+        if self.seed < 0:
+            raise ArasentError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def _split_sizes(n: int, spec: SplitSpec) -> tuple[int, int, int]:
@@ -138,17 +141,16 @@ def _split_sizes(n: int, spec: SplitSpec) -> tuple[int, int, int]:
     return tuple(sizes)
 
 
-def split_corpus(corpus: Sequence[Topic], spec: SplitSpec,
-                 stratify: bool = True,
-                 ) -> tuple[list[Topic], list[Topic], list[Topic]]:
+def split_corpus(corpus: Sequence[Topic],
+                 spec: SplitSpec) -> tuple[list[Topic], list[Topic], list[Topic]]:
     """Seeded shuffle then exact slicing; every topic lands in one split.
 
-    With stratification (the default) the slicing happens per genre, so the
-    test set mirrors the corpus genre proportions.
+    With ``spec.stratify`` (the default) the slicing happens per genre, so
+    the test set mirrors the corpus genre proportions.
     """
     spec.validate()
     rng = random.Random(spec.seed)
-    if stratify:
+    if spec.stratify:
         groups: dict[str | None, list[Topic]] = {}
         for t in corpus:
             groups.setdefault(t.genre, []).append(t)

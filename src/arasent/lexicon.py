@@ -126,8 +126,6 @@ def load_sentiment_lexicon(path) -> SentimentLexicon:
                 raise ValueError(f"polarity must be PO, NG or NU, got {pol!r}") from None
             try:
                 freq = int(tf)
-                if freq < 0:
-                    raise ValueError
             except ValueError:
                 raise ValueError(
                     f"term frequency must be a non-negative integer, got {tf!r}") from None

@@ -78,6 +78,14 @@ def test_train_refuses_a_setting_without_a_usable_model(setting, message):
         train([lv({1: 1}, 1), lv({2: 1}, -1)], TrainConfig(**setting))
 
 
+def test_train_refuses_a_negative_seed_and_takes_zero():
+    """A negative seed once trained the model of its absolute value."""
+    data = [lv({1: 1}, 1), lv({2: 1}, -1)]
+    with pytest.raises(ArasentError, match="^seed must be a non-negative integer, got -1$"):
+        train(data, TrainConfig(seed=-1))
+    assert train(data, TrainConfig(seed=0)).config.seed == 0
+
+
 @pytest.mark.parametrize("data, name", [
     ([lv({1: 1e300}, 1), lv({2: 1e300}, -1)], "vector 1"),
     ([lv({3: 1}, -1), lv({1: 1e154, 2: 1e154}, 1)], "vector 2")],
@@ -361,6 +369,17 @@ def test_grid_search_refuses_a_regularization_after_a_fit(bad):
     _, data = hidden_separator_data(120, seed=10, margin=1.5)
     with pytest.raises(ArasentError, match="regularization must be a positive finite number"):
         grid_search(data[:80], data[80:], regularizations=(1e-3, bad))
+
+
+def test_grid_search_refuses_a_bad_regularization_before_any_fit(monkeypatch):
+    _, data = hidden_separator_data(120, seed=10, margin=1.5)
+    fits = []
+    monkeypatch.setattr(classifier, "train",
+                        lambda data, config: fits.append(config) or train(data, config))
+    with pytest.raises(ArasentError, match="^regularization must be a positive finite "
+                                           "number, got 0.0$"):
+        grid_search(data[:80], data[80:], (1e-3, 0.0))
+    assert fits == []
 
 
 @pytest.mark.parametrize("regularizations", [(), iter(())], ids=["tuple", "iterator"])
@@ -669,6 +688,9 @@ def test_load_model_rejects_truncated_file(tmp_path):
     path.write_text("schema_version: 1\nbias: 0.0\n", encoding="utf-8")
     with pytest.raises(ParseError, match=r"model\.txt: missing model field 'regularization'$"):
         load_model(path)
+    path.write_text(EARLIER_MODEL.replace("scaling: none\n", ""), encoding="utf-8")
+    with pytest.raises(ParseError, match=r"model\.txt: missing model field 'scaling'$"):
+        load_model(path)
 
 
 def test_load_model_reads_an_integer_too_long_for_a_float(tmp_path):
@@ -730,7 +752,9 @@ def test_feature_vector_names_the_first_non_finite_slot():
 def test_read_svmlight_rejects_non_finite_values(tmp_path, pair):
     path = tmp_path / "f.svml"
     path.write_text(f"+1 1:1\n-1 {pair}\n", encoding="utf-8")
-    with pytest.raises(ParseError, match=r"f\.svml:2: non-finite value"):
+    slot, _, value = pair.partition(":")
+    with pytest.raises(ParseError, match=rf"f\.svml:2: slot {slot} value {float(value)} "
+                                         "is not finite$"):
         read_svmlight(path)
 
 

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-import arasent
 import reference_classifier
+from child_env import child_env
 
 from arasent import resources
 from arasent.cli import run
@@ -341,9 +341,8 @@ def test_a_closed_stdout_ends_the_run_quietly(tmp_path, corpus_path, unbuffered)
     corpus = tmp_path / "big.jsonl"
     save_corpus([t._replace(id=f"{k}-{t.id}") for k in range(6)
                  for t in load_corpus(corpus_path)], corpus)
-    src = str(Path(arasent.__file__).resolve().parents[1])
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = child_env({key: value for key, value in os.environ.items()
+                     if key != "PYTHONUNBUFFERED"})
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
@@ -770,18 +769,16 @@ def test_train_on_non_finite_features_exits_2(tmp_path, capsys):
     assert run(["train", "--features", str(features), "--model", str(model)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "bad.svml:2: non-finite value '1:nan'" in err
+    assert "bad.svml:2: slot 1 value nan is not finite" in err
     assert not model.exists()
 
 
 def _fresh_python(code: str, *options: str) -> str:
     """Standard output of ``code`` run in a new interpreter, with nothing on
     stdin, on the package this test imported."""
-    src = str(Path(arasent.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, *options, "-c", code], stdin=subprocess.DEVNULL,
-                          capture_output=True, text=True, env=env, timeout=60, check=True)
+                          capture_output=True, text=True, env=child_env(), timeout=60,
+                          check=True)
     return done.stdout.strip()
 
 
@@ -912,6 +909,16 @@ def test_seed_zero_trains(tmp_path, capsys, how):
     assert load_model(model).config.seed == 0
 
 
+def test_score_ignores_a_seed_it_does_not_read(tmp_path, corpus_path, capsys):
+    """``score`` reads no seed, and once refused a negative one in its config file."""
+    assert run(["score", "--corpus", corpus_path]) == 0
+    plain = capsys.readouterr()
+    config = tmp_path / "run.conf"
+    config.write_text("seed = -1\n", encoding="utf-8")
+    assert run(["score", "--corpus", corpus_path, "--config", str(config)]) == 0
+    assert capsys.readouterr() == plain
+
+
 @pytest.mark.parametrize("flag", ["--negation-window", "--intensifier-window"])
 def test_negative_window_is_a_data_error(corpus_path, capsys, flag):
     assert run(["score", "--corpus", corpus_path, flag, "-1"]) == 2
@@ -1009,11 +1016,9 @@ def _normalize_stdin_in_a_new_process(env=(), **kwargs) -> tuple:
     """Exit code, stdout and stderr of ``normalize -`` run in a new
     interpreter on the package this test imported, with ``env`` added to the
     environment and ``kwargs`` passed to ``subprocess.run``."""
-    src = str(Path(arasent.__file__).resolve().parents[1])
-    env = {**os.environ, **dict(env), "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-m", "arasent.cli", "normalize", "-"],
-                          capture_output=True, env=env, timeout=60, **kwargs)
+                          capture_output=True, env=child_env({**os.environ, **dict(env)}),
+                          timeout=60, **kwargs)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -1068,13 +1073,15 @@ def test_expand_takes_only_the_files_it_reads(capsys):
 
 
 @pytest.mark.parametrize("line", ["idioms = {d}/absent.tsv", "idioms = {d}/one-word.tsv",
-                                  "negation_window = -1"],
-                         ids=["missing-idioms", "one-word-idiom", "negative-window"])
+                                  "negation_window = -1", "seed = -1"],
+                         ids=["missing-idioms", "one-word-idiom", "negative-window",
+                              "negative-seed"])
 def test_expand_ignores_config_keys_for_what_it_does_not_read(tmp_path, corpus_path, capsys,
                                                               line):
     """A config file that names a missing idiom file, an idiom file that no
-    Analyzer would take, or a negative window grows the lexicon as a run
-    without it does: the same report, lexicon, prevent and pending bytes."""
+    Analyzer would take, a negative window or a negative seed grows the
+    lexicon as a run without it does: the same report, lexicon, prevent and
+    pending bytes."""
     (tmp_path / "one-word.tsv").write_text("رائع\tPO\n", encoding="utf-8")
     corpus = tmp_path / "corpus.jsonl"  # one out-of-vocabulary word fills the pending file
     save_corpus(load_corpus(corpus_path) + [Topic("oov", "الفيلم هايف")], corpus)

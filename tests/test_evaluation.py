@@ -310,7 +310,7 @@ def test_split_stratifies_genres():
 
 def test_split_unstratified_single_pool():
     corpus = topics(100, "tweet") + topics(50, "hotel")
-    train, dev, test = split_corpus(corpus, SplitSpec(), stratify=False)
+    train, dev, test = split_corpus(corpus, SplitSpec(stratify=False))
     assert (len(train), len(dev), len(test)) == (120, 15, 15)
 
 
@@ -335,6 +335,13 @@ def test_split_hands_out_a_remainder_of_three():
     assert [int(10 * f) for f in spec[:3]] == [7, 0, 0]
     train, dev, test = split_corpus(topics(10), spec)
     assert (len(train), len(dev), len(test)) == (8, 1, 1)
+
+
+def test_split_refuses_a_negative_seed_and_takes_zero():
+    """A negative seed once gave the split of its absolute value."""
+    with pytest.raises(ArasentError, match="^seed must be a non-negative integer, got -1$"):
+        split_corpus(topics(10), SplitSpec(seed=-1))
+    assert sum(map(len, split_corpus(topics(10), SplitSpec(seed=0)))) == 10
 
 
 def test_split_refuses_a_zero_fraction():

@@ -39,7 +39,7 @@ CASES = {
                 "polarity must be PO, NG or NU, got 'XX'"),
     "lexicon-negative-tf": (load_sentiment_lexicon, "lexicon.tsv",
                             f"{LEXICON_HEADER}\nرائع\tg\tt\tPO\t-3\n",
-                            "term frequency must be a non-negative integer, got '-3'"),
+                            "negative term frequency for 'رائع'"),
     "lexicon-tf-not-a-number": (load_sentiment_lexicon, "lexicon.tsv",
                                 f"{LEXICON_HEADER}\nرائع\tg\tt\tPO\tx\n",
                                 "term frequency must be a non-negative integer, got 'x'"),

@@ -16,14 +16,14 @@ a small corpus that reaches every outcome.
 
 import hashlib
 import json
-import os
 import random
 import subprocess
 import sys
 from itertools import count
 from pathlib import Path
 
-import arasent
+from child_env import child_env
+
 from arasent import synthetic
 from arasent.cli import run
 from arasent.resources import data_path
@@ -175,12 +175,9 @@ def test_shipped_expand_outputs_are_pinned(tmp_path, capsys):
 def test_shipped_expand_in_a_new_process_is_pinned(tmp_path):
     """``expand`` imports the expansion module only when it runs."""
     out = tmp_path / "grown.tsv"
-    src = str(Path(arasent.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-m", "arasent.cli", "expand", "--out", str(out),
                            *_shipped_expand_flags()], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
+                          env=child_env(), timeout=120, check=True)
     assert _expand_digests(out, done.stdout) == EXPAND["shipped"]
 
 
