@@ -34,14 +34,19 @@ class TrainConfig(NamedTuple):
     scale: bool = False  # divide each slot by its largest |value| in the training data
 
     def validate(self) -> None:
-        """Refuse a regularization that is not positive and finite, fewer than
-        one pass and a negative seed."""
-        if not 0 < self.regularization < math.inf:
+        """Refuse a regularization that is not a positive finite int or float,
+        an epochs that is not an int of at least 1 and a seed that is not a
+        non-negative int; a bool is none of these, though Python counts it an
+        int."""
+        def numeric(value, *types) -> bool:
+            return isinstance(value, types) and not isinstance(value, bool)
+
+        if not (numeric(self.regularization, int, float) and 0 < self.regularization < math.inf):
             raise ArasentError("regularization must be a positive finite number, "
                                f"got {self.regularization}")
-        if self.epochs < 1:
+        if not (numeric(self.epochs, int) and self.epochs >= 1):
             raise ArasentError(f"epochs must be a positive integer, got {self.epochs}")
-        if self.seed < 0:
+        if not (numeric(self.seed, int) and self.seed >= 0):
             raise ArasentError(f"seed must be a non-negative integer, got {self.seed}")
 
 
@@ -392,7 +397,8 @@ _MODEL_FIELDS = frozenset(["schema_version", "regularization", "epochs", "seed",
 def load_model(path) -> Model:
     """Read a model file; an unknown field, a scaling other than max or none
     and a field a line above already holds are each a ParseError at its line,
-    and a missing field one naming the file."""
+    and a missing field or settings that ``TrainConfig.validate`` refuses one
+    naming the file."""
     fields: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     with read_data(path) as lines:
         for line in lines:
@@ -430,5 +436,9 @@ def load_model(path) -> Model:
     if scaling not in ("max", "none"):
         raise ParseError(path, line_no, f"scaling must be max or none, got {scaling!r}")
     config = TrainConfig(*settings, scale=scaling == "max")
+    try:
+        config.validate()  # settings no train could have written
+    except ArasentError as exc:
+        raise ParseError(path, None, str(exc)) from None
     return Model(weights=tuple(number(str(slot)) for slot in range(1, N_SLOTS + 1)),
                  bias=number("bias"), config=config)

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ArasentError
 from .fileio import atomic_write, read_data, read_rows
 from .schema import Polarity
+
+if TYPE_CHECKING:  # fractions loads only where kappa is computed
+    from fractions import Fraction
 
 
 class Topic(NamedTuple):
@@ -168,52 +171,6 @@ def split_corpus(corpus: Sequence[Topic],
     return train, dev, test
 
 
-class ConfusionCounts(NamedTuple):
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    tn: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Polarity, Polarity]]) -> "ConfusionCounts":
-        """Build counts from (gold, predicted) label pairs, PO the positive class."""
-        tp = fp = fn = tn = 0
-        for gold, pred in pairs:
-            if pred is Polarity.PO:
-                if gold is Polarity.PO:
-                    tp += 1
-                else:
-                    fp += 1
-            else:
-                if gold is Polarity.PO:
-                    fn += 1
-                else:
-                    tn += 1
-        return cls(tp, fp, fn, tn)
-
-
-def accuracy(c: ConfusionCounts) -> float | None:
-    if c.total == 0:
-        return None
-    return (c.tp + c.tn) / c.total
-
-
-def precision(c: ConfusionCounts) -> float | None:
-    if c.tp + c.fp == 0:
-        return None
-    return c.tp / (c.tp + c.fp)
-
-
-def recall(c: ConfusionCounts) -> float | None:
-    if c.tp + c.fn == 0:
-        return None
-    return c.tp / (c.tp + c.fn)
-
-
 def f_measure(p: float, r: float) -> float | None:
     """Harmonic mean 2pr/(p+r); None when p + r is 0."""
     if p + r == 0:
@@ -277,32 +234,40 @@ def load_ratings(path) -> list[tuple[str, ...]]:
     return items
 
 
+def _ratio(part: int, whole: int) -> float | None:
+    return part / whole if whole else None
+
+
+def _row(name: str, tally: Counter) -> dict:
+    """The report row of a tally of (gold, predicted) pairs. A prediction is
+    right only when it equals the gold label; PO is the positive class of
+    precision and recall."""
+    po = Polarity.PO
+    count = sum(tally.values())
+    right = sum(n for (gold, pred), n in tally.items() if pred == gold)
+    predicted_po = sum(n for (_, pred), n in tally.items() if pred is po)
+    gold_po = sum(n for (gold, _), n in tally.items() if gold is po)
+    p, r = _ratio(tally[po, po], predicted_po), _ratio(tally[po, po], gold_po)
+    f = None if p is None or r is None else f_measure(p, r)
+    return {"data": name, "count": count, "accuracy": _ratio(right, count),
+            "precision": p, "recall": r, "f_measure": f}
+
+
 def genre_report(topics: Sequence[Topic],
                  predictions: Sequence[Polarity]) -> list[dict]:
-    """Accuracy/precision/recall/F rows per genre plus a Total row.
+    """Accuracy/precision/recall/F rows per genre plus a Total row, over the
+    labeled topics.
 
     Metrics with a zero denominator are reported as None (absent).
     """
     if len(topics) != len(predictions):
         raise ValueError("one prediction per topic required")
-    by_genre: dict[str, list[tuple[Polarity, Polarity]]] = {}
-    all_pairs: list[tuple[Polarity, Polarity]] = []
+    tallies: defaultdict[str, Counter] = defaultdict(Counter)  # genre -> (gold, pred) counts
     for topic, pred in zip(topics, predictions):
-        if topic.label is None:
-            continue
-        pair = (topic.label, pred)
-        all_pairs.append(pair)
-        by_genre.setdefault(topic.genre or _NO_GENRE, []).append(pair)
-
-    def row(name: str, pairs: list[tuple[Polarity, Polarity]]) -> dict:
-        c = ConfusionCounts.from_pairs(pairs)
-        p, r = precision(c), recall(c)
-        f = None if p is None or r is None else f_measure(p, r)
-        return {"data": name, "count": len(pairs), "accuracy": accuracy(c),
-                "precision": p, "recall": r, "f_measure": f}
-
-    rows = [row(genre, pairs) for genre, pairs in by_genre.items()]
-    rows.append(row(_TOTAL, all_pairs))
+        if topic.label is not None:
+            tallies[topic.genre or _NO_GENRE][topic.label, pred] += 1
+    rows = [_row(genre, tally) for genre, tally in tallies.items()]
+    rows.append(_row(_TOTAL, sum(tallies.values(), Counter())))
     return rows
 
 

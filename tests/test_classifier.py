@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
@@ -71,11 +72,25 @@ def test_train_rejects_single_class():
     ({"regularization": -1.0}, "regularization must be a positive finite number, got -1.0"),
     ({"regularization": math.inf}, "regularization must be a positive finite number, got inf"),
     ({"regularization": math.nan}, "regularization must be a positive finite number, got nan"),
-    ({"epochs": 0}, "epochs must be a positive integer, got 0")],
-    ids=["reg-0", "reg-negative", "reg-inf", "reg-nan", "epochs-0"])
+    ({"epochs": 0}, "epochs must be a positive integer, got 0"),
+    # each of these once trained, and load_model refused the file of the model
+    ({"regularization": True}, "regularization must be a positive finite number, got True"),
+    ({"regularization": "0.01"}, "regularization must be a positive finite number, got 0.01"),
+    ({"epochs": True}, "epochs must be a positive integer, got True"),
+    ({"epochs": 1.5}, "epochs must be a positive integer, got 1.5"),
+    ({"seed": 2.5}, "seed must be a non-negative integer, got 2.5"),
+    ({"seed": False}, "seed must be a non-negative integer, got False")],
+    ids=["reg-0", "reg-negative", "reg-inf", "reg-nan", "epochs-0", "reg-bool", "reg-str",
+         "epochs-bool", "epochs-float", "seed-float", "seed-bool"])
 def test_train_refuses_a_setting_without_a_usable_model(setting, message):
     with pytest.raises(ArasentError, match=f"^{message}$"):
         train([lv({1: 1}, 1), lv({2: 1}, -1)], TrainConfig(**setting))
+
+
+def test_train_takes_an_integer_regularization(tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(train([lv({1: 1}, 1), lv({2: 1}, -1)], TrainConfig(regularization=1)), path)
+    assert load_model(path).config.regularization == 1.0
 
 
 def test_train_refuses_a_negative_seed_and_takes_zero():
@@ -623,15 +638,27 @@ def test_a_default_fit_records_the_documented_settings(tmp_path):
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
+# settings that train takes, or any finite ones
+_SETTINGS = (st.builds(TrainConfig, st.floats(0, exclude_min=True, allow_infinity=False),
+                       st.integers(1), st.integers(0), st.booleans())
+             | st.builds(TrainConfig, _FINITE, st.integers(), st.integers(), st.booleans()))
+
+
 @settings(max_examples=60)
-@given(st.builds(Model, st.tuples(*[_FINITE] * N_SLOTS), _FINITE,
-                 st.builds(TrainConfig, _FINITE, st.integers(), st.integers(), st.booleans()),
+@given(st.builds(Model, st.tuples(*[_FINITE] * N_SLOTS), _FINITE, _SETTINGS,
                  st.none() | st.integers(), st.none() | _FINITE, st.none() | _FINITE))
 def test_every_model_reads_back_from_its_file(tmp_path_factory, model):
-    """load_model(save_model(m)) is m, but for how the fit ended."""
+    """load_model(save_model(m)) is m, but for how the fit ended, when m has
+    settings that train takes; the file of any other is refused, naming them."""
     path = tmp_path_factory.mktemp("model") / "model.txt"
     save_model(model, path)
-    assert load_model(path) == model._replace(passes=None, gap=None, peak=None)
+    try:
+        model.config.validate()
+    except ArasentError as exc:
+        with pytest.raises(ParseError, match=rf"model\.txt: {re.escape(str(exc))}$"):
+            load_model(path)
+    else:
+        assert load_model(path) == model._replace(passes=None, gap=None, peak=None)
 
 
 # the shipped-corpus model as the vectorised trainer wrote it
@@ -690,6 +717,19 @@ def test_load_model_rejects_truncated_file(tmp_path):
         load_model(path)
     path.write_text(EARLIER_MODEL.replace("scaling: none\n", ""), encoding="utf-8")
     with pytest.raises(ParseError, match=r"model\.txt: missing model field 'scaling'$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("old, new, reason", [
+    ("regularization: 0.01", "regularization: -1.0",
+     "regularization must be a positive finite number, got -1.0"),
+    ("epochs: 200", "epochs: 0", "epochs must be a positive integer, got 0"),
+    ("seed: 42", "seed: -3", "seed must be a non-negative integer, got -3")],
+    ids=["reg-negative", "epochs-0", "seed-negative"])
+def test_load_model_refuses_settings_no_fit_could_have_had(tmp_path, old, new, reason):
+    path = tmp_path / "model.txt"
+    path.write_text(EARLIER_MODEL.replace(old, new), encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"model\.txt: {reason}$"):
         load_model(path)
 
 

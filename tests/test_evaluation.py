@@ -1,31 +1,31 @@
+import importlib.util
 import json
 import random
 import re
+import typing
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arasent import evaluation
 from arasent.errors import ArasentError, ParseError
 from arasent.evaluation import (
-    ConfusionCounts,
     SplitSpec,
     Topic,
-    accuracy,
     cohen_kappa,
     f_measure,
     format_report,
     genre_report,
     load_corpus,
     load_ratings,
-    precision,
-    recall,
     save_corpus,
     split_corpus,
 )
 from arasent.lexicon import Polarity
 
-PO, NG = Polarity.PO, Polarity.NG
+PO, NG, NU = Polarity.PO, Polarity.NG, Polarity.NU
 
 
 def topics(n, genre=None):
@@ -357,51 +357,76 @@ def test_split_partition_property(n, seed):
     assert len({t.id for t in train} | {t.id for t in dev} | {t.id for t in test}) == n
 
 
-# confusion metrics
+# report metrics
+
+def total_row(pairs):
+    """The Total row of genre_report over one labeled topic per (gold,
+    predicted) pair."""
+    corpus = [Topic(str(i), "x", gold, "tv") for i, (gold, _) in enumerate(pairs)]
+    return genre_report(corpus, [pred for _, pred in pairs])[-1]
+
+
+def confusion(tp=0, fp=0, fn=0, tn=0):
+    """(gold, predicted) pairs with these counts, PO the positive class."""
+    return [(PO, PO)] * tp + [(NG, PO)] * fp + [(PO, NG)] * fn + [(NG, NG)] * tn
+
+
+def metrics(row):
+    return row["accuracy"], row["precision"], row["recall"]
+
 
 def test_confusion_metrics_hand_example():
-    c = ConfusionCounts(tp=3, fp=1, fn=2, tn=4)
-    acc, prec, rec = accuracy(c), precision(c), recall(c)
+    acc, prec, rec = metrics(total_row(confusion(tp=3, fp=1, fn=2, tn=4)))
     assert acc == pytest.approx(0.7)
     assert prec == pytest.approx(0.75)
     assert rec == pytest.approx(0.6)
 
 
 def test_confusion_metrics_all_correct():
-    c = ConfusionCounts(tp=5, tn=5)
-    assert (accuracy(c), precision(c), recall(c)) == (1.0, 1.0, 1.0)
+    assert metrics(total_row(confusion(tp=5, tn=5))) == (1.0, 1.0, 1.0)
 
 
 def test_precision_undefined():
-    assert precision(ConfusionCounts(tp=0, fp=0, fn=2, tn=3)) is None
+    assert total_row(confusion(tp=0, fp=0, fn=2, tn=3))["precision"] is None
 
 
 def test_recall_undefined():
-    assert recall(ConfusionCounts(tp=0, fp=1, fn=0, tn=3)) is None
+    assert total_row(confusion(tp=0, fp=1, fn=0, tn=3))["recall"] is None
 
 
 def test_precision_and_recall_at_one_half():
-    assert precision(ConfusionCounts(tp=2, fp=2)) == 0.5
-    assert recall(ConfusionCounts(tp=3, fn=3)) == 0.5
+    assert total_row(confusion(tp=2, fp=2))["precision"] == 0.5
+    assert total_row(confusion(tp=3, fn=3))["recall"] == 0.5
 
 
 def test_accuracy_needs_observations():
-    assert accuracy(ConfusionCounts()) is None
+    [row] = genre_report([Topic("1", "x", None, "tv")], [PO])
+    assert (row["data"], row["count"], row["accuracy"]) == ("Total", 0, None)
 
 
 @given(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50), st.integers(0, 50))
 def test_accuracy_class_relabel_symmetry(tp, fp, fn, tn):
     if tp + fp + fn + tn == 0:
         return
-    a = accuracy(ConfusionCounts(tp, fp, fn, tn))
-    b = accuracy(ConfusionCounts(tn, fn, fp, tp))  # swap tp<->tn, fp<->fn
+    pairs = confusion(tp, fp, fn, tn)
+    a = total_row(pairs)["accuracy"]
+    b = total_row([(gold.flipped(), pred.flipped()) for gold, pred in pairs])["accuracy"]
     assert a == pytest.approx(b)
 
 
 def test_confusion_from_pairs():
     pairs = [(PO, PO), (PO, NG), (NG, PO), (NG, NG), (PO, PO)]
-    c = ConfusionCounts.from_pairs(pairs)
-    assert (c.tp, c.fp, c.fn, c.tn) == (2, 1, 1, 1)
+    row = total_row(pairs)  # tp 2, fp 1, fn 1, tn 1
+    assert (row["count"], *metrics(row)) == (5, 3 / 5, 2 / 3, 2 / 3)
+
+
+def test_genre_report_counts_an_nu_prediction_as_an_error():
+    """A prediction is right only when it equals the gold label: an NU
+    prediction was once filed as NG, and so right against NG gold."""
+    rows = genre_report([Topic("1", "x", NG, "tv")], [NU])
+    assert [(r["data"], r["accuracy"]) for r in rows] == [("tv", 0.0), ("Total", 0.0)]
+    # against PO gold it is a PO missed, as an NG prediction is
+    assert metrics(total_row([(PO, NU), (PO, PO), (NG, NU)])) == (1 / 3, 1.0, 0.5)
 
 
 # F-measure
@@ -514,6 +539,17 @@ def test_kappa_brute_force_contingency_oracle():
             continue
         expected = (po - pe) / (1 - pe)
         assert cohen_kappa(items) == pytest.approx(expected, abs=1e-12)
+
+
+def test_kappa_annotations_resolve_as_a_type_checker_reads_them(monkeypatch):
+    """Fraction, imported only inside the kappa functions at run time, is
+    bound for a type checker too."""
+    monkeypatch.setattr(typing, "TYPE_CHECKING", True)
+    spec = importlib.util.spec_from_file_location("arasent.typed_evaluation",
+                                                  evaluation.__file__)
+    typed = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(typed)
+    assert typing.get_type_hints(typed._pairwise_kappa)["return"] is Fraction
 
 
 def test_load_ratings(tmp_path):
